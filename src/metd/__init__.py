@@ -10,7 +10,6 @@ from .errors import (
     ZeroNormError,
 )
 from .losses import (
-    DEFAULT_TEMPERATURE,
     LossBreakdown,
     SimilarityGrid,
     clip_ce_loss,

@@ -128,7 +128,6 @@ _SCHEMA = {
     # training extras
     "count_scope": (_identity, _enum(COUNT_SCOPES), "epoch"),
     "oversample": (_parse_bool, _identity, "false"),
-    "threads": (_parse_int, _positive, "1"),
     # comparison harness
     "strategies": (_parse_strategies, _identity, ",".join(STRATEGY_KINDS)),
     "probe_epochs": (_parse_int, _positive, "40"),
@@ -175,7 +174,6 @@ class RunConfig:
     stage2_batch_size: int
     count_scope: str
     oversample: bool
-    threads: int
     strategies: tuple
     probe_epochs: int
     probe_lr: float

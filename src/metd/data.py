@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleConfigError, ParseError
-from .model import STREAM_OVERSAMPLE, STREAM_SYNTH
+from .model import STREAM_OVERSAMPLE, STREAM_SYNTH, format_floats, parse_floats
 
 _DATASET_HEADER = re.compile(r"^metd-embed v(\d+) dim=(\d+) classes=(\d+)$")
 _VOCAB_HEADER = re.compile(r"^metd-vocab v(\d+) dim=(\d+)$")
@@ -38,10 +38,6 @@ _FORMAT_VERSION = 1
 
 # Total rejection-sampling attempts allowed when placing subcluster means.
 _MEAN_SAMPLING_BUDGET = 200_000
-
-
-def _format_floats(values: np.ndarray) -> str:
-    return ",".join(format(float(x), ".17g") for x in values)
 
 
 @dataclass(frozen=True)
@@ -437,7 +433,7 @@ def save_dataset(dataset: EmbeddingDataset, path: str):
     for sample in dataset.samples:
         seq = "-" if sample.sequence_id is None else str(sample.sequence_id)
         sub = "-" if sample.subcluster_id is None else str(sample.subcluster_id)
-        feats = _format_floats(np.asarray(sample.features, dtype=np.float64))
+        feats = format_floats(np.asarray(sample.features, dtype=np.float64))
         lines.append(f"{sample.label}\t{seq}\t{sub}\t{feats}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -450,19 +446,6 @@ def _parse_optional_int(text: str, what: str, line_no: int) -> int | None:
         return int(text)
     except ValueError:
         raise ParseError(f"bad {what} {text!r}", line=line_no) from None
-
-
-def _parse_floats(text: str, dim: int, line_no: int) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != dim:
-        raise ParseError(f"expected {dim} values, got {len(parts)}", line=line_no)
-    try:
-        values = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError("bad float value", line=line_no) from None
-    if not np.all(np.isfinite(values)):
-        raise ParseError("non-finite value", line=line_no)
-    return values
 
 
 def load_dataset(path: str) -> EmbeddingDataset:
@@ -491,7 +474,7 @@ def load_dataset(path: str) -> EmbeddingDataset:
             raise ParseError(f"bad class label {fields[0]!r}", line=line_no) from None
         seq = _parse_optional_int(fields[1], "sequence id", line_no)
         sub = _parse_optional_int(fields[2], "subcluster id", line_no)
-        features = _parse_floats(fields[3], dim, line_no)
+        features = parse_floats(fields[3], dim, line_no)
         samples.append(
             Sample(features=features, label=label, sequence_id=seq, subcluster_id=sub)
         )
@@ -537,7 +520,7 @@ class Vocabulary:
 def save_vocabulary(vocab: Vocabulary, path: str):
     lines = [f"metd-vocab v{_FORMAT_VERSION} dim={vocab.dim}"]
     for word, vector in zip(vocab.words, vocab.vectors):
-        lines.append(f"{word}\t{_format_floats(vector)}")
+        lines.append(f"{word}\t{format_floats(vector)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -563,7 +546,7 @@ def load_vocabulary(path: str) -> Vocabulary:
             raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}",
                              line=line_no)
         words.append(fields[0])
-        vectors.append(_parse_floats(fields[1], dim, line_no))
+        vectors.append(parse_floats(fields[1], dim, line_no))
     if not words:
         raise ParseError("vocabulary has no words")
     try:

@@ -41,15 +41,7 @@ from .model import (
     encode_text,
     encode_text_token_gradient,
 )
-from .training import (
-    ADAPTIVE,
-    EpochStats,
-    StageConfig,
-    init_optimizer_state,
-    optimizer_step,
-    run_stage1,
-    run_stage2,
-)
+from .training import EpochStats, StageConfig, fit, run_stage1, run_stage2
 
 ZERO_SHOT = "zero-shot-fixed"
 LINEAR_PROBE = "linear-probe"
@@ -224,16 +216,6 @@ def distorted_benchmark(
     return apply_linear_map(train, matrix), apply_linear_map(test, matrix)
 
 
-def _pooled_features(units) -> np.ndarray:
-    return np.vstack([temporal_mean_pool(unit.frames) for unit in units])
-
-
-def _shuffled_batches(rng, n_units, batch_size):
-    order = rng.permutation(n_units)
-    for start in range(0, n_units, batch_size):
-        yield order[start : start + batch_size]
-
-
 def _train_head(
     train: EmbeddingDataset,
     settings: HarnessSettings,
@@ -251,29 +233,37 @@ def _train_head(
     if train_adapter:
         params["adapter.weight"] = adapter.weight
         params["adapter.bias"] = adapter.bias
-    state = init_optimizer_state(params, ADAPTIVE)
-    batch_size = settings.stage1.batch_size
-    for epoch in range(1, settings.probe_epochs + 1):
-        rng = np.random.default_rng([STREAM_HARNESS, _SUB_PROBE, seed, epoch])
-        for batch in _shuffled_batches(rng, len(units), batch_size):
-            grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-            for index in batch:
-                unit = units[int(index)]
-                pooled = temporal_mean_pool(unit.frames)
-                v = encode_image(adapter, pooled) if train_adapter else pooled
-                logits = head_weight @ v + head_bias
-                probs = numerics.stable_softmax(logits)
-                dz = probs.copy()
-                dz[unit.label] -= 1.0
-                grads["head.weight"] += np.outer(dz, v)
-                grads["head.bias"] += dz
-                if train_adapter:
-                    dv = head_weight.T @ dz
-                    grads["adapter.weight"] += np.outer(dv, pooled)
-                    grads["adapter.bias"] += dv
-            for name in grads:
-                grads[name] /= len(batch)
-            optimizer_step(params, grads, state, settings.probe_lr, 0.0)
+
+    def batch_gradients(batch):
+        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+        for index in batch:
+            unit = units[int(index)]
+            pooled = temporal_mean_pool(unit.frames)
+            v = encode_image(adapter, pooled) if train_adapter else pooled
+            logits = head_weight @ v + head_bias
+            probs = numerics.stable_softmax(logits)
+            dz = probs.copy()
+            dz[unit.label] -= 1.0
+            grads["head.weight"] += np.outer(dz, v)
+            grads["head.bias"] += dz
+            if train_adapter:
+                dv = head_weight.T @ dz
+                grads["adapter.weight"] += np.outer(dv, pooled)
+                grads["adapter.bias"] += dv
+        for name in grads:
+            grads[name] /= len(batch)
+        return grads
+
+    config = StageConfig(
+        stage=1,
+        epochs=settings.probe_epochs,
+        learning_rate=settings.probe_lr,
+        weight_decay=0.0,
+        batch_size=settings.stage1.batch_size,
+    )
+    stream = (STREAM_HARNESS, _SUB_PROBE, seed)
+    for _ in fit(params, batch_gradients, len(units), config, stream):
+        pass
     return adapter, head_weight, head_bias
 
 
@@ -310,49 +300,35 @@ def _train_learnable_context(
     )
     length = settings.n_tokens + 1
     units = train.units()
-    params = {"context": context}
-    state = init_optimizer_state(params, settings.stage1.optimizer)
-    config = settings.stage1
     tau = settings.temperature
-    for epoch in range(1, config.epochs + 1):
-        rng_epoch = np.random.default_rng(
-            [STREAM_HARNESS, _SUB_CONTEXT, seed, epoch]
+
+    def batch_gradients(batch):
+        embeddings = np.vstack(
+            [encode_text(encoder, context, names[i][None, :]) for i in range(n_classes)]
         )
-        for batch in _shuffled_batches(rng_epoch, len(units), config.batch_size):
-            embeddings = np.vstack(
-                [
-                    encode_text(encoder, context, names[i][None, :])
-                    for i in range(n_classes)
-                ]
+        grad_context = np.zeros_like(context)
+        for index in batch:
+            unit = units[int(index)]
+            v = temporal_mean_pool(unit.frames)
+            sims = np.array(
+                [numerics.cosine_similarity(v, embeddings[i]) for i in range(n_classes)]
             )
-            grad_context = np.zeros_like(context)
-            for index in batch:
-                unit = units[int(index)]
-                v = temporal_mean_pool(unit.frames)
-                sims = np.array(
-                    [
-                        numerics.cosine_similarity(v, embeddings[i])
-                        for i in range(n_classes)
-                    ]
+            probs = numerics.stable_softmax(sims / tau)
+            coeff = probs.copy()
+            coeff[unit.label] -= 1.0
+            coeff /= tau
+            for i in range(n_classes):
+                _, grad_t = losses._cosine_gradients(v, embeddings[i], sims[i])
+                grad_context += encode_text_token_gradient(
+                    encoder, coeff[i] * grad_t, length
                 )
-                probs = numerics.stable_softmax(sims / tau)
-                coeff = probs.copy()
-                coeff[unit.label] -= 1.0
-                coeff /= tau
-                for i in range(n_classes):
-                    _, grad_t = losses._cosine_gradients(v, embeddings[i], sims[i])
-                    pulled = encode_text_token_gradient(
-                        encoder, coeff[i] * grad_t, length
-                    )
-                    grad_context += pulled
-            grad_context /= len(batch)
-            optimizer_step(
-                params,
-                {"context": grad_context},
-                state,
-                config.learning_rate,
-                config.weight_decay,
-            )
+        grad_context /= len(batch)
+        return {"context": grad_context}
+
+    params = {"context": context}
+    stream = (STREAM_HARNESS, _SUB_CONTEXT, seed)
+    for _ in fit(params, batch_gradients, len(units), settings.stage1, stream):
+        pass
     return encoder, context, names
 
 

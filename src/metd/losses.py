@@ -61,9 +61,6 @@ import numpy as np
 from . import numerics
 from .errors import ContractViolation
 
-DEFAULT_TEMPERATURE = 0.01
-
-
 @dataclass(frozen=True)
 class SimilarityGrid:
     """Cosine similarities, shape (n_classes, n_subclasses), with tau.

@@ -407,15 +407,16 @@ _TOKEN_KEY = re.compile(r"^bank\.tokens\[(\d+)\]\[(\d+)\]\[(\d+)\]$")
 _CONTEXT_KEY = re.compile(r"^bank\.context\[(\d+)\]$")
 
 
-def _fmt_vector(values: np.ndarray) -> str:
+def format_floats(values: np.ndarray) -> str:
+    """17 significant digits: every float64 round-trips through parse_floats."""
     return ",".join(format(float(x), ".17g") for x in values)
 
 
 def _fmt_matrix(values: np.ndarray) -> str:
-    return ";".join(_fmt_vector(row) for row in values)
+    return ";".join(format_floats(row) for row in values)
 
 
-def _parse_vector(text: str, dim: int, line_no: int) -> np.ndarray:
+def parse_floats(text: str, dim: int, line_no: int) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != dim:
         raise ParseError(f"expected {dim} values, got {len(parts)}", line=line_no)
@@ -432,7 +433,7 @@ def _parse_matrix(text: str, rows: int, cols: int, line_no: int) -> np.ndarray:
     parts = text.split(";")
     if len(parts) != rows:
         raise ParseError(f"expected {rows} rows, got {len(parts)}", line=line_no)
-    return np.vstack([_parse_vector(p, cols, line_no) for p in parts])
+    return np.vstack([parse_floats(p, cols, line_no) for p in parts])
 
 
 def save_checkpoint(model: Model, path: str):
@@ -455,12 +456,12 @@ def save_checkpoint(model: Model, path: str):
         for k in range(bank.n_subclasses):
             for m in range(bank.n_tokens):
                 lines.append(
-                    f"bank.tokens[{i}][{k}][{m}]\t{_fmt_vector(bank.tokens[i, k, m])}"
+                    f"bank.tokens[{i}][{k}][{m}]\t{format_floats(bank.tokens[i, k, m])}"
                 )
     for c in range(bank.context_length):
-        lines.append(f"bank.context[{c}]\t{_fmt_vector(bank.context[c])}")
+        lines.append(f"bank.context[{c}]\t{format_floats(bank.context[c])}")
     lines.append(f"adapter.weight\t{_fmt_matrix(model.adapter.weight)}")
-    lines.append(f"adapter.bias\t{_fmt_vector(model.adapter.bias)}")
+    lines.append(f"adapter.bias\t{format_floats(model.adapter.bias)}")
     if model.encoder.projection is not None:
         lines.append(f"encoder.projection\t{_fmt_matrix(model.encoder.projection)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -510,16 +511,16 @@ def load_checkpoint(path: str) -> Model:
             i, kk, mm = (int(g) for g in token_match.groups())
             if not (i < n and kk < k and mm < m):
                 raise ParseError(f"token index out of range in {key!r}", line=line_no)
-            tokens[i, kk, mm] = _parse_vector(value, token_dim, line_no)
+            tokens[i, kk, mm] = parse_floats(value, token_dim, line_no)
         elif context_match:
             c = int(context_match.group(1))
             if c >= context_length:
                 raise ParseError(f"context index out of range in {key!r}", line=line_no)
-            context[c] = _parse_vector(value, token_dim, line_no)
+            context[c] = parse_floats(value, token_dim, line_no)
         elif key == "adapter.weight":
             weight = _parse_matrix(value, embed_dim, feature_dim, line_no)
         elif key == "adapter.bias":
-            bias = _parse_vector(value, embed_dim, line_no)
+            bias = parse_floats(value, embed_dim, line_no)
         elif key == "encoder.projection":
             projection = _parse_matrix(value, embed_dim, token_dim, line_no)
         else:

@@ -2,9 +2,15 @@
 
 Stage 1 optimizes the descriptor tokens with everything else frozen;
 stage 2 optimizes the image adapter with the descriptors frozen.  Both
-stages minimize the same per-sample loss (fine-grained + margin), reduce
-batches by arithmetic mean, and draw batches in a seeded shuffled order,
-so a fixed seed and config reproduce training bit for bit.
+stages minimize the same per-sample loss (fine-grained + margin) and
+reduce batches by arithmetic mean.
+
+One loop, ``fit``, runs both stages and the comparison baselines: it
+owns the seeded per-epoch shuffle, the batches, the learning-rate
+schedule, the optimizer state and the global step, and calls
+``optimizer_step`` once per batch.  Each caller passes only its
+parameter arrays, a batch-gradient function and its random-stream
+prefix, so a fixed seed and config reproduce training bit for bit.
 
 The subclass counter tracks, per class, how many samples landed on each
 subclass; it feeds the modulating factor and is updated for the current
@@ -272,8 +278,8 @@ def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, sta
         )
 
 
-def _sample_loss_and_grads(model, stack, unit, counter):
-    """Per-sample loss and gradients, counting the sample first."""
+def _sample_loss_and_grads(model, stack, unit, counter, sums):
+    """Per-sample gradients, counting the sample first; adds its losses to sums."""
     v = unit_embedding(model, unit)
     target = unit.label
     grid = losses.similarity_grid(v, stack, model.temperature)
@@ -281,8 +287,8 @@ def _sample_loss_and_grads(model, stack, unit, counter):
     update_counts(counter, target, closest)
     row = counter.counts[target]
     breakdown = losses.total_loss(grid, target, row)
-    grad_v, grad_t = losses.loss_gradients(v, stack, target, row, model.temperature)
-    return breakdown, grad_v, grad_t
+    sums += (breakdown.fg, breakdown.margin, breakdown.total)
+    return losses.loss_gradients(v, stack, target, row, model.temperature)
 
 
 def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
@@ -302,58 +308,78 @@ def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
     ).copy()
 
 
+def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
+    """The one optimisation loop, shared by both stages and the baselines.
+
+    Each epoch draws a permutation of ``range(n_items)`` from
+    ``default_rng([*stream, epoch])`` and cuts it into batches of
+    ``config.batch_size``.  Every batch is one ``optimizer_step`` on
+    ``params`` (updated in place) with the gradient dict returned by
+    ``batch_gradients(batch)``, at the scheduled learning rate of the
+    global step.  Yields ``(epoch, lr)`` after each epoch, ``lr`` being
+    the rate of the epoch's first step, so the caller can evaluate and log
+    between epochs.
+    """
+    state = init_optimizer_state(params, config.optimizer)
+    total_steps = max(1, config.epochs * math.ceil(n_items / config.batch_size))
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        order = np.random.default_rng([*stream, epoch]).permutation(n_items)
+        epoch_lr = _schedule_lr(config, step, total_steps)
+        for start in range(0, n_items, config.batch_size):
+            grads = batch_gradients(order[start : start + config.batch_size])
+            lr = _schedule_lr(config, step, total_steps)
+            optimizer_step(params, grads, state, lr, config.weight_decay)
+            step += 1
+        yield epoch, epoch_lr
+
+
+def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochStats]:
+    """Fit one stage; log each epoch's mean losses, train WAR, and lr.
+
+    ``batch_gradients(units, counter, sums)`` gets the batch's units, the
+    subclass counter (already reset when ``count_scope`` is ``"batch"``),
+    and the epoch's running (fg, margin, total) loss sums.
+    """
+    units = dataset.units()
+    counter = fresh_counter(
+        model.n_classes, model.n_subclasses, config.count_scope == "epoch"
+    )
+    sums = np.zeros(3)
+
+    def gradients(batch):
+        if not counter.epoch_scope:
+            counter.reset()
+        return batch_gradients([units[int(i)] for i in batch], counter, sums)
+
+    trace: list[EpochStats] = []
+    stream = (STREAM_SHUFFLE, config.seed, config.stage)
+    for epoch, lr in fit(params, gradients, len(units), config, stream):
+        fg, margin, total = sums / len(units)
+        war = evaluate(dataset, model).war
+        trace.append(EpochStats(epoch, fg, margin, total, war, lr))
+        sums[:] = 0.0
+        if counter.epoch_scope:
+            counter.reset()
+    return trace
+
+
 def run_stage1(
     model: Model, dataset: EmbeddingDataset, config: StageConfig
 ) -> tuple[DescriptorBank, list[EpochStats]]:
     """Train the descriptor tokens; everything else stays bit-identical."""
     _check_run(model, dataset, config, stage=1)
-    units = dataset.units()
-    counter = fresh_counter(
-        model.n_classes, model.n_subclasses, config.count_scope == "epoch"
-    )
+
+    def batch_gradients(units, counter, sums):
+        stack = bank_embeddings(model.bank, model.encoder)
+        grad_t_sum = np.zeros_like(stack)
+        for unit in units:
+            _, grad_t = _sample_loss_and_grads(model, stack, unit, counter, sums)
+            grad_t_sum += grad_t
+        return {"bank.tokens": _pull_token_gradient(model, grad_t_sum / len(units))}
+
     params = {"bank.tokens": model.bank.tokens}
-    state = init_optimizer_state(params, config.optimizer)
-    n_batches = math.ceil(len(units) / config.batch_size)
-    total_steps = max(1, config.epochs * n_batches)
-    trace: list[EpochStats] = []
-    global_step = 0
-    for epoch in range(1, config.epochs + 1):
-        if counter.epoch_scope:
-            counter.reset()
-        rng = np.random.default_rng([STREAM_SHUFFLE, config.seed, config.stage, epoch])
-        order = rng.permutation(len(units))
-        sums = np.zeros(3)
-        epoch_lr = _schedule_lr(config, global_step, total_steps)
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            if not counter.epoch_scope:
-                counter.reset()
-            stack = bank_embeddings(model.bank, model.encoder)
-            grad_t_sum = np.zeros_like(stack)
-            for index in batch:
-                breakdown, _, grad_t = _sample_loss_and_grads(
-                    model, stack, units[int(index)], counter
-                )
-                grad_t_sum += grad_t
-                sums += (breakdown.fg, breakdown.margin, breakdown.total)
-            grad_tokens = _pull_token_gradient(model, grad_t_sum / len(batch))
-            lr = _schedule_lr(config, global_step, total_steps)
-            optimizer_step(
-                params, {"bank.tokens": grad_tokens}, state, lr, config.weight_decay
-            )
-            global_step += 1
-        war = evaluate(dataset, model).war
-        trace.append(
-            EpochStats(
-                epoch=epoch,
-                fg=sums[0] / len(units),
-                margin=sums[1] / len(units),
-                total=sums[2] / len(units),
-                war=war,
-                lr=epoch_lr,
-            )
-        )
-    return model.bank, trace
+    return model.bank, _run_stage(model, dataset, config, params, batch_gradients)
 
 
 def run_stage2(
@@ -361,63 +387,28 @@ def run_stage2(
 ) -> tuple[ImageAdapter, list[EpochStats]]:
     """Train the adapter against the frozen, stage-1-trained descriptors."""
     _check_run(model, dataset, config, stage=2)
-    units = dataset.units()
-    counter = fresh_counter(
-        model.n_classes, model.n_subclasses, config.count_scope == "epoch"
-    )
+    # Descriptors are frozen in this stage, so their embeddings are too.
+    stack = bank_embeddings(model.bank, model.encoder)
+
+    def batch_gradients(units, counter, sums):
+        grad_w = np.zeros_like(model.adapter.weight)
+        grad_b = np.zeros_like(model.adapter.bias)
+        for unit in units:
+            grad_v, _ = _sample_loss_and_grads(model, stack, unit, counter, sums)
+            pooled = temporal_mean_pool(unit.frames)
+            gw, gb = adapter_gradients(model.adapter, pooled, grad_v)
+            grad_w += gw
+            grad_b += gb
+        return {
+            "adapter.weight": grad_w / len(units),
+            "adapter.bias": grad_b / len(units),
+        }
+
     params = {
         "adapter.weight": model.adapter.weight,
         "adapter.bias": model.adapter.bias,
     }
-    state = init_optimizer_state(params, config.optimizer)
-    n_batches = math.ceil(len(units) / config.batch_size)
-    total_steps = max(1, config.epochs * n_batches)
-    trace: list[EpochStats] = []
-    global_step = 0
-    # Descriptors are frozen in this stage, so their embeddings are too.
-    stack = bank_embeddings(model.bank, model.encoder)
-    for epoch in range(1, config.epochs + 1):
-        if counter.epoch_scope:
-            counter.reset()
-        rng = np.random.default_rng([STREAM_SHUFFLE, config.seed, config.stage, epoch])
-        order = rng.permutation(len(units))
-        sums = np.zeros(3)
-        epoch_lr = _schedule_lr(config, global_step, total_steps)
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            if not counter.epoch_scope:
-                counter.reset()
-            grad_w = np.zeros_like(model.adapter.weight)
-            grad_b = np.zeros_like(model.adapter.bias)
-            for index in batch:
-                unit = units[int(index)]
-                breakdown, grad_v, _ = _sample_loss_and_grads(
-                    model, stack, unit, counter
-                )
-                pooled = temporal_mean_pool(unit.frames)
-                gw, gb = adapter_gradients(model.adapter, pooled, grad_v)
-                grad_w += gw
-                grad_b += gb
-                sums += (breakdown.fg, breakdown.margin, breakdown.total)
-            grads = {
-                "adapter.weight": grad_w / len(batch),
-                "adapter.bias": grad_b / len(batch),
-            }
-            lr = _schedule_lr(config, global_step, total_steps)
-            optimizer_step(params, grads, state, lr, config.weight_decay)
-            global_step += 1
-        war = evaluate(dataset, model).war
-        trace.append(
-            EpochStats(
-                epoch=epoch,
-                fg=sums[0] / len(units),
-                margin=sums[1] / len(units),
-                total=sums[2] / len(units),
-                war=war,
-                lr=epoch_lr,
-            )
-        )
-    return model.adapter, trace
+    return model.adapter, _run_stage(model, dataset, config, params, batch_gradients)
 
 
 def central_difference(fn, array: np.ndarray, h: float) -> np.ndarray:
@@ -548,16 +539,6 @@ def fd_check(
         tolerance=tolerance,
         passed=worst[1] < tolerance,
     )
-
-
-def format_fd_report(report: FdReport) -> str:
-    lines = []
-    for group in report.groups:
-        lines.append(
-            f"stage {report.stage}\t{group.name}\tentries={group.n_entries}"
-            f"\tmax_rel_err={group.max_rel_err:.3e}"
-        )
-    return "\n".join(lines)
 
 
 def random_fd_instance(seed: int, stage: int):

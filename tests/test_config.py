@@ -31,7 +31,6 @@ def test_empty_text_yields_all_defaults():
     assert (config.stage2_weight_decay, config.stage2_schedule) == (0.1, "cosine")
     assert config.count_scope == "epoch"
     assert config.oversample is False
-    assert config.threads == 1
     assert config.strategies == STRATEGY_KINDS
     assert (config.probe_epochs, config.probe_lr) == (40, 0.05)
     assert config.decode_top_n == 3
@@ -98,7 +97,6 @@ def test_range_errors():
     assert _error("n_classes = 0\n").key == "n_classes"
     assert _error("stage1_epochs = -1\n").key == "stage1_epochs"
     assert _error("stage2_lr = -0.5\n").key == "stage2_lr"
-    assert _error("threads = 0\n").key == "threads"
     assert _error("decode_top_n = 0\n").key == "decode_top_n"
     # zero epochs is a valid no-op
     assert parse_config_text("stage1_epochs = 0\n").stage1_epochs == 0

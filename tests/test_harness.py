@@ -1,5 +1,7 @@
 """Benchmark construction and the five-strategy comparison harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from metd.errors import ContractViolation
 from metd.harness import (
     STRATEGY_KINDS,
     HarnessSettings,
+    _train_learnable_context,
     Strategy,
     build_strategy_model,
     compare_all,
@@ -194,6 +197,20 @@ def test_run_strategy_is_deterministic(small_splits):
         a = run_strategy(Strategy(kind=kind), small_splits, seed=6, settings=COMPACT)
         b = run_strategy(Strategy(kind=kind), small_splits, seed=6, settings=COMPACT)
         assert a.war == b.war and a.uar == b.uar and a.echo == b.echo
+
+
+def test_learnable_context_follows_the_stage1_schedule(small_splits):
+    # The context baseline trains with the stage-1 optimizer settings,
+    # learning-rate schedule included.
+    train, _ = small_splits
+    contexts = []
+    for schedule in ("constant", "cosine"):
+        stage1 = replace(COMPACT.stage1, lr_schedule=schedule)
+        _, context, _ = _train_learnable_context(
+            train, replace(COMPACT, stage1=stage1), seed=5
+        )
+        contexts.append(context)
+    assert not np.array_equal(contexts[0], contexts[1])
 
 
 def test_split_mismatch_is_rejected(small_splits):

@@ -236,6 +236,31 @@ def test_stages_touch_only_their_own_parameters():
     assert not np.array_equal(model.adapter.weight, before.adapter.weight)
 
 
+@pytest.mark.parametrize(
+    "encoder_kind, embed_dim", [("identity-mean", 8), ("projected-mean", 5)]
+)
+def test_stage1_moves_every_token_of_a_descriptor_alike(encoder_kind, embed_dim):
+    # The text encoder is a linear mean over the token sequence, so all M
+    # tokens of one descriptor receive the same gradient and, with no
+    # weight decay, the same optimizer update: their differences keep
+    # their initial values.
+    train, _ = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=10,
+                    feature_dim=embed_dim, sigma=0.1, intra_class_angle=90.0, seed=3)
+    )
+    model = build_model(
+        n_classes=2, n_subclasses=2, n_tokens=3, token_dim=8, embed_dim=embed_dim,
+        feature_dim=embed_dim, context_length=2, encoder_kind=encoder_kind,
+        temperature=0.055, seed=3,
+    )
+    before = model.bank.tokens.copy()
+    run_stage1(model, train, StageConfig.stage_one(epochs=3, batch_size=8, seed=3))
+    delta = model.bank.tokens - before
+    assert np.max(np.abs(delta)) > 1e-3
+    for m in range(1, delta.shape[2]):
+        np.testing.assert_allclose(delta[:, :, m], delta[:, :, 0], rtol=0, atol=1e-12)
+
+
 def test_training_is_deterministic():
     train, _ = generate_synthetic(
         SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=10,
