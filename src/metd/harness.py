@@ -291,10 +291,9 @@ def _train_learnable_context(
         raise ContractViolation(
             "identity-mean context baseline needs token_dim == feature_dim"
         )
-    n_classes = train.n_classes
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, seed])
     context = rng.normal(0.0, 0.02, size=(settings.n_tokens, settings.token_dim))
-    names = rng.normal(0.0, 0.02, size=(n_classes, settings.token_dim))
+    names = rng.normal(0.0, 0.02, size=(train.n_classes, settings.token_dim))
     encoder = build_text_encoder(
         settings.encoder_kind, settings.token_dim, settings.embed_dim, seed
     )
@@ -303,25 +302,20 @@ def _train_learnable_context(
     tau = settings.temperature
 
     def batch_gradients(batch):
-        embeddings = np.vstack(
-            [encode_text(encoder, context, names[i][None, :]) for i in range(n_classes)]
-        )
+        embeddings = encode_text(encoder, context, names[:, None, :])
         grad_context = np.zeros_like(context)
         for index in batch:
             unit = units[int(index)]
             v = temporal_mean_pool(unit.frames)
-            sims = np.array(
-                [numerics.cosine_similarity(v, embeddings[i]) for i in range(n_classes)]
-            )
+            sims = numerics.cosine_similarity(v, embeddings)
             probs = numerics.stable_softmax(sims / tau)
             coeff = probs.copy()
             coeff[unit.label] -= 1.0
             coeff /= tau
-            for i in range(n_classes):
-                _, grad_t = losses._cosine_gradients(v, embeddings[i], sims[i])
-                grad_context += encode_text_token_gradient(
-                    encoder, coeff[i] * grad_t, length
-                )
+            _, grad_t = losses._cosine_gradients(v, embeddings, sims)
+            # Term by term in class order: np.sum may add pairwise and round differently.
+            for c, g in zip(coeff, grad_t):
+                grad_context += encode_text_token_gradient(encoder, c * g, length)
         grad_context /= len(batch)
         return {"context": grad_context}
 
@@ -333,19 +327,10 @@ def _train_learnable_context(
 
 
 def _context_report(test, encoder, context, names):
-    embeddings = np.vstack(
-        [
-            encode_text(encoder, context, names[i][None, :])
-            for i in range(names.shape[0])
-        ]
-    )
+    embeddings = encode_text(encoder, context, names[:, None, :])
     truths, preds = [], []
     for unit in test.units():
-        v = temporal_mean_pool(unit.frames)
-        sims = [
-            numerics.cosine_similarity(v, embeddings[i])
-            for i in range(names.shape[0])
-        ]
+        sims = numerics.cosine_similarity(temporal_mean_pool(unit.frames), embeddings)
         truths.append(unit.label)
         preds.append(int(np.argmax(sims)))
     return report_from_labels(truths, preds, test.n_classes)

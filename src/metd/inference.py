@@ -46,15 +46,11 @@ def predict(image_embedding, text_embeddings) -> Prediction:
             f"text_embeddings must be 3-D (classes, subclasses, dim), "
             f"got shape {stack.shape}"
         )
-    n, k, dim = stack.shape
-    if dim != v.shape[0]:
+    if stack.shape[2] != v.shape[0]:
         raise ContractViolation(
-            f"embedding dim {v.shape[0]} != descriptor dim {dim}"
+            f"embedding dim {v.shape[0]} != descriptor dim {stack.shape[2]}"
         )
-    sims = np.empty((n, k))
-    for i in range(n):
-        for j in range(k):
-            sims[i, j] = numerics.cosine_similarity(v, stack[i, j])
+    sims = numerics.cosine_similarity(v, stack)
     logits = sims.mean(axis=1)
     return Prediction(
         logits=logits,
@@ -91,9 +87,7 @@ def zero_shot_predict(image_embedding, class_embeddings, temperature: float) -> 
         )
     if not (temperature > 0.0 and np.isfinite(temperature)):
         raise ContractViolation(f"temperature must be > 0, got {temperature}")
-    sims = np.array(
-        [numerics.cosine_similarity(v, stack[i]) for i in range(stack.shape[0])]
-    )
+    sims = numerics.cosine_similarity(v, stack)
     return numerics.stable_softmax(sims / temperature)
 
 
@@ -157,10 +151,8 @@ def report_from_labels(
     )
 
 
-def _score_units(dataset: EmbeddingDataset, model: Model):
-    units = dataset.units()
-    if not units:
-        raise ContractViolation("cannot evaluate an empty dataset")
+def check_compatible(dataset: EmbeddingDataset, model: Model):
+    """Raise ContractViolation unless the dataset's dims and classes fit the model."""
     if dataset.feature_dim != model.adapter.feature_dim:
         raise ContractViolation(
             f"dataset feature_dim {dataset.feature_dim} != "
@@ -170,6 +162,13 @@ def _score_units(dataset: EmbeddingDataset, model: Model):
         raise ContractViolation(
             f"dataset classes {dataset.n_classes} != model classes {model.n_classes}"
         )
+
+
+def _score_units(dataset: EmbeddingDataset, model: Model):
+    units = dataset.units()
+    if not units:
+        raise ContractViolation("cannot evaluate an empty dataset")
+    check_compatible(dataset, model)
     stack = bank_embeddings(model.bank, model.encoder)
     rows = []
     for unit in units:

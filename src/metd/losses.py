@@ -281,45 +281,22 @@ def similarity_grid(
         raise ContractViolation(
             f"embedding dim {v.shape[0]} != descriptor dim {stack.shape[2]}"
         )
-    n, k = stack.shape[0], stack.shape[1]
-    values = np.empty((n, k))
-    for i in range(n):
-        for j in range(k):
-            values[i, j] = numerics.cosine_similarity(v, stack[i, j])
+    values = numerics.cosine_similarity(v, stack)
     return SimilarityGrid(values=values, temperature=temperature)
 
 
 def _cosine_gradients(v, t, similarity):
-    """d cos(v, t) / dv and / dt given the already-clamped similarity."""
+    """d cos(v, t) / dv and / dt per row t of a (..., D) stack, given the clamped cosines."""
     nv = numerics.vector_norm(v, "image_embedding")
-    nt = numerics.vector_norm(t, "text_embedding")
+    nt = np.expand_dims(numerics.vector_norm(t, "text_embedding"), -1)
+    similarity = np.expand_dims(similarity, -1)
     gv = t / (nv * nt) - similarity * v / (nv * nv)
     gt = v / (nv * nt) - similarity * t / (nt * nt)
     return gv, gt
 
 
-def loss_gradients(
-    image_embedding,
-    text_embeddings,
-    target: int,
-    target_counts,
-    temperature: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of the total loss w.r.t. V and every T[i, k].
-
-    Returns (dL/dV, dL/dT) with dL/dT shaped like ``text_embeddings``.
-    The subclass selections (k+, k-, per-rival argmax) and alpha are
-    treated as constants, matching how the loss value itself is defined
-    between selection flips.
-
-    Both losses are softmax cross-entropies, so each contributes
-    coefficients c[i, k] = dL/ds[i, k] of the familiar (p - onehot)/tau
-    shape on its selected entries; the coefficients are then pushed
-    through the cosine similarity to vector space.
-    """
-    v = numerics.as_vector(image_embedding, "image_embedding")
-    stack = np.asarray(text_embeddings, dtype=np.float64)
-    grid = similarity_grid(v, stack, temperature)
+def _gradient_coefficients(grid: SimilarityGrid, target: int, target_counts) -> np.ndarray:
+    """dL/ds[i, k]: each loss's (p - onehot)/tau on its selected entries, 0 elsewhere."""
     n, k = grid.n_classes, grid.n_subclasses
     arr = np.asarray(target_counts)
     if arr.shape != (k,):
@@ -355,15 +332,32 @@ def loss_gradients(
         else:
             best = int(np.argmax(grid.values[i]))
             coeff[i, best] += mg_probs[i] / tau
+    return coeff
 
+
+def loss_gradients(
+    image_embedding,
+    text_embeddings,
+    target: int,
+    target_counts,
+    temperature: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradients of the total loss w.r.t. V and every T[i, k].
+
+    Returns (dL/dV, dL/dT) with dL/dT shaped like ``text_embeddings``.
+    The subclass selections (k+, k-, per-rival argmax) and alpha are
+    treated as constants, matching how the loss value itself is defined
+    between selection flips.  The coefficients dL/ds[i, k] are pushed
+    through the cosine similarity to vector space.
+    """
+    v = numerics.as_vector(image_embedding, "image_embedding")
+    stack = np.asarray(text_embeddings, dtype=np.float64)
+    grid = similarity_grid(v, stack, temperature)
+    coeff = _gradient_coefficients(grid, target, target_counts)
+    gv, gt = _cosine_gradients(v, stack, grid.values)
+    # Term by term in (class, subclass) order: np.sum may add pairwise (it does at D = 1).
     grad_v = np.zeros_like(v)
-    grad_t = np.zeros_like(stack)
-    for i in range(n):
-        for j in range(k):
-            c = coeff[i, j]
-            if c == 0.0:
-                continue
-            gv, gt = _cosine_gradients(v, stack[i, j], grid.values[i, j])
-            grad_v += c * gv
-            grad_t[i, j] = c * gt
-    return grad_v, grad_t
+    for c, term in zip(coeff.reshape(-1), gv.reshape(-1, v.size)):
+        if c != 0.0:
+            grad_v += c * term
+    return grad_v, coeff[:, :, None] * gt

@@ -182,31 +182,34 @@ def build_text_encoder(kind: str, token_dim: int, embed_dim: int, seed: int) -> 
 
 
 def encode_text(encoder: TextEncoder, context: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Embed one descriptor: mean over [context ++ tokens], then project.
+    """Embed descriptors: mean over [context ++ tokens], then project.
 
+    ``tokens`` is one (M, d) sequence or a stack (..., M, d) of them; each
+    row of the result is bit for bit the embedding of its sequence alone.
     ``context`` may be empty (shape (0, d)); the combined sequence must
     not be.  Linear in every token, which is what makes the exact
     gradient in :func:`encode_text_token_gradient` a constant map.
     """
     context = np.asarray(context, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.float64)
-    if context.ndim != 2 or tokens.ndim != 2:
-        raise ContractViolation("context and tokens must be 2-D (length, dim)")
-    length = context.shape[0] + tokens.shape[0]
+    if context.ndim != 2 or tokens.ndim < 2:
+        raise ContractViolation("context must be (length, dim), tokens (..., length, dim)")
+    length = context.shape[0] + tokens.shape[-2]
     if length == 0:
         raise ContractViolation("token sequence is empty")
-    width = tokens.shape[1] if tokens.shape[0] else context.shape[1]
+    width = tokens.shape[-1] if tokens.shape[-2] else context.shape[1]
     if (context.shape[0] and context.shape[1] != width) or (
-        tokens.shape[0] and tokens.shape[1] != width
+        tokens.shape[-2] and tokens.shape[-1] != width
     ):
         raise ContractViolation("context and tokens disagree on dim")
     if width != encoder.token_dim:
         raise ContractViolation(
             f"token dim {width} != encoder token_dim {encoder.token_dim}"
         )
-    mean = (context.sum(axis=0) + tokens.sum(axis=0)) / length
+    mean = (context.sum(axis=0) + tokens.sum(axis=-2)) / length
     if encoder.kind == PROJECTED_MEAN:
-        return encoder.projection @ mean
+        # P times each mean as a column: the bits of P @ mean, unlike mean @ P.T
+        return np.matmul(encoder.projection, mean[..., None])[..., 0]
     return mean
 
 
@@ -269,8 +272,12 @@ class ImageAdapter:
 
 
 def build_adapter(feature_dim: int, embed_dim: int, residual: bool = True) -> ImageAdapter:
+    """W = 0 with the residual path, else the (rectangular) identity; b = 0.
+
+    A non-residual W = 0 would map every image to the zero vector.
+    """
     _require_positive(feature_dim=feature_dim, embed_dim=embed_dim)
-    weight = np.zeros((embed_dim, feature_dim))
+    weight = np.zeros((embed_dim, feature_dim)) if residual else np.eye(embed_dim, feature_dim)
     bias = np.zeros(embed_dim)
     return ImageAdapter(weight=weight, bias=bias, residual=residual)
 
@@ -362,11 +369,7 @@ def build_model(
 
 def bank_embeddings(bank: DescriptorBank, encoder: TextEncoder) -> np.ndarray:
     """Embed every descriptor; element (i, k) is encode_text of grid (i, k)."""
-    out = np.empty((bank.n_classes, bank.n_subclasses, encoder.embed_dim))
-    for i in range(bank.n_classes):
-        for k in range(bank.n_subclasses):
-            out[i, k] = encode_text(encoder, bank.context, bank.tokens[i, k])
-    return out
+    return encode_text(encoder, bank.context, bank.tokens)
 
 
 @dataclass(frozen=True)

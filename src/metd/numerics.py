@@ -25,34 +25,42 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def vector_norm(values, name: str = "vector") -> float:
-    """Euclidean norm of a 1-D vector; raises ZeroNormError on zero input."""
-    arr = as_vector(values, name)
-    norm = math.sqrt(float(np.dot(arr, arr)))
-    if norm == 0.0:
+def _as_rows(values, name: str) -> np.ndarray:
+    """Coerce to a float64 stack (..., D) under the checks of as_vector."""
+    arr = np.asarray(values, dtype=np.float64)
+    return as_vector(arr.reshape(-1) if arr.ndim else arr, name).reshape(arr.shape)
+
+
+def vector_norm(values, name: str = "vector"):
+    """Euclidean norm of a vector (a float) or of each row of a (..., D) stack.
+
+    Raises ZeroNormError on a zero row.
+    """
+    arr = _as_rows(values, name)
+    norm = np.sqrt(np.vecdot(arr, arr))
+    if np.any(norm == 0.0):
         raise ZeroNormError(f"{name} has zero norm")
-    return norm
+    return float(norm) if arr.ndim == 1 else norm
 
 
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
+def cosine_similarity(a, b):
+    """Cosine of ``a`` with ``b`` (a float) or with each row of a (..., D) stack ``b``.
 
-    The clamp removes the tiny floating-point excursions beyond +/-1 that
-    parallel vectors can produce, so downstream arccos and comparisons
-    never see an out-of-range value.  Exactly commutative:
-    ``cosine_similarity(a, b) == cosine_similarity(b, a)`` bit for bit,
-    because both the dot product and the norm product are.
+    Each entry is bit for bit the cosine with that row alone, clamped to
+    [-1, 1]: the clamp removes the tiny floating-point excursions beyond
+    +/-1 that parallel vectors can produce.  Exactly commutative for two
+    vectors, because both the dot product and the norm product are.
     """
     va = as_vector(a, "a")
-    vb = as_vector(b, "b")
-    if va.shape != vb.shape:
+    vb = _as_rows(b, "b")
+    if vb.shape[-1] != va.shape[0]:
         raise ContractViolation(
-            f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}"
+            f"dimension mismatch: {va.shape[0]} vs {vb.shape[-1]}"
         )
     norm_a = vector_norm(va, "a")
     norm_b = vector_norm(vb, "b")
-    raw = float(np.dot(va, vb)) / (norm_a * norm_b)
-    return min(1.0, max(-1.0, raw))
+    raw = np.clip(np.vecdot(va, vb) / (norm_a * norm_b), -1.0, 1.0)
+    return float(raw) if vb.ndim == 1 else raw
 
 
 def log_sum_exp(values) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 from . import losses
 from .data import EmbeddingDataset, Unit
 from .errors import ContractViolation
-from .inference import evaluate, temporal_mean_pool, unit_embedding
+from .inference import check_compatible, evaluate, temporal_mean_pool, unit_embedding
 from .model import (
     IDENTITY_MEAN,
     PROJECTED_MEAN,
@@ -267,15 +267,7 @@ def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, sta
         raise ContractViolation(f"config.stage {config.stage} != {stage}")
     if len(dataset) == 0:
         raise ContractViolation("cannot train on an empty dataset")
-    if dataset.feature_dim != model.adapter.feature_dim:
-        raise ContractViolation(
-            f"dataset feature_dim {dataset.feature_dim} != "
-            f"adapter feature_dim {model.adapter.feature_dim}"
-        )
-    if dataset.n_classes != model.n_classes:
-        raise ContractViolation(
-            f"dataset classes {dataset.n_classes} != model classes {model.n_classes}"
-        )
+    check_compatible(dataset, model)
 
 
 def _sample_loss_and_grads(model, stack, unit, counter, sums):
@@ -487,17 +479,19 @@ def fd_check(
     counts = np.asarray(target_counts)
     target = sample.label
 
-    def loss_value() -> float:
-        stack = bank_embeddings(model.bank, model.encoder)
-        v = unit_embedding(model, sample)
-        grid = losses.similarity_grid(v, stack, model.temperature)
-        return losses.total_loss(grid, target, counts).total
-
     stack = bank_embeddings(model.bank, model.encoder)
     v = unit_embedding(model, sample)
     grad_v, grad_t = losses.loss_gradients(
         v, stack, target, counts, model.temperature
     )
+
+    def loss_value() -> float:
+        # Re-embed only the side the stage's parameters can change.
+        live_v = v if stage == 1 else unit_embedding(model, sample)
+        live_stack = bank_embeddings(model.bank, model.encoder) if stage == 1 else stack
+        grid = losses.similarity_grid(live_v, live_stack, model.temperature)
+        return losses.total_loss(grid, target, counts).total
+
     if stage == 1:
         analytic = {"bank.tokens": _pull_token_gradient(model, grad_t)}
         arrays = {"bank.tokens": model.bank.tokens}

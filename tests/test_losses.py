@@ -255,6 +255,25 @@ def test_losses_finite_at_extreme_temperature_and_similarity():
     assert math.isfinite(losses.clip_ce_loss([1.0, -1.0], 0, 1e-4))
 
 
+def _per_pair_pullback(v, stack, target, counts, tau):
+    """loss_gradients with the cosine gradients pulled back one (class, subclass) pair at a time."""
+    grid = losses.similarity_grid(v, stack, tau)
+    coeff = losses._gradient_coefficients(grid, target, counts)
+    nv = math.sqrt(float(np.dot(v, v)))
+    grad_v = np.zeros_like(v)
+    grad_t = np.zeros_like(stack)
+    for i in range(grid.n_classes):
+        for j in range(grid.n_subclasses):
+            c = coeff[i, j]
+            if c == 0.0:
+                continue
+            t, s = stack[i, j], grid.values[i, j]
+            nt = math.sqrt(float(np.dot(t, t)))
+            grad_v += c * (t / (nv * nt) - s * v / (nv * nv))
+            grad_t[i, j] = c * (v / (nv * nt) - s * t / (nt * nt))
+    return grad_v, grad_t
+
+
 def test_loss_gradients_match_central_differences():
     rng = np.random.default_rng(15)
     h = 1e-6
@@ -266,6 +285,9 @@ def test_loss_gradients_match_central_differences():
         counts = rng.integers(1, 6, size=k)
         tau = float(rng.uniform(0.2, 1.0))
         grad_v, grad_t = losses.loss_gradients(v, stack, target, counts, tau)
+        ref_v, ref_t = _per_pair_pullback(v, stack, target, counts, tau)
+        np.testing.assert_allclose(grad_v, ref_v, rtol=0, atol=0)
+        np.testing.assert_allclose(grad_t, ref_t, rtol=0, atol=0)
 
         def loss_at(vec, tensors):
             grid = losses.similarity_grid(vec, tensors, tau)

@@ -214,17 +214,18 @@ def test_model_validation():
 
 
 def test_bank_embeddings_matches_per_descriptor_encoding():
-    model = _randomized_model(3)
-    stack = bank_embeddings(model.bank, model.encoder)
-    assert stack.shape == (3, 2, 5)
-    for i in range(3):
-        for k in range(2):
-            np.testing.assert_allclose(
-                stack[i, k],
-                encode_text(model.encoder, model.bank.context, model.bank.tokens[i, k]),
-                rtol=0,
-                atol=0,
-            )
+    for encoder_kind, embed_dim in ((IDENTITY_MEAN, 5), (PROJECTED_MEAN, 4)):
+        model = _randomized_model(3, encoder_kind=encoder_kind)
+        stack = bank_embeddings(model.bank, model.encoder)
+        assert stack.shape == (3, 2, embed_dim)
+        for i in range(3):
+            for k in range(2):
+                np.testing.assert_allclose(
+                    stack[i, k],
+                    encode_text(model.encoder, model.bank.context, model.bank.tokens[i, k]),
+                    rtol=0,
+                    atol=0,
+                )
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Vector guards, cosine similarity, and the log-sum-exp family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,38 @@ def test_cosine_rejects_zero_vector():
 def test_cosine_rejects_dimension_mismatch():
     with pytest.raises(ContractViolation):
         numerics.cosine_similarity([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("dim", [2, 16, 17, 64])
+@pytest.mark.parametrize("shape", [(4, 3), (5,)])
+def test_stacked_cosine_equals_per_row_calls_bitwise(dim, shape):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        a = rng.normal(size=dim)
+        stack = rng.normal(size=(*shape, dim)) * 10.0 ** rng.integers(-3, 4)
+        flat = stack.reshape(-1, dim)
+        rows = np.array([numerics.cosine_similarity(a, row) for row in flat])
+        # the scalar formula with np.dot, as the cosine was computed before
+        # it took stacks
+        scalar = np.array([
+            min(1.0, max(-1.0, float(np.dot(a, row))
+                         / (math.sqrt(float(np.dot(a, a))) * math.sqrt(float(np.dot(row, row))))))
+            for row in flat
+        ])
+        assert np.array_equal(rows, scalar)
+        assert np.array_equal(numerics.cosine_similarity(a, stack), rows.reshape(shape))
+
+
+def test_stacked_cosine_rejects_bad_rows():
+    stack = np.ones((3, 2, 4))
+    stack[1, 0] = 0.0
+    with pytest.raises(ZeroNormError):
+        numerics.cosine_similarity(np.ones(4), stack)
+    stack[1, 0] = np.nan
+    with pytest.raises(ContractViolation):
+        numerics.cosine_similarity(np.ones(4), stack)
+    with pytest.raises(ContractViolation):
+        numerics.cosine_similarity(np.ones(4), np.ones((3, 2, 5)))
 
 
 def test_vector_guards():

@@ -261,6 +261,24 @@ def test_stage1_moves_every_token_of_a_descriptor_alike(encoder_kind, embed_dim)
         np.testing.assert_allclose(delta[:, :, m], delta[:, :, 0], rtol=0, atol=1e-12)
 
 
+def test_fresh_non_residual_model_trains():
+    # A non-residual adapter maps features to W x + b; starting it at
+    # W = 0 made every image embedding zero and stage 1 fail on its first
+    # cosine.  It now starts at the rectangular identity.
+    train, _ = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=1, samples_per_subcluster=10,
+                    feature_dim=16, sigma=0.1, seed=4)
+    )
+    model = build_model(
+        n_classes=2, n_subclasses=2, n_tokens=2, token_dim=12, embed_dim=12,
+        feature_dim=16, context_length=2, encoder_kind="projected-mean",
+        residual=False, temperature=0.055, seed=4,
+    )
+    assert np.array_equal(model.adapter.weight, np.eye(12, 16))
+    _, trace = run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=8))
+    assert len(trace) == 1 and np.isfinite(trace[0].total)
+
+
 def test_training_is_deterministic():
     train, _ = generate_synthetic(
         SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=10,
