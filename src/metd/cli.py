@@ -79,16 +79,6 @@ def _build_model_from_config(config: RunConfig):
 def cmd_train(args) -> int:
     config = _load_config(args)
     train = load_dataset(os.path.join(args.data_dir, "train.tsv"))
-    if train.feature_dim != config.feature_dim:
-        raise ContractViolation(
-            f"dataset dim {train.feature_dim} != config feature_dim "
-            f"{config.feature_dim}"
-        )
-    if train.n_classes != config.n_classes:
-        raise ContractViolation(
-            f"dataset classes {train.n_classes} != config n_classes "
-            f"{config.n_classes}"
-        )
     if config.oversample:
         train = oversample_balance(train, config.seed)
     model = _build_model_from_config(config)
@@ -120,7 +110,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     report = evaluate(dataset, model)
-    subclasses = subclass_report(dataset, model)
+    subclasses = subclass_report(dataset, report)
     text = format_eval_report(report, subclasses)
     print(text)
     if args.out:

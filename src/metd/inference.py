@@ -12,7 +12,7 @@ is the mean of per-class recalls, which weights every class equally no
 matter how many samples it has.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -106,8 +106,11 @@ class EvalReport:
     """WAR/UAR, confusion counts, and (when a model ran) subclass usage.
 
     ``per_class_recall`` holds NaN for classes absent from the data;
-    those classes are excluded from the UAR mean.  ``subclass_histogram``
-    is None when the report was built from bare label pairs.
+    those classes are excluded from the UAR mean.  ``assignments[u]`` is
+    the subclass of unit u's true class that scored highest, in
+    ``dataset.units()`` order, and ``subclass_histogram`` counts them per
+    (true class, subclass).  Both are None when the report was built from
+    bare label pairs.
     """
 
     war: float
@@ -116,6 +119,7 @@ class EvalReport:
     confusion: np.ndarray
     n_units: int
     subclass_histogram: np.ndarray | None = None
+    assignments: np.ndarray | None = None
 
 
 def report_from_labels(
@@ -164,32 +168,21 @@ def check_compatible(dataset: EmbeddingDataset, model: Model):
         )
 
 
-def _score_units(dataset: EmbeddingDataset, model: Model):
+def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
+    """Score every unit of the dataset with the model, once."""
     units = dataset.units()
     if not units:
         raise ContractViolation("cannot evaluate an empty dataset")
     check_compatible(dataset, model)
     stack = bank_embeddings(model.bank, model.encoder)
-    rows = []
-    for unit in units:
-        pred = predict(unit_embedding(model, unit), stack)
-        assigned = int(pred.subclass_argmax[unit.label])
-        rows.append((unit.label, pred.label, assigned, unit.subcluster_id))
-    return rows
-
-
-def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
-    """Score every unit of the dataset with the model."""
-    rows = _score_units(dataset, model)
+    truths = [unit.label for unit in units]
+    predictions = [predict(unit_embedding(model, unit), stack) for unit in units]
+    assignments = np.array([p.subclass_argmax[t] for p, t in zip(predictions, truths)])
     histogram = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
-    for truth, _, assigned, _ in rows:
-        histogram[truth, assigned] += 1
-    return report_from_labels(
-        [r[0] for r in rows],
-        [r[1] for r in rows],
-        dataset.n_classes,
-        subclass_histogram=histogram,
-    )
+    np.add.at(histogram, (truths, assignments), 1)
+    predicted = [p.label for p in predictions]
+    report = report_from_labels(truths, predicted, dataset.n_classes, histogram)
+    return replace(report, assignments=assignments)
 
 
 @dataclass(frozen=True)
@@ -209,22 +202,33 @@ class SubclassReport:
     purity: float | None
 
 
-def subclass_report(dataset: EmbeddingDataset, model: Model) -> SubclassReport:
-    rows = _score_units(dataset, model)
-    n, k = model.n_classes, model.n_subclasses
-    histogram = np.zeros((n, k), dtype=np.int64)
-    assignments = []
-    for truth, _, assigned, subcluster in rows:
-        histogram[truth, assigned] += 1
-        if subcluster is not None:
-            assignments.append((truth, assigned, subcluster))
-    if not assignments:
+def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassReport:
+    """Subclass histogram and purity of ``evaluate(dataset, model)``'s report.
+
+    Reads the report's per-unit assignments and the dataset's subcluster
+    ids; nothing is scored again.
+    """
+    if report.assignments is None:
+        raise ContractViolation("subclass_report needs a report from evaluate")
+    units = dataset.units()
+    if len(units) != report.assignments.size:
+        raise ContractViolation(
+            f"report covers {report.assignments.size} units, dataset has {len(units)}"
+        )
+    histogram = report.subclass_histogram
+    k = histogram.shape[1]
+    triples = [
+        (unit.label, int(assigned), unit.subcluster_id)
+        for unit, assigned in zip(units, report.assignments)
+        if unit.subcluster_id is not None
+    ]
+    if not triples:
         return SubclassReport(histogram=histogram, purity=None)
     if k == 1:
         return SubclassReport(histogram=histogram, purity=1.0)
     matched = 0
-    for label in range(n):
-        pairs = [(a, g) for (t, a, g) in assignments if t == label]
+    for label in range(histogram.shape[0]):
+        pairs = [(a, g) for (t, a, g) in triples if t == label]
         if not pairs:
             continue
         n_sub = max(g for _, g in pairs) + 1
@@ -233,7 +237,7 @@ def subclass_report(dataset: EmbeddingDataset, model: Model) -> SubclassReport:
             overlap[a, g] += 1
         rr, cc = linear_sum_assignment(overlap, maximize=True)
         matched += int(overlap[rr, cc].sum())
-    return SubclassReport(histogram=histogram, purity=matched / len(assignments))
+    return SubclassReport(histogram=histogram, purity=matched / len(triples))
 
 
 def format_eval_report(

@@ -51,6 +51,18 @@ For a single subclass per class the fine-grained list is exactly the
 class score vector and its target slot is t, so the fine-grained loss
 with alpha = 1 makes the same helper call on the same bits as the plain
 contrastive cross-entropy (clip_ce_loss) and reduces to it bit for bit.
+
+Each grid-based term list is a list of flat slots into the grid, in
+class order: the fine-grained slots are every (i, k) with i != t plus
+(t, k+); the margin slots are (t, k-) plus each rival's argmax.  The
+loss reads grid.values / tau at those slots and the gradient reads the
+same entries.  The gradient selects no k+ or k- and computes no alpha
+of its own: the caller builds one grid per sample, total_loss selects
+k+ and k- and computes alpha once, and loss_gradients takes that grid
+and that LossBreakdown.
+Each loss then contributes weight * (softmax(terms) - onehot(pos)) / tau
+on its slots, with weight alpha for the fine-grained list and 1 for the
+margin list.
 """
 
 import math
@@ -177,21 +189,21 @@ def _neg_log_softmax_at(terms: np.ndarray, pos: int) -> float:
     return max(gap, 0.0) + math.log1p(math.exp(-abs(gap)))
 
 
-def _fine_grained_terms(grid: SimilarityGrid, target: int, closest: int) -> np.ndarray:
-    """Scaled scores entering the fine-grained denominator, in class order.
+def _scaled(grid: SimilarityGrid) -> np.ndarray:
+    """The flattened grid over tau: every loss term and softmax reads these bits."""
+    return (grid.values / grid.temperature).reshape(-1)
+
+
+def _fine_grained_slots(grid: SimilarityGrid, target: int, closest: int) -> np.ndarray:
+    """Flat grid indices of the fine-grained term list, in class order.
 
     One slot per class for the target (its selected subclass), all
     subclasses for every other class.  Keeping this order canonical makes
     the single-subclass case identical to the plain cross-entropy.
     """
-    z = grid.values / grid.temperature
-    terms = []
-    for i in range(grid.n_classes):
-        if i == target:
-            terms.append(z[target, closest])
-        else:
-            terms.extend(z[i])
-    return np.array(terms)
+    k = grid.n_subclasses
+    slots = np.arange(grid.values.size)
+    return slots[(slots // k != target) | (slots == target * k + closest)]
 
 
 def fine_grained_loss(grid: SimilarityGrid, target: int, alpha: float) -> float:
@@ -199,32 +211,25 @@ def fine_grained_loss(grid: SimilarityGrid, target: int, alpha: float) -> float:
     _check_target(grid, target)
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
-    closest = select_closest(grid, target)
-    terms = _fine_grained_terms(grid, target, closest)
-    return alpha * _neg_log_softmax_at(terms, target * grid.n_subclasses)
+    slots = _fine_grained_slots(grid, target, select_closest(grid, target))
+    return alpha * _neg_log_softmax_at(_scaled(grid)[slots], target * grid.n_subclasses)
 
 
-def _margin_terms(grid: SimilarityGrid, target: int, farthest: int) -> np.ndarray:
-    """Scaled scores entering the margin denominator, in class order.
+def _margin_slots(grid: SimilarityGrid, target: int, farthest: int) -> np.ndarray:
+    """Flat grid indices of the margin term list, one per class in class order.
 
     The target contributes its worst subclass, every rival its best.
     """
-    z = grid.values / grid.temperature
-    terms = np.empty(grid.n_classes)
-    for i in range(grid.n_classes):
-        if i == target:
-            terms[i] = z[target, farthest]
-        else:
-            terms[i] = z[i, int(np.argmax(grid.values[i]))]
-    return terms
+    picks = np.argmax(grid.values, axis=1)
+    picks[target] = farthest
+    return np.arange(grid.n_classes) * grid.n_subclasses + picks
 
 
 def margin_loss(grid: SimilarityGrid, target: int) -> float:
     """Cross-entropy of the target's worst subclass against rivals' best."""
     _check_target(grid, target)
-    farthest = select_farthest(grid, target)
-    terms = _margin_terms(grid, target, farthest)
-    return _neg_log_softmax_at(terms, target)
+    slots = _margin_slots(grid, target, select_farthest(grid, target))
+    return _neg_log_softmax_at(_scaled(grid)[slots], target)
 
 
 def total_loss(grid: SimilarityGrid, target: int, target_counts) -> LossBreakdown:
@@ -295,65 +300,56 @@ def _cosine_gradients(v, t, similarity):
     return gv, gt
 
 
-def _gradient_coefficients(grid: SimilarityGrid, target: int, target_counts) -> np.ndarray:
-    """dL/ds[i, k]: each loss's (p - onehot)/tau on its selected entries, 0 elsewhere."""
-    n, k = grid.n_classes, grid.n_subclasses
-    arr = np.asarray(target_counts)
-    if arr.shape != (k,):
-        raise ContractViolation(f"target_counts shape {arr.shape} != ({k},)")
-    _check_target(grid, target)
+def _gradient_coefficients(
+    grid: SimilarityGrid, target: int, breakdown: LossBreakdown
+) -> np.ndarray:
+    """dL/ds[i, k] from the breakdown's k+, k- and alpha; 0 off every slot.
 
-    tau = grid.temperature
-    closest = select_closest(grid, target)
-    farthest = select_farthest(grid, target)
-    alpha = modulating_factor(arr, closest)
-
-    coeff = np.zeros((n, k))
-
-    # Fine-grained part: probabilities over the canonical term list, the
-    # target slot first for its class position.
-    fg_terms = _fine_grained_terms(grid, target, closest)
-    fg_probs = numerics.stable_softmax(fg_terms)
-    pos = 0
-    for i in range(n):
-        if i == target:
-            coeff[target, closest] += alpha * (fg_probs[pos] - 1.0) / tau
-            pos += 1
-        else:
-            coeff[i] += alpha * fg_probs[pos : pos + k] / tau
-            pos += k
-
-    # Margin part: one selected entry per class.
-    mg_terms = _margin_terms(grid, target, farthest)
-    mg_probs = numerics.stable_softmax(mg_terms)
-    for i in range(n):
-        if i == target:
-            coeff[target, farthest] += (mg_probs[i] - 1.0) / tau
-        else:
-            best = int(np.argmax(grid.values[i]))
-            coeff[i, best] += mg_probs[i] / tau
-    return coeff
+    Each loss contributes weight * (p - onehot) / tau on its slots, p being
+    the softmax of its terms and onehot marking the target's slot: weight
+    alpha for the fine-grained slots, scattered first, and 1 for the
+    margin slots, scattered second.
+    """
+    z = _scaled(grid)
+    coeff = np.zeros(z.size)
+    fg_slots = _fine_grained_slots(grid, target, breakdown.closest_subclass)
+    mg_slots = _margin_slots(grid, target, breakdown.farthest_subclass)
+    for weight, slots, pos in (
+        (breakdown.alpha, fg_slots, target * grid.n_subclasses),
+        (1.0, mg_slots, target),
+    ):
+        onehot = np.zeros(slots.size)
+        onehot[pos] = 1.0
+        coeff[slots] += weight * (numerics.stable_softmax(z[slots]) - onehot) / grid.temperature
+    return coeff.reshape(grid.values.shape)
 
 
 def loss_gradients(
     image_embedding,
     text_embeddings,
+    grid: SimilarityGrid,
     target: int,
-    target_counts,
-    temperature: float,
+    breakdown: LossBreakdown,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the total loss w.r.t. V and every T[i, k].
 
-    Returns (dL/dV, dL/dT) with dL/dT shaped like ``text_embeddings``.
-    The subclass selections (k+, k-, per-rival argmax) and alpha are
-    treated as constants, matching how the loss value itself is defined
-    between selection flips.  The coefficients dL/ds[i, k] are pushed
-    through the cosine similarity to vector space.
+    ``grid`` is ``similarity_grid(image_embedding, text_embeddings, tau)``
+    and ``breakdown`` is what ``total_loss`` returned for that grid; the
+    gradient takes k+, k- and alpha from it instead of selecting again.
+    Those and the rivals' argmax are treated as constants, matching how
+    the loss value itself is defined between selection flips.
+    Returns (dL/dV, dL/dT) with dL/dT shaped like ``text_embeddings``: the
+    coefficients dL/ds[i, k] pushed through the cosine similarity.
     """
-    v = numerics.as_vector(image_embedding, "image_embedding")
+    v = np.asarray(image_embedding, dtype=np.float64)
     stack = np.asarray(text_embeddings, dtype=np.float64)
-    grid = similarity_grid(v, stack, temperature)
-    coeff = _gradient_coefficients(grid, target, target_counts)
+    if stack.shape != (*grid.values.shape, v.size):
+        raise ContractViolation(
+            f"text_embeddings shape {stack.shape} != grid shape "
+            f"{grid.values.shape} + ({v.size},)"
+        )
+    _check_target(grid, target)
+    coeff = _gradient_coefficients(grid, target, breakdown)
     gv, gt = _cosine_gradients(v, stack, grid.values)
     # Term by term in (class, subclass) order: np.sum may add pairwise (it does at D = 1).
     grad_v = np.zeros_like(v)

@@ -216,21 +216,23 @@ def encode_text(encoder: TextEncoder, context: np.ndarray, tokens: np.ndarray) -
 def encode_text_token_gradient(
     encoder: TextEncoder, grad_output: np.ndarray, sequence_length: int
 ) -> np.ndarray:
-    """Pull an embedding-space gradient back to one input token.
+    """Pull embedding-space gradients back to one input token.
 
-    encode_text is linear, so d(embedding)/d(token_j) = P / L for every
-    position j (P = identity for identity-mean), and the pullback of a
-    gradient g is P^T g / L.
+    ``grad_output`` is one gradient (embed_dim,) or a stack
+    (..., embed_dim) of them.  encode_text is linear, so
+    d(embedding)/d(token_j) = P / L for every position j (P = identity
+    for identity-mean), and the pullback of a gradient g is P^T g / L,
+    computed as (g @ P) / L for the whole stack at once.
     """
     if sequence_length < 1:
         raise ContractViolation("sequence_length must be >= 1")
     grad_output = np.asarray(grad_output, dtype=np.float64)
-    if grad_output.shape != (encoder.embed_dim,):
+    if grad_output.ndim < 1 or grad_output.shape[-1] != encoder.embed_dim:
         raise ContractViolation(
-            f"grad_output shape {grad_output.shape} != ({encoder.embed_dim},)"
+            f"grad_output shape {grad_output.shape} != (..., {encoder.embed_dim})"
         )
     if encoder.kind == PROJECTED_MEAN:
-        return (encoder.projection.T @ grad_output) / sequence_length
+        return (grad_output @ encoder.projection) / sequence_length
     return grad_output / sequence_length
 
 

@@ -45,6 +45,7 @@ from .model import (
     adapter_gradients,
     bank_embeddings,
     build_model,
+    encode_text_token_gradient,
     parameter_partition,
 )
 
@@ -270,31 +271,23 @@ def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, sta
     check_compatible(dataset, model)
 
 
-def _sample_loss_and_grads(model, stack, unit, counter, sums):
+def _sample_loss_and_grads(model, stack, v, target, counter, sums):
     """Per-sample gradients, counting the sample first; adds its losses to sums."""
-    v = unit_embedding(model, unit)
-    target = unit.label
     grid = losses.similarity_grid(v, stack, model.temperature)
-    closest = losses.select_closest(grid, target)
-    update_counts(counter, target, closest)
-    row = counter.counts[target]
-    breakdown = losses.total_loss(grid, target, row)
+    update_counts(counter, target, losses.select_closest(grid, target))
+    breakdown = losses.total_loss(grid, target, counter.counts[target])
     sums += (breakdown.fg, breakdown.margin, breakdown.total)
-    return losses.loss_gradients(v, stack, target, row, model.temperature)
+    return losses.loss_gradients(v, stack, grid, target, breakdown)
 
 
 def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
     """Map descriptor-embedding gradients onto the token grid.
 
-    Every token position of a descriptor receives the same gradient: the
-    encoder is a mean over (context ++ tokens), optionally projected, so
-    the per-token pullback is P^T g / (C + M), broadcast over M.
+    The encoder is a mean over (context ++ tokens), so every token
+    position of a descriptor receives the same pullback, broadcast over M.
     """
     length = model.bank.context_length + model.bank.n_tokens
-    if model.encoder.kind == PROJECTED_MEAN:
-        pulled = (grad_t @ model.encoder.projection) / length
-    else:
-        pulled = grad_t / length
+    pulled = encode_text_token_gradient(model.encoder, grad_t, length)
     return np.broadcast_to(
         pulled[:, :, None, :], model.bank.tokens.shape
     ).copy()
@@ -329,11 +322,12 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
 def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochStats]:
     """Fit one stage; log each epoch's mean losses, train WAR, and lr.
 
-    ``batch_gradients(units, counter, sums)`` gets the batch's units, the
-    subclass counter (already reset when ``count_scope`` is ``"batch"``),
-    and the epoch's running (fg, margin, total) loss sums.
+    ``batch_gradients(batch, counter, sums)`` gets the batch's indices
+    into ``dataset.units()``, the subclass counter (already reset when
+    ``count_scope`` is ``"batch"``), and the epoch's running (fg, margin,
+    total) loss sums.
     """
-    units = dataset.units()
+    n_units = len(dataset.units())
     counter = fresh_counter(
         model.n_classes, model.n_subclasses, config.count_scope == "epoch"
     )
@@ -342,12 +336,12 @@ def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochSta
     def gradients(batch):
         if not counter.epoch_scope:
             counter.reset()
-        return batch_gradients([units[int(i)] for i in batch], counter, sums)
+        return batch_gradients(batch, counter, sums)
 
     trace: list[EpochStats] = []
     stream = (STREAM_SHUFFLE, config.seed, config.stage)
-    for epoch, lr in fit(params, gradients, len(units), config, stream):
-        fg, margin, total = sums / len(units)
+    for epoch, lr in fit(params, gradients, n_units, config, stream):
+        fg, margin, total = sums / n_units
         war = evaluate(dataset, model).war
         trace.append(EpochStats(epoch, fg, margin, total, war, lr))
         sums[:] = 0.0
@@ -361,14 +355,19 @@ def run_stage1(
 ) -> tuple[DescriptorBank, list[EpochStats]]:
     """Train the descriptor tokens; everything else stays bit-identical."""
     _check_run(model, dataset, config, stage=1)
+    units = dataset.units()
+    # The adapter is frozen in this stage, so the unit embeddings are too.
+    embeddings = [unit_embedding(model, unit) for unit in units]
 
-    def batch_gradients(units, counter, sums):
+    def batch_gradients(batch, counter, sums):
         stack = bank_embeddings(model.bank, model.encoder)
         grad_t_sum = np.zeros_like(stack)
-        for unit in units:
-            _, grad_t = _sample_loss_and_grads(model, stack, unit, counter, sums)
+        for i in batch:
+            _, grad_t = _sample_loss_and_grads(
+                model, stack, embeddings[i], units[i].label, counter, sums
+            )
             grad_t_sum += grad_t
-        return {"bank.tokens": _pull_token_gradient(model, grad_t_sum / len(units))}
+        return {"bank.tokens": _pull_token_gradient(model, grad_t_sum / len(batch))}
 
     params = {"bank.tokens": model.bank.tokens}
     return model.bank, _run_stage(model, dataset, config, params, batch_gradients)
@@ -379,21 +378,25 @@ def run_stage2(
 ) -> tuple[ImageAdapter, list[EpochStats]]:
     """Train the adapter against the frozen, stage-1-trained descriptors."""
     _check_run(model, dataset, config, stage=2)
+    units = dataset.units()
     # Descriptors are frozen in this stage, so their embeddings are too.
     stack = bank_embeddings(model.bank, model.encoder)
 
-    def batch_gradients(units, counter, sums):
+    def batch_gradients(batch, counter, sums):
         grad_w = np.zeros_like(model.adapter.weight)
         grad_b = np.zeros_like(model.adapter.bias)
-        for unit in units:
-            grad_v, _ = _sample_loss_and_grads(model, stack, unit, counter, sums)
+        for i in batch:
+            unit = units[i]
+            grad_v, _ = _sample_loss_and_grads(
+                model, stack, unit_embedding(model, unit), unit.label, counter, sums
+            )
             pooled = temporal_mean_pool(unit.frames)
             gw, gb = adapter_gradients(model.adapter, pooled, grad_v)
             grad_w += gw
             grad_b += gb
         return {
-            "adapter.weight": grad_w / len(units),
-            "adapter.bias": grad_b / len(units),
+            "adapter.weight": grad_w / len(batch),
+            "adapter.bias": grad_b / len(batch),
         }
 
     params = {
@@ -481,9 +484,9 @@ def fd_check(
 
     stack = bank_embeddings(model.bank, model.encoder)
     v = unit_embedding(model, sample)
-    grad_v, grad_t = losses.loss_gradients(
-        v, stack, target, counts, model.temperature
-    )
+    grid = losses.similarity_grid(v, stack, model.temperature)
+    breakdown = losses.total_loss(grid, target, counts)
+    grad_v, grad_t = losses.loss_gradients(v, stack, grid, target, breakdown)
 
     def loss_value() -> float:
         # Re-embed only the side the stage's parameters can change.

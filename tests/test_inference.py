@@ -285,7 +285,7 @@ def test_subclass_purity_matches_brute_force(n_subclasses):
         )
     )
     model = _small_model(seed=n_subclasses, n_subclasses=n_subclasses)
-    report = subclass_report(train, model)
+    report = subclass_report(train, evaluate(train, model))
     assert report.histogram.shape == (2, n_subclasses)
     stack = bank_embeddings(model.bank, model.encoder)
     assignments = []
@@ -304,16 +304,47 @@ def test_single_subclass_purity_is_one_by_convention():
                     feature_dim=8, sigma=0.2, intra_class_angle=60.0, seed=51)
     )
     model = _small_model(seed=5, n_subclasses=1)
-    report = subclass_report(train, model)
+    report = subclass_report(train, evaluate(train, model))
     assert report.purity == 1.0
 
 
 def test_purity_absent_without_subcluster_ids():
     samples = [Sample(np.eye(8)[i % 8] + 0.01 * i, i % 2) for i in range(6)]
     dataset = EmbeddingDataset(samples, feature_dim=8, n_classes=2)
-    report = subclass_report(dataset, _small_model(seed=6))
+    report = subclass_report(dataset, evaluate(dataset, _small_model(seed=6)))
     assert report.purity is None
     assert report.histogram.sum() == 6
+
+
+def test_evaluate_then_subclass_report_embed_each_unit_once(monkeypatch):
+    import metd.inference
+
+    train, _ = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=6,
+                    feature_dim=8, sigma=0.2, intra_class_angle=60.0, seed=53)
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return unit_embedding(*args, **kwargs)
+
+    monkeypatch.setattr(metd.inference, "unit_embedding", counted)
+    model = _small_model(seed=8)
+    subclass_report(train, evaluate(train, model))
+    assert len(calls) == len(train.units())
+
+
+def test_subclass_report_needs_the_datasets_evaluate_report():
+    train, test = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=6,
+                    feature_dim=8, sigma=0.2, intra_class_angle=60.0, seed=54)
+    )
+    with pytest.raises(ContractViolation):
+        subclass_report(train, report_from_labels([0, 1], [0, 1], n_classes=2))
+    assert len(test.units()) != len(train.units())
+    with pytest.raises(ContractViolation):
+        subclass_report(train, evaluate(test, _small_model(seed=9)))
 
 
 def test_zero_shot_uniform_for_identical_classes():
@@ -379,6 +410,7 @@ def test_format_eval_report_fields():
                     feature_dim=8, sigma=0.2, intra_class_angle=60.0, seed=52)
     )
     model = _small_model(seed=7)
-    full = format_eval_report(evaluate(train, model), subclass_report(train, model))
+    report = evaluate(train, model)
+    full = format_eval_report(report, subclass_report(train, report))
     assert "subclass_histogram=" in full
     assert "subclass_purity=" in full

@@ -258,7 +258,7 @@ def test_losses_finite_at_extreme_temperature_and_similarity():
 def _per_pair_pullback(v, stack, target, counts, tau):
     """loss_gradients with the cosine gradients pulled back one (class, subclass) pair at a time."""
     grid = losses.similarity_grid(v, stack, tau)
-    coeff = losses._gradient_coefficients(grid, target, counts)
+    coeff = losses._gradient_coefficients(grid, target, losses.total_loss(grid, target, counts))
     nv = math.sqrt(float(np.dot(v, v)))
     grad_v = np.zeros_like(v)
     grad_t = np.zeros_like(stack)
@@ -284,7 +284,9 @@ def test_loss_gradients_match_central_differences():
         target = int(rng.integers(n))
         counts = rng.integers(1, 6, size=k)
         tau = float(rng.uniform(0.2, 1.0))
-        grad_v, grad_t = losses.loss_gradients(v, stack, target, counts, tau)
+        grid = losses.similarity_grid(v, stack, tau)
+        breakdown = losses.total_loss(grid, target, counts)
+        grad_v, grad_t = losses.loss_gradients(v, stack, grid, target, breakdown)
         ref_v, ref_t = _per_pair_pullback(v, stack, target, counts, tau)
         np.testing.assert_allclose(grad_v, ref_v, rtol=0, atol=0)
         np.testing.assert_allclose(grad_t, ref_t, rtol=0, atol=0)
@@ -314,6 +316,18 @@ def test_loss_gradients_match_central_differences():
             np.testing.assert_allclose(
                 grad_t.reshape(-1)[idx], numeric, rtol=1e-4, atol=1e-6
             )
+
+
+def test_loss_gradients_reject_a_grid_of_another_shape():
+    rng = np.random.default_rng(16)
+    v = rng.normal(size=4)
+    stack = rng.normal(size=(3, 2, 4))
+    grid = losses.similarity_grid(v, stack, 0.5)
+    breakdown = losses.total_loss(grid, 1, np.array([1, 1]))
+    with pytest.raises(ContractViolation):
+        losses.loss_gradients(v, stack[:2], grid, 1, breakdown)
+    with pytest.raises(ContractViolation):
+        losses.loss_gradients(v, stack[:, :1], grid, 1, breakdown)
 
 
 def test_clip_ce_validation():

@@ -129,20 +129,24 @@ def test_encode_text_token_gradient_matches_central_differences():
         encoder = build_text_encoder(kind, token_dim, embed_dim, seed=3)
         context = rng.normal(size=(2, token_dim))
         tokens = rng.normal(size=(3, token_dim))
-        probe = rng.normal(size=embed_dim)
         length = context.shape[0] + tokens.shape[0]
-        analytic = encode_text_token_gradient(encoder, probe, length)
-        for position in range(tokens.shape[0]):
-            for idx in range(token_dim):
-                bumped = tokens.copy()
-                bumped[position, idx] += h
-                dipped = tokens.copy()
-                dipped[position, idx] -= h
-                numeric = (
-                    probe @ encode_text(encoder, context, bumped)
-                    - probe @ encode_text(encoder, context, dipped)
-                ) / (2 * h)
-                np.testing.assert_allclose(analytic[idx], numeric, rtol=1e-6, atol=1e-9)
+        # One gradient, then a (2, 3, embed_dim) stack pulled back in one call.
+        for probes in (rng.normal(size=embed_dim), rng.normal(size=(2, 3, embed_dim))):
+            analytic = encode_text_token_gradient(encoder, probes, length)
+            assert analytic.shape == probes.shape[:-1] + (token_dim,)
+            rows = zip(analytic.reshape(-1, token_dim), probes.reshape(-1, embed_dim))
+            for pulled, probe in rows:
+                for position in range(tokens.shape[0]):
+                    for idx in range(token_dim):
+                        bumped = tokens.copy()
+                        bumped[position, idx] += h
+                        dipped = tokens.copy()
+                        dipped[position, idx] -= h
+                        numeric = (
+                            probe @ encode_text(encoder, context, bumped)
+                            - probe @ encode_text(encoder, context, dipped)
+                        ) / (2 * h)
+                        np.testing.assert_allclose(pulled[idx], numeric, rtol=1e-6, atol=1e-9)
 
 
 def test_zero_initialized_residual_adapter_is_exact_identity():

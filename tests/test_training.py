@@ -279,6 +279,34 @@ def test_fresh_non_residual_model_trains():
     assert len(trace) == 1 and np.isfinite(trace[0].total)
 
 
+def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
+    # The adapter is frozen in stage 1: each unit is embedded once up
+    # front, plus once per epoch by the training-set evaluation.
+    import metd.inference
+    import metd.training
+
+    train, _ = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=1, samples_per_subcluster=10,
+                    feature_dim=8, sigma=0.1, seed=5)
+    )
+    calls = []
+    original = metd.inference.unit_embedding
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metd.training, "unit_embedding", counted)
+    monkeypatch.setattr(metd.inference, "unit_embedding", counted)
+    model = build_model(
+        n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
+        feature_dim=8, context_length=2, temperature=0.055, seed=5,
+    )
+    epochs = 3
+    run_stage1(model, train, StageConfig.stage_one(epochs=epochs, batch_size=8, seed=5))
+    assert len(calls) == len(train.units()) * (1 + epochs)
+
+
 def test_training_is_deterministic():
     train, _ = generate_synthetic(
         SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=10,
