@@ -63,18 +63,14 @@ from .inference import (
     subclass_report,
     temporal_mean_pool,
     unit_embedding,
-    zero_shot_predict,
 )
 from .training import (
     StageConfig,
-    SubclassCounter,
     cosine_lr,
     fd_check,
-    fresh_counter,
     optimizer_step,
     run_stage1,
     run_stage2,
-    update_counts,
 )
 from .harness import (
     ComparisonReport,

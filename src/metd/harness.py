@@ -285,11 +285,14 @@ def _train_learnable_context(
 
     Mirrors the prompt-learning baseline: one context block of M tokens
     is shared by all classes and is the only trainable state; each class
-    keeps a fixed random identity token.
+    keeps a fixed random identity token.  The pooled raw features are
+    scored against the text embeddings, so embed_dim must equal
+    feature_dim (identity-mean further forces token_dim == embed_dim).
     """
-    if settings.token_dim != train.feature_dim and settings.encoder_kind == "identity-mean":
+    if settings.embed_dim != train.feature_dim:
         raise ContractViolation(
-            "identity-mean context baseline needs token_dim == feature_dim"
+            f"learnable-context baseline needs embed_dim == feature_dim, "
+            f"got embed_dim {settings.embed_dim} and feature_dim {train.feature_dim}"
         )
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, seed])
     context = rng.normal(0.0, 0.02, size=(settings.n_tokens, settings.token_dim))

@@ -38,19 +38,16 @@ def predict(image_embedding, text_embeddings) -> Prediction:
     logit i = mean over k of cos(V, T[i, k]); label = argmax with
     lowest-index tie-break.  ``subclass_argmax[i]`` records which
     subclass of class i was most similar, for assignment histograms.
+    The embedding and the stack's entries and dimensions are checked by
+    ``cosine_similarity``; only the stack's rank is checked here.
     """
-    v = numerics.as_vector(image_embedding, "image_embedding")
     stack = np.asarray(text_embeddings, dtype=np.float64)
     if stack.ndim != 3:
         raise ContractViolation(
             f"text_embeddings must be 3-D (classes, subclasses, dim), "
             f"got shape {stack.shape}"
         )
-    if stack.shape[2] != v.shape[0]:
-        raise ContractViolation(
-            f"embedding dim {v.shape[0]} != descriptor dim {stack.shape[2]}"
-        )
-    sims = numerics.cosine_similarity(v, stack)
+    sims = numerics.cosine_similarity(image_embedding, stack)
     logits = sims.mean(axis=1)
     return Prediction(
         logits=logits,
@@ -71,34 +68,16 @@ def temporal_mean_pool(frames) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def zero_shot_predict(image_embedding, class_embeddings, temperature: float) -> np.ndarray:
-    """Softmax over cosine similarities against one embedding per class."""
-    v = numerics.as_vector(image_embedding, "image_embedding")
-    stack = np.asarray(class_embeddings, dtype=np.float64)
-    if stack.ndim != 2:
-        raise ContractViolation(
-            f"class_embeddings must be 2-D, got shape {stack.shape}"
-        )
-    if stack.shape[0] < 2:
-        raise ContractViolation("zero-shot prediction needs at least 2 classes")
-    if stack.shape[1] != v.shape[0]:
-        raise ContractViolation(
-            f"embedding dim {v.shape[0]} != class embedding dim {stack.shape[1]}"
-        )
-    if not (temperature > 0.0 and np.isfinite(temperature)):
-        raise ContractViolation(f"temperature must be > 0, got {temperature}")
-    sims = numerics.cosine_similarity(v, stack)
-    return numerics.stable_softmax(sims / temperature)
-
-
 def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
     """Adapter-encode each frame, then temporal-mean-pool.
 
     The adapter is affine, so this equals encoding the pooled raw frames;
-    single-sample units pass through the pool unchanged.
+    single-sample units pass through the pool unchanged.  The frames were
+    checked when the dataset was built and ``encode_image`` checks each
+    one, so the pool is a plain mean.
     """
     encoded = np.vstack([encode_image(model.adapter, frame) for frame in unit.frames])
-    return temporal_mean_pool(encoded)
+    return encoded.mean(axis=0)
 
 
 @dataclass(frozen=True)

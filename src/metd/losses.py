@@ -56,10 +56,13 @@ Each grid-based term list is a list of flat slots into the grid, in
 class order: the fine-grained slots are every (i, k) with i != t plus
 (t, k+); the margin slots are (t, k-) plus each rival's argmax.  The
 loss reads grid.values / tau at those slots and the gradient reads the
-same entries.  The gradient selects no k+ or k- and computes no alpha
-of its own: the caller builds one grid per sample, total_loss selects
-k+ and k- and computes alpha once, and loss_gradients takes that grid
-and that LossBreakdown.
+same entries.  Each value is checked and selected once per sample: the
+caller builds one grid, total_loss checks the target and the counts,
+takes k+ and k- by argmax/argmin, calls modulating_factor once and
+hands k+, k- and alpha to the private _fine_grained/_margin helpers
+(the public fine_grained_loss and margin_loss check, select and call
+the same helpers).  loss_gradients takes that grid and that
+LossBreakdown and selects no k+ or k- and computes no alpha of its own.
 Each loss then contributes weight * (softmax(terms) - onehot(pos)) / tau
 on its slots, with weight alpha for the fine-grained list and 1 for the
 margin list.
@@ -206,13 +209,17 @@ def _fine_grained_slots(grid: SimilarityGrid, target: int, closest: int) -> np.n
     return slots[(slots // k != target) | (slots == target * k + closest)]
 
 
+def _fine_grained(grid: SimilarityGrid, target: int, closest: int, alpha: float) -> float:
+    slots = _fine_grained_slots(grid, target, closest)
+    return alpha * _neg_log_softmax_at(_scaled(grid)[slots], target * grid.n_subclasses)
+
+
 def fine_grained_loss(grid: SimilarityGrid, target: int, alpha: float) -> float:
     """Weighted cross-entropy of the target's best subclass against all rivals."""
-    _check_target(grid, target)
+    closest = select_closest(grid, target)
     if not (alpha > 0.0 and np.isfinite(alpha)):
         raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
-    slots = _fine_grained_slots(grid, target, select_closest(grid, target))
-    return alpha * _neg_log_softmax_at(_scaled(grid)[slots], target * grid.n_subclasses)
+    return _fine_grained(grid, target, closest, alpha)
 
 
 def _margin_slots(grid: SimilarityGrid, target: int, farthest: int) -> np.ndarray:
@@ -225,11 +232,13 @@ def _margin_slots(grid: SimilarityGrid, target: int, farthest: int) -> np.ndarra
     return np.arange(grid.n_classes) * grid.n_subclasses + picks
 
 
+def _margin(grid: SimilarityGrid, target: int, farthest: int) -> float:
+    return _neg_log_softmax_at(_scaled(grid)[_margin_slots(grid, target, farthest)], target)
+
+
 def margin_loss(grid: SimilarityGrid, target: int) -> float:
     """Cross-entropy of the target's worst subclass against rivals' best."""
-    _check_target(grid, target)
-    slots = _margin_slots(grid, target, select_farthest(grid, target))
-    return _neg_log_softmax_at(_scaled(grid)[slots], target)
+    return _margin(grid, target, select_farthest(grid, target))
 
 
 def total_loss(grid: SimilarityGrid, target: int, target_counts) -> LossBreakdown:
@@ -244,11 +253,12 @@ def total_loss(grid: SimilarityGrid, target: int, target_counts) -> LossBreakdow
         raise ContractViolation(
             f"target_counts shape {arr.shape} != ({grid.n_subclasses},)"
         )
-    closest = select_closest(grid, target)
-    farthest = select_farthest(grid, target)
+    row = grid.values[target]
+    closest = int(np.argmax(row))
+    farthest = int(np.argmin(row))
     alpha = modulating_factor(arr, closest)
-    fg = fine_grained_loss(grid, target, alpha)
-    mg = margin_loss(grid, target)
+    fg = _fine_grained(grid, target, closest, alpha)
+    mg = _margin(grid, target, farthest)
     return LossBreakdown(
         fg=fg,
         margin=mg,
@@ -274,26 +284,25 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
 def similarity_grid(
     image_embedding, text_embeddings, temperature: float
 ) -> SimilarityGrid:
-    """Cosine similarity of one embedding against a (N, K, D) descriptor stack."""
-    v = numerics.as_vector(image_embedding, "image_embedding")
+    """Cosine similarity of one embedding against a (N, K, D) descriptor stack.
+
+    The embedding, the stack's entries and their dimensions are checked
+    by ``cosine_similarity``; only the stack's rank is checked here.
+    """
     stack = np.asarray(text_embeddings, dtype=np.float64)
     if stack.ndim != 3:
         raise ContractViolation(
             f"text_embeddings must be 3-D (classes, subclasses, dim), "
             f"got shape {stack.shape}"
         )
-    if stack.shape[2] != v.shape[0]:
-        raise ContractViolation(
-            f"embedding dim {v.shape[0]} != descriptor dim {stack.shape[2]}"
-        )
-    values = numerics.cosine_similarity(v, stack)
+    values = numerics.cosine_similarity(image_embedding, stack)
     return SimilarityGrid(values=values, temperature=temperature)
 
 
 def _cosine_gradients(v, t, similarity):
     """d cos(v, t) / dv and / dt per row t of a (..., D) stack, given the clamped cosines."""
-    nv = numerics.vector_norm(v, "image_embedding")
-    nt = np.expand_dims(numerics.vector_norm(t, "text_embedding"), -1)
+    nv = numerics._row_norms(v, "image_embedding")
+    nt = np.expand_dims(numerics._row_norms(t, "text_embedding"), -1)
     similarity = np.expand_dims(similarity, -1)
     gv = t / (nv * nt) - similarity * v / (nv * nv)
     gt = v / (nv * nt) - similarity * t / (nt * nt)

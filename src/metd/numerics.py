@@ -1,9 +1,13 @@
 """Dense float64 vector kernels used by every other module.
 
-All public functions validate their inputs (finite entries, matching
-shapes) and raise :class:`ContractViolation` or :class:`ZeroNormError`
-on bad data instead of propagating NaNs.  Everything here is pure and
-deterministic: the same bits in give the same bits out.
+Public functions check their inputs (finite entries, matching shapes)
+once and raise :class:`ContractViolation` or :class:`ZeroNormError` on
+bad data instead of propagating NaNs.  They then do their work through
+private kernels (``_lse``, ``_row_norms``) that trust their arguments,
+so no array is checked twice by one call.  Callers inside metd that
+already hold checked float64 arrays may call those kernels directly.
+Everything here is pure and deterministic: the same bits in give the
+same bits out.
 """
 
 import math
@@ -31,15 +35,21 @@ def _as_rows(values, name: str) -> np.ndarray:
     return as_vector(arr.reshape(-1) if arr.ndim else arr, name).reshape(arr.shape)
 
 
+def _row_norms(arr: np.ndarray, name: str) -> np.ndarray:
+    """Norm of each row of a checked float64 (..., D) stack; ZeroNormError on a zero row."""
+    norm = np.sqrt(np.vecdot(arr, arr))
+    if np.any(norm == 0.0):
+        raise ZeroNormError(f"{name} has zero norm")
+    return norm
+
+
 def vector_norm(values, name: str = "vector"):
     """Euclidean norm of a vector (a float) or of each row of a (..., D) stack.
 
     Raises ZeroNormError on a zero row.
     """
     arr = _as_rows(values, name)
-    norm = np.sqrt(np.vecdot(arr, arr))
-    if np.any(norm == 0.0):
-        raise ZeroNormError(f"{name} has zero norm")
+    norm = _row_norms(arr, name)
     return float(norm) if arr.ndim == 1 else norm
 
 
@@ -63,15 +73,19 @@ def cosine_similarity(a, b):
     return float(raw) if vb.ndim == 1 else raw
 
 
+def _lse(arr: np.ndarray) -> float:
+    """log_sum_exp of a checked nonempty 1-D float64 array."""
+    shift = float(np.max(arr))
+    return shift + math.log(float(np.sum(np.exp(arr - shift))))
+
+
 def log_sum_exp(values) -> float:
     """log(sum(exp(x_i))) computed without overflow.
 
     Uses the max-shift identity, so inputs anywhere in the float64 range
     are safe.  For a single element the result is that element exactly.
     """
-    arr = as_vector(values, "values")
-    shift = float(np.max(arr))
-    return shift + math.log(float(np.sum(np.exp(arr - shift))))
+    return _lse(as_vector(values, "values"))
 
 
 def stable_softmax(values) -> np.ndarray:
@@ -81,4 +95,4 @@ def stable_softmax(values) -> np.ndarray:
     moves each output by at most a few ulps.
     """
     arr = as_vector(values, "values")
-    return np.exp(arr - log_sum_exp(arr))
+    return np.exp(arr - _lse(arr))

@@ -12,10 +12,11 @@ schedule, the optimizer state and the global step, and calls
 parameter arrays, a batch-gradient function and its random-stream
 prefix, so a fixed seed and config reproduce training bit for bit.
 
-The subclass counter tracks, per class, how many samples landed on each
-subclass; it feeds the modulating factor and is updated for the current
-sample BEFORE its loss is computed, which guarantees the assigned
-subclass count is at least one.  Counts reset every epoch by default
+The subclass counts are one (n_classes, n_subclasses) int64 array per
+stage: entry [i, k] is how many samples of class i landed on subclass k.
+They feed the modulating factor, and the current sample is counted
+BEFORE its loss is computed, which guarantees the assigned subclass
+count is at least one.  Counts reset every epoch by default
 (``count_scope="epoch"``), or every batch behind the config flag.
 
 Optimizers are implemented here directly: an adaptive-moments variant
@@ -59,44 +60,6 @@ SGD = "sgd-momentum"
 OPTIMIZER_KINDS = (SGD, ADAPTIVE)
 SCHEDULE_KINDS = ("constant", "cosine")
 COUNT_SCOPES = ("epoch", "batch")
-
-
-@dataclass
-class SubclassCounter:
-    """Per-class, per-subclass assignment counts for the modulating factor."""
-
-    counts: np.ndarray
-    epoch_scope: bool = True
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2:
-            raise ContractViolation(
-                f"counts must be 2-D (classes, subclasses), got {self.counts.shape}"
-            )
-        if np.any(self.counts < 0):
-            raise ContractViolation("counts must be nonnegative")
-
-    def reset(self):
-        self.counts[:] = 0
-
-
-def fresh_counter(n_classes: int, n_subclasses: int, epoch_scope: bool = True) -> SubclassCounter:
-    return SubclassCounter(
-        counts=np.zeros((n_classes, n_subclasses), dtype=np.int64),
-        epoch_scope=epoch_scope,
-    )
-
-
-def update_counts(counter: SubclassCounter, target: int, closest: int) -> SubclassCounter:
-    """Count the current sample's subclass assignment (before its loss)."""
-    n, k = counter.counts.shape
-    if not 0 <= target < n:
-        raise ContractViolation(f"target {target} out of range for {n} classes")
-    if not 0 <= closest < k:
-        raise ContractViolation(f"closest {closest} out of range for {k} subclasses")
-    counter.counts[target, closest] += 1
-    return counter
 
 
 @dataclass(frozen=True)
@@ -271,11 +234,11 @@ def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, sta
     check_compatible(dataset, model)
 
 
-def _sample_loss_and_grads(model, stack, v, target, counter, sums):
+def _sample_loss_and_grads(model, stack, v, target, counts, sums):
     """Per-sample gradients, counting the sample first; adds its losses to sums."""
     grid = losses.similarity_grid(v, stack, model.temperature)
-    update_counts(counter, target, losses.select_closest(grid, target))
-    breakdown = losses.total_loss(grid, target, counter.counts[target])
+    counts[target, losses.select_closest(grid, target)] += 1
+    breakdown = losses.total_loss(grid, target, counts[target])
     sums += (breakdown.fg, breakdown.margin, breakdown.total)
     return losses.loss_gradients(v, stack, grid, target, breakdown)
 
@@ -322,21 +285,19 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
 def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochStats]:
     """Fit one stage; log each epoch's mean losses, train WAR, and lr.
 
-    ``batch_gradients(batch, counter, sums)`` gets the batch's indices
-    into ``dataset.units()``, the subclass counter (already reset when
-    ``count_scope`` is ``"batch"``), and the epoch's running (fg, margin,
-    total) loss sums.
+    ``batch_gradients(batch, counts, sums)`` gets the batch's indices
+    into ``dataset.units()``, the (n_classes, n_subclasses) subclass
+    counts (already zeroed when ``count_scope`` is ``"batch"``), and the
+    epoch's running (fg, margin, total) loss sums.
     """
     n_units = len(dataset.units())
-    counter = fresh_counter(
-        model.n_classes, model.n_subclasses, config.count_scope == "epoch"
-    )
+    counts = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
     sums = np.zeros(3)
 
     def gradients(batch):
-        if not counter.epoch_scope:
-            counter.reset()
-        return batch_gradients(batch, counter, sums)
+        if config.count_scope == "batch":
+            counts[:] = 0
+        return batch_gradients(batch, counts, sums)
 
     trace: list[EpochStats] = []
     stream = (STREAM_SHUFFLE, config.seed, config.stage)
@@ -345,8 +306,7 @@ def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochSta
         war = evaluate(dataset, model).war
         trace.append(EpochStats(epoch, fg, margin, total, war, lr))
         sums[:] = 0.0
-        if counter.epoch_scope:
-            counter.reset()
+        counts[:] = 0
     return trace
 
 
@@ -359,12 +319,12 @@ def run_stage1(
     # The adapter is frozen in this stage, so the unit embeddings are too.
     embeddings = [unit_embedding(model, unit) for unit in units]
 
-    def batch_gradients(batch, counter, sums):
+    def batch_gradients(batch, counts, sums):
         stack = bank_embeddings(model.bank, model.encoder)
         grad_t_sum = np.zeros_like(stack)
         for i in batch:
             _, grad_t = _sample_loss_and_grads(
-                model, stack, embeddings[i], units[i].label, counter, sums
+                model, stack, embeddings[i], units[i].label, counts, sums
             )
             grad_t_sum += grad_t
         return {"bank.tokens": _pull_token_gradient(model, grad_t_sum / len(batch))}
@@ -379,19 +339,20 @@ def run_stage2(
     """Train the adapter against the frozen, stage-1-trained descriptors."""
     _check_run(model, dataset, config, stage=2)
     units = dataset.units()
-    # Descriptors are frozen in this stage, so their embeddings are too.
+    # Descriptors are frozen in this stage, so their embeddings are too,
+    # and the raw frames never change.
     stack = bank_embeddings(model.bank, model.encoder)
+    pooled = [temporal_mean_pool(unit.frames) for unit in units]
 
-    def batch_gradients(batch, counter, sums):
+    def batch_gradients(batch, counts, sums):
         grad_w = np.zeros_like(model.adapter.weight)
         grad_b = np.zeros_like(model.adapter.bias)
         for i in batch:
             unit = units[i]
             grad_v, _ = _sample_loss_and_grads(
-                model, stack, unit_embedding(model, unit), unit.label, counter, sums
+                model, stack, unit_embedding(model, unit), unit.label, counts, sums
             )
-            pooled = temporal_mean_pool(unit.frames)
-            gw, gb = adapter_gradients(model.adapter, pooled, grad_v)
+            gw, gb = adapter_gradients(model.adapter, pooled[i], grad_v)
             grad_w += gw
             grad_b += gb
         return {

@@ -213,6 +213,18 @@ def test_learnable_context_follows_the_stage1_schedule(small_splits):
     assert not np.array_equal(contexts[0], contexts[1])
 
 
+def test_learnable_context_rejects_an_embed_dim_other_than_the_feature_dim(small_splits):
+    # It scores the pooled raw features, so a projected-mean encoder with a
+    # smaller embedding fails up front, naming both dimensions.
+    settings = replace(
+        COMPACT, encoder_kind="projected-mean", embed_dim=12, residual=False
+    )
+    with pytest.raises(
+        ContractViolation, match="embed_dim == feature_dim, got embed_dim 12 and feature_dim 16"
+    ):
+        run_strategy(Strategy(kind="learnable-context"), small_splits, seed=3, settings=settings)
+
+
 def test_split_mismatch_is_rejected(small_splits):
     train, _ = small_splits
     other = EmbeddingDataset([Sample(np.ones(4), 0)], feature_dim=4, n_classes=3)

@@ -15,7 +15,6 @@ from metd.inference import (
     subclass_report,
     temporal_mean_pool,
     unit_embedding,
-    zero_shot_predict,
 )
 from metd.model import bank_embeddings, build_model, encode_image
 
@@ -345,49 +344,6 @@ def test_subclass_report_needs_the_datasets_evaluate_report():
     assert len(test.units()) != len(train.units())
     with pytest.raises(ContractViolation):
         subclass_report(train, evaluate(test, _small_model(seed=9)))
-
-
-def test_zero_shot_uniform_for_identical_classes():
-    v = np.array([0.3, -1.2, 0.5])
-    stack = np.vstack([[1.0, 2.0, 3.0]] * 4)
-    probs = zero_shot_predict(v, stack, temperature=0.01)
-    np.testing.assert_allclose(probs, np.full(4, 0.25), rtol=0, atol=1e-12)
-
-
-def test_zero_shot_reference_values():
-    # cosines 0.2 and 0.1 at temperature 0.01: softmax([20, 10])
-    v = np.array([1.0, 0.0])
-    stack = np.array(
-        [[0.2, np.sqrt(1 - 0.2**2)], [0.1, np.sqrt(1 - 0.1**2)]]
-    )
-    probs = zero_shot_predict(v, stack, temperature=0.01)
-    np.testing.assert_allclose(
-        probs, [0.9999546021312976, 4.5397868702434395e-05], rtol=0, atol=1e-9
-    )
-
-
-def test_zero_shot_probabilities_sum_to_one():
-    rng = np.random.default_rng(48)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        dim = int(rng.integers(2, 8))
-        probs = zero_shot_predict(
-            rng.normal(size=dim), rng.normal(size=(n, dim)), temperature=0.05
-        )
-        assert np.all(probs >= 0)
-        np.testing.assert_allclose(probs.sum(), 1.0, rtol=0, atol=1e-12)
-
-
-def test_zero_shot_validation():
-    v = np.ones(3)
-    with pytest.raises(ContractViolation):
-        zero_shot_predict(v, np.ones((1, 3)), 0.01)
-    with pytest.raises(ContractViolation):
-        zero_shot_predict(v, np.ones((2, 4)), 0.01)
-    with pytest.raises(ContractViolation):
-        zero_shot_predict(v, np.ones((2, 3)), 0.0)
-    with pytest.raises(ContractViolation):
-        zero_shot_predict(v, np.ones((2, 2, 3)), 0.01)
 
 
 def test_format_eval_report_fields():

@@ -22,13 +22,11 @@ from metd.training import (
     cosine_lr,
     fd_check,
     format_metrics_log,
-    fresh_counter,
     init_optimizer_state,
     optimizer_step,
     random_fd_instance,
     run_stage1,
     run_stage2,
-    update_counts,
 )
 
 SEPARABLE = SynthConfig(
@@ -150,24 +148,6 @@ def test_central_difference_exact_on_quadratic():
     assert np.array_equal(x, original)  # perturbations restored exactly
     with pytest.raises(ContractViolation):
         central_difference(lambda: 0.0, x, h=0.0)
-
-
-def test_counter_tracks_every_assignment():
-    counter = fresh_counter(3, 2)
-    seen = np.zeros(3, dtype=np.int64)
-    rng = np.random.default_rng(33)
-    for _ in range(200):
-        target = int(rng.integers(3))
-        closest = int(rng.integers(2))
-        update_counts(counter, target, closest)
-        seen[target] += 1
-    np.testing.assert_array_equal(counter.counts.sum(axis=1), seen)
-    counter.reset()
-    assert counter.counts.sum() == 0
-    with pytest.raises(ContractViolation):
-        update_counts(counter, 3, 0)
-    with pytest.raises(ContractViolation):
-        update_counts(counter, 0, 2)
 
 
 def test_stage_config_defaults_and_validation():
@@ -305,6 +285,90 @@ def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
     epochs = 3
     run_stage1(model, train, StageConfig.stage_one(epochs=epochs, batch_size=8, seed=5))
     assert len(calls) == len(train.units()) * (1 + epochs)
+
+
+def _sixteen_units():
+    train, _ = generate_synthetic(
+        SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=5,
+                    feature_dim=8, sigma=0.2, intra_class_angle=90.0, seed=3)
+    )
+    assert len(train.units()) == 16
+    model = build_model(
+        n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
+        feature_dim=8, context_length=2, temperature=0.055, seed=3,
+    )
+    return model, train
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_stage1_selects_each_samples_subclass_once(monkeypatch):
+    # The sample is counted on its closest subclass; total_loss then takes
+    # k+ and k- from the grid itself.  Each of the three public calls per
+    # sample (select_closest, total_loss, loss_gradients) checks the
+    # target once.
+    import metd.losses
+
+    model, train = _sixteen_units()
+    calls = _count_calls(
+        monkeypatch, metd.losses, ("select_closest", "select_farthest", "_check_target")
+    )
+    run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=5, seed=3))
+    n_units = len(train.units())
+    assert calls == {"select_closest": n_units, "select_farthest": 0, "_check_target": 3 * n_units}
+
+
+def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
+    # The raw frames never change, so they are pooled once, not every epoch.
+    import metd.training
+
+    model, train = _sixteen_units()
+    calls = _count_calls(monkeypatch, metd.training, ("temporal_mean_pool",))
+    run_stage2(model, train, StageConfig.stage_two(epochs=2, batch_size=5, seed=3))
+    assert calls == {"temporal_mean_pool": len(train.units())}
+
+
+@pytest.mark.parametrize("count_scope", ["epoch", "batch"])
+def test_loss_counts_include_the_sample_and_reset_per_scope(monkeypatch, count_scope):
+    # total_loss sees the class's counts with the current sample already on
+    # its closest subclass; they restart every epoch or every batch.
+    import metd.losses
+
+    model, train = _sixteen_units()
+    seen = []
+    original = metd.losses.total_loss
+
+    def recording(grid, target, target_counts):
+        closest = int(np.argmax(grid.values[target]))
+        seen.append((target, closest, np.array(target_counts)))
+        return original(grid, target, target_counts)
+
+    monkeypatch.setattr(metd.losses, "total_loss", recording)
+    epochs, batch_size = 2, 5
+    config = StageConfig.stage_one(
+        epochs=epochs, batch_size=batch_size, count_scope=count_scope, seed=3
+    )
+    run_stage1(model, train, config)
+    n_units = len(train.units())
+    assert len(seen) == n_units * epochs
+    expected = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
+    for call, (target, closest, counts) in enumerate(seen):
+        position = call % n_units
+        if position == 0 or (count_scope == "batch" and position % batch_size == 0):
+            expected[:] = 0
+        expected[target, closest] += 1
+        np.testing.assert_array_equal(counts, expected[target])
 
 
 def test_training_is_deterministic():
