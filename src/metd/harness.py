@@ -216,43 +216,43 @@ def distorted_benchmark(
     return apply_linear_map(train, matrix), apply_linear_map(test, matrix)
 
 
-def _train_head(
-    train: EmbeddingDataset,
-    settings: HarnessSettings,
-    seed: int,
-    train_adapter: bool,
-):
+def _pooled(dataset: EmbeddingDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit's temporal-mean-pooled raw features (U, F) and its label (U,)."""
+    units = dataset.units()
+    return (
+        np.stack([temporal_mean_pool(unit.frames) for unit in units]),
+        np.array([unit.label for unit in units]),
+    )
+
+
+def _head_logits(features, head_weight, head_bias):
+    # W times each row as a column: the bits of W @ v, unlike v @ W.T
+    return np.matmul(head_weight, features[..., None])[..., 0] + head_bias
+
+
+def _train_head(train, settings: HarnessSettings, seed: int, train_adapter: bool):
     """Linear softmax-cross-entropy head, optionally with a joint adapter."""
-    units = train.units()
-    n_classes = train.n_classes
-    dim = train.feature_dim
-    adapter = build_adapter(dim, dim, residual=True)
-    head_weight = np.zeros((n_classes, dim))
-    head_bias = np.zeros(n_classes)
+    pooled, labels = _pooled(train)
+    adapter = build_adapter(train.feature_dim, train.feature_dim, residual=True)
+    head_weight = np.zeros((train.n_classes, train.feature_dim))
+    head_bias = np.zeros(train.n_classes)
     params = {"head.weight": head_weight, "head.bias": head_bias}
     if train_adapter:
         params["adapter.weight"] = adapter.weight
         params["adapter.bias"] = adapter.bias
 
     def batch_gradients(batch):
-        grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-        for index in batch:
-            unit = units[int(index)]
-            pooled = temporal_mean_pool(unit.frames)
-            v = encode_image(adapter, pooled) if train_adapter else pooled
-            logits = head_weight @ v + head_bias
-            probs = numerics.stable_softmax(logits)
-            dz = probs.copy()
-            dz[unit.label] -= 1.0
-            grads["head.weight"] += np.outer(dz, v)
-            grads["head.bias"] += dz
-            if train_adapter:
-                dv = head_weight.T @ dz
-                grads["adapter.weight"] += np.outer(dv, pooled)
-                grads["adapter.bias"] += dv
-        for name in grads:
-            grads[name] /= len(batch)
-        return grads
+        x = pooled[batch]
+        v = encode_image(adapter, x) if train_adapter else x
+        dz = numerics.stable_softmax(_head_logits(v, head_weight, head_bias))
+        dz[np.arange(len(batch)), labels[batch]] -= 1.0
+        # Summed over the batch with np.sum(axis=0), which adds row after row.
+        grads = {"head.weight": dz[:, :, None] * v[:, None, :], "head.bias": dz}
+        if train_adapter:
+            dv = np.matmul(head_weight.T, dz[..., None])[..., 0]
+            grads["adapter.weight"] = dv[:, :, None] * x[:, None, :]
+            grads["adapter.bias"] = dv
+        return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
 
     config = StageConfig(
         stage=1,
@@ -262,25 +262,19 @@ def _train_head(
         batch_size=settings.stage1.batch_size,
     )
     stream = (STREAM_HARNESS, _SUB_PROBE, seed)
-    for _ in fit(params, batch_gradients, len(units), config, stream):
+    for _ in fit(params, batch_gradients, len(labels), config, stream):
         pass
     return adapter, head_weight, head_bias
 
 
 def _head_report(test, adapter, head_weight, head_bias, use_adapter):
-    truths, preds = [], []
-    for unit in test.units():
-        pooled = temporal_mean_pool(unit.frames)
-        v = encode_image(adapter, pooled) if use_adapter else pooled
-        logits = head_weight @ v + head_bias
-        truths.append(unit.label)
-        preds.append(int(np.argmax(logits)))
-    return report_from_labels(truths, preds, test.n_classes)
+    pooled, labels = _pooled(test)
+    v = encode_image(adapter, pooled) if use_adapter else pooled
+    predicted = _head_logits(v, head_weight, head_bias).argmax(axis=-1)
+    return report_from_labels(labels, predicted, test.n_classes)
 
 
-def _train_learnable_context(
-    train: EmbeddingDataset, settings: HarnessSettings, seed: int
-):
+def _train_learnable_context(train, settings: HarnessSettings, seed: int):
     """Shared trainable context + frozen per-class name token, contrastive CE.
 
     Mirrors the prompt-learning baseline: one context block of M tokens
@@ -288,6 +282,9 @@ def _train_learnable_context(
     keeps a fixed random identity token.  The pooled raw features are
     scored against the text embeddings, so embed_dim must equal
     feature_dim (identity-mean further forces token_dim == embed_dim).
+    This is the metd kernel with one subclass per class and the plain
+    cross-entropy: the cosine, the softmax and the token pullback are
+    the same functions.
     """
     if settings.embed_dim != train.feature_dim:
         raise ContractViolation(
@@ -301,42 +298,37 @@ def _train_learnable_context(
         settings.encoder_kind, settings.token_dim, settings.embed_dim, seed
     )
     length = settings.n_tokens + 1
-    units = train.units()
+    pooled, labels = _pooled(train)
     tau = settings.temperature
 
     def batch_gradients(batch):
         embeddings = encode_text(encoder, context, names[:, None, :])
-        grad_context = np.zeros_like(context)
-        for index in batch:
-            unit = units[int(index)]
-            v = temporal_mean_pool(unit.frames)
-            sims = numerics.cosine_similarity(v, embeddings)
-            probs = numerics.stable_softmax(sims / tau)
-            coeff = probs.copy()
-            coeff[unit.label] -= 1.0
-            coeff /= tau
-            _, grad_t = losses._cosine_gradients(v, embeddings, sims)
-            # Term by term in class order: np.sum may add pairwise and round differently.
-            for c, g in zip(coeff, grad_t):
-                grad_context += encode_text_token_gradient(encoder, c * g, length)
-        grad_context /= len(batch)
-        return {"context": grad_context}
+        v = pooled[batch]
+        sims = numerics.cosine_similarity(v, embeddings)
+        coeff = numerics.stable_softmax(sims / tau)
+        coeff[np.arange(len(batch)), labels[batch]] -= 1.0
+        coeff /= tau
+        _, grad_t = losses._cosine_gradients(v, embeddings, sims)
+        # Pulled back as (1, E) rows, so each is the pullback of that row
+        # alone: a stacked matrix product may round differently.
+        terms = coeff[..., None, None] * grad_t[..., None, :]
+        pulled = encode_text_token_gradient(encoder, terms, length)
+        # A running sum in (sample, class) order, as a loop adds: np.sum may add pairwise.
+        total = np.cumsum(pulled.reshape(-1, context.shape[1]), axis=0)[-1]
+        return {"context": np.broadcast_to(total, context.shape) / len(batch)}
 
     params = {"context": context}
     stream = (STREAM_HARNESS, _SUB_CONTEXT, seed)
-    for _ in fit(params, batch_gradients, len(units), settings.stage1, stream):
+    for _ in fit(params, batch_gradients, len(labels), settings.stage1, stream):
         pass
     return encoder, context, names
 
 
 def _context_report(test, encoder, context, names):
     embeddings = encode_text(encoder, context, names[:, None, :])
-    truths, preds = [], []
-    for unit in test.units():
-        sims = numerics.cosine_similarity(temporal_mean_pool(unit.frames), embeddings)
-        truths.append(unit.label)
-        preds.append(int(np.argmax(sims)))
-    return report_from_labels(truths, preds, test.n_classes)
+    pooled, labels = _pooled(test)
+    sims = numerics.cosine_similarity(pooled, embeddings)
+    return report_from_labels(labels, sims.argmax(axis=-1), test.n_classes)
 
 
 def build_strategy_model(
@@ -397,14 +389,10 @@ def run_strategy(
         report = evaluate(test, model)
         echo["K"] = "1"
         echo["M"] = str(settings.n_tokens)
-    elif strategy.kind == LINEAR_PROBE:
-        adapter, w, b = _train_head(train, settings, seed, train_adapter=False)
-        report = _head_report(test, adapter, w, b, use_adapter=False)
-        echo["epochs"] = str(settings.probe_epochs)
-        echo["lr"] = format(settings.probe_lr, "g")
-    elif strategy.kind == FULL_FINETUNE:
-        adapter, w, b = _train_head(train, settings, seed, train_adapter=True)
-        report = _head_report(test, adapter, w, b, use_adapter=True)
+    elif strategy.kind in (LINEAR_PROBE, FULL_FINETUNE):
+        joint = strategy.kind == FULL_FINETUNE
+        adapter, w, b = _train_head(train, settings, seed, train_adapter=joint)
+        report = _head_report(test, adapter, w, b, use_adapter=joint)
         echo["epochs"] = str(settings.probe_epochs)
         echo["lr"] = format(settings.probe_lr, "g")
     elif strategy.kind == LEARNABLE_CONTEXT:

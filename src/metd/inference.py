@@ -25,20 +25,24 @@ from .model import Model, bank_embeddings, encode_image
 
 @dataclass(frozen=True)
 class Prediction:
-    """Mean-similarity logits, the winning label, per-class closest subclass."""
+    """Mean-similarity logits, the winning label, per-class closest subclass.
+
+    Shapes (N,), int and (N,) for one embedding; a stack adds a B axis.
+    """
 
     logits: np.ndarray
-    label: int
+    label: int | np.ndarray
     subclass_argmax: np.ndarray
 
 
 def predict(image_embedding, text_embeddings) -> Prediction:
-    """Score one embedding against an (N, K, D) descriptor stack.
+    """Score one embedding (D,) or a stack (B, D) against an (N, K, D) descriptor stack.
 
     logit i = mean over k of cos(V, T[i, k]); label = argmax with
     lowest-index tie-break.  ``subclass_argmax[i]`` records which
     subclass of class i was most similar, for assignment histograms.
-    The embedding and the stack's entries and dimensions are checked by
+    Each row's results are those of that embedding alone.  The
+    embeddings and the stack's entries and dimensions are checked by
     ``cosine_similarity``; only the stack's rank is checked here.
     """
     stack = np.asarray(text_embeddings, dtype=np.float64)
@@ -48,11 +52,12 @@ def predict(image_embedding, text_embeddings) -> Prediction:
             f"got shape {stack.shape}"
         )
     sims = numerics.cosine_similarity(image_embedding, stack)
-    logits = sims.mean(axis=1)
+    logits = sims.mean(axis=-1)
+    label = logits.argmax(axis=-1)
     return Prediction(
         logits=logits,
-        label=int(np.argmax(logits)),
-        subclass_argmax=np.argmax(sims, axis=1),
+        label=int(label) if logits.ndim == 1 else label,
+        subclass_argmax=sims.argmax(axis=-1),
     )
 
 
@@ -104,32 +109,34 @@ class EvalReport:
 def report_from_labels(
     truths, predictions, n_classes: int, subclass_histogram=None
 ) -> EvalReport:
-    """Confusion matrix, WAR, and UAR from parallel label lists."""
-    truths = list(truths)
-    predictions = list(predictions)
-    if len(truths) != len(predictions):
+    """Confusion matrix, WAR, and UAR from parallel label sequences."""
+    truths = np.asarray(truths, dtype=np.int64).reshape(-1)
+    predictions = np.asarray(predictions, dtype=np.int64).reshape(-1)
+    if truths.size != predictions.size:
         raise ContractViolation(
-            f"{len(truths)} truths vs {len(predictions)} predictions"
+            f"{truths.size} truths vs {predictions.size} predictions"
         )
-    if not truths:
+    if not truths.size:
         raise ContractViolation("cannot evaluate zero units")
+    pairs = np.stack((truths, predictions))
+    bad = ((pairs < 0) | (pairs >= n_classes)).any(axis=0)
+    if bad.any():
+        t, p = pairs[:, bad.argmax()]
+        raise ContractViolation(f"label pair ({t}, {p}) out of range")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(truths, predictions):
-        if not (0 <= t < n_classes and 0 <= p < n_classes):
-            raise ContractViolation(f"label pair ({t}, {p}) out of range")
-        confusion[t, p] += 1
+    np.add.at(confusion, (truths, predictions), 1)
     row_totals = confusion.sum(axis=1)
     recall = np.full(n_classes, np.nan)
     present = row_totals > 0
     recall[present] = confusion.diagonal()[present] / row_totals[present]
-    war = float(confusion.diagonal().sum()) / float(len(truths))
+    war = float(confusion.diagonal().sum()) / float(truths.size)
     uar = float(np.mean(recall[present]))
     return EvalReport(
         war=war,
         uar=uar,
         per_class_recall=recall,
         confusion=confusion,
-        n_units=len(truths),
+        n_units=int(truths.size),
         subclass_histogram=subclass_histogram,
     )
 
@@ -147,21 +154,24 @@ def check_compatible(dataset: EmbeddingDataset, model: Model):
         )
 
 
+def _score(dataset: EmbeddingDataset, model: Model, embeddings: np.ndarray) -> EvalReport:
+    """``evaluate``'s report from the (U, D) embeddings of ``dataset.units()``, in order."""
+    prediction = predict(embeddings, bank_embeddings(model.bank, model.encoder))
+    truths = np.array([unit.label for unit in dataset.units()])
+    assignments = prediction.subclass_argmax[np.arange(truths.size), truths]
+    histogram = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
+    np.add.at(histogram, (truths, assignments), 1)
+    report = report_from_labels(truths, prediction.label, dataset.n_classes, histogram)
+    return replace(report, assignments=assignments)
+
+
 def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
-    """Score every unit of the dataset with the model, once."""
+    """Embed every unit of the dataset and score them all in one pass."""
     units = dataset.units()
     if not units:
         raise ContractViolation("cannot evaluate an empty dataset")
     check_compatible(dataset, model)
-    stack = bank_embeddings(model.bank, model.encoder)
-    truths = [unit.label for unit in units]
-    predictions = [predict(unit_embedding(model, unit), stack) for unit in units]
-    assignments = np.array([p.subclass_argmax[t] for p, t in zip(predictions, truths)])
-    histogram = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
-    np.add.at(histogram, (truths, assignments), 1)
-    predicted = [p.label for p in predictions]
-    report = report_from_labels(truths, predicted, dataset.n_classes, histogram)
-    return replace(report, assignments=assignments)
+    return _score(dataset, model, np.stack([unit_embedding(model, unit) for unit in units]))
 
 
 @dataclass(frozen=True)
@@ -205,17 +215,13 @@ def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassRe
         return SubclassReport(histogram=histogram, purity=None)
     if k == 1:
         return SubclassReport(histogram=histogram, purity=1.0)
-    matched = 0
-    for label in range(histogram.shape[0]):
-        pairs = [(a, g) for (t, a, g) in triples if t == label]
-        if not pairs:
-            continue
-        n_sub = max(g for _, g in pairs) + 1
-        overlap = np.zeros((k, n_sub), dtype=np.int64)
-        for a, g in pairs:
-            overlap[a, g] += 1
-        rr, cc = linear_sum_assignment(overlap, maximize=True)
-        matched += int(overlap[rr, cc].sum())
+    # Per class, the (assigned subclass, true subcluster) overlap table.
+    # Padding every table to the largest id adds zero columns, which no
+    # maximum matching needs.
+    truth, assigned, ids = np.array(triples).T
+    overlap = np.zeros((histogram.shape[0], k, ids.max() + 1), dtype=np.int64)
+    np.add.at(overlap, (truth, assigned, ids), 1)
+    matched = sum(int(o[linear_sum_assignment(o, maximize=True)].sum()) for o in overlap)
     return SubclassReport(histogram=histogram, purity=matched / len(triples))
 
 

@@ -28,44 +28,25 @@ have already landed on each subclass this epoch; it boosts samples
 assigned to rarely-hit subclasses.  It is treated as a constant during
 differentiation (no gradient flows through the counts).
 
-Every loss is a softmax cross-entropy over a term list built in class
-order, and all of them go through one shared helper that evaluates
+Every loss is a softmax cross-entropy computed as -log softmax(terms)[pos]
+= softplus(lse(rivals) - terms[pos]), with softplus(g) = max(g, 0) +
+log1p(e^{-|g|}) and the rivals being every term but the target's.
+Unlike lse(all terms) - terms[pos], this does not round to exactly 0
+when the target leads by tens of nats; with no rivals (one class) it is
+exactly 0.  The rivals keep class order, so with one subclass per class
+the fine-grained loss at alpha = 1 is bit for bit the plain contrastive
+cross-entropy, clip_ce_loss.
 
-    -log softmax(terms)[pos] = softplus( lse(rivals) - terms[pos] )
-
-with softplus(g) = max(g, 0) + log1p(e^{-|g|}) and the rivals being every
-term but the one at pos.  Unlike lse(all terms) - terms[pos], this form
-does not round to exactly 0 when the target leads by tens of nats: the
-rivals' share survives as log1p of a tiny number instead of vanishing
-below half an ulp of the target score.  A list with no rivals (a single
-class) gives exactly 0.
-
-The target's slot in each list:
-
-  * clip_ce_loss and the margin term hold one score per class, so the
-    target sits at index t;
-  * the fine-grained list holds K scores for every class before the
-    target and one for the target, so it sits at index t * K.
-
-For a single subclass per class the fine-grained list is exactly the
-class score vector and its target slot is t, so the fine-grained loss
-with alpha = 1 makes the same helper call on the same bits as the plain
-contrastive cross-entropy (clip_ce_loss) and reduces to it bit for bit.
-
-Each grid-based term list is a list of flat slots into the grid, in
-class order: the fine-grained slots are every (i, k) with i != t plus
-(t, k+); the margin slots are (t, k-) plus each rival's argmax.  The
-loss reads grid.values / tau at those slots and the gradient reads the
-same entries.  Each value is checked and selected once per sample: the
-caller builds one grid, total_loss checks the target and the counts,
-takes k+ and k- by argmax/argmin, calls modulating_factor once and
-hands k+, k- and alpha to the private _fine_grained/_margin helpers
-(the public fine_grained_loss and margin_loss check, select and call
-the same helpers).  loss_gradients takes that grid and that
-LossBreakdown and selects no k+ or k- and computes no alpha of its own.
-Each loss then contributes weight * (softmax(terms) - onehot(pos)) / tau
-on its slots, with weight alpha for the fine-grained list and 1 for the
-margin list.
+Everything works on rows: a grid is (N, K) for one sample or (B, N, K)
+for a batch, and row b of every batched result is bit for bit the
+one-sample call on row b, so training makes one call per batch.
+total_loss checks the targets and counts, takes k+ and k- by
+argmax/argmin and calls modulating_factor once; loss_gradients takes
+that grid and that LossBreakdown and selects nothing again.  Each loss
+adds weight * (softmax(terms) - onehot(pos)) / tau to the grid entries
+its terms read (its slots): every (i, k) with i != t plus (t, k+) for
+the fine-grained list, weight alpha; (t, k-) plus each rival's argmax
+for the margin list, weight 1.  Each row has (N-1)K+1 and N slots.
 """
 
 import math
@@ -76,11 +57,13 @@ import numpy as np
 from . import numerics
 from .errors import ContractViolation
 
+
 @dataclass(frozen=True)
 class SimilarityGrid:
-    """Cosine similarities, shape (n_classes, n_subclasses), with tau.
+    """Cosine similarities with tau: (N, K) for one sample, (B, N, K) for B samples.
 
-    Entries must lie in [-1, 1]; the temperature must be positive.
+    N counts classes and K subclasses.  Entries must lie in [-1, 1];
+    the temperature must be positive.
     """
 
     values: np.ndarray
@@ -89,184 +72,170 @@ class SimilarityGrid:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ContractViolation(
-                f"similarities must be 2-D and nonempty, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ContractViolation("similarities contain non-finite entries")
-        if np.any(values < -1.0) or np.any(values > 1.0):
+        if values.ndim not in (2, 3) or values.size == 0:
+            raise ContractViolation(f"similarities must be (N, K) or (B, N, K): {values.shape}")
+        if not (np.abs(values) <= 1.0).all():
+            if not np.isfinite(values).all():
+                raise ContractViolation("similarities contain non-finite entries")
             raise ContractViolation("similarities must lie in [-1, 1]")
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
+        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
             raise ContractViolation(f"temperature must be > 0, got {self.temperature}")
 
     @property
     def n_classes(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def n_subclasses(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-sample loss parts; total is fg + margin exactly as computed."""
+    """Loss parts per sample, Python scalars for one sample and (B,) arrays for a batch.
 
-    fg: float
-    margin: float
-    total: float
-    alpha: float
-    closest_subclass: int
-    farthest_subclass: int
-
-
-def _check_target(grid: SimilarityGrid, target: int):
-    if not 0 <= target < grid.n_classes:
-        raise ContractViolation(
-            f"target {target} out of range for {grid.n_classes} classes"
-        )
-
-
-def select_closest(grid: SimilarityGrid, target: int) -> int:
-    """Index of the target class's highest-similarity subclass.
-
-    Ties break toward the lowest index.
+    total is fg + margin exactly as computed.
     """
-    _check_target(grid, target)
-    return int(np.argmax(grid.values[target]))
+
+    fg: float | np.ndarray
+    margin: float | np.ndarray
+    total: float | np.ndarray
+    alpha: float | np.ndarray
+    closest_subclass: int | np.ndarray
+    farthest_subclass: int | np.ndarray
 
 
-def select_farthest(grid: SimilarityGrid, target: int) -> int:
-    """Index of the target class's lowest-similarity subclass (lowest-index ties)."""
-    _check_target(grid, target)
-    return int(np.argmin(grid.values[target]))
+def _check_target(grid: SimilarityGrid, targets) -> tuple[np.ndarray, np.ndarray]:
+    """The grid as rows (B, N, K) and its targets, one int per row, as (B,)."""
+    t = np.asarray(targets)
+    if t.shape != grid.values.shape[:-2] or t.dtype.kind not in "iu":
+        raise ContractViolation(f"targets {targets!r} do not fit grid {grid.values.shape}")
+    bad = (t < 0) | (t >= grid.n_classes)
+    if bad.any():
+        raise ContractViolation(f"target {t[bad][0]} out of range for {grid.n_classes} classes")
+    return grid.values.reshape(-1, grid.n_classes, grid.n_subclasses), t.reshape(-1)
 
 
-def modulating_factor(counts, closest: int) -> float:
-    """Count-based weight for the fine-grained loss.
+def _unbatch(grid: SimilarityGrid, rows: np.ndarray):
+    """Row 0 as a Python scalar for a one-sample grid, else the rows unchanged."""
+    return rows[0].item() if grid.values.ndim == 2 else rows
+
+
+def select_closest(grid: SimilarityGrid, targets):
+    """Index of each target class's highest-similarity subclass (lowest-index ties)."""
+    values, t = _check_target(grid, targets)
+    return _unbatch(grid, values[np.arange(t.size), t].argmax(axis=-1))
+
+
+def select_farthest(grid: SimilarityGrid, targets):
+    """Index of each target class's lowest-similarity subclass (lowest-index ties)."""
+    values, t = _check_target(grid, targets)
+    return _unbatch(grid, values[np.arange(t.size), t].argmin(axis=-1))
+
+
+def modulating_factor(counts, closest):
+    """Count-based weight for the fine-grained loss, per row.
 
     ``counts`` holds how many samples of the target class have been
     assigned to each of its subclasses so far (including the current
-    sample), and ``closest`` is the subclass the current sample landed
+    sample): one (K,) vector with an int ``closest``, or a (B, K) stack
+    with B ints.  ``closest`` is the subclass the current sample landed
     on.  With n+ = counts[closest] and the sum below running over
     subclasses with nonzero counts:
 
         alpha = ( e^{1/n+} / sum_k e^{1/n_k} ) * ( sum_k n_k / n+ )
 
     Rare subclasses get a factor above 1, saturated ones below; with all
-    counts equal the two factors cancel to 1.
+    counts equal the two factors cancel to 1.  A float for one vector,
+    (B,) for a stack.
     """
     arr = np.asarray(counts)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ContractViolation(f"counts must be a nonempty 1-D array, got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
+    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
+        raise ContractViolation(f"counts must be a nonempty (K,) or (B, K) array: {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        if not (arr == np.floor(arr)).all():
             raise ContractViolation("counts must be integers")
         arr = arr.astype(np.int64)
-    if np.any(arr < 0):
+    rows = arr.reshape(-1, arr.shape[-1])
+    picks = np.asarray(closest)
+    if picks.shape != arr.shape[:-1] or not ((picks >= 0) & (picks < arr.shape[-1])).all():
+        raise ContractViolation(f"closest {closest} out of range for {arr.shape[-1]} counts")
+    if rows.min() < 0:
         raise ContractViolation("counts must be nonnegative")
-    if not 0 <= closest < arr.size:
-        raise ContractViolation(f"closest {closest} out of range for {arr.size} counts")
-    n_plus = int(arr[closest])
-    if n_plus < 1:
+    assigned = (np.arange(len(rows)), picks.reshape(-1))
+    n_plus = rows[assigned]
+    if n_plus.min() < 1:
         raise ContractViolation("count of the assigned subclass must be >= 1")
-    nonzero = arr[arr > 0].astype(np.float64)
-    weights = np.exp(1.0 / nonzero)
-    first = float(np.exp(1.0 / n_plus)) / float(np.sum(weights))
-    second = float(np.sum(arr)) / n_plus
-    return first * second
+    weights = np.exp(1.0 / np.maximum(rows, 1))
+    first = weights[assigned] / np.where(rows > 0, weights, 0.0).sum(axis=-1)
+    alpha = first * (rows.sum(axis=-1) / n_plus)
+    return float(alpha[0]) if arr.ndim == 1 else alpha
 
 
-def _neg_log_softmax_at(terms: np.ndarray, pos: int) -> float:
-    """-log softmax(terms)[pos] as softplus(lse(rivals) - terms[pos]).
+def _neg_log_softmax_at(z, targets, picks, rivals) -> np.ndarray:
+    """-log softmax of each row's target term z[b, t_b, picks_b] against its (B, L-1) rivals.
 
     Strictly positive whenever there is at least one rival and the
     rivals' share of the softmax is above the float64 underflow limit;
     exactly 0 for a one-term list.
     """
-    if terms.size == 1:
-        return 0.0
-    rivals = np.concatenate((terms[:pos], terms[pos + 1 :]))
-    gap = numerics.log_sum_exp(rivals) - float(terms[pos])
-    return max(gap, 0.0) + math.log1p(math.exp(-abs(gap)))
+    if rivals.shape[-1] == 0:
+        return np.zeros(len(z))
+    gap = numerics.log_sum_exp(rivals) - z[np.arange(len(z)), targets, picks]
+    # softplus per row with libm's exp and log1p (see numerics)
+    return np.array([max(g, 0.0) + math.log1p(math.exp(-abs(g))) for g in gap.tolist()])
 
 
-def _scaled(grid: SimilarityGrid) -> np.ndarray:
-    """The flattened grid over tau: every loss term and softmax reads these bits."""
-    return (grid.values / grid.temperature).reshape(-1)
+def _rival_classes(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Every row's classes but its target, (B, N-1, K) in class order."""
+    n_rows, n_classes, n_subclasses = z.shape
+    other = np.arange(n_classes) != targets[:, None]
+    return z[other].reshape(n_rows, n_classes - 1, n_subclasses)
 
 
-def _fine_grained_slots(grid: SimilarityGrid, target: int, closest: int) -> np.ndarray:
-    """Flat grid indices of the fine-grained term list, in class order.
-
-    One slot per class for the target (its selected subclass), all
-    subclasses for every other class.  Keeping this order canonical makes
-    the single-subclass case identical to the plain cross-entropy.
-    """
-    k = grid.n_subclasses
-    slots = np.arange(grid.values.size)
-    return slots[(slots // k != target) | (slots == target * k + closest)]
-
-
-def _fine_grained(grid: SimilarityGrid, target: int, closest: int, alpha: float) -> float:
-    slots = _fine_grained_slots(grid, target, closest)
-    return alpha * _neg_log_softmax_at(_scaled(grid)[slots], target * grid.n_subclasses)
-
-
-def fine_grained_loss(grid: SimilarityGrid, target: int, alpha: float) -> float:
-    """Weighted cross-entropy of the target's best subclass against all rivals."""
-    closest = select_closest(grid, target)
-    if not (alpha > 0.0 and np.isfinite(alpha)):
+def fine_grained_loss(grid: SimilarityGrid, targets, alpha):
+    """Weighted cross-entropy of each target's best subclass against all rivals."""
+    values, t = _check_target(grid, targets)
+    weight = np.asarray(alpha, dtype=np.float64)
+    if not ((weight > 0.0) & np.isfinite(weight)).all():
         raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
-    return _fine_grained(grid, target, closest, alpha)
+    closest = values[np.arange(t.size), t].argmax(axis=-1)
+    z = values / grid.temperature
+    loss = _neg_log_softmax_at(z, t, closest, _rival_classes(z, t).reshape(t.size, -1))
+    return _unbatch(grid, weight.reshape(-1) * loss)
 
 
-def _margin_slots(grid: SimilarityGrid, target: int, farthest: int) -> np.ndarray:
-    """Flat grid indices of the margin term list, one per class in class order.
+def margin_loss(grid: SimilarityGrid, targets):
+    """Cross-entropy of each target's worst subclass against rivals' best."""
+    values, t = _check_target(grid, targets)
+    farthest = values[np.arange(t.size), t].argmin(axis=-1)
+    z = values / grid.temperature
+    loss = _neg_log_softmax_at(z, t, farthest, _rival_classes(z, t).max(axis=-1))
+    return _unbatch(grid, loss)
 
-    The target contributes its worst subclass, every rival its best.
+
+def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
+    """Fine-grained + margin loss for each sample of the grid.
+
+    ``target_counts`` holds each sample's per-subclass assignment counts
+    of its target class, already including that sample: (K,) for a
+    one-sample grid, (B, K) for a batch.
     """
-    picks = np.argmax(grid.values, axis=1)
-    picks[target] = farthest
-    return np.arange(grid.n_classes) * grid.n_subclasses + picks
-
-
-def _margin(grid: SimilarityGrid, target: int, farthest: int) -> float:
-    return _neg_log_softmax_at(_scaled(grid)[_margin_slots(grid, target, farthest)], target)
-
-
-def margin_loss(grid: SimilarityGrid, target: int) -> float:
-    """Cross-entropy of the target's worst subclass against rivals' best."""
-    return _margin(grid, target, select_farthest(grid, target))
-
-
-def total_loss(grid: SimilarityGrid, target: int, target_counts) -> LossBreakdown:
-    """Fine-grained + margin loss for one sample.
-
-    ``target_counts`` is the per-subclass assignment count vector of the
-    target class (length n_subclasses), already including this sample.
-    """
-    _check_target(grid, target)
-    arr = np.asarray(target_counts)
-    if arr.shape != (grid.n_subclasses,):
-        raise ContractViolation(
-            f"target_counts shape {arr.shape} != ({grid.n_subclasses},)"
-        )
-    row = grid.values[target]
-    closest = int(np.argmax(row))
-    farthest = int(np.argmin(row))
-    alpha = modulating_factor(arr, closest)
-    fg = _fine_grained(grid, target, closest, alpha)
-    mg = _margin(grid, target, farthest)
-    return LossBreakdown(
-        fg=fg,
-        margin=mg,
-        total=fg + mg,
-        alpha=alpha,
-        closest_subclass=closest,
-        farthest_subclass=farthest,
-    )
+    values, t = _check_target(grid, targets)
+    counts = np.asarray(target_counts)
+    expected = grid.values.shape[:-2] + (grid.n_subclasses,)
+    if counts.shape != expected:
+        raise ContractViolation(f"target_counts shape {counts.shape} != {expected}")
+    own = values[np.arange(t.size), t]
+    closest = own.argmax(axis=-1)
+    farthest = own.argmin(axis=-1)
+    alpha = modulating_factor(counts.reshape(-1, grid.n_subclasses), closest)
+    z = values / grid.temperature
+    rivals = _rival_classes(z, t)
+    fg = alpha * _neg_log_softmax_at(z, t, closest, rivals.reshape(t.size, -1))
+    mg = _neg_log_softmax_at(z, t, farthest, rivals.max(axis=-1))
+    parts = (fg, mg, fg + mg, alpha, closest, farthest)
+    return LossBreakdown(*(_unbatch(grid, part) for part in parts))
 
 
 def clip_ce_loss(similarities, target: int, temperature: float) -> float:
@@ -278,16 +247,20 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
         raise ContractViolation(f"target {target} out of range for {sims.size} classes")
     if not (temperature > 0.0 and np.isfinite(temperature)):
         raise ContractViolation(f"temperature must be > 0, got {temperature}")
-    return _neg_log_softmax_at(sims / temperature, target)
+    # the fine-grained loss of one sample with one subclass per class
+    z, t = (sims / temperature).reshape(1, -1, 1), np.array([target])
+    return float(_neg_log_softmax_at(z, t, [0], _rival_classes(z, t).reshape(1, -1))[0])
 
 
 def similarity_grid(
     image_embedding, text_embeddings, temperature: float
 ) -> SimilarityGrid:
-    """Cosine similarity of one embedding against a (N, K, D) descriptor stack.
+    """Cosine similarity of each embedding against a (N, K, D) descriptor stack.
 
-    The embedding, the stack's entries and their dimensions are checked
-    by ``cosine_similarity``; only the stack's rank is checked here.
+    ``image_embedding`` is one embedding (D,), giving an (N, K) grid, or
+    a stack (B, D), giving (B, N, K).  The embeddings, the stack's
+    entries and their dimensions are checked by ``cosine_similarity``;
+    only the stack's rank is checked here.
     """
     stack = np.asarray(text_embeddings, dtype=np.float64)
     if stack.ndim != 3:
@@ -300,8 +273,14 @@ def similarity_grid(
 
 
 def _cosine_gradients(v, t, similarity):
-    """d cos(v, t) / dv and / dt per row t of a (..., D) stack, given the clamped cosines."""
-    nv = numerics._row_norms(v, "image_embedding")
+    """d cos / dv and d cos / dt, (B, ..., D) each, for each row of v (B, D).
+
+    The cosines are with each row of the stack t (..., D); ``similarity``
+    holds them, clamped, as (B, ...).
+    """
+    spread = (1,) * (t.ndim - 1)
+    nv = numerics._row_norms(v, "image_embedding").reshape(len(v), *spread, 1)
+    v = v.reshape(len(v), *spread, v.shape[-1])
     nt = np.expand_dims(numerics._row_norms(t, "text_embedding"), -1)
     similarity = np.expand_dims(similarity, -1)
     gv = t / (nv * nt) - similarity * v / (nv * nv)
@@ -309,60 +288,54 @@ def _cosine_gradients(v, t, similarity):
     return gv, gt
 
 
-def _gradient_coefficients(
-    grid: SimilarityGrid, target: int, breakdown: LossBreakdown
-) -> np.ndarray:
-    """dL/ds[i, k] from the breakdown's k+, k- and alpha; 0 off every slot.
+def _gradient_coefficients(grid: SimilarityGrid, targets, breakdown: LossBreakdown):
+    """dL/ds from the breakdown's k+, k- and alpha, shaped like the grid; 0 off every slot.
 
-    Each loss contributes weight * (p - onehot) / tau on its slots, p being
-    the softmax of its terms and onehot marking the target's slot: weight
-    alpha for the fine-grained slots, scattered first, and 1 for the
-    margin slots, scattered second.
+    The fine-grained slots are scattered first, then the margin slots.
     """
-    z = _scaled(grid)
-    coeff = np.zeros(z.size)
-    fg_slots = _fine_grained_slots(grid, target, breakdown.closest_subclass)
-    mg_slots = _margin_slots(grid, target, breakdown.farthest_subclass)
+    n, k = grid.n_classes, grid.n_subclasses
+    values = grid.values.reshape(-1, n, k)
+    t = np.reshape(targets, -1)
+    rows = np.arange(t.size)
+    z = values / grid.temperature
+    coeff = np.zeros_like(z)
+    fg_slots = np.repeat((np.arange(n) != t[:, None])[..., None], k, axis=-1)
+    fg_slots[rows, t, np.reshape(breakdown.closest_subclass, -1)] = True
+    picks = values.argmax(axis=-1)
+    picks[rows, t] = np.reshape(breakdown.farthest_subclass, -1)
+    mg_slots = np.arange(k) == picks[..., None]
     for weight, slots, pos in (
-        (breakdown.alpha, fg_slots, target * grid.n_subclasses),
-        (1.0, mg_slots, target),
+        (np.reshape(breakdown.alpha, (-1, 1)), fg_slots, t * k),
+        (1.0, mg_slots, t),
     ):
-        onehot = np.zeros(slots.size)
-        onehot[pos] = 1.0
-        coeff[slots] += weight * (numerics.stable_softmax(z[slots]) - onehot) / grid.temperature
+        delta = numerics.stable_softmax(z[slots].reshape(t.size, -1))
+        delta[rows, pos] -= 1.0
+        coeff[slots] += (weight * delta / grid.temperature).reshape(-1)
     return coeff.reshape(grid.values.shape)
 
 
-def loss_gradients(
-    image_embedding,
-    text_embeddings,
-    grid: SimilarityGrid,
-    target: int,
-    breakdown: LossBreakdown,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of the total loss w.r.t. V and every T[i, k].
+def loss_gradients(image_embedding, text_embeddings, grid: SimilarityGrid, targets, breakdown):
+    """Exact gradients of each sample's total loss w.r.t. its V and every T[i, k].
 
     ``grid`` is ``similarity_grid(image_embedding, text_embeddings, tau)``
-    and ``breakdown`` is what ``total_loss`` returned for that grid; the
-    gradient takes k+, k- and alpha from it instead of selecting again.
-    Those and the rivals' argmax are treated as constants, matching how
-    the loss value itself is defined between selection flips.
-    Returns (dL/dV, dL/dT) with dL/dT shaped like ``text_embeddings``: the
-    coefficients dL/ds[i, k] pushed through the cosine similarity.
+    and ``breakdown`` is what ``total_loss`` returned for it; k+, k-,
+    alpha and the rivals' argmax are taken as constants, matching how
+    the loss is defined between selection flips.  Returns (dL/dV, dL/dT):
+    (D,) and (N, K, D) for one embedding, (B, D) and (B, N, K, D) for a
+    stack, row b being the gradients of sample b's loss alone.
     """
     v = np.asarray(image_embedding, dtype=np.float64)
     stack = np.asarray(text_embeddings, dtype=np.float64)
-    if stack.shape != (*grid.values.shape, v.size):
+    n, k = grid.n_classes, grid.n_subclasses
+    if v.shape[:-1] != grid.values.shape[:-2] or stack.shape != (n, k, v.shape[-1]):
         raise ContractViolation(
-            f"text_embeddings shape {stack.shape} != grid shape "
-            f"{grid.values.shape} + ({v.size},)"
+            f"embeddings {v.shape} and {stack.shape} do not fit grid {grid.values.shape}"
         )
-    _check_target(grid, target)
-    coeff = _gradient_coefficients(grid, target, breakdown)
-    gv, gt = _cosine_gradients(v, stack, grid.values)
-    # Term by term in (class, subclass) order: np.sum may add pairwise (it does at D = 1).
-    grad_v = np.zeros_like(v)
-    for c, term in zip(coeff.reshape(-1), gv.reshape(-1, v.size)):
-        if c != 0.0:
-            grad_v += c * term
-    return grad_v, coeff[:, :, None] * gt
+    values, t = _check_target(grid, targets)
+    coeff = _gradient_coefficients(grid, t, breakdown).reshape(values.shape)
+    rows = v.reshape(-1, v.shape[-1])
+    gv, gt = _cosine_gradients(rows, stack, values)
+    # A running sum in (class, subclass) order, as a loop adds: np.sum may add pairwise.
+    grad_v = np.cumsum((coeff[..., None] * gv).reshape(len(rows), n * k, -1), axis=1)[:, -1]
+    grad_t = coeff[..., None] * gt
+    return grad_v.reshape(v.shape), grad_t.reshape(grid.values.shape + v.shape[-1:])

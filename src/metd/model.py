@@ -285,14 +285,16 @@ def build_adapter(feature_dim: int, embed_dim: int, residual: bool = True) -> Im
 
 
 def encode_image(adapter: ImageAdapter, features) -> np.ndarray:
+    """Adapter output for one feature vector (F,) or each row of a (B, F) stack."""
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (adapter.feature_dim,):
+    if features.shape[-1:] != (adapter.feature_dim,) or features.ndim > 2:
         raise ContractViolation(
-            f"features shape {features.shape} != ({adapter.feature_dim},)"
+            f"features shape {features.shape} != ([B,] {adapter.feature_dim})"
         )
-    if not np.all(np.isfinite(features)):
+    if not np.isfinite(features).all():
         raise ContractViolation("features contain non-finite entries")
-    out = adapter.weight @ features + adapter.bias
+    # W times each row as a column: the bits of W @ x, unlike x @ W.T
+    out = np.matmul(adapter.weight, features[..., None])[..., 0] + adapter.bias
     if adapter.residual:
         out = out + features
     return out
@@ -301,18 +303,19 @@ def encode_image(adapter: ImageAdapter, features) -> np.ndarray:
 def adapter_gradients(
     adapter: ImageAdapter, features: np.ndarray, grad_output: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dL/dW, dL/db) given dL/d(output); the residual path adds nothing."""
+    """(dL/dW, dL/db) given dL/d(output); the residual path adds nothing.
+
+    For features (F,) and gradient (E,), or per row of (B, F) and (B, E).
+    """
     features = np.asarray(features, dtype=np.float64)
     grad_output = np.asarray(grad_output, dtype=np.float64)
-    if features.shape != (adapter.feature_dim,):
+    expected = (features.shape[:-1] + (adapter.embed_dim,), (adapter.feature_dim,))
+    if (grad_output.shape, features.shape[-1:]) != expected:
         raise ContractViolation(
-            f"features shape {features.shape} != ({adapter.feature_dim},)"
+            f"grad_output {grad_output.shape} and features {features.shape} do not fit "
+            f"an ({adapter.embed_dim}, {adapter.feature_dim}) adapter"
         )
-    if grad_output.shape != (adapter.embed_dim,):
-        raise ContractViolation(
-            f"grad_output shape {grad_output.shape} != ({adapter.embed_dim},)"
-        )
-    return np.outer(grad_output, features), grad_output.copy()
+    return grad_output[..., :, None] * features[..., None, :], grad_output.copy()
 
 
 @dataclass

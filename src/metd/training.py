@@ -19,6 +19,10 @@ BEFORE its loss is computed, which guarantees the assigned subclass
 count is at least one.  Counts reset every epoch by default
 (``count_scope="epoch"``), or every batch behind the config flag.
 
+Each batch is one call of the batched loss kernel: the parameters, and
+so every selection, are fixed within a batch, so sample b's counts are
+those before the batch plus a running sum of the batch's assignments.
+
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
 correction, decay applied to the parameter separately from the gradient
@@ -34,7 +38,7 @@ import numpy as np
 from . import losses
 from .data import EmbeddingDataset, Unit
 from .errors import ContractViolation
-from .inference import check_compatible, evaluate, temporal_mean_pool, unit_embedding
+from .inference import _score, check_compatible, evaluate, temporal_mean_pool, unit_embedding
 from .model import (
     IDENTITY_MEAN,
     PROJECTED_MEAN,
@@ -234,13 +238,23 @@ def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, sta
     check_compatible(dataset, model)
 
 
-def _sample_loss_and_grads(model, stack, v, target, counts, sums):
-    """Per-sample gradients, counting the sample first; adds its losses to sums."""
-    grid = losses.similarity_grid(v, stack, model.temperature)
-    counts[target, losses.select_closest(grid, target)] += 1
-    breakdown = losses.total_loss(grid, target, counts[target])
-    sums += (breakdown.fg, breakdown.margin, breakdown.total)
-    return losses.loss_gradients(v, stack, grid, target, breakdown)
+def _batch_loss_and_grads(model, stack, embeddings, targets, counts, sums):
+    """Per-sample gradients of a batch, (B, D) and (B, N, K, D), in batch order.
+
+    Sample b's loss sees ``counts`` plus the batch's assignments up to and
+    including b, and its (fg, margin, total) is then added to ``sums``.
+    """
+    grid = losses.similarity_grid(embeddings, stack, model.temperature)
+    rows = np.arange(len(targets))
+    assigned = np.zeros((len(targets), *counts.shape), dtype=np.int64)
+    assigned[rows, targets, losses.select_closest(grid, targets)] = 1
+    running = counts + np.cumsum(assigned, axis=0)
+    counts[:] = running[-1]
+    breakdown = losses.total_loss(grid, targets, running[rows, targets])
+    parts = np.stack((breakdown.fg, breakdown.margin, breakdown.total), axis=1)
+    # A running sum, as the loop added them: np.sum may add pairwise.
+    sums[:] = np.cumsum(np.vstack((sums, parts)), axis=0)[-1]
+    return losses.loss_gradients(embeddings, stack, grid, targets, breakdown)
 
 
 def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
@@ -251,9 +265,7 @@ def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
     """
     length = model.bank.context_length + model.bank.n_tokens
     pulled = encode_text_token_gradient(model.encoder, grad_t, length)
-    return np.broadcast_to(
-        pulled[:, :, None, :], model.bank.tokens.shape
-    ).copy()
+    return np.broadcast_to(pulled[:, :, None, :], model.bank.tokens.shape).copy()
 
 
 def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
@@ -266,7 +278,8 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
     ``batch_gradients(batch)``, at the scheduled learning rate of the
     global step.  Yields ``(epoch, lr)`` after each epoch, ``lr`` being
     the rate of the epoch's first step, so the caller can evaluate and log
-    between epochs.
+    between epochs.  A ContractViolation from ``batch_gradients`` is
+    raised again with the epoch and step (from 1) added to its message.
     """
     state = init_optimizer_state(params, config.optimizer)
     total_steps = max(1, config.epochs * math.ceil(n_items / config.batch_size))
@@ -275,20 +288,24 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
         order = np.random.default_rng([*stream, epoch]).permutation(n_items)
         epoch_lr = _schedule_lr(config, step, total_steps)
         for start in range(0, n_items, config.batch_size):
-            grads = batch_gradients(order[start : start + config.batch_size])
+            try:
+                grads = batch_gradients(order[start : start + config.batch_size])
+            except ContractViolation as exc:
+                raise type(exc)(f"{exc} (epoch {epoch}, step {step + 1})") from exc
             lr = _schedule_lr(config, step, total_steps)
             optimizer_step(params, grads, state, lr, config.weight_decay)
             step += 1
         yield epoch, epoch_lr
 
 
-def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochStats]:
+def _run_stage(model, dataset, config, params, batch_gradients, embeddings=None):
     """Fit one stage; log each epoch's mean losses, train WAR, and lr.
 
     ``batch_gradients(batch, counts, sums)`` gets the batch's indices
     into ``dataset.units()``, the (n_classes, n_subclasses) subclass
     counts (already zeroed when ``count_scope`` is ``"batch"``), and the
-    epoch's running (fg, margin, total) loss sums.
+    epoch's running (fg, margin, total) loss sums.  The train WAR scores
+    ``embeddings`` (U, D) when the stage cannot change them.
     """
     n_units = len(dataset.units())
     counts = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
@@ -303,7 +320,8 @@ def _run_stage(model, dataset, config, params, batch_gradients) -> list[EpochSta
     stream = (STREAM_SHUFFLE, config.seed, config.stage)
     for epoch, lr in fit(params, gradients, n_units, config, stream):
         fg, margin, total = sums / n_units
-        war = evaluate(dataset, model).war
+        fresh = embeddings is None
+        war = (evaluate(dataset, model) if fresh else _score(dataset, model, embeddings)).war
         trace.append(EpochStats(epoch, fg, margin, total, war, lr))
         sums[:] = 0.0
         counts[:] = 0
@@ -316,21 +334,19 @@ def run_stage1(
     """Train the descriptor tokens; everything else stays bit-identical."""
     _check_run(model, dataset, config, stage=1)
     units = dataset.units()
+    labels = np.array([unit.label for unit in units])
     # The adapter is frozen in this stage, so the unit embeddings are too.
-    embeddings = [unit_embedding(model, unit) for unit in units]
+    embeddings = np.stack([unit_embedding(model, unit) for unit in units])
 
     def batch_gradients(batch, counts, sums):
         stack = bank_embeddings(model.bank, model.encoder)
-        grad_t_sum = np.zeros_like(stack)
-        for i in batch:
-            _, grad_t = _sample_loss_and_grads(
-                model, stack, embeddings[i], units[i].label, counts, sums
-            )
-            grad_t_sum += grad_t
-        return {"bank.tokens": _pull_token_gradient(model, grad_t_sum / len(batch))}
+        _, grad_t = _batch_loss_and_grads(
+            model, stack, embeddings[batch], labels[batch], counts, sums
+        )
+        return {"bank.tokens": _pull_token_gradient(model, grad_t.sum(axis=0) / len(batch))}
 
     params = {"bank.tokens": model.bank.tokens}
-    return model.bank, _run_stage(model, dataset, config, params, batch_gradients)
+    return model.bank, _run_stage(model, dataset, config, params, batch_gradients, embeddings)
 
 
 def run_stage2(
@@ -339,25 +355,21 @@ def run_stage2(
     """Train the adapter against the frozen, stage-1-trained descriptors."""
     _check_run(model, dataset, config, stage=2)
     units = dataset.units()
+    labels = np.array([unit.label for unit in units])
     # Descriptors are frozen in this stage, so their embeddings are too,
     # and the raw frames never change.
     stack = bank_embeddings(model.bank, model.encoder)
-    pooled = [temporal_mean_pool(unit.frames) for unit in units]
+    pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
 
     def batch_gradients(batch, counts, sums):
-        grad_w = np.zeros_like(model.adapter.weight)
-        grad_b = np.zeros_like(model.adapter.bias)
-        for i in batch:
-            unit = units[i]
-            grad_v, _ = _sample_loss_and_grads(
-                model, stack, unit_embedding(model, unit), unit.label, counts, sums
-            )
-            gw, gb = adapter_gradients(model.adapter, pooled[i], grad_v)
-            grad_w += gw
-            grad_b += gb
+        embeddings = np.stack([unit_embedding(model, units[i]) for i in batch])
+        grad_v, _ = _batch_loss_and_grads(
+            model, stack, embeddings, labels[batch], counts, sums
+        )
+        grad_w, grad_b = adapter_gradients(model.adapter, pooled[batch], grad_v)
         return {
-            "adapter.weight": grad_w / len(batch),
-            "adapter.bias": grad_b / len(batch),
+            "adapter.weight": grad_w.sum(axis=0) / len(batch),
+            "adapter.bias": grad_b.sum(axis=0) / len(batch),
         }
 
     params = {

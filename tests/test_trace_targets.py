@@ -13,6 +13,9 @@ import ast
 import importlib
 from pathlib import Path
 
+import metd.harness
+import metd.inference
+import metd.model
 import metd.training
 from metd.data import SynthConfig, generate_synthetic
 from metd.model import build_model
@@ -53,21 +56,30 @@ def test_every_traced_target_exists_in_metd():
     assert targets and missing == []
 
 
-def test_training_and_fd_check_call_every_expected_kernel():
-    expected = sorted(
+def _expected_kernels(workloads, prefixes) -> list:
+    return sorted(
         {
             name
-            for workload in ("TrainDefault", "FdCheck")
+            for workload in workloads
             for name in _expected_calls(workload)
-            if name.startswith(("losses.", "numerics."))
+            if name.startswith(prefixes)
         }
     )
-    assert "losses.total_loss" in expected and "numerics.log_sum_exp" in expected
-    train, _ = generate_synthetic(
+
+
+def _tiny_splits():
+    splits = generate_synthetic(
         SynthConfig(n_classes=2, subclusters_per_class=2, samples_per_subcluster=8,
                     feature_dim=8, sigma=0.2, intra_class_angle=90.0, seed=3)
     )
-    assert len(train.units()) == 24
+    assert len(splits[0].units()) == 24
+    return splits
+
+
+def test_training_and_fd_check_call_every_expected_kernel():
+    expected = _expected_kernels(("TrainDefault", "FdCheck"), ("losses.", "numerics."))
+    assert "losses.total_loss" in expected and "numerics.log_sum_exp" in expected
+    train, _ = _tiny_splits()
     tracing = _load_tracing()
     tracer = tracing["Tracer"]()
     installed = tracing["install"](tracer)
@@ -80,6 +92,35 @@ def test_training_and_fd_check_call_every_expected_kernel():
         metd.training.run_stage2(model, train, StageConfig.stage_two(epochs=1, batch_size=8))
         model, sample, counts = metd.training.random_fd_instance(seed=1, stage=1)
         metd.training.fd_check(model, sample, target_counts=counts, stage=1)
+    finally:
+        installed.restore()
+    assert tracing["missing_calls"](tracer.stats(), expected) == []
+
+
+def test_eval_and_baselines_call_every_expected_kernel(tmp_path):
+    expected = _expected_kernels(
+        ("EvalClips", "CompareBaselines"), ("inference.", "model.", "numerics.", "losses.")
+    )
+    assert "model.load_checkpoint" in expected and "inference.predict" in expected
+    train, test = _tiny_splits()
+    settings = metd.harness.HarnessSettings(
+        token_dim=8, embed_dim=8, n_tokens=2, probe_epochs=1,
+        stage1=StageConfig.stage_one(epochs=1, batch_size=8),
+    )
+    tracing = _load_tracing()
+    tracer = tracing["Tracer"]()
+    installed = tracing["install"](tracer)
+    try:
+        # what `metd eval` runs, then each baseline of `metd compare`
+        model = build_model(
+            n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
+            feature_dim=8, context_length=2, temperature=0.055, seed=3,
+        )
+        metd.model.save_checkpoint(model, str(tmp_path / "tiny.ckpt"))
+        model = metd.model.load_checkpoint(str(tmp_path / "tiny.ckpt"))
+        metd.inference.subclass_report(test, metd.inference.evaluate(test, model))
+        for kind in tracing["STRATEGY_KINDS"]:
+            metd.harness.run_strategy(metd.harness.Strategy(kind), (train, test), 3, settings)
     finally:
         installed.restore()
     assert tracing["missing_calls"](tracer.stats(), expected) == []

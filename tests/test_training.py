@@ -1,12 +1,13 @@
 """Optimizer steps, schedules, the two training stages, and gradient checks."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
 
 from metd.data import SynthConfig, apply_linear_map, generate_synthetic
-from metd.errors import ContractViolation
+from metd.errors import ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
 from metd.inference import evaluate, temporal_mean_pool
 from metd.model import build_model
@@ -261,7 +262,7 @@ def test_fresh_non_residual_model_trains():
 
 def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
     # The adapter is frozen in stage 1: each unit is embedded once up
-    # front, plus once per epoch by the training-set evaluation.
+    # front, and the per-epoch training-set report scores those embeddings.
     import metd.inference
     import metd.training
 
@@ -284,7 +285,7 @@ def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
     )
     epochs = 3
     run_stage1(model, train, StageConfig.stage_one(epochs=epochs, batch_size=8, seed=5))
-    assert len(calls) == len(train.units()) * (1 + epochs)
+    assert len(calls) == len(train.units())
 
 
 def _sixteen_units():
@@ -314,10 +315,10 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_stage1_selects_each_samples_subclass_once(monkeypatch):
-    # The sample is counted on its closest subclass; total_loss then takes
-    # k+ and k- from the grid itself.  Each of the three public calls per
-    # sample (select_closest, total_loss, loss_gradients) checks the
-    # target once.
+    # Each sample is counted on its closest subclass; total_loss then takes
+    # k+ and k- from the grid itself.  The batch is one call each of
+    # select_closest, total_loss and loss_gradients, and each checks the
+    # batch's targets once.
     import metd.losses
 
     model, train = _sixteen_units()
@@ -325,8 +326,8 @@ def test_stage1_selects_each_samples_subclass_once(monkeypatch):
         monkeypatch, metd.losses, ("select_closest", "select_farthest", "_check_target")
     )
     run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=5, seed=3))
-    n_units = len(train.units())
-    assert calls == {"select_closest": n_units, "select_farthest": 0, "_check_target": 3 * n_units}
+    n_batches = math.ceil(len(train.units()) / 5)
+    assert calls == {"select_closest": n_batches, "select_farthest": 0, "_check_target": 3 * n_batches}
 
 
 def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
@@ -339,6 +340,18 @@ def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
     assert calls == {"temporal_mean_pool": len(train.units())}
 
 
+def test_a_zero_descriptor_mid_training_names_its_row_epoch_and_step():
+    # identity-mean: with the context and descriptor (1, 0)'s tokens all
+    # zero, that descriptor's embedding is the zero vector.
+    model, train = _sixteen_units()
+    assert model.encoder.kind == "identity-mean"
+    model.bank.context[:] = 0.0
+    model.bank.tokens[1, 0] = 0.0
+    config = StageConfig.stage_one(epochs=1, batch_size=5, seed=3)
+    with pytest.raises(ZeroNormError, match=r"row \(1, 0\) has zero norm \(epoch 1, step 1\)"):
+        run_stage1(model, train, config)
+
+
 @pytest.mark.parametrize("count_scope", ["epoch", "batch"])
 def test_loss_counts_include_the_sample_and_reset_per_scope(monkeypatch, count_scope):
     # total_loss sees the class's counts with the current sample already on
@@ -349,10 +362,11 @@ def test_loss_counts_include_the_sample_and_reset_per_scope(monkeypatch, count_s
     seen = []
     original = metd.losses.total_loss
 
-    def recording(grid, target, target_counts):
-        closest = int(np.argmax(grid.values[target]))
-        seen.append((target, closest, np.array(target_counts)))
-        return original(grid, target, target_counts)
+    def recording(grid, targets, target_counts):
+        # one call per batch: a (B, N, K) grid with B targets and (B, K) counts
+        for values, target, counts in zip(grid.values, targets, target_counts):
+            seen.append((target, int(np.argmax(values[target])), np.array(counts)))
+        return original(grid, targets, target_counts)
 
     monkeypatch.setattr(metd.losses, "total_loss", recording)
     epochs, batch_size = 2, 5
