@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Write the deterministic outputs of every metd command into one directory,
+# so that two checkouts can be compared with `diff -r`.
+#
+#   scripts/same_outputs.sh <checkout> <outdir>
+#
+# For configs/synthetic.cfg at seeds 7 and 8, and for a projected-mean,
+# SGD, count_scope = batch variant of it, this runs synth, train, eval,
+# compare and fdcheck with <checkout>/src on PYTHONPATH.  It keeps the
+# datasets, checkpoints, metrics logs, eval reports and every command's
+# stdout and exit status.  Wall times and the directory part of printed
+# paths vary from run to run and are dropped.  Example:
+#
+#   scripts/same_outputs.sh . /tmp/after
+#   scripts/same_outputs.sh ../parent /tmp/before
+#   diff -r /tmp/before /tmp/after && echo identical
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <checkout> <outdir>" >&2
+    exit 2
+fi
+checkout=$(cd "$1" && pwd)
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+
+# The config at $1 with each "key = value" of $2.. replacing that key's line.
+override() {
+    local base=$1
+    shift
+    local keys
+    keys=$(printf '%s\n' "$@" | sed 's/ *=.*//' | paste -sd '|')
+    grep -vE "^(${keys}) *=" "$base"
+    printf '%s\n' "$@"
+}
+
+# Run one metd command; keep its stdout, with paths made relative to the
+# case directory and wall times removed, and its exit status.
+run() {
+    local dir=$1 name=$2
+    shift 2
+    local status=0
+    PYTHONPATH="$checkout/src" python3 -m metd "$@" >"$dir/$name.raw" || status=$?
+    sed -e "s|$dir/||g" -e 's/ wall_time=[^ ]*//' "$dir/$name.raw" >"$dir/$name.out"
+    rm "$dir/$name.raw"
+    echo "$name exit $status" >>"$dir/status"
+}
+
+case_dir() {
+    local dir="$out/$1"
+    shift
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    override "$checkout/configs/synthetic.cfg" "$@" >"$dir/run.cfg"
+    run "$dir" synth synth --config "$dir/run.cfg" "$dir/data"
+    run "$dir" train train --config "$dir/run.cfg" "$dir/data" "$dir/model.ckpt"
+    run "$dir" eval eval --out "$dir/eval.txt" "$dir/model.ckpt" "$dir/data/test.tsv"
+    run "$dir" compare compare --config "$dir/run.cfg" "$dir/data"
+    run "$dir" fdcheck fdcheck --config "$dir/run.cfg"
+}
+
+case_dir seed7 "seed = 7"
+case_dir seed8 "seed = 8"
+case_dir projected-sgd-batch "seed = 7" \
+    "encoder_kind = projected-mean" "token_dim = 12" \
+    "stage1_optimizer = sgd-momentum" "stage2_optimizer = sgd-momentum" \
+    "stage1_schedule = cosine" "count_scope = batch" "oversample = true" \
+    "stage1_epochs = 4" "stage2_epochs = 4"

@@ -13,12 +13,9 @@ from .losses import (
     LossBreakdown,
     SimilarityGrid,
     clip_ce_loss,
-    fine_grained_loss,
     loss_gradients,
-    margin_loss,
     modulating_factor,
     select_closest,
-    select_farthest,
     similarity_grid,
     total_loss,
 )
@@ -35,7 +32,6 @@ from .model import (
     encode_image,
     encode_text,
     load_checkpoint,
-    parameter_partition,
     save_checkpoint,
 )
 from .data import (

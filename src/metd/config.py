@@ -196,31 +196,23 @@ class RunConfig:
         )
 
     def stage_config(self, stage: int) -> StageConfig:
-        if stage == 1:
-            return StageConfig(
-                stage=1,
-                epochs=self.stage1_epochs,
-                learning_rate=self.stage1_lr,
-                weight_decay=self.stage1_weight_decay,
-                optimizer=self.stage1_optimizer,
-                lr_schedule=self.stage1_schedule,
-                batch_size=self.stage1_batch_size,
-                seed=self.seed,
-                count_scope=self.count_scope,
-            )
-        if stage == 2:
-            return StageConfig(
-                stage=2,
-                epochs=self.stage2_epochs,
-                learning_rate=self.stage2_lr,
-                weight_decay=self.stage2_weight_decay,
-                optimizer=self.stage2_optimizer,
-                lr_schedule=self.stage2_schedule,
-                batch_size=self.stage2_batch_size,
-                seed=self.seed,
-                count_scope=self.count_scope,
-            )
-        raise ConfigError(f"stage must be 1 or 2, got {stage}")
+        if stage not in (1, 2):
+            raise ConfigError(f"stage must be 1 or 2, got {stage}")
+
+        def field(name):
+            return getattr(self, f"stage{stage}_{name}")
+
+        return StageConfig(
+            stage=stage,
+            epochs=field("epochs"),
+            learning_rate=field("lr"),
+            weight_decay=field("weight_decay"),
+            optimizer=field("optimizer"),
+            lr_schedule=field("schedule"),
+            batch_size=field("batch_size"),
+            seed=self.seed,
+            count_scope=self.count_scope,
+        )
 
     def harness_settings(self) -> HarnessSettings:
         return HarnessSettings(

@@ -281,16 +281,12 @@ def _train_learnable_context(train, settings: HarnessSettings, seed: int):
     is shared by all classes and is the only trainable state; each class
     keeps a fixed random identity token.  The pooled raw features are
     scored against the text embeddings, so embed_dim must equal
-    feature_dim (identity-mean further forces token_dim == embed_dim).
+    feature_dim (identity-mean further forces token_dim == embed_dim),
+    which ``_check_strategy`` enforces.
     This is the metd kernel with one subclass per class and the plain
     cross-entropy: the cosine, the softmax and the token pullback are
     the same functions.
     """
-    if settings.embed_dim != train.feature_dim:
-        raise ContractViolation(
-            f"learnable-context baseline needs embed_dim == feature_dim, "
-            f"got embed_dim {settings.embed_dim} and feature_dim {train.feature_dim}"
-        )
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, seed])
     context = rng.normal(0.0, 0.02, size=(settings.n_tokens, settings.token_dim))
     names = rng.normal(0.0, 0.02, size=(train.n_classes, settings.token_dim))
@@ -370,6 +366,19 @@ def train_metd(
     return model, trace1, trace2
 
 
+def _check_strategy(strategy: Strategy, splits, settings: HarnessSettings):
+    """Raise ContractViolation if ``strategy`` cannot run on ``splits`` under ``settings``."""
+    train, test = splits
+    if train.n_classes != test.n_classes or train.feature_dim != test.feature_dim:
+        raise ContractViolation("train/test splits disagree on classes or dims")
+    if strategy.kind == LEARNABLE_CONTEXT and settings.embed_dim != train.feature_dim:
+        raise ContractViolation(
+            f"learnable-context baseline needs embed_dim == feature_dim, "
+            f"got embed_dim {settings.embed_dim} and feature_dim {train.feature_dim}; "
+            f"drop learnable-context from strategies to compare the others"
+        )
+
+
 def run_strategy(
     strategy: Strategy,
     splits: tuple[EmbeddingDataset, EmbeddingDataset],
@@ -379,9 +388,8 @@ def run_strategy(
     """Train and evaluate one strategy on a (train, test) split pair."""
     if settings is None:
         settings = HarnessSettings()
+    _check_strategy(strategy, splits, settings)
     train, test = splits
-    if train.n_classes != test.n_classes or train.feature_dim != test.feature_dim:
-        raise ContractViolation("train/test splits disagree on classes or dims")
     started = time.perf_counter()
     echo = {"seed": str(seed)}
     if strategy.kind == ZERO_SHOT:
@@ -424,9 +432,12 @@ def compare_all(
     seed: int,
     settings: HarnessSettings | None = None,
 ) -> ComparisonReport:
-    """Run every strategy on identical splits with the identical seed."""
+    """Check every strategy against the splits, then run each with the identical seed."""
     if not strategies:
         raise ContractViolation("strategy list is empty")
+    settings = settings or HarnessSettings()
+    for strategy in strategies:
+        _check_strategy(strategy, splits, settings)
     rows = [run_strategy(s, splits, seed, settings) for s in strategies]
     return ComparisonReport(rows=rows)
 

@@ -78,11 +78,10 @@ def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
 
     The adapter is affine, so this equals encoding the pooled raw frames;
     single-sample units pass through the pool unchanged.  The frames were
-    checked when the dataset was built and ``encode_image`` checks each
-    one, so the pool is a plain mean.
+    checked when the dataset was built and ``encode_image`` checks them
+    again, as one (n_frames, F) stack, so the pool is a plain mean.
     """
-    encoded = np.vstack([encode_image(model.adapter, frame) for frame in unit.frames])
-    return encoded.mean(axis=0)
+    return encode_image(model.adapter, unit.frames).mean(axis=0)
 
 
 @dataclass(frozen=True)

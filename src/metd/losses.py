@@ -40,9 +40,11 @@ cross-entropy, clip_ce_loss.
 Everything works on rows: a grid is (N, K) for one sample or (B, N, K)
 for a batch, and row b of every batched result is bit for bit the
 one-sample call on row b, so training makes one call per batch.
-total_loss checks the targets and counts, takes k+ and k- by
-argmax/argmin and calls modulating_factor once; loss_gradients takes
-that grid and that LossBreakdown and selects nothing again.  Each loss
+total_loss is the one loss entry point: it checks the targets and
+counts, takes k+ and k- by argmax/argmin, calls modulating_factor once
+and returns both terms in a LossBreakdown.  select_closest is public
+because training counts k+ before the loss.  loss_gradients takes that
+grid and that LossBreakdown and selects nothing again.  Each loss
 adds weight * (softmax(terms) - onehot(pos)) / tau to the grid entries
 its terms read (its slots): every (i, k) with i != t plus (t, k+) for
 the fine-grained list, weight alpha; (t, k-) plus each rival's argmax
@@ -127,12 +129,6 @@ def select_closest(grid: SimilarityGrid, targets):
     return _unbatch(grid, values[np.arange(t.size), t].argmax(axis=-1))
 
 
-def select_farthest(grid: SimilarityGrid, targets):
-    """Index of each target class's lowest-similarity subclass (lowest-index ties)."""
-    values, t = _check_target(grid, targets)
-    return _unbatch(grid, values[np.arange(t.size), t].argmin(axis=-1))
-
-
 def modulating_factor(counts, closest):
     """Count-based weight for the fine-grained loss, per row.
 
@@ -191,27 +187,6 @@ def _rival_classes(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     n_rows, n_classes, n_subclasses = z.shape
     other = np.arange(n_classes) != targets[:, None]
     return z[other].reshape(n_rows, n_classes - 1, n_subclasses)
-
-
-def fine_grained_loss(grid: SimilarityGrid, targets, alpha):
-    """Weighted cross-entropy of each target's best subclass against all rivals."""
-    values, t = _check_target(grid, targets)
-    weight = np.asarray(alpha, dtype=np.float64)
-    if not ((weight > 0.0) & np.isfinite(weight)).all():
-        raise ContractViolation(f"alpha must be positive and finite, got {alpha}")
-    closest = values[np.arange(t.size), t].argmax(axis=-1)
-    z = values / grid.temperature
-    loss = _neg_log_softmax_at(z, t, closest, _rival_classes(z, t).reshape(t.size, -1))
-    return _unbatch(grid, weight.reshape(-1) * loss)
-
-
-def margin_loss(grid: SimilarityGrid, targets):
-    """Cross-entropy of each target's worst subclass against rivals' best."""
-    values, t = _check_target(grid, targets)
-    farthest = values[np.arange(t.size), t].argmin(axis=-1)
-    z = values / grid.temperature
-    loss = _neg_log_softmax_at(z, t, farthest, _rival_classes(z, t).max(axis=-1))
-    return _unbatch(grid, loss)
 
 
 def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:

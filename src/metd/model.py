@@ -377,34 +377,6 @@ def bank_embeddings(bank: DescriptorBank, encoder: TextEncoder) -> np.ndarray:
     return encode_text(encoder, bank.context, bank.tokens)
 
 
-@dataclass(frozen=True)
-class ParameterPartition:
-    """Names of trainable vs frozen parameter groups for one stage."""
-
-    trainable: frozenset[str]
-    frozen: frozenset[str]
-
-
-def parameter_partition(model: Model, stage: int) -> ParameterPartition:
-    """Stage 1 trains only bank.tokens; stage 2 only the adapter.
-
-    Every parameter group of the model appears in exactly one of the two
-    sets, so the partition doubles as an inventory.
-    """
-    groups = {"bank.tokens", "bank.context", "adapter.weight", "adapter.bias"}
-    if model.encoder.projection is not None:
-        groups.add("encoder.projection")
-    if stage == 1:
-        trainable = {"bank.tokens"}
-    elif stage == 2:
-        trainable = {"adapter.weight", "adapter.bias"}
-    else:
-        raise ContractViolation(f"stage must be 1 or 2, got {stage}")
-    return ParameterPartition(
-        trainable=frozenset(trainable), frozen=frozenset(groups - trainable)
-    )
-
-
 _CHECKPOINT_VERSION = 1
 _CHECKPOINT_HEADER = re.compile(
     r"^metd-checkpoint v(\d+) n_classes=(\d+) n_subclasses=(\d+) n_tokens=(\d+) "

@@ -23,6 +23,12 @@ Each batch is one call of the batched loss kernel: the parameters, and
 so every selection, are fixed within a batch, so sample b's counts are
 those before the batch plus a running sum of the batch's assignments.
 
+Each stage is defined once, by ``_Stage``: the arrays it trains, the
+side it re-embeds (the descriptor stack in stage 1, the unit embeddings
+in stage 2) and how per-sample (dL/dV, dL/dT) become batch-mean
+parameter gradients.  ``fd_check`` is its one-sample batch, so it checks
+the gradients that ``run_stage1`` and ``run_stage2`` apply.
+
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
 correction, decay applied to the parameter separately from the gradient
@@ -51,7 +57,6 @@ from .model import (
     bank_embeddings,
     build_model,
     encode_text_token_gradient,
-    parameter_partition,
 )
 
 ADAM_BETA1 = 0.9
@@ -99,28 +104,14 @@ class StageConfig:
     @classmethod
     def stage_one(cls, **overrides) -> "StageConfig":
         """Stage-1 defaults: lr 1e-2, no weight decay, constant schedule."""
-        base = dict(
-            stage=1,
-            epochs=2,
-            learning_rate=1e-2,
-            weight_decay=0.0,
-            lr_schedule="constant",
-        )
-        base.update(overrides)
-        return cls(**base)
+        base = dict(stage=1, epochs=2, learning_rate=1e-2, weight_decay=0.0)
+        return cls(**(base | overrides))
 
     @classmethod
     def stage_two(cls, **overrides) -> "StageConfig":
         """Stage-2 defaults: lr 5e-6, weight decay 0.1, cosine schedule."""
-        base = dict(
-            stage=2,
-            epochs=50,
-            learning_rate=5e-6,
-            weight_decay=0.1,
-            lr_schedule="cosine",
-        )
-        base.update(overrides)
-        return cls(**base)
+        base = dict(stage=2, epochs=50, learning_rate=5e-6, weight_decay=0.1, lr_schedule="cosine")
+        return cls(**(base | overrides))
 
 
 @dataclass
@@ -230,33 +221,6 @@ def format_metrics_log(trace: list[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_run(model: Model, dataset: EmbeddingDataset, config: StageConfig, stage: int):
-    if config.stage != stage:
-        raise ContractViolation(f"config.stage {config.stage} != {stage}")
-    if len(dataset) == 0:
-        raise ContractViolation("cannot train on an empty dataset")
-    check_compatible(dataset, model)
-
-
-def _batch_loss_and_grads(model, stack, embeddings, targets, counts, sums):
-    """Per-sample gradients of a batch, (B, D) and (B, N, K, D), in batch order.
-
-    Sample b's loss sees ``counts`` plus the batch's assignments up to and
-    including b, and its (fg, margin, total) is then added to ``sums``.
-    """
-    grid = losses.similarity_grid(embeddings, stack, model.temperature)
-    rows = np.arange(len(targets))
-    assigned = np.zeros((len(targets), *counts.shape), dtype=np.int64)
-    assigned[rows, targets, losses.select_closest(grid, targets)] = 1
-    running = counts + np.cumsum(assigned, axis=0)
-    counts[:] = running[-1]
-    breakdown = losses.total_loss(grid, targets, running[rows, targets])
-    parts = np.stack((breakdown.fg, breakdown.margin, breakdown.total), axis=1)
-    # A running sum, as the loop added them: np.sum may add pairwise.
-    sums[:] = np.cumsum(np.vstack((sums, parts)), axis=0)[-1]
-    return losses.loss_gradients(embeddings, stack, grid, targets, breakdown)
-
-
 def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
     """Map descriptor-embedding gradients onto the token grid.
 
@@ -298,31 +262,120 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
         yield epoch, epoch_lr
 
 
-def _run_stage(model, dataset, config, params, batch_gradients, embeddings=None):
-    """Fit one stage; log each epoch's mean losses, train WAR, and lr.
+class _Stage:
+    """Stage 1 or 2 of ``model`` over ``units``: ``params`` are the arrays it trains.
 
-    ``batch_gradients(batch, counts, sums)`` gets the batch's indices
-    into ``dataset.units()``, the (n_classes, n_subclasses) subclass
-    counts (already zeroed when ``count_scope`` is ``"batch"``), and the
-    epoch's running (fg, margin, total) loss sums.  The train WAR scores
-    ``embeddings`` (U, D) when the stage cannot change them.
+    The side those arrays cannot change is embedded once, here.
     """
-    n_units = len(dataset.units())
+
+    def __init__(self, model: Model, units: list[Unit], number: int):
+        self.model = model
+        self.units = units
+        self.number = number
+        self.labels = np.array([unit.label for unit in units])
+        if number == 1:
+            # The adapter is frozen in this stage, so the unit embeddings are too.
+            self.embeddings = np.stack([unit_embedding(model, unit) for unit in units])
+            self.params = {"bank.tokens": model.bank.tokens}
+        elif number == 2:
+            # Descriptors are frozen in this stage, so their embeddings are
+            # too, and the raw frames never change.
+            self.stack = bank_embeddings(model.bank, model.encoder)
+            self.pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
+            self.params = {
+                "adapter.weight": model.adapter.weight,
+                "adapter.bias": model.adapter.bias,
+            }
+        else:
+            raise ContractViolation(f"stage must be 1 or 2, got {number}")
+
+    def loss(self, batch, target_counts):
+        """The batch's embeddings (B, D), descriptor stack, grid and LossBreakdown.
+
+        ``target_counts(grid, targets)`` gives each sample's (B, K) counts.
+        """
+        model = self.model
+        if self.number == 1:
+            embeddings = self.embeddings[batch]
+            stack = bank_embeddings(model.bank, model.encoder)
+        else:
+            embeddings = np.stack([unit_embedding(model, self.units[i]) for i in batch])
+            stack = self.stack
+        grid = losses.similarity_grid(embeddings, stack, model.temperature)
+        targets = self.labels[batch]
+        breakdown = losses.total_loss(grid, targets, target_counts(grid, targets))
+        return embeddings, stack, grid, breakdown
+
+    def gradients(self, batch, target_counts):
+        """The batch's LossBreakdown and the batch-mean gradient of each of ``params``."""
+        embeddings, stack, grid, breakdown = self.loss(batch, target_counts)
+        grad_v, grad_t = losses.loss_gradients(
+            embeddings, stack, grid, self.labels[batch], breakdown
+        )
+        n = len(batch)
+        if self.number == 1:
+            pulled = _pull_token_gradient(self.model, grad_t.sum(axis=0) / n)
+            return breakdown, {"bank.tokens": pulled}
+        grad_w, grad_b = adapter_gradients(self.model.adapter, self.pooled[batch], grad_v)
+        return breakdown, {
+            "adapter.weight": grad_w.sum(axis=0) / n,
+            "adapter.bias": grad_b.sum(axis=0) / n,
+        }
+
+
+def _counted_gradients(stage: _Stage, batch, counts: np.ndarray, sums: np.ndarray):
+    """Count a training batch, then return its batch-mean parameter gradients.
+
+    Sample b's loss sees the (n_classes, n_subclasses) ``counts`` plus the
+    batch's assignments to closest subclasses up to and including b.
+    ``counts`` then moves past the batch, and each sample's (fg, margin,
+    total) is added to ``sums`` in batch order.
+    """
+
+    def count(grid, targets):
+        rows = np.arange(len(targets))
+        assigned = np.zeros((len(targets), *counts.shape), dtype=np.int64)
+        assigned[rows, targets, losses.select_closest(grid, targets)] = 1
+        running = counts + np.cumsum(assigned, axis=0)
+        counts[:] = running[-1]
+        return running[rows, targets]
+
+    breakdown, grads = stage.gradients(batch, count)
+    parts = np.stack((breakdown.fg, breakdown.margin, breakdown.total), axis=1)
+    # A running sum, as the loop added them: np.sum may add pairwise.
+    sums[:] = np.cumsum(np.vstack((sums, parts)), axis=0)[-1]
+    return grads
+
+
+def _run_stage(model, dataset, config, number):
+    """Fit stage ``number``; log each epoch's mean losses, train WAR, and lr.
+
+    The subclass counts restart every epoch, or every batch under
+    ``count_scope = "batch"``.  Stage 1's train WAR scores the unit
+    embeddings it holds, which it cannot change.
+    """
+    if config.stage != number:
+        raise ContractViolation(f"config.stage {config.stage} != {number}")
+    if len(dataset) == 0:
+        raise ContractViolation("cannot train on an empty dataset")
+    check_compatible(dataset, model)
+    stage = _Stage(model, dataset.units(), number)
+    n_units = len(stage.units)
     counts = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
     sums = np.zeros(3)
 
     def gradients(batch):
         if config.count_scope == "batch":
             counts[:] = 0
-        return batch_gradients(batch, counts, sums)
+        return _counted_gradients(stage, batch, counts, sums)
 
     trace: list[EpochStats] = []
     stream = (STREAM_SHUFFLE, config.seed, config.stage)
-    for epoch, lr in fit(params, gradients, n_units, config, stream):
+    for epoch, lr in fit(stage.params, gradients, n_units, config, stream):
         fg, margin, total = sums / n_units
-        fresh = embeddings is None
-        war = (evaluate(dataset, model) if fresh else _score(dataset, model, embeddings)).war
-        trace.append(EpochStats(epoch, fg, margin, total, war, lr))
+        held = number == 1
+        report = _score(dataset, model, stage.embeddings) if held else evaluate(dataset, model)
+        trace.append(EpochStats(epoch, fg, margin, total, report.war, lr))
         sums[:] = 0.0
         counts[:] = 0
     return trace
@@ -332,51 +385,14 @@ def run_stage1(
     model: Model, dataset: EmbeddingDataset, config: StageConfig
 ) -> tuple[DescriptorBank, list[EpochStats]]:
     """Train the descriptor tokens; everything else stays bit-identical."""
-    _check_run(model, dataset, config, stage=1)
-    units = dataset.units()
-    labels = np.array([unit.label for unit in units])
-    # The adapter is frozen in this stage, so the unit embeddings are too.
-    embeddings = np.stack([unit_embedding(model, unit) for unit in units])
-
-    def batch_gradients(batch, counts, sums):
-        stack = bank_embeddings(model.bank, model.encoder)
-        _, grad_t = _batch_loss_and_grads(
-            model, stack, embeddings[batch], labels[batch], counts, sums
-        )
-        return {"bank.tokens": _pull_token_gradient(model, grad_t.sum(axis=0) / len(batch))}
-
-    params = {"bank.tokens": model.bank.tokens}
-    return model.bank, _run_stage(model, dataset, config, params, batch_gradients, embeddings)
+    return model.bank, _run_stage(model, dataset, config, 1)
 
 
 def run_stage2(
     model: Model, dataset: EmbeddingDataset, config: StageConfig
 ) -> tuple[ImageAdapter, list[EpochStats]]:
     """Train the adapter against the frozen, stage-1-trained descriptors."""
-    _check_run(model, dataset, config, stage=2)
-    units = dataset.units()
-    labels = np.array([unit.label for unit in units])
-    # Descriptors are frozen in this stage, so their embeddings are too,
-    # and the raw frames never change.
-    stack = bank_embeddings(model.bank, model.encoder)
-    pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
-
-    def batch_gradients(batch, counts, sums):
-        embeddings = np.stack([unit_embedding(model, units[i]) for i in batch])
-        grad_v, _ = _batch_loss_and_grads(
-            model, stack, embeddings, labels[batch], counts, sums
-        )
-        grad_w, grad_b = adapter_gradients(model.adapter, pooled[batch], grad_v)
-        return {
-            "adapter.weight": grad_w.sum(axis=0) / len(batch),
-            "adapter.bias": grad_b.sum(axis=0) / len(batch),
-        }
-
-    params = {
-        "adapter.weight": model.adapter.weight,
-        "adapter.bias": model.adapter.bias,
-    }
-    return model.adapter, _run_stage(model, dataset, config, params, batch_gradients)
+    return model.adapter, _run_stage(model, dataset, config, 2)
 
 
 def central_difference(fn, array: np.ndarray, h: float) -> np.ndarray:
@@ -439,52 +455,30 @@ def fd_check(
     stage: int = 1,
     corrupt: bool = False,
 ) -> FdReport:
-    """Compare analytic gradients with central differences for one stage.
+    """Compare one stage's training gradients with central differences.
 
-    Every trainable parameter entry of the stage is perturbed by +/-h and
-    the loss re-evaluated from scratch; the analytic gradient must agree
-    within ``tolerance`` relative error.  ``corrupt`` deliberately breaks
-    the first analytic entry (negative control: the report must fail).
+    ``sample`` is a one-sample batch of the stage's training path, with
+    ``target_counts`` as its counts.  Every entry the stage trains is
+    perturbed by +/-h and the loss re-evaluated; the analytic gradient
+    must agree within ``tolerance`` relative error.  ``corrupt``
+    deliberately breaks the first analytic entry (negative control: the
+    report must fail).
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ContractViolation(f"h must be > 0, got {h}")
     if not (tolerance > 0 and math.isfinite(tolerance)):
         raise ContractViolation(f"tolerance must be > 0, got {tolerance}")
     if target_counts is None:
         target_counts = np.ones(model.n_subclasses, dtype=np.int64)
-    counts = np.asarray(target_counts)
-    target = sample.label
+    counts = np.asarray(target_counts)[None]
+    path = _Stage(model, [sample], stage)
+    batch = np.array([0])
 
-    stack = bank_embeddings(model.bank, model.encoder)
-    v = unit_embedding(model, sample)
-    grid = losses.similarity_grid(v, stack, model.temperature)
-    breakdown = losses.total_loss(grid, target, counts)
-    grad_v, grad_t = losses.loss_gradients(v, stack, grid, target, breakdown)
+    def given(grid, targets):
+        return counts
 
     def loss_value() -> float:
-        # Re-embed only the side the stage's parameters can change.
-        live_v = v if stage == 1 else unit_embedding(model, sample)
-        live_stack = bank_embeddings(model.bank, model.encoder) if stage == 1 else stack
-        grid = losses.similarity_grid(live_v, live_stack, model.temperature)
-        return losses.total_loss(grid, target, counts).total
+        return path.loss(batch, given)[-1].total[0]
 
-    if stage == 1:
-        analytic = {"bank.tokens": _pull_token_gradient(model, grad_t)}
-        arrays = {"bank.tokens": model.bank.tokens}
-    elif stage == 2:
-        pooled = temporal_mean_pool(sample.frames)
-        gw, gb = adapter_gradients(model.adapter, pooled, grad_v)
-        analytic = {"adapter.weight": gw, "adapter.bias": gb}
-        arrays = {
-            "adapter.weight": model.adapter.weight,
-            "adapter.bias": model.adapter.bias,
-        }
-    else:
-        raise ContractViolation(f"stage must be 1 or 2, got {stage}")
-
-    partition = parameter_partition(model, stage)
-    assert set(arrays) == set(partition.trainable)
-
+    _, analytic = path.gradients(batch, given)
     if corrupt:
         first = sorted(analytic)[0]
         worst_scale = max(float(np.max(np.abs(g))) for g in analytic.values())
@@ -492,8 +486,8 @@ def fd_check(
 
     groups = []
     worst = ("", -1.0)
-    for name in sorted(arrays):
-        numeric = central_difference(loss_value, arrays[name], h)
+    for name in sorted(path.params):
+        numeric = central_difference(loss_value, path.params[name], h)
         errors = _relative_errors(analytic[name], numeric)
         max_err = float(np.max(errors))
         groups.append(

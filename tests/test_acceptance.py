@@ -71,9 +71,9 @@ def test_single_descriptor_reduces_to_plain_contrastive_loss(capsys):
         grid = _random_grid(rng, k=1)
         target = int(rng.integers(grid.n_classes))
         counts = np.array([int(rng.integers(1, 100))])
-        alpha = losses.modulating_factor(counts, 0)
-        alpha_exact = alpha_exact and alpha == 1.0
-        fine = losses.fine_grained_loss(grid, target, alpha)
+        breakdown = losses.total_loss(grid, target, counts)
+        alpha_exact = alpha_exact and breakdown.alpha == 1.0
+        fine = breakdown.fg
         plain = losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature)
         worst = max(worst, abs(fine - plain))
     elapsed = time.perf_counter() - started

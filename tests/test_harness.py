@@ -225,6 +225,30 @@ def test_learnable_context_rejects_an_embed_dim_other_than_the_feature_dim(small
         run_strategy(Strategy(kind="learnable-context"), small_splits, seed=3, settings=settings)
 
 
+def test_compare_checks_every_strategy_before_training_any(tmp_path, monkeypatch, capsys):
+    # learnable-context cannot run on this config; metd compare says so,
+    # naming the strategy, both dimensions and the key, before it trains
+    # any of the strategies listed ahead of it.
+    import metd.harness
+    from metd.cli import main
+    from metd.data import save_dataset
+
+    calls = []
+    monkeypatch.setattr(metd.harness, "run_strategy", lambda *args, **kw: calls.append(args))
+    train, test = generate_synthetic(SMALL)
+    save_dataset(train, str(tmp_path / "train.tsv"))
+    save_dataset(test, str(tmp_path / "test.tsv"))
+    config = tmp_path / "run.cfg"
+    config.write_text("encoder_kind = projected-mean\nembed_dim = 12\nresidual_adapter = false\n")
+    assert main(["compare", "--config", str(config), str(tmp_path)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "learnable-context" in captured.err
+    assert "embed_dim 12 and feature_dim 16" in captured.err
+    assert "strategies" in captured.err
+
+
 def test_split_mismatch_is_rejected(small_splits):
     train, _ = small_splits
     other = EmbeddingDataset([Sample(np.ones(4), 0)], feature_dim=4, n_classes=3)

@@ -38,23 +38,26 @@ def test_selection_breaks_ties_toward_lowest_index():
         values=np.array([[0.3, 0.7, 0.7], [0.2, 0.2, 0.2]]), temperature=0.1
     )
     assert losses.select_closest(grid, 0) == 1
-    assert losses.select_farthest(grid, 0) == 0
+    assert losses.total_loss(grid, 0, np.ones(3, dtype=np.int64)).farthest_subclass == 0
     assert losses.select_closest(grid, 1) == 0
-    assert losses.select_farthest(grid, 1) == 0
+    assert losses.total_loss(grid, 1, np.ones(3, dtype=np.int64)).farthest_subclass == 0
     with pytest.raises(ContractViolation):
         losses.select_closest(grid, 2)
 
 
 def test_single_subclass_reduces_to_plain_cross_entropy():
     # With one subclass per class the canonical term list is exactly the
-    # class score vector, so the reduction is bit-for-bit.
+    # class score vector and alpha is exactly 1, so the reduction is
+    # bit-for-bit.
     rng = np.random.default_rng(10)
     for _ in range(1000):
         grid = _random_grid(rng, k=1)
         target = int(rng.integers(grid.n_classes))
         plain = losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature)
-        assert losses.fine_grained_loss(grid, target, 1.0) == plain
-        assert losses.modulating_factor(np.array([int(rng.integers(1, 50))]), 0) == 1.0
+        counts = np.array([int(rng.integers(1, 50))])
+        breakdown = losses.total_loss(grid, target, counts)
+        assert breakdown.alpha == 1.0
+        assert breakdown.fg == plain
 
 
 def test_modulating_factor_equal_counts_is_one():
@@ -108,12 +111,15 @@ def test_modulating_factor_validation():
 
 
 def test_fine_grained_loss_monotone_in_target_similarity():
+    # Equal counts on the closest subclass (always 0 here): alpha stays 1.
     previous = None
     for s in np.linspace(0.1, 0.9, 9):
         grid = losses.SimilarityGrid(
             values=np.array([[s, 0.0], [0.3, 0.1], [0.2, 0.0]]), temperature=0.1
         )
-        value = losses.fine_grained_loss(grid, 0, 1.0)
+        breakdown = losses.total_loss(grid, 0, np.array([1, 1]))
+        assert breakdown.alpha == 1.0
+        value = breakdown.fg
         if previous is not None:
             assert value < previous
         previous = value
@@ -125,7 +131,7 @@ def test_margin_loss_monotone_in_rival_similarity():
         grid = losses.SimilarityGrid(
             values=np.array([[0.6, 0.2], [s, -0.9]]), temperature=0.1
         )
-        value = losses.margin_loss(grid, 0)
+        value = losses.total_loss(grid, 0, np.array([1, 1])).margin
         if increasing is not None:
             assert value > increasing
         increasing = value
@@ -135,7 +141,7 @@ def test_margin_loss_monotone_in_rival_similarity():
         grid = losses.SimilarityGrid(
             values=np.array([[0.6, s], [0.1, -0.9]]), temperature=0.1
         )
-        value = losses.margin_loss(grid, 0)
+        value = losses.total_loss(grid, 0, np.array([1, 1])).margin
         if decreasing is not None:
             assert value < decreasing
         decreasing = value
@@ -146,8 +152,9 @@ def test_losses_strictly_positive():
     for _ in range(300):
         grid = _random_grid(rng)
         target = int(rng.integers(grid.n_classes))
-        assert losses.fine_grained_loss(grid, target, 1.0) > 0.0
-        assert losses.margin_loss(grid, target) > 0.0
+        breakdown = losses.total_loss(grid, target, np.ones(grid.n_subclasses, dtype=np.int64))
+        assert breakdown.fg > 0.0
+        assert breakdown.margin > 0.0
         assert losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature) > 0.0
 
 
@@ -170,10 +177,8 @@ def test_total_is_sum_of_parts():
         breakdown = losses.total_loss(grid, target, counts)
         assert breakdown.total == breakdown.fg + breakdown.margin
         assert breakdown.closest_subclass == closest
-        assert breakdown.farthest_subclass == losses.select_farthest(grid, target)
+        assert breakdown.farthest_subclass == int(np.argmin(grid.values[target]))
         assert breakdown.alpha == losses.modulating_factor(counts, closest)
-        assert breakdown.fg == losses.fine_grained_loss(grid, target, breakdown.alpha)
-        assert breakdown.margin == losses.margin_loss(grid, target)
 
 
 def _mp_alpha(counts, closest):

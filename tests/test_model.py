@@ -19,7 +19,6 @@ from metd.model import (
     encode_text,
     encode_text_token_gradient,
     load_checkpoint,
-    parameter_partition,
     save_checkpoint,
 )
 
@@ -177,25 +176,6 @@ def test_adapter_validation():
         encode_image(adapter, np.zeros(3))
     with pytest.raises(ContractViolation):
         encode_image(adapter, np.array([1.0, np.nan, 0.0, 0.0]))
-
-
-def test_parameter_partition_inventories_every_group():
-    model = _randomized_model(1)
-    stage1 = parameter_partition(model, 1)
-    stage2 = parameter_partition(model, 2)
-    assert stage1.trainable == frozenset({"bank.tokens"})
-    assert stage2.trainable == frozenset({"adapter.weight", "adapter.bias"})
-    inventory = frozenset(
-        {"bank.tokens", "bank.context", "adapter.weight", "adapter.bias"}
-    )
-    for partition in (stage1, stage2):
-        assert partition.trainable | partition.frozen == inventory
-        assert not partition.trainable & partition.frozen
-    projected = _randomized_model(2, encoder_kind=PROJECTED_MEAN, residual=False)
-    assert "encoder.projection" in parameter_partition(projected, 1).frozen
-    assert "encoder.projection" in parameter_partition(projected, 2).frozen
-    with pytest.raises(ContractViolation):
-        parameter_partition(model, 3)
 
 
 def test_model_validation():

@@ -192,29 +192,42 @@ def test_zero_epochs_is_a_no_op():
 
 
 def test_stages_touch_only_their_own_parameters():
+    # Stage 1 trains only the descriptor tokens and stage 2 only the
+    # adapter; the context block and a projected-mean encoder's
+    # projection stay frozen throughout.
     train, _ = generate_synthetic(
         SynthConfig(n_classes=3, subclusters_per_class=1, samples_per_subcluster=10,
                     feature_dim=8, sigma=0.1, inter_class_min_angle=50.0, seed=2)
     )
-    model = build_model(
+    identity = build_model(
         n_classes=3, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
         feature_dim=8, context_length=2, temperature=0.055, seed=2,
     )
-    before = copy.deepcopy(model)
-    run_stage1(model, train, StageConfig.stage_one(epochs=2, batch_size=8, seed=2))
-    assert not np.array_equal(model.bank.tokens, before.bank.tokens)
-    assert np.array_equal(model.bank.context, before.bank.context)
-    assert np.array_equal(model.adapter.weight, before.adapter.weight)
-    assert np.array_equal(model.adapter.bias, before.adapter.bias)
-
-    tokens_after_stage1 = model.bank.tokens.copy()
-    run_stage2(
-        model, train,
-        StageConfig.stage_two(epochs=2, learning_rate=1e-3, batch_size=8, seed=2),
+    projected = build_model(
+        n_classes=3, n_subclasses=2, n_tokens=2, token_dim=6, embed_dim=5,
+        feature_dim=8, context_length=2, encoder_kind="projected-mean",
+        residual=False, temperature=0.055, seed=2,
     )
-    assert np.array_equal(model.bank.tokens, tokens_after_stage1)
-    assert np.array_equal(model.bank.context, before.bank.context)
-    assert not np.array_equal(model.adapter.weight, before.adapter.weight)
+    for model in (identity, projected):
+        before = copy.deepcopy(model)
+        run_stage1(model, train, StageConfig.stage_one(epochs=2, batch_size=8, seed=2))
+        assert not np.array_equal(model.bank.tokens, before.bank.tokens)
+        assert np.array_equal(model.bank.context, before.bank.context)
+        assert np.array_equal(model.adapter.weight, before.adapter.weight)
+        assert np.array_equal(model.adapter.bias, before.adapter.bias)
+        if model is projected:
+            assert np.array_equal(model.encoder.projection, before.encoder.projection)
+
+        tokens_after_stage1 = model.bank.tokens.copy()
+        run_stage2(
+            model, train,
+            StageConfig.stage_two(epochs=2, learning_rate=1e-3, batch_size=8, seed=2),
+        )
+        assert np.array_equal(model.bank.tokens, tokens_after_stage1)
+        assert np.array_equal(model.bank.context, before.bank.context)
+        assert not np.array_equal(model.adapter.weight, before.adapter.weight)
+        if model is projected:
+            assert np.array_equal(model.encoder.projection, before.encoder.projection)
 
 
 @pytest.mark.parametrize(
@@ -322,12 +335,35 @@ def test_stage1_selects_each_samples_subclass_once(monkeypatch):
     import metd.losses
 
     model, train = _sixteen_units()
-    calls = _count_calls(
-        monkeypatch, metd.losses, ("select_closest", "select_farthest", "_check_target")
-    )
+    calls = _count_calls(monkeypatch, metd.losses, ("select_closest", "_check_target"))
     run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=5, seed=3))
     n_batches = math.ceil(len(train.units()) / 5)
-    assert calls == {"select_closest": n_batches, "select_farthest": 0, "_check_target": 3 * n_batches}
+    assert calls == {"select_closest": n_batches, "_check_target": 3 * n_batches}
+
+
+def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch):
+    # fd_check is the one-sample batch of the training path: the analytic
+    # gradient it checks comes from the same function that trains.
+    import metd.training
+
+    calls = []
+    original = metd.training._Stage.gradients
+
+    def counted(self, batch, target_counts):
+        calls.append((self.number, len(batch)))
+        return original(self, batch, target_counts)
+
+    monkeypatch.setattr(metd.training._Stage, "gradients", counted)
+    for stage in (1, 2):
+        model, sample, counts = random_fd_instance(seed=0, stage=stage)
+        fd_check(model, sample, target_counts=counts, stage=stage)
+    assert calls == [(1, 1), (2, 1)]
+    calls.clear()
+    model, train = _sixteen_units()
+    run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=5, seed=3))
+    run_stage2(model, train, StageConfig.stage_two(epochs=1, batch_size=5, seed=3))
+    sizes = [5, 5, 5, 1]
+    assert calls == [(1, size) for size in sizes] + [(2, size) for size in sizes]
 
 
 def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
