@@ -4,8 +4,9 @@
 #
 #   scripts/same_outputs.sh <checkout> <outdir>
 #
-# For configs/synthetic.cfg at seeds 7 and 8, and for a projected-mean,
-# SGD, count_scope = batch variant of it, this runs synth, train, eval,
+# For configs/synthetic.cfg at seeds 7 and 8, for a projected-mean, SGD,
+# count_scope = batch variant of it, and for a "clips" variant whose
+# units are sequences of up to 4 frames, this runs synth, train, eval,
 # compare and fdcheck with <checkout>/src on PYTHONPATH.  It keeps the
 # datasets, checkpoints, metrics logs, eval reports and every command's
 # stdout and exit status.  Wall times and the directory part of printed
@@ -46,17 +47,41 @@ run() {
     echo "$name exit $status" >>"$dir/status"
 }
 
-case_dir() {
+# Make case directory $1 with the config overrides $2.. and synth its data.
+synth_case() {
     local dir="$out/$1"
     shift
     rm -rf "$dir"
     mkdir -p "$dir"
     override "$checkout/configs/synthetic.cfg" "$@" >"$dir/run.cfg"
     run "$dir" synth synth --config "$dir/run.cfg" "$dir/data"
+}
+
+# Train, eval, compare and fdcheck case $1 on its data.
+run_case() {
+    local dir="$out/$1"
     run "$dir" train train --config "$dir/run.cfg" "$dir/data" "$dir/model.ckpt"
     run "$dir" eval eval --out "$dir/eval.txt" "$dir/model.ckpt" "$dir/data/test.tsv"
     run "$dir" compare compare --config "$dir/run.cfg" "$dir/data"
     run "$dir" fdcheck fdcheck --config "$dir/run.cfg"
+}
+
+case_dir() {
+    synth_case "$@"
+    run_case "$1"
+}
+
+# Rewrite dataset $1 in place so each run of up to 4 rows with the same
+# class and subcluster is one sequence.  With $2 = drop, every other
+# class-0 sequence is left out, so oversampling has to duplicate sequences.
+regroup() {
+    awk -F'\t' -v OFS='\t' -v drop="$2" '
+        NR == 1 { print; next }
+        ($1 FS $3) != key || n == 4 { key = $1 FS $3; n = 0; seq++; if ($1 == 0) zero++ }
+        { n++; $2 = seq }
+        !(drop == "drop" && $1 == 0 && zero % 2 == 0)
+    ' "$1" >"$1.tmp"
+    mv "$1.tmp" "$1"
 }
 
 case_dir seed7 "seed = 7"
@@ -66,3 +91,7 @@ case_dir projected-sgd-batch "seed = 7" \
     "stage1_optimizer = sgd-momentum" "stage2_optimizer = sgd-momentum" \
     "stage1_schedule = cosine" "count_scope = batch" "oversample = true" \
     "stage1_epochs = 4" "stage2_epochs = 4"
+synth_case clips "seed = 7" "oversample = true" "stage1_epochs = 4" "stage2_epochs = 4"
+regroup "$out/clips/data/train.tsv" drop
+regroup "$out/clips/data/test.tsv" keep
+run_case clips

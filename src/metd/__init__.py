@@ -70,7 +70,6 @@ from .training import (
 )
 from .harness import (
     ComparisonReport,
-    HarnessSettings,
     Strategy,
     StrategyResult,
     compare_all,

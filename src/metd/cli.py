@@ -19,7 +19,6 @@ from .data import (
     load_dataset,
     load_vocabulary,
     nearest_words,
-    oversample_balance,
     save_dataset,
 )
 from .errors import (
@@ -28,16 +27,10 @@ from .errors import (
     InfeasibleConfigError,
     ParseError,
 )
-from .harness import compare_all, format_comparison
+from .harness import compare_all, format_comparison, train_metd
 from .inference import evaluate, format_eval_report, subclass_report
-from .model import build_model, load_checkpoint, save_checkpoint
-from .training import (
-    fd_check,
-    format_metrics_log,
-    random_fd_instance,
-    run_stage1,
-    run_stage2,
-)
+from .model import load_checkpoint, save_checkpoint
+from .training import fd_check, format_metrics_log, random_fd_instance
 
 
 def _load_config(args) -> RunConfig:
@@ -60,30 +53,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_model_from_config(config: RunConfig):
-    return build_model(
-        n_classes=config.n_classes,
-        n_subclasses=config.n_subclasses,
-        n_tokens=config.n_tokens,
-        token_dim=config.token_dim,
-        embed_dim=config.embed_dim,
-        feature_dim=config.feature_dim,
-        context_length=config.context_length,
-        encoder_kind=config.encoder_kind,
-        residual=config.residual_adapter,
-        temperature=config.temperature,
-        seed=config.seed,
-    )
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     train = load_dataset(os.path.join(args.data_dir, "train.tsv"))
-    if config.oversample:
-        train = oversample_balance(train, config.seed)
-    model = _build_model_from_config(config)
-    _, trace1 = run_stage1(model, train, config.stage_config(1))
-    _, trace2 = run_stage2(model, train, config.stage_config(2))
+    # train_metd sizes the model to the data, so data the config does not describe stops here.
+    if (train.feature_dim, train.n_classes) != (config.feature_dim, config.n_classes):
+        raise ContractViolation(
+            f"dataset feature_dim {train.feature_dim}, classes {train.n_classes} != "
+            f"config feature_dim {config.feature_dim}, n_classes {config.n_classes}"
+        )
+    model, trace1, trace2 = train_metd(train, config)
     save_checkpoint(model, args.out_checkpoint)
     offset = len(trace1)
     combined = list(trace1) + [
@@ -142,12 +121,7 @@ def cmd_compare(args) -> int:
     config = _load_config(args)
     train = load_dataset(os.path.join(args.data_dir, "train.tsv"))
     test = load_dataset(os.path.join(args.data_dir, "test.tsv"))
-    report = compare_all(
-        (train, test),
-        config.strategy_list(),
-        config.seed,
-        config.harness_settings(),
-    )
+    report = compare_all((train, test), config)
     print(format_comparison(report))
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .harness import STRATEGY_KINDS, HarnessSettings, Strategy
+from .harness import STRATEGY_KINDS
 from .model import ENCODER_KINDS, IDENTITY_MEAN
 from .training import COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS, StageConfig
 
@@ -213,26 +213,6 @@ class RunConfig:
             seed=self.seed,
             count_scope=self.count_scope,
         )
-
-    def harness_settings(self) -> HarnessSettings:
-        return HarnessSettings(
-            token_dim=self.token_dim,
-            embed_dim=self.embed_dim,
-            context_length=self.context_length,
-            n_subclasses=self.n_subclasses,
-            n_tokens=self.n_tokens,
-            encoder_kind=self.encoder_kind,
-            residual=self.residual_adapter,
-            temperature=self.temperature,
-            stage1=self.stage_config(1),
-            stage2=self.stage_config(2),
-            probe_epochs=self.probe_epochs,
-            probe_lr=self.probe_lr,
-            oversample=self.oversample,
-        )
-
-    def strategy_list(self) -> list[Strategy]:
-        return [Strategy(kind=kind) for kind in self.strategies]
 
 
 def parse_config_text(text: str) -> RunConfig:

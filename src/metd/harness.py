@@ -1,6 +1,8 @@
 """Side-by-side comparison of training strategies on one benchmark.
 
-Five strategies share the same train/test splits and seed:
+Five strategies share the same train/test splits and one parsed run
+config (``metd.config.RunConfig``), which gives the seed, the model and
+stage settings, the probe settings and the strategy list:
 
   zero-shot-fixed    frozen random descriptors, no training at all
   linear-probe       linear softmax head on frozen pooled features
@@ -14,6 +16,9 @@ anti-correlated subcluster means (>= 120 degrees apart) per class, which
 is the geometry a single descriptor per class cannot cover; the
 distorted variant pushes every feature through a fixed well-conditioned
 linear map.
+
+A variant of a run is ``dataclasses.replace(config, ...)``: the
+zero-shot model, for one, is ``replace(config, n_subclasses=1)``.
 """
 
 import math
@@ -41,7 +46,7 @@ from .model import (
     encode_text,
     encode_text_token_gradient,
 )
-from .training import EpochStats, StageConfig, fit, run_stage1, run_stage2
+from .training import ADAPTIVE, EpochStats, fit, run_stage1, run_stage2
 
 ZERO_SHOT = "zero-shot-fixed"
 LINEAR_PROBE = "linear-probe"
@@ -59,64 +64,15 @@ _SUB_BENCH = 4
 
 @dataclass(frozen=True)
 class Strategy:
-    """A strategy kind plus optional K/M overrides for the metd variant."""
+    """One strategy kind of a comparison."""
 
     kind: str
-    n_subclasses: int | None = None
-    n_tokens: int | None = None
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ContractViolation(
                 f"unknown strategy {self.kind!r}, expected one of {STRATEGY_KINDS}"
             )
-        for name in ("n_subclasses", "n_tokens"):
-            value = getattr(self, name)
-            if value is not None and (int(value) != value or value < 1):
-                raise ContractViolation(f"{name} must be a positive integer or None")
-
-
-@dataclass(frozen=True)
-class HarnessSettings:
-    """Shared hyperparameters for every strategy in one comparison.
-
-    The temperature is softer than the library-wide default of 0.01:
-    with unit-norm synthetic features the per-sample losses saturate at
-    0.01 within an epoch, which freezes the descriptors before they can
-    split across subclusters.  0.055 keeps the gradients live at this
-    scale.  Stage epochs are desk-scale (30/30); the stage-2 learning
-    rate is the library default.
-    """
-
-    token_dim: int = 16
-    embed_dim: int = 16
-    context_length: int = 4
-    n_subclasses: int = 2
-    n_tokens: int = 4
-    encoder_kind: str = "identity-mean"
-    residual: bool = True
-    temperature: float = 0.055
-    stage1: StageConfig = None
-    stage2: StageConfig = None
-    probe_epochs: int = 40
-    probe_lr: float = 0.05
-    oversample: bool = False
-
-    def __post_init__(self):
-        if self.stage1 is None:
-            object.__setattr__(
-                self, "stage1", StageConfig.stage_one(epochs=30, batch_size=32)
-            )
-        if self.stage2 is None:
-            object.__setattr__(
-                self, "stage2", StageConfig.stage_two(epochs=30, batch_size=32)
-            )
-        if self.stage1.stage != 1 or self.stage2.stage != 2:
-            raise ContractViolation("stage configs assigned to the wrong slots")
-        if int(self.probe_epochs) != self.probe_epochs or self.probe_epochs < 1:
-            raise ContractViolation("probe_epochs must be a positive integer")
-        if not (self.probe_lr > 0 and math.isfinite(self.probe_lr)):
-            raise ContractViolation("probe_lr must be > 0")
 
 
 @dataclass(frozen=True)
@@ -230,7 +186,7 @@ def _head_logits(features, head_weight, head_bias):
     return np.matmul(head_weight, features[..., None])[..., 0] + head_bias
 
 
-def _train_head(train, settings: HarnessSettings, seed: int, train_adapter: bool):
+def _train_head(train, config, train_adapter: bool):
     """Linear softmax-cross-entropy head, optionally with a joint adapter."""
     pooled, labels = _pooled(train)
     adapter = build_adapter(train.feature_dim, train.feature_dim, residual=True)
@@ -254,15 +210,18 @@ def _train_head(train, settings: HarnessSettings, seed: int, train_adapter: bool
             grads["adapter.bias"] = dv
         return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
 
-    config = StageConfig(
-        stage=1,
-        epochs=settings.probe_epochs,
-        learning_rate=settings.probe_lr,
+    # Its own fixed optimizer and schedule, at stage 1's batch size; the
+    # seed only enters through the stream.
+    probe = replace(
+        config.stage_config(1),
+        epochs=config.probe_epochs,
+        learning_rate=config.probe_lr,
         weight_decay=0.0,
-        batch_size=settings.stage1.batch_size,
+        optimizer=ADAPTIVE,
+        lr_schedule="constant",
     )
-    stream = (STREAM_HARNESS, _SUB_PROBE, seed)
-    for _ in fit(params, batch_gradients, len(labels), config, stream):
+    stream = (STREAM_HARNESS, _SUB_PROBE, config.seed)
+    for _ in fit(params, batch_gradients, len(labels), probe, stream):
         pass
     return adapter, head_weight, head_bias
 
@@ -274,7 +233,7 @@ def _head_report(test, adapter, head_weight, head_bias, use_adapter):
     return report_from_labels(labels, predicted, test.n_classes)
 
 
-def _train_learnable_context(train, settings: HarnessSettings, seed: int):
+def _train_learnable_context(train, config):
     """Shared trainable context + frozen per-class name token, contrastive CE.
 
     Mirrors the prompt-learning baseline: one context block of M tokens
@@ -287,15 +246,15 @@ def _train_learnable_context(train, settings: HarnessSettings, seed: int):
     cross-entropy: the cosine, the softmax and the token pullback are
     the same functions.
     """
-    rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, seed])
-    context = rng.normal(0.0, 0.02, size=(settings.n_tokens, settings.token_dim))
-    names = rng.normal(0.0, 0.02, size=(train.n_classes, settings.token_dim))
+    rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, config.seed])
+    context = rng.normal(0.0, 0.02, size=(config.n_tokens, config.token_dim))
+    names = rng.normal(0.0, 0.02, size=(train.n_classes, config.token_dim))
     encoder = build_text_encoder(
-        settings.encoder_kind, settings.token_dim, settings.embed_dim, seed
+        config.encoder_kind, config.token_dim, config.embed_dim, config.seed
     )
-    length = settings.n_tokens + 1
+    length = config.n_tokens + 1
     pooled, labels = _pooled(train)
-    tau = settings.temperature
+    tau = config.temperature
 
     def batch_gradients(batch):
         embeddings = encode_text(encoder, context, names[:, None, :])
@@ -314,8 +273,8 @@ def _train_learnable_context(train, settings: HarnessSettings, seed: int):
         return {"context": np.broadcast_to(total, context.shape) / len(batch)}
 
     params = {"context": context}
-    stream = (STREAM_HARNESS, _SUB_CONTEXT, seed)
-    for _ in fit(params, batch_gradients, len(labels), settings.stage1, stream):
+    stream = (STREAM_HARNESS, _SUB_CONTEXT, config.seed)
+    for _ in fit(params, batch_gradients, len(labels), config.stage_config(1), stream):
         pass
     return encoder, context, names
 
@@ -327,54 +286,43 @@ def _context_report(test, encoder, context, names):
     return report_from_labels(labels, sims.argmax(axis=-1), test.n_classes)
 
 
-def build_strategy_model(
-    train: EmbeddingDataset,
-    settings: HarnessSettings,
-    seed: int,
-    n_subclasses: int,
-    n_tokens: int,
-) -> Model:
+def build_strategy_model(train: EmbeddingDataset, config) -> Model:
+    """A fresh model for ``config``, sized to ``train``'s classes and feature dim."""
     return build_model(
         n_classes=train.n_classes,
-        n_subclasses=n_subclasses,
-        n_tokens=n_tokens,
-        token_dim=settings.token_dim,
-        embed_dim=settings.embed_dim,
+        n_subclasses=config.n_subclasses,
+        n_tokens=config.n_tokens,
+        token_dim=config.token_dim,
+        embed_dim=config.embed_dim,
         feature_dim=train.feature_dim,
-        context_length=settings.context_length,
-        encoder_kind=settings.encoder_kind,
-        residual=settings.residual,
-        temperature=settings.temperature,
-        seed=seed,
+        context_length=config.context_length,
+        encoder_kind=config.encoder_kind,
+        residual=config.residual_adapter,
+        temperature=config.temperature,
+        seed=config.seed,
     )
 
 
 def train_metd(
-    train: EmbeddingDataset,
-    settings: HarnessSettings,
-    seed: int,
-    n_subclasses: int | None = None,
-    n_tokens: int | None = None,
+    train: EmbeddingDataset, config
 ) -> tuple[Model, list[EpochStats], list[EpochStats]]:
     """Run the full two-stage pipeline; returns the trained model and traces."""
-    k = n_subclasses if n_subclasses is not None else settings.n_subclasses
-    m = n_tokens if n_tokens is not None else settings.n_tokens
-    fitted = oversample_balance(train, seed) if settings.oversample else train
-    model = build_strategy_model(train, settings, seed, k, m)
-    _, trace1 = run_stage1(model, fitted, replace(settings.stage1, seed=seed))
-    _, trace2 = run_stage2(model, fitted, replace(settings.stage2, seed=seed))
+    fitted = oversample_balance(train, config.seed) if config.oversample else train
+    model = build_strategy_model(train, config)
+    _, trace1 = run_stage1(model, fitted, config.stage_config(1))
+    _, trace2 = run_stage2(model, fitted, config.stage_config(2))
     return model, trace1, trace2
 
 
-def _check_strategy(strategy: Strategy, splits, settings: HarnessSettings):
-    """Raise ContractViolation if ``strategy`` cannot run on ``splits`` under ``settings``."""
+def _check_strategy(strategy: Strategy, splits, config):
+    """Raise ContractViolation if ``strategy`` cannot run on ``splits`` under ``config``."""
     train, test = splits
     if train.n_classes != test.n_classes or train.feature_dim != test.feature_dim:
         raise ContractViolation("train/test splits disagree on classes or dims")
-    if strategy.kind == LEARNABLE_CONTEXT and settings.embed_dim != train.feature_dim:
+    if strategy.kind == LEARNABLE_CONTEXT and config.embed_dim != train.feature_dim:
         raise ContractViolation(
             f"learnable-context baseline needs embed_dim == feature_dim, "
-            f"got embed_dim {settings.embed_dim} and feature_dim {train.feature_dim}; "
+            f"got embed_dim {config.embed_dim} and feature_dim {train.feature_dim}; "
             f"drop learnable-context from strategies to compare the others"
         )
 
@@ -382,40 +330,35 @@ def _check_strategy(strategy: Strategy, splits, settings: HarnessSettings):
 def run_strategy(
     strategy: Strategy,
     splits: tuple[EmbeddingDataset, EmbeddingDataset],
-    seed: int,
-    settings: HarnessSettings | None = None,
+    config,
 ) -> StrategyResult:
     """Train and evaluate one strategy on a (train, test) split pair."""
-    if settings is None:
-        settings = HarnessSettings()
-    _check_strategy(strategy, splits, settings)
+    _check_strategy(strategy, splits, config)
     train, test = splits
     started = time.perf_counter()
-    echo = {"seed": str(seed)}
+    echo = {"seed": str(config.seed)}
     if strategy.kind == ZERO_SHOT:
-        model = build_strategy_model(train, settings, seed, 1, settings.n_tokens)
+        model = build_strategy_model(train, replace(config, n_subclasses=1))
         report = evaluate(test, model)
         echo["K"] = "1"
-        echo["M"] = str(settings.n_tokens)
+        echo["M"] = str(config.n_tokens)
     elif strategy.kind in (LINEAR_PROBE, FULL_FINETUNE):
         joint = strategy.kind == FULL_FINETUNE
-        adapter, w, b = _train_head(train, settings, seed, train_adapter=joint)
+        adapter, w, b = _train_head(train, config, train_adapter=joint)
         report = _head_report(test, adapter, w, b, use_adapter=joint)
-        echo["epochs"] = str(settings.probe_epochs)
-        echo["lr"] = format(settings.probe_lr, "g")
+        echo["epochs"] = str(config.probe_epochs)
+        echo["lr"] = format(config.probe_lr, "g")
     elif strategy.kind == LEARNABLE_CONTEXT:
-        encoder, context, names = _train_learnable_context(train, settings, seed)
+        encoder, context, names = _train_learnable_context(train, config)
         report = _context_report(test, encoder, context, names)
-        echo["M"] = str(settings.n_tokens)
-        echo["epochs"] = str(settings.stage1.epochs)
+        echo["M"] = str(config.n_tokens)
+        echo["epochs"] = str(config.stage1_epochs)
     else:
-        k = strategy.n_subclasses or settings.n_subclasses
-        m = strategy.n_tokens or settings.n_tokens
-        model, _, _ = train_metd(train, settings, seed, k, m)
+        model, _, _ = train_metd(train, config)
         report = evaluate(test, model)
-        echo["K"] = str(k)
-        echo["M"] = str(m)
-        echo["epochs"] = f"{settings.stage1.epochs}+{settings.stage2.epochs}"
+        echo["K"] = str(config.n_subclasses)
+        echo["M"] = str(config.n_tokens)
+        echo["epochs"] = f"{config.stage1_epochs}+{config.stage2_epochs}"
     wall = time.perf_counter() - started
     return StrategyResult(
         kind=strategy.kind,
@@ -427,19 +370,15 @@ def run_strategy(
 
 
 def compare_all(
-    splits: tuple[EmbeddingDataset, EmbeddingDataset],
-    strategies: list[Strategy],
-    seed: int,
-    settings: HarnessSettings | None = None,
+    splits: tuple[EmbeddingDataset, EmbeddingDataset], config
 ) -> ComparisonReport:
-    """Check every strategy against the splits, then run each with the identical seed."""
+    """Check each of ``config.strategies`` against the splits, then run each in turn."""
+    strategies = [Strategy(kind) for kind in config.strategies]
     if not strategies:
         raise ContractViolation("strategy list is empty")
-    settings = settings or HarnessSettings()
     for strategy in strategies:
-        _check_strategy(strategy, splits, settings)
-    rows = [run_strategy(s, splits, seed, settings) for s in strategies]
-    return ComparisonReport(rows=rows)
+        _check_strategy(strategy, splits, config)
+    return ComparisonReport(rows=[run_strategy(s, splits, config) for s in strategies])
 
 
 def format_comparison(report: ComparisonReport) -> str:

@@ -73,15 +73,17 @@ COUNT_SCOPES = ("epoch", "batch")
 
 @dataclass(frozen=True)
 class StageConfig:
+    """One stage's settings; ``RunConfig.stage_config`` builds it from a parsed config."""
+
     stage: int
     epochs: int
     learning_rate: float
     weight_decay: float
-    optimizer: str = ADAPTIVE
-    lr_schedule: str = "constant"
-    batch_size: int = 128
-    seed: int = 0
-    count_scope: str = "epoch"
+    optimizer: str
+    lr_schedule: str
+    batch_size: int
+    seed: int
+    count_scope: str
 
     def __post_init__(self):
         if self.stage not in (1, 2):
@@ -100,18 +102,6 @@ class StageConfig:
             raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
         if self.count_scope not in COUNT_SCOPES:
             raise ContractViolation(f"unknown count_scope {self.count_scope!r}")
-
-    @classmethod
-    def stage_one(cls, **overrides) -> "StageConfig":
-        """Stage-1 defaults: lr 1e-2, no weight decay, constant schedule."""
-        base = dict(stage=1, epochs=2, learning_rate=1e-2, weight_decay=0.0)
-        return cls(**(base | overrides))
-
-    @classmethod
-    def stage_two(cls, **overrides) -> "StageConfig":
-        """Stage-2 defaults: lr 5e-6, weight decay 0.1, cosine schedule."""
-        base = dict(stage=2, epochs=50, learning_rate=5e-6, weight_decay=0.1, lr_schedule="cosine")
-        return cls(**(base | overrides))
 
 
 @dataclass

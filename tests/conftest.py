@@ -1,17 +1,23 @@
-"""Shared fixtures for the expensive end-to-end benchmark runs.
+"""Shared settings, and fixtures for the expensive end-to-end benchmark runs.
 
-The two-stage training runs on the default benchmark take tens of
-seconds each, so they execute once per session here and are shared by
-the harness tests and the acceptance suite.
+``SYNTHETIC`` is the parsed ``configs/synthetic.cfg`` that the harness
+and acceptance tests start from, and ``stage_config`` gives one stage's
+default settings; a variant is ``dataclasses.replace`` of either.
+
+The two-stage training runs on the default benchmark take seconds each,
+so they execute once per session here and are shared by the harness
+tests and the acceptance suite.
 """
 
+import pathlib
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+from metd.config import parse_config, parse_config_text
 from metd.harness import (
-    HarnessSettings,
     Strategy,
     default_benchmark,
     distorted_benchmark,
@@ -19,6 +25,15 @@ from metd.harness import (
     train_metd,
 )
 from metd.inference import evaluate, subclass_report
+
+# The shipped desk-scale settings: K=2, temperature 0.055, 30+30 epochs, seed 7.
+SYNTHETIC_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "synthetic.cfg"
+SYNTHETIC = parse_config(str(SYNTHETIC_CFG))
+
+
+def stage_config(stage, **overrides):
+    """The default settings of ``stage`` at seed 0, with ``overrides``."""
+    return replace(parse_config_text("").stage_config(stage), **({"seed": 0} | overrides))
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +45,9 @@ def clean_benchmark():
 def benchmark_runs(clean_benchmark):
     """Two-descriptor and single-descriptor runs on the default benchmark."""
     train, test = clean_benchmark
-    settings = HarnessSettings()
     started = time.perf_counter()
-    model_k2, _, _ = train_metd(train, settings, 7, n_subclasses=2)
-    model_k1, _, _ = train_metd(train, settings, 7, n_subclasses=1)
+    model_k2, _, _ = train_metd(train, SYNTHETIC)
+    model_k1, _, _ = train_metd(train, replace(SYNTHETIC, n_subclasses=1))
     elapsed = time.perf_counter() - started
     report_k2 = evaluate(test, model_k2)
     return SimpleNamespace(
@@ -48,7 +62,7 @@ def benchmark_runs(clean_benchmark):
 
 @pytest.fixture(scope="session")
 def clean_probe_row(clean_benchmark):
-    return run_strategy(Strategy(kind="linear-probe"), clean_benchmark, seed=7)
+    return run_strategy(Strategy(kind="linear-probe"), clean_benchmark, SYNTHETIC)
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +70,6 @@ def distorted_rows():
     """Descriptor method and linear probe on the distorted benchmark."""
     splits = distorted_benchmark(seed=7)
     return SimpleNamespace(
-        metd=run_strategy(Strategy(kind="metd"), splits, seed=7),
-        probe=run_strategy(Strategy(kind="linear-probe"), splits, seed=7),
+        metd=run_strategy(Strategy(kind="metd"), splits, SYNTHETIC),
+        probe=run_strategy(Strategy(kind="linear-probe"), splits, SYNTHETIC),
     )

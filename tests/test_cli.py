@@ -1,13 +1,26 @@
 """End-to-end command-line checks, run through fresh interpreter processes."""
 
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from metd.data import Vocabulary, load_vocabulary, nearest_words, save_vocabulary
-from metd.model import load_checkpoint
+from metd.config import parse_config
+from metd.data import (
+    Vocabulary,
+    generate_synthetic,
+    load_dataset,
+    load_vocabulary,
+    nearest_words,
+    save_dataset,
+    save_vocabulary,
+)
+from metd.harness import train_metd
+from metd.model import load_checkpoint, save_checkpoint
+
+from conftest import SYNTHETIC_CFG
 
 COMPACT_CONFIG = """\
 seed = 5
@@ -219,6 +232,37 @@ def test_data_errors_exit_2(workspace, tmp_path):
                      str(tmp_path / "y.ckpt"))
     assert result.returncode == 2
     assert "error" in result.stderr
+
+
+def test_train_rejects_data_of_another_dimension_without_a_residual_adapter(
+    workspace, tmp_path
+):
+    # The model is sized to the data, so a non-residual adapter would fit
+    # 8-dim data; the config's feature_dim 16 still has to match it.
+    _, _, data, _ = workspace
+    config = tmp_path / "nonresidual.cfg"
+    config.write_text("seed = 5\nresidual_adapter = false\n")
+    result = run_cli("train", "--config", str(config), str(data), str(tmp_path / "z.ckpt"))
+    assert result.returncode == 2
+    assert "feature_dim 8" in result.stderr and "feature_dim 16" in result.stderr
+    assert not (tmp_path / "z.ckpt").exists()
+
+
+def test_train_command_and_train_metd_write_the_same_checkpoint(tmp_path):
+    # metd train is train_metd plus writing the checkpoint and its log.
+    text = re.sub(r"(?m)^(stage[12]_epochs) = .*$", r"\1 = 2", SYNTHETIC_CFG.read_text())
+    config_path = tmp_path / "short.cfg"
+    config_path.write_text(text)
+    config = parse_config(str(config_path))
+    train, _ = generate_synthetic(config.synth_config())
+    save_dataset(train, str(tmp_path / "train.tsv"))
+    result = run_cli("train", "--config", str(config_path), str(tmp_path),
+                     str(tmp_path / "cli.ckpt"))
+    assert result.returncode == 0, result.stderr
+    model, trace1, trace2 = train_metd(load_dataset(str(tmp_path / "train.tsv")), config)
+    assert (len(trace1), len(trace2)) == (2, 2)
+    save_checkpoint(model, str(tmp_path / "api.ckpt"))
+    assert (tmp_path / "cli.ckpt").read_bytes() == (tmp_path / "api.ckpt").read_bytes()
 
 
 def test_decode_vocab_dim_mismatch_exits_2(workspace, tmp_path):

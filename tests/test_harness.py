@@ -9,7 +9,6 @@ from metd.data import EmbeddingDataset, Sample, SynthConfig, generate_synthetic
 from metd.errors import ContractViolation
 from metd.harness import (
     STRATEGY_KINDS,
-    HarnessSettings,
     _train_learnable_context,
     Strategy,
     build_strategy_model,
@@ -21,7 +20,8 @@ from metd.harness import (
     run_strategy,
 )
 from metd.inference import evaluate, temporal_mean_pool
-from metd.training import StageConfig
+
+from conftest import SYNTHETIC
 
 SMALL = SynthConfig(
     n_classes=3,
@@ -33,9 +33,12 @@ SMALL = SynthConfig(
     seed=11,
 )
 
-COMPACT = HarnessSettings(
-    stage1=StageConfig.stage_one(epochs=3, batch_size=16),
-    stage2=StageConfig.stage_two(epochs=3, batch_size=16),
+COMPACT = replace(
+    SYNTHETIC,
+    stage1_epochs=3,
+    stage1_batch_size=16,
+    stage2_epochs=3,
+    stage2_batch_size=16,
     probe_epochs=5,
 )
 
@@ -107,29 +110,14 @@ def test_distorted_benchmark_applies_the_fixed_map(clean_benchmark):
 def test_strategy_validation():
     with pytest.raises(ContractViolation):
         Strategy(kind="prompt-tuning")
-    with pytest.raises(ContractViolation):
-        Strategy(kind="metd", n_subclasses=0)
-    with pytest.raises(ContractViolation):
-        Strategy(kind="metd", n_tokens=-1)
-    assert Strategy(kind="metd", n_subclasses=3).n_subclasses == 3
-
-
-def test_harness_settings_validation():
-    with pytest.raises(ContractViolation):
-        HarnessSettings(stage1=StageConfig.stage_two())
-    with pytest.raises(ContractViolation):
-        HarnessSettings(probe_epochs=0)
-    with pytest.raises(ContractViolation):
-        HarnessSettings(probe_lr=0.0)
+    assert Strategy(kind="metd").kind == "metd"
 
 
 def test_identical_descriptors_score_at_chance(clean_benchmark):
     # With every class holding the same descriptor, all logits tie and
     # accuracy collapses to chance level on the balanced test split.
     train, test = clean_benchmark
-    settings = HarnessSettings()
-    model = build_strategy_model(train, settings, seed=7, n_subclasses=1,
-                                 n_tokens=settings.n_tokens)
+    model = build_strategy_model(train, replace(SYNTHETIC, n_subclasses=1))
     for i in range(1, model.n_classes):
         model.bank.tokens[i] = model.bank.tokens[0]
         model.bank.context[i] = model.bank.context[0]
@@ -138,12 +126,12 @@ def test_identical_descriptors_score_at_chance(clean_benchmark):
 
 
 def test_zero_shot_strategy_reports_the_untrained_model(small_splits):
-    row = run_strategy(Strategy(kind="zero-shot-fixed"), small_splits, seed=3,
-                       settings=COMPACT)
+    config = replace(COMPACT, seed=3)
+    row = run_strategy(Strategy(kind="zero-shot-fixed"), small_splits, config)
     assert row.kind == "zero-shot-fixed"
     assert row.echo == {"seed": "3", "K": "1", "M": "4"}
     train, test = small_splits
-    fresh = build_strategy_model(train, COMPACT, seed=3, n_subclasses=1, n_tokens=4)
+    fresh = build_strategy_model(train, replace(config, n_subclasses=1))
     report = evaluate(test, fresh)
     assert row.war == report.war and row.uar == report.uar
 
@@ -162,19 +150,16 @@ def test_linear_probe_solves_a_separable_benchmark(small_splits):
     ).T
     oracle = float((np.argmax(sims, axis=1) == test_labels).mean())
     assert oracle >= 0.95  # the split is linearly separable to begin with
-    row = run_strategy(Strategy(kind="linear-probe"), small_splits, seed=11)
+    row = run_strategy(Strategy(kind="linear-probe"), small_splits, replace(SYNTHETIC, seed=11))
     assert row.war >= 0.95
 
 
 def test_single_and_duplicate_strategies(small_splits):
-    solo = compare_all(small_splits, [Strategy(kind="linear-probe")], seed=2,
-                       settings=COMPACT)
+    config = replace(COMPACT, seed=2, strategies=("linear-probe",))
+    solo = compare_all(small_splits, config)
     assert len(solo.rows) == 1
     twice = compare_all(
-        small_splits,
-        [Strategy(kind="linear-probe"), Strategy(kind="linear-probe")],
-        seed=2,
-        settings=COMPACT,
+        small_splits, replace(config, strategies=("linear-probe", "linear-probe"))
     )
     assert twice.rows[0].war == twice.rows[1].war
     assert twice.rows[0].uar == twice.rows[1].uar
@@ -182,8 +167,7 @@ def test_single_and_duplicate_strategies(small_splits):
 
 
 def test_all_five_strategies_produce_a_row_each(small_splits):
-    strategies = [Strategy(kind=k) for k in STRATEGY_KINDS]
-    report = compare_all(small_splits, strategies, seed=4, settings=COMPACT)
+    report = compare_all(small_splits, replace(COMPACT, seed=4, strategies=STRATEGY_KINDS))
     assert [row.kind for row in report.rows] == list(STRATEGY_KINDS)
     for row in report.rows:
         assert 0.0 <= row.war <= 1.0
@@ -193,9 +177,10 @@ def test_all_five_strategies_produce_a_row_each(small_splits):
 
 
 def test_run_strategy_is_deterministic(small_splits):
+    config = replace(COMPACT, seed=6)
     for kind in ("linear-probe", "learnable-context", "metd"):
-        a = run_strategy(Strategy(kind=kind), small_splits, seed=6, settings=COMPACT)
-        b = run_strategy(Strategy(kind=kind), small_splits, seed=6, settings=COMPACT)
+        a = run_strategy(Strategy(kind=kind), small_splits, config)
+        b = run_strategy(Strategy(kind=kind), small_splits, config)
         assert a.war == b.war and a.uar == b.uar and a.echo == b.echo
 
 
@@ -205,10 +190,8 @@ def test_learnable_context_follows_the_stage1_schedule(small_splits):
     train, _ = small_splits
     contexts = []
     for schedule in ("constant", "cosine"):
-        stage1 = replace(COMPACT.stage1, lr_schedule=schedule)
-        _, context, _ = _train_learnable_context(
-            train, replace(COMPACT, stage1=stage1), seed=5
-        )
+        config = replace(COMPACT, seed=5, stage1_schedule=schedule)
+        _, context, _ = _train_learnable_context(train, config)
         contexts.append(context)
     assert not np.array_equal(contexts[0], contexts[1])
 
@@ -216,13 +199,13 @@ def test_learnable_context_follows_the_stage1_schedule(small_splits):
 def test_learnable_context_rejects_an_embed_dim_other_than_the_feature_dim(small_splits):
     # It scores the pooled raw features, so a projected-mean encoder with a
     # smaller embedding fails up front, naming both dimensions.
-    settings = replace(
-        COMPACT, encoder_kind="projected-mean", embed_dim=12, residual=False
+    config = replace(
+        COMPACT, seed=3, encoder_kind="projected-mean", embed_dim=12, residual_adapter=False
     )
     with pytest.raises(
         ContractViolation, match="embed_dim == feature_dim, got embed_dim 12 and feature_dim 16"
     ):
-        run_strategy(Strategy(kind="learnable-context"), small_splits, seed=3, settings=settings)
+        run_strategy(Strategy(kind="learnable-context"), small_splits, config)
 
 
 def test_compare_checks_every_strategy_before_training_any(tmp_path, monkeypatch, capsys):
@@ -253,18 +236,14 @@ def test_split_mismatch_is_rejected(small_splits):
     train, _ = small_splits
     other = EmbeddingDataset([Sample(np.ones(4), 0)], feature_dim=4, n_classes=3)
     with pytest.raises(ContractViolation):
-        run_strategy(Strategy(kind="linear-probe"), (train, other), seed=0)
+        run_strategy(Strategy(kind="linear-probe"), (train, other), COMPACT)
     with pytest.raises(ContractViolation):
-        compare_all(small_splits, [], seed=0)
+        compare_all(small_splits, replace(COMPACT, strategies=()))
 
 
 def test_format_comparison_layout(small_splits):
-    report = compare_all(
-        small_splits,
-        [Strategy(kind="zero-shot-fixed"), Strategy(kind="linear-probe")],
-        seed=1,
-        settings=COMPACT,
-    )
+    config = replace(COMPACT, seed=1, strategies=("zero-shot-fixed", "linear-probe"))
+    report = compare_all(small_splits, config)
     text = format_comparison(report)
     lines = text.splitlines()
     assert lines[0].startswith("strategy")

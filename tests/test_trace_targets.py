@@ -11,6 +11,7 @@ run.
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import metd.harness
@@ -19,7 +20,8 @@ import metd.model
 import metd.training
 from metd.data import SynthConfig, generate_synthetic
 from metd.model import build_model
-from metd.training import StageConfig
+
+from conftest import SYNTHETIC, stage_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -88,8 +90,8 @@ def test_training_and_fd_check_call_every_expected_kernel():
             n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
             feature_dim=8, context_length=2, temperature=0.055, seed=3,
         )
-        metd.training.run_stage1(model, train, StageConfig.stage_one(epochs=1, batch_size=8))
-        metd.training.run_stage2(model, train, StageConfig.stage_two(epochs=1, batch_size=8))
+        metd.training.run_stage1(model, train, stage_config(1, epochs=1, batch_size=8))
+        metd.training.run_stage2(model, train, stage_config(2, epochs=1, batch_size=8))
         model, sample, counts = metd.training.random_fd_instance(seed=1, stage=1)
         metd.training.fd_check(model, sample, target_counts=counts, stage=1)
     finally:
@@ -103,9 +105,9 @@ def test_eval_and_baselines_call_every_expected_kernel(tmp_path):
     )
     assert "model.load_checkpoint" in expected and "inference.predict" in expected
     train, test = _tiny_splits()
-    settings = metd.harness.HarnessSettings(
-        token_dim=8, embed_dim=8, n_tokens=2, probe_epochs=1,
-        stage1=StageConfig.stage_one(epochs=1, batch_size=8),
+    config = replace(
+        SYNTHETIC, seed=3, token_dim=8, embed_dim=8, feature_dim=8, n_tokens=2,
+        probe_epochs=1, stage1_epochs=1, stage1_batch_size=8,
     )
     tracing = _load_tracing()
     tracer = tracing["Tracer"]()
@@ -120,7 +122,7 @@ def test_eval_and_baselines_call_every_expected_kernel(tmp_path):
         model = metd.model.load_checkpoint(str(tmp_path / "tiny.ckpt"))
         metd.inference.subclass_report(test, metd.inference.evaluate(test, model))
         for kind in tracing["STRATEGY_KINDS"]:
-            metd.harness.run_strategy(metd.harness.Strategy(kind), (train, test), 3, settings)
+            metd.harness.run_strategy(metd.harness.Strategy(kind), (train, test), config)
     finally:
         installed.restore()
     assert tracing["missing_calls"](tracer.stats(), expected) == []
