@@ -5,11 +5,12 @@
 #   scripts/same_outputs.sh <checkout> <outdir>
 #
 # For configs/synthetic.cfg at seeds 7 and 8, for a projected-mean, SGD,
-# count_scope = batch variant of it, and for a "clips" variant whose
-# units are sequences of up to 4 frames, this runs synth, train, eval,
-# compare and fdcheck with <checkout>/src on PYTHONPATH.  It keeps the
-# datasets, checkpoints, metrics logs, eval reports and every command's
-# stdout and exit status.  Wall times and the directory part of printed
+# count_scope = batch variant of it, for a variant with 3 descriptors
+# per class on 2 subclusters (so purity matches 3 x 2 tables), and for a
+# "clips" variant whose units are sequences of up to 4 frames, this runs
+# synth, train, eval, compare and fdcheck with <checkout>/src on
+# PYTHONPATH.  It keeps the datasets, checkpoints, metrics logs, eval
+# reports and every command's stdout and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
 #
 #   scripts/same_outputs.sh . /tmp/after
@@ -91,6 +92,7 @@ case_dir projected-sgd-batch "seed = 7" \
     "stage1_optimizer = sgd-momentum" "stage2_optimizer = sgd-momentum" \
     "stage1_schedule = cosine" "count_scope = batch" "oversample = true" \
     "stage1_epochs = 4" "stage2_epochs = 4"
+case_dir three-descriptors "seed = 7" "n_subclasses = 3"
 synth_case clips "seed = 7" "oversample = true" "stage1_epochs = 4" "stage2_epochs = 4"
 regroup "$out/clips/data/train.tsv" drop
 regroup "$out/clips/data/test.tsv" keep

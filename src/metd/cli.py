@@ -53,15 +53,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _load_config(args)
-    train = load_dataset(os.path.join(args.data_dir, "train.tsv"))
-    # train_metd sizes the model to the data, so data the config does not describe stops here.
-    if (train.feature_dim, train.n_classes) != (config.feature_dim, config.n_classes):
+def _load_split(config: RunConfig, data_dir: str, name: str):
+    """Load ``data_dir/name``, which must have the config's feature_dim and class count.
+
+    The harness sizes every model to the data, so data the config does
+    not describe stops here.
+    """
+    dataset = load_dataset(os.path.join(data_dir, name))
+    if (dataset.feature_dim, dataset.n_classes) != (config.feature_dim, config.n_classes):
         raise ContractViolation(
-            f"dataset feature_dim {train.feature_dim}, classes {train.n_classes} != "
+            f"dataset feature_dim {dataset.feature_dim}, classes {dataset.n_classes} != "
             f"config feature_dim {config.feature_dim}, n_classes {config.n_classes}"
         )
+    return dataset
+
+
+def cmd_train(args) -> int:
+    config = _load_config(args)
+    train = _load_split(config, args.data_dir, "train.tsv")
     model, trace1, trace2 = train_metd(train, config)
     save_checkpoint(model, args.out_checkpoint)
     offset = len(trace1)
@@ -119,9 +128,8 @@ def cmd_decode(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
-    train = load_dataset(os.path.join(args.data_dir, "train.tsv"))
-    test = load_dataset(os.path.join(args.data_dir, "test.tsv"))
-    report = compare_all((train, test), config)
+    splits = tuple(_load_split(config, args.data_dir, name) for name in ("train.tsv", "test.tsv"))
+    report = compare_all(splits, config)
     print(format_comparison(report))
     return 0
 

@@ -15,7 +15,6 @@ matter how many samples it has.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numerics
 from .data import EmbeddingDataset, Unit
@@ -220,8 +219,54 @@ def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassRe
     truth, assigned, ids = np.array(triples).T
     overlap = np.zeros((histogram.shape[0], k, ids.max() + 1), dtype=np.int64)
     np.add.at(overlap, (truth, assigned, ids), 1)
-    matched = sum(int(o[linear_sum_assignment(o, maximize=True)].sum()) for o in overlap)
+    matched = sum(_max_matching(o) for o in overlap)
     return SubclassReport(histogram=histogram, purity=matched / len(triples))
+
+
+def _max_matching(table: np.ndarray) -> int:
+    """Largest total of a one-to-one matching of a 2-D integer table's rows to its columns.
+
+    The Hungarian algorithm with potentials (Kuhn 1955) on the negated
+    table, exact in int64.  Rows join the matching one at a time, each
+    along the shortest augmenting path in reduced costs: O(n²m) for
+    n <= m rows, so a taller table is transposed, which leaves the
+    value unchanged.  Every maximum matching has the same value, so
+    ties cannot change the result.
+    """
+    table = np.asarray(table, dtype=np.int64)
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    n, m = table.shape
+    # 1-based rows and columns; column 0 is each search's root, row 0 "unmatched".
+    cost = np.pad(-table, ((1, 0), (1, 0)))
+    u = np.zeros(n + 1, dtype=np.int64)  # row potentials
+    v = np.zeros(m + 1, dtype=np.int64)  # column potentials
+    owner = np.zeros(m + 1, dtype=np.int64)  # row matched to each column
+    for row in range(1, n + 1):
+        owner[0] = row
+        slack = np.full(m + 1, np.iinfo(np.int64).max)
+        via = np.zeros(m + 1, dtype=np.int64)  # previous column on the path
+        used = np.zeros(m + 1, dtype=bool)
+        col = 0
+        while owner[col]:
+            used[col] = True
+            i = owner[col]
+            reduced = cost[i] - u[i] - v
+            closer = ~used & (reduced < slack)
+            slack[closer] = reduced[closer]
+            via[closer] = col
+            free = np.flatnonzero(~used)
+            nearest = free[slack[free].argmin()]
+            delta = slack[nearest]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            col = nearest
+        while col:
+            owner[col] = owner[via[col]]
+            col = via[col]
+    # An unmatched column's owner is row 0, whose costs are all zero.
+    return int(-cost[owner[1:], np.arange(1, m + 1)].sum())
 
 
 def format_eval_report(

@@ -248,6 +248,40 @@ def test_train_rejects_data_of_another_dimension_without_a_residual_adapter(
     assert not (tmp_path / "z.ckpt").exists()
 
 
+def test_compare_rejects_data_of_another_dimension_before_training(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    # metd compare makes metd train's check: with a non-residual adapter
+    # every strategy would fit the 8-dim data, but the config says 16.
+    import metd.harness
+    from metd.cli import main
+
+    calls = []
+    monkeypatch.setattr(metd.harness, "run_strategy", lambda *args, **kw: calls.append(args))
+    _, _, data, _ = workspace
+    config = tmp_path / "nonresidual.cfg"
+    config.write_text("seed = 5\nresidual_adapter = false\n")
+    assert main(["compare", "--config", str(config), str(data)]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "feature_dim 8" in captured.err and "feature_dim 16" in captured.err
+
+
+def test_no_metd_module_imports_scipy():
+    # SciPy's import costs more than all of metd's own; no command needs it.
+    code = (
+        "import pkgutil, sys, metd, metd.cli\n"
+        "for module in pkgutil.iter_modules(metd.__path__):\n"
+        "    if module.name != '__main__':\n"
+        "        __import__('metd.' + module.name)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_train_command_and_train_metd_write_the_same_checkpoint(tmp_path):
     # metd train is train_metd plus writing the checkpoint and its log.
     text = re.sub(r"(?m)^(stage[12]_epochs) = .*$", r"\1 = 2", SYNTHETIC_CFG.read_text())

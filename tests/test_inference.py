@@ -1,13 +1,18 @@
 """Prediction, pooling, evaluation reports, and subclass purity."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from metd.data import EmbeddingDataset, Sample, SynthConfig, Unit, generate_synthetic
 from metd.errors import ContractViolation
 from metd.inference import (
+    _max_matching,
     evaluate,
     format_eval_report,
     predict,
@@ -344,6 +349,69 @@ def test_subclass_report_needs_the_datasets_evaluate_report():
     assert len(test.units()) != len(train.units())
     with pytest.raises(ContractViolation):
         subclass_report(train, evaluate(test, _small_model(seed=9)))
+
+
+matching_settings = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def _tables(draw):
+    """Integer tables up to 6 x 6, square, wide or tall, with ties and zero lines."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    top = draw(st.sampled_from([1, 3, 10**6]))  # small tops force ties
+    table = draw(arrays(np.int64, shape, elements=st.integers(0, top)))
+    table[draw(st.lists(st.integers(0, shape[0] - 1), max_size=2)), :] = 0
+    table[:, draw(st.lists(st.integers(0, shape[1] - 1), max_size=2))] = 0
+    return table
+
+
+def _brute_force_matching(table):
+    """Largest one-to-one matching total over every injection of the shorter side."""
+    rows, cols = table.shape
+    if rows <= cols:
+        pairings = (zip(range(rows), p) for p in itertools.permutations(range(cols), rows))
+    else:
+        pairings = (zip(p, range(cols)) for p in itertools.permutations(range(rows), cols))
+    return max(sum(int(table[i, j]) for i, j in pairing) for pairing in pairings)
+
+
+@matching_settings
+@given(_tables())
+def test_max_matching_equals_the_brute_force_maximum(table):
+    before = table.copy()
+    assert _max_matching(table) == _brute_force_matching(table)
+    assert np.array_equal(table, before)
+
+
+@matching_settings
+@given(
+    st.integers(1, 3),  # classes
+    st.integers(2, 5),  # K
+    st.integers(1, 5),  # true subclusters per class
+    st.data(),
+)
+def test_purity_with_any_number_of_subclusters_equals_the_brute_force(
+    n_classes, k, n_ids, data
+):
+    # K descriptors per class against up to n_ids true subclusters, equal
+    # or not, so the overlap tables are square, wide or tall.
+    units = st.tuples(st.integers(0, n_classes - 1), st.integers(0, k - 1),
+                      st.integers(0, n_ids - 1))
+    triples = data.draw(st.lists(units, min_size=1, max_size=24))
+    dataset = EmbeddingDataset(
+        [Sample(np.ones(2), label, subcluster_id=sub) for label, _, sub in triples],
+        feature_dim=2,
+        n_classes=n_classes,
+    )
+    labels = [label for label, _, _ in triples]
+    assigned = np.array([a for _, a, _ in triples], dtype=np.int64)
+    histogram = np.zeros((n_classes, k), dtype=np.int64)
+    np.add.at(histogram, (labels, assigned), 1)
+    report = replace(
+        report_from_labels(labels, labels, n_classes, histogram), assignments=assigned
+    )
+    purity = subclass_report(dataset, report).purity
+    assert purity == _brute_force_purity(triples, n_classes, k)
 
 
 def test_format_eval_report_fields():
