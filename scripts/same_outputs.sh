@@ -8,10 +8,12 @@
 # count_scope = batch variant of it, for a variant with 3 descriptors
 # per class on 2 subclusters (so purity matches 3 x 2 tables), and for a
 # "clips" variant whose units are sequences of up to 4 frames, this runs
-# synth, train, eval, compare and fdcheck with <checkout>/src on
-# PYTHONPATH.  It keeps the datasets, checkpoints, metrics logs, eval
-# reports and every command's stdout and exit status.  Wall times and the directory part of printed
-# paths vary from run to run and are dropped.  Example:
+# synth, train, eval, decode (against configs/vocab.tsv, so a token_dim
+# other than 16 records the dimension-mismatch exit), compare and fdcheck
+# with <checkout>/src on PYTHONPATH.  It keeps the datasets, checkpoints,
+# metrics logs, eval reports and every command's stdout and exit status.
+# Wall times and the directory part of printed paths vary from run to run
+# and are dropped.  Example:
 #
 #   scripts/same_outputs.sh . /tmp/after
 #   scripts/same_outputs.sh ../parent /tmp/before
@@ -58,11 +60,13 @@ synth_case() {
     run "$dir" synth synth --config "$dir/run.cfg" "$dir/data"
 }
 
-# Train, eval, compare and fdcheck case $1 on its data.
+# Train, eval, decode, compare and fdcheck case $1 on its data.
 run_case() {
     local dir="$out/$1"
     run "$dir" train train --config "$dir/run.cfg" "$dir/data" "$dir/model.ckpt"
     run "$dir" eval eval --out "$dir/eval.txt" "$dir/model.ckpt" "$dir/data/test.tsv"
+    run "$dir" decode decode --config "$dir/run.cfg" "$dir/model.ckpt" \
+        "$checkout/configs/vocab.tsv"
     run "$dir" compare compare --config "$dir/run.cfg" "$dir/data"
     run "$dir" fdcheck fdcheck --config "$dir/run.cfg"
 }

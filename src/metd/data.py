@@ -19,8 +19,8 @@ saving again produces a byte-identical file.
 Rows that share a sequence id form one unit (for example the frames of
 one clip) and must be contiguous in the file and agree on class and
 subcluster.  Rows with ``-`` in the sequence column are single-sample
-units.  The subcluster column carries ground-truth subcluster labels for
-synthetic data and is ``-`` when unknown.
+units.  The subcluster column carries ground-truth subcluster ids,
+non-negative integers, for synthetic data and is ``-`` when unknown.
 """
 
 import math
@@ -30,11 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, InfeasibleConfigError, ParseError
-from .model import STREAM_OVERSAMPLE, STREAM_SYNTH, format_floats, parse_floats
+from .model import (
+    FORMAT_VERSION,
+    STREAM_OVERSAMPLE,
+    STREAM_SYNTH,
+    format_floats,
+    parse_floats,
+    read_records,
+    write_lines,
+)
 
 _DATASET_HEADER = re.compile(r"^metd-embed v(\d+) dim=(\d+) classes=(\d+)$")
 _VOCAB_HEADER = re.compile(r"^metd-vocab v(\d+) dim=(\d+)$")
-_FORMAT_VERSION = 1
 
 # Total rejection-sampling attempts allowed when placing subcluster means.
 _MEAN_SAMPLING_BUDGET = 200_000
@@ -64,8 +71,8 @@ class EmbeddingDataset:
     """An ordered list of samples with a fixed feature dim and class count.
 
     Validates on construction: labels in range, uniform finite features,
-    sequence rows contiguous and internally consistent.  Treat instances
-    as immutable once built.
+    subcluster ids non-negative, sequence rows contiguous and internally
+    consistent.  Treat instances as immutable once built.
     """
 
     def __init__(self, samples: list[Sample], feature_dim: int, n_classes: int):
@@ -77,12 +84,12 @@ class EmbeddingDataset:
         self.feature_dim = feature_dim
         self.n_classes = n_classes
         self._units: list[Unit] | None = None
-        self._validate()
+        self._starts = self._validate()
 
-    def _validate(self):
-        finished_ids = set()
-        previous_id = None
-        previous = None
+    def _validate(self) -> list[int]:
+        """Check every row, in one pass; return the index of each unit's first row."""
+        starts = []
+        started_ids = set()
         for idx, sample in enumerate(self.samples):
             arr = np.asarray(sample.features, dtype=np.float64)
             if arr.shape != (self.feature_dim,):
@@ -96,26 +103,30 @@ class EmbeddingDataset:
                     f"sample {idx}: label {sample.label} out of range "
                     f"[0, {self.n_classes})"
                 )
+            if sample.subcluster_id is not None and sample.subcluster_id < 0:
+                raise ContractViolation(
+                    f"sample {idx}: negative subcluster id {sample.subcluster_id}"
+                )
             sid = sample.sequence_id
-            if sid is not None and sid == previous_id:
+            head = self.samples[starts[-1]] if starts else None
+            if sid is not None and head is not None and sid == head.sequence_id:
                 # Continuing the current sequence block.
-                if sample.label != previous.label:
+                if sample.label != head.label:
                     raise ContractViolation(
                         f"sample {idx}: sequence {sid} mixes labels"
                     )
-                if sample.subcluster_id != previous.subcluster_id:
+                if sample.subcluster_id != head.subcluster_id:
                     raise ContractViolation(
                         f"sample {idx}: sequence {sid} mixes subcluster ids"
                     )
+            elif sid is not None and sid in started_ids:
+                raise ContractViolation(
+                    f"sample {idx}: sequence {sid} is not contiguous"
+                )
             else:
-                if sid is not None and sid in finished_ids:
-                    raise ContractViolation(
-                        f"sample {idx}: sequence {sid} is not contiguous"
-                    )
-                if previous_id is not None:
-                    finished_ids.add(previous_id)
-            previous_id = sid
-            previous = sample
+                started_ids.add(sid)
+                starts.append(idx)
+        return starts
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -123,37 +134,18 @@ class EmbeddingDataset:
     def units(self) -> list[Unit]:
         """Group contiguous same-sequence rows; single rows are their own unit."""
         if self._units is None:
-            units = []
-            block: list[Sample] = []
-
-            def flush():
-                if not block:
-                    return
-                head = block[0]
-                frames = np.vstack(
-                    [np.asarray(s.features, dtype=np.float64) for s in block]
+            ends = self._starts[1:] + [len(self.samples)]
+            self._units = [
+                Unit(
+                    frames=np.vstack(
+                        [np.asarray(s.features, dtype=np.float64) for s in self.samples[a:b]]
+                    ),
+                    label=self.samples[a].label,
+                    sequence_id=self.samples[a].sequence_id,
+                    subcluster_id=self.samples[a].subcluster_id,
                 )
-                units.append(
-                    Unit(
-                        frames=frames,
-                        label=head.label,
-                        sequence_id=head.sequence_id,
-                        subcluster_id=head.subcluster_id,
-                    )
-                )
-                block.clear()
-
-            for sample in self.samples:
-                if sample.sequence_id is None:
-                    flush()
-                    block.append(sample)
-                    flush()
-                else:
-                    if block and block[0].sequence_id != sample.sequence_id:
-                        flush()
-                    block.append(sample)
-            flush()
-            self._units = units
+                for a, b in zip(self._starts, ends)
+            ]
         return self._units
 
     def unit_class_counts(self) -> np.ndarray:
@@ -426,22 +418,16 @@ def oversample_balance(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset
 
 
 def save_dataset(dataset: EmbeddingDataset, path: str):
-    lines = [
-        f"metd-embed v{_FORMAT_VERSION} dim={dataset.feature_dim} "
-        f"classes={dataset.n_classes}"
-    ]
-    for sample in dataset.samples:
-        seq = "-" if sample.sequence_id is None else str(sample.sequence_id)
-        sub = "-" if sample.subcluster_id is None else str(sample.subcluster_id)
-        feats = format_floats(np.asarray(sample.features, dtype=np.float64))
-        lines.append(f"{sample.label}\t{seq}\t{sub}\t{feats}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"metd-embed v{FORMAT_VERSION} dim={dataset.feature_dim} classes={dataset.n_classes}"
+    write_lines(path, [header] + [
+        f"{s.label}\t{'-' if s.sequence_id is None else s.sequence_id}\t"
+        f"{'-' if s.subcluster_id is None else s.subcluster_id}\t"
+        f"{format_floats(np.asarray(s.features, dtype=np.float64))}"
+        for s in dataset.samples
+    ])
 
 
-def _parse_optional_int(text: str, what: str, line_no: int) -> int | None:
-    if text == "-":
-        return None
+def _parse_int(text: str, what: str, line_no: int) -> int:
     try:
         return int(text)
     except ValueError:
@@ -449,35 +435,17 @@ def _parse_optional_int(text: str, what: str, line_no: int) -> int | None:
 
 
 def load_dataset(path: str) -> EmbeddingDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file, missing header", line=1)
-    match = _DATASET_HEADER.match(lines[0])
-    if not match:
-        raise ParseError("bad dataset header", line=1)
-    if int(match.group(1)) != _FORMAT_VERSION:
-        raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
-    dim = int(match.group(2))
-    n_classes = int(match.group(3))
-    samples = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise ParseError("blank line", line=line_no)
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}",
-                             line=line_no)
-        try:
-            label = int(fields[0])
-        except ValueError:
-            raise ParseError(f"bad class label {fields[0]!r}", line=line_no) from None
-        seq = _parse_optional_int(fields[1], "sequence id", line_no)
-        sub = _parse_optional_int(fields[2], "subcluster id", line_no)
-        features = parse_floats(fields[3], dim, line_no)
-        samples.append(
-            Sample(features=features, label=label, sequence_id=seq, subcluster_id=sub)
+    records = read_records(path, _DATASET_HEADER, "dataset", 4)
+    dim, n_classes = map(int, next(records).groups()[1:])
+    samples = [
+        Sample(
+            label=_parse_int(label, "class label", line_no),
+            sequence_id=None if seq == "-" else _parse_int(seq, "sequence id", line_no),
+            subcluster_id=None if sub == "-" else _parse_int(sub, "subcluster id", line_no),
+            features=parse_floats(features, dim, line_no),
         )
+        for line_no, (label, seq, sub, features) in records
+    ]
     try:
         return EmbeddingDataset(samples, dim, n_classes)
     except ContractViolation as exc:
@@ -518,39 +486,20 @@ class Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path: str):
-    lines = [f"metd-vocab v{_FORMAT_VERSION} dim={vocab.dim}"]
-    for word, vector in zip(vocab.words, vocab.vectors):
-        lines.append(f"{word}\t{format_floats(vector)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [f"metd-vocab v{FORMAT_VERSION} dim={vocab.dim}"] + [
+        f"{word}\t{format_floats(vector)}" for word, vector in zip(vocab.words, vocab.vectors)
+    ])
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file, missing header", line=1)
-    match = _VOCAB_HEADER.match(lines[0])
-    if not match:
-        raise ParseError("bad vocabulary header", line=1)
-    if int(match.group(1)) != _FORMAT_VERSION:
-        raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
-    dim = int(match.group(2))
-    words = []
-    vectors = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            raise ParseError("blank line", line=line_no)
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 tab-separated fields, got {len(fields)}",
-                             line=line_no)
-        words.append(fields[0])
-        vectors.append(parse_floats(fields[1], dim, line_no))
-    if not words:
+    records = read_records(path, _VOCAB_HEADER, "vocabulary", 2)
+    dim = int(next(records).group(2))
+    rows = [(word, parse_floats(vector, dim, line_no)) for line_no, (word, vector) in records]
+    if not rows:
         raise ParseError("vocabulary has no words")
+    words, vectors = zip(*rows)
     try:
-        return Vocabulary(words=words, vectors=np.vstack(vectors))
+        return Vocabulary(words=list(words), vectors=np.vstack(vectors))
     except ContractViolation as exc:
         raise ParseError(str(exc)) from exc
 

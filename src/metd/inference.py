@@ -213,12 +213,13 @@ def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassRe
         return SubclassReport(histogram=histogram, purity=None)
     if k == 1:
         return SubclassReport(histogram=histogram, purity=1.0)
-    # Per class, the (assigned subclass, true subcluster) overlap table.
-    # Padding every table to the largest id adds zero columns, which no
-    # maximum matching needs.
+    # Per class, the (assigned subclass, true subcluster) overlap table,
+    # one column per distinct id.  A class's table gets zero columns for
+    # the other classes' ids, which no maximum matching needs.
     truth, assigned, ids = np.array(triples).T
-    overlap = np.zeros((histogram.shape[0], k, ids.max() + 1), dtype=np.int64)
-    np.add.at(overlap, (truth, assigned, ids), 1)
+    distinct, columns = np.unique(ids, return_inverse=True)
+    overlap = np.zeros((histogram.shape[0], k, distinct.size), dtype=np.int64)
+    np.add.at(overlap, (truth, assigned, columns), 1)
     matched = sum(_max_matching(o) for o in overlap)
     return SubclassReport(histogram=histogram, purity=matched / len(triples))
 

@@ -9,7 +9,8 @@ context block or the encoder; stage 1 updates only the descriptor
 tokens, stage 2 only the adapter.
 
 Checkpoint file format: a header line, then one ``key<TAB>value`` line
-per tensor in a fixed order.  Vector values are comma-separated decimals
+per vector or matrix, in the one order that the header's dimensions fix
+(``_checkpoint_layout``).  Vector values are comma-separated decimals
 with 17 significant digits (lossless for float64); matrices join their
 rows with ``;``.  Token vectors are keyed ``bank.tokens[i][k][m]`` and
 context vectors ``bank.context[c]``.
@@ -377,23 +378,53 @@ def bank_embeddings(bank: DescriptorBank, encoder: TextEncoder) -> np.ndarray:
     return encode_text(encoder, bank.context, bank.tokens)
 
 
-_CHECKPOINT_VERSION = 1
+FORMAT_VERSION = 1
 _CHECKPOINT_HEADER = re.compile(
     r"^metd-checkpoint v(\d+) n_classes=(\d+) n_subclasses=(\d+) n_tokens=(\d+) "
     r"token_dim=(\d+) embed_dim=(\d+) feature_dim=(\d+) context_length=(\d+) "
     r"encoder=(\S+) residual=(true|false) temperature=(\S+) seed=(-?\d+)$"
 )
-_TOKEN_KEY = re.compile(r"^bank\.tokens\[(\d+)\]\[(\d+)\]\[(\d+)\]$")
-_CONTEXT_KEY = re.compile(r"^bank\.context\[(\d+)\]$")
+
+
+def read_records(path: str, header: re.Pattern, what: str, n_fields: int):
+    """Stream a metd text file: the header's match, then (line_no, fields) per line.
+
+    ``header``'s first group is the format version, which must be
+    ``FORMAT_VERSION``.  Every later line must be nonblank and hold
+    ``n_fields`` tab-separated fields.  Lines are read and yielded one at
+    a time, so no file is ever held in memory whole.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file, missing header", line=1)
+        match = header.match(first.rstrip("\n"))
+        if not match:
+            raise ParseError(f"bad {what} header", line=1)
+        if int(match.group(1)) != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
+        yield match
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                raise ParseError("blank line", line=line_no)
+            if len(fields) != n_fields:
+                raise ParseError(
+                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                    line=line_no,
+                )
+            yield line_no, fields
+
+
+def write_lines(path: str, lines):
+    """Write each string of ``lines`` as one LF-terminated UTF-8 line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def format_floats(values: np.ndarray) -> str:
     """17 significant digits: every float64 round-trips through parse_floats."""
     return ",".join(format(float(x), ".17g") for x in values)
-
-
-def _fmt_matrix(values: np.ndarray) -> str:
-    return ";".join(format_floats(row) for row in values)
 
 
 def parse_floats(text: str, dim: int, line_no: int) -> np.ndarray:
@@ -409,18 +440,37 @@ def parse_floats(text: str, dim: int, line_no: int) -> np.ndarray:
     return values
 
 
-def _parse_matrix(text: str, rows: int, cols: int, line_no: int) -> np.ndarray:
+def _parse_value(text: str, shape: tuple, line_no: int) -> np.ndarray:
+    """A vector, or a matrix whose rows are joined with ``;``."""
+    if len(shape) == 1:
+        return parse_floats(text, shape[0], line_no)
     parts = text.split(";")
-    if len(parts) != rows:
-        raise ParseError(f"expected {rows} rows, got {len(parts)}", line=line_no)
-    return np.vstack([parse_floats(p, cols, line_no) for p in parts])
+    if len(parts) != shape[0]:
+        raise ParseError(f"expected {shape[0]} rows, got {len(parts)}", line=line_no)
+    return np.vstack([parse_floats(p, shape[1], line_no) for p in parts])
+
+
+def _checkpoint_layout(header: re.Match) -> list[tuple[str, tuple]]:
+    """The (key, shape) of every line after a checkpoint header, in file order."""
+    n, k, m, token_dim, embed_dim, feature_dim, context_length = map(int, header.groups()[1:8])
+    layout = [
+        (f"bank.tokens[{i}][{kk}][{mm}]", (token_dim,))
+        for i in range(n)
+        for kk in range(k)
+        for mm in range(m)
+    ]
+    layout += [(f"bank.context[{c}]", (token_dim,)) for c in range(context_length)]
+    layout += [("adapter.weight", (embed_dim, feature_dim)), ("adapter.bias", (embed_dim,))]
+    if header.group(9) == PROJECTED_MEAN:
+        layout.append(("encoder.projection", (embed_dim, token_dim)))
+    return layout
 
 
 def save_checkpoint(model: Model, path: str):
     """Serialize a model losslessly; same model in, byte-identical file out."""
     bank = model.bank
     header = (
-        f"metd-checkpoint v{_CHECKPOINT_VERSION} "
+        f"metd-checkpoint v{FORMAT_VERSION} "
         f"n_classes={bank.n_classes} n_subclasses={bank.n_subclasses} "
         f"n_tokens={bank.n_tokens} token_dim={bank.token_dim} "
         f"embed_dim={model.encoder.embed_dim} "
@@ -431,100 +481,65 @@ def save_checkpoint(model: Model, path: str):
         f"temperature={format(model.temperature, '.17g')} "
         f"seed={model.seed}"
     )
-    lines = [header]
-    for i in range(bank.n_classes):
-        for k in range(bank.n_subclasses):
-            for m in range(bank.n_tokens):
-                lines.append(
-                    f"bank.tokens[{i}][{k}][{m}]\t{format_floats(bank.tokens[i, k, m])}"
-                )
-    for c in range(bank.context_length):
-        lines.append(f"bank.context[{c}]\t{format_floats(bank.context[c])}")
-    lines.append(f"adapter.weight\t{_fmt_matrix(model.adapter.weight)}")
-    lines.append(f"adapter.bias\t{format_floats(model.adapter.bias)}")
-    if model.encoder.projection is not None:
-        lines.append(f"encoder.projection\t{_fmt_matrix(model.encoder.projection)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    values = [
+        *bank.tokens.reshape(-1, bank.token_dim),
+        *bank.context,
+        model.adapter.weight,
+        model.adapter.bias,
+        model.encoder.projection,  # None, and cut by zip, for identity-mean
+    ]
+    layout = _checkpoint_layout(_CHECKPOINT_HEADER.match(header))
+    write_lines(path, [header] + [
+        f"{key}\t{';'.join(format_floats(row) for row in np.atleast_2d(value))}"
+        for (key, _), value in zip(layout, values)
+    ])
 
 
 def load_checkpoint(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError("empty file, missing header", line=1)
-    match = _CHECKPOINT_HEADER.match(lines[0])
-    if not match:
-        raise ParseError("bad checkpoint header", line=1)
-    if int(match.group(1)) != _CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
-    n, k, m = int(match.group(2)), int(match.group(3)), int(match.group(4))
-    token_dim, embed_dim = int(match.group(5)), int(match.group(6))
-    feature_dim, context_length = int(match.group(7)), int(match.group(8))
-    kind = match.group(9)
-    residual = match.group(10) == "true"
-    try:
-        temperature = float(match.group(11))
-    except ValueError:
-        raise ParseError("bad temperature", line=1) from None
-    seed = int(match.group(12))
+    """Read a checkpoint whose lines follow ``_checkpoint_layout`` in order.
+
+    The first line that is out of place, missing or extra is a ParseError
+    at its line number.
+    """
+    records = read_records(path, _CHECKPOINT_HEADER, "checkpoint", 2)
+    header = next(records)
+    n, k, m, token_dim, embed_dim, _, context_length = map(int, header.groups()[1:8])
+    kind = header.group(9)
     if kind not in ENCODER_KINDS:
         raise ParseError(f"unknown encoder kind {kind!r}", line=1)
-
-    tokens = np.full((n, k, m, token_dim), np.nan)
-    context = np.full((context_length, token_dim), np.nan)
-    weight = None
-    bias = None
-    projection = None
-    seen = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError("expected key<TAB>value", line=line_no)
-        key, value = fields
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}", line=line_no)
-        seen.add(key)
-        token_match = _TOKEN_KEY.match(key)
-        context_match = _CONTEXT_KEY.match(key)
-        if token_match:
-            i, kk, mm = (int(g) for g in token_match.groups())
-            if not (i < n and kk < k and mm < m):
-                raise ParseError(f"token index out of range in {key!r}", line=line_no)
-            tokens[i, kk, mm] = parse_floats(value, token_dim, line_no)
-        elif context_match:
-            c = int(context_match.group(1))
-            if c >= context_length:
-                raise ParseError(f"context index out of range in {key!r}", line=line_no)
-            context[c] = parse_floats(value, token_dim, line_no)
-        elif key == "adapter.weight":
-            weight = _parse_matrix(value, embed_dim, feature_dim, line_no)
-        elif key == "adapter.bias":
-            bias = parse_floats(value, embed_dim, line_no)
-        elif key == "encoder.projection":
-            projection = _parse_matrix(value, embed_dim, token_dim, line_no)
-        else:
-            raise ParseError(f"unknown key {key!r}", line=line_no)
-    if np.any(np.isnan(tokens)) or np.any(np.isnan(context)):
-        raise ParseError("missing token or context entries")
-    if weight is None or bias is None:
-        raise ParseError("missing adapter entries")
-    if kind == PROJECTED_MEAN and projection is None:
-        raise ParseError("missing encoder.projection")
-    if kind == IDENTITY_MEAN and projection is not None:
-        raise ParseError("identity-mean checkpoint carries a projection")
     try:
-        bank = DescriptorBank(tokens=tokens, context=context)
+        temperature = float(header.group(11))
+    except ValueError:
+        raise ParseError("bad temperature", line=1) from None
+    layout = _checkpoint_layout(header)
+    values = []
+    for (key, shape), (line_no, (found, text)) in zip(layout, records):
+        if found != key:
+            raise ParseError(f"expected key {key!r}, got {found!r}", line=line_no)
+        values.append(_parse_value(text, shape, line_no))
+    if len(values) < len(layout):
+        raise ParseError(f"missing key {layout[len(values)][0]!r}", line=len(values) + 2)
+    for line_no, (found, _) in records:
+        raise ParseError(f"unexpected key {found!r}", line=line_no)
+    projection = values.pop() if kind == PROJECTED_MEAN else None
+    n_rows = n * k * m
+    try:
+        bank = DescriptorBank(
+            tokens=np.array(values[:n_rows]).reshape(n, k, m, token_dim),
+            context=np.array(values[n_rows:-2]).reshape(context_length, token_dim),
+        )
         encoder = TextEncoder(
             kind=kind, token_dim=token_dim, embed_dim=embed_dim, projection=projection
         )
-        adapter = ImageAdapter(weight=weight, bias=bias, residual=residual)
+        adapter = ImageAdapter(
+            weight=values[-2], bias=values[-1], residual=header.group(10) == "true"
+        )
         return Model(
             bank=bank,
             encoder=encoder,
             adapter=adapter,
             temperature=temperature,
-            seed=seed,
+            seed=int(header.group(12)),
         )
     except ContractViolation as exc:
         raise ParseError(str(exc)) from exc

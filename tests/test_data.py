@@ -329,6 +329,19 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
         load_dataset(str(bad_label))  # label range checked on construction
 
 
+def test_negative_subcluster_ids_are_rejected(tmp_path):
+    for ids in ([0, 1, -1, 1], [-1, -2, -1, -2]):
+        rows = [Sample(np.ones(2), 0, subcluster_id=sub) for sub in ids]
+        with pytest.raises(ContractViolation, match="negative subcluster id"):
+            EmbeddingDataset(rows, feature_dim=2, n_classes=1)
+        path = tmp_path / "negative.tsv"
+        path.write_text(
+            "metd-embed v1 dim=2 classes=1\n" + "".join(f"0\t-\t{sub}\t1,2\n" for sub in ids)
+        )
+        with pytest.raises(ParseError, match="negative subcluster id"):
+            load_dataset(str(path))
+
+
 def test_vocabulary_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     vocab = Vocabulary(

@@ -383,6 +383,23 @@ def test_max_matching_equals_the_brute_force_maximum(table):
     assert np.array_equal(table, before)
 
 
+def _dataset_and_report(triples, n_classes, k):
+    """One-row units and an ``evaluate``-style report from (label, assigned, subcluster) triples."""
+    dataset = EmbeddingDataset(
+        [Sample(np.ones(2), label, subcluster_id=sub) for label, _, sub in triples],
+        feature_dim=2,
+        n_classes=n_classes,
+    )
+    labels = [label for label, _, _ in triples]
+    assigned = np.array([a for _, a, _ in triples], dtype=np.int64)
+    histogram = np.zeros((n_classes, k), dtype=np.int64)
+    np.add.at(histogram, (labels, assigned), 1)
+    report = replace(
+        report_from_labels(labels, labels, n_classes, histogram), assignments=assigned
+    )
+    return dataset, report
+
+
 @matching_settings
 @given(
     st.integers(1, 3),  # classes
@@ -398,20 +415,29 @@ def test_purity_with_any_number_of_subclusters_equals_the_brute_force(
     units = st.tuples(st.integers(0, n_classes - 1), st.integers(0, k - 1),
                       st.integers(0, n_ids - 1))
     triples = data.draw(st.lists(units, min_size=1, max_size=24))
-    dataset = EmbeddingDataset(
-        [Sample(np.ones(2), label, subcluster_id=sub) for label, _, sub in triples],
-        feature_dim=2,
-        n_classes=n_classes,
-    )
-    labels = [label for label, _, _ in triples]
-    assigned = np.array([a for _, a, _ in triples], dtype=np.int64)
-    histogram = np.zeros((n_classes, k), dtype=np.int64)
-    np.add.at(histogram, (labels, assigned), 1)
-    report = replace(
-        report_from_labels(labels, labels, n_classes, histogram), assignments=assigned
-    )
-    purity = subclass_report(dataset, report).purity
+    purity = subclass_report(*_dataset_and_report(triples, n_classes, k)).purity
     assert purity == _brute_force_purity(triples, n_classes, k)
+
+
+def test_purity_matches_one_column_per_distinct_subcluster_id(monkeypatch):
+    import metd.inference
+
+    shapes = []
+
+    def recorded(table):
+        shapes.append(table.shape)
+        return _max_matching(table)
+
+    monkeypatch.setattr(metd.inference, "_max_matching", recorded)
+    labels = [0, 0, 0, 0, 0, 1, 1, 1]
+    assigned = [0, 1, 1, 0, 0, 1, 0, 1]
+    purities = []
+    for big in (1, 10**6):
+        ids = [0, big, big, 0, big, big, 0, 0]
+        triples = list(zip(labels, assigned, ids))
+        purities.append(subclass_report(*_dataset_and_report(triples, 2, 2)).purity)
+    assert shapes == [(2, 2)] * 4
+    assert purities[0] == purities[1] == 6 / 8
 
 
 def test_format_eval_report_fields():

@@ -278,6 +278,47 @@ def test_checkpoint_rejects_malformed(tmp_path):
         load_checkpoint(write("extra.ckpt", "\n".join(lines + [projection_row])))
 
 
+@pytest.mark.parametrize(
+    "encoder_kind,residual",
+    [
+        (IDENTITY_MEAN, True),
+        (IDENTITY_MEAN, False),
+        (PROJECTED_MEAN, True),
+        (PROJECTED_MEAN, False),
+    ],
+)
+def test_checkpoint_mutations_fail_at_the_faulty_line(tmp_path, encoder_kind, residual):
+    model = _randomized_model(7, encoder_kind=encoder_kind, residual=residual)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    lines = path.read_text().splitlines()
+    past_end = len(lines) + 1  # the line number an appended line gets
+
+    def expect(mutated, line):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(mutated) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(str(bad))
+        assert info.value.line == line
+
+    # lines[j] is line j + 1 of the file; lines[0] is the header.
+    for j in range(1, len(lines) - 1):
+        expect(lines[:j] + [lines[j + 1], lines[j]] + lines[j + 2 :], j + 1)  # swapped
+    for j in range(1, len(lines)):
+        expect(lines[: j + 1] + lines[j:], j + 2)  # duplicated
+        expect(lines[:j] + lines[j + 1 :], j + 1)  # dropped
+        key, value = lines[j].split("\t")
+        expect(lines[:j] + [f"{key}x\t{value}"] + lines[j + 1 :], j + 1)  # renamed
+    expect(lines + ["mystery.key\t1.0"], past_end)
+    if encoder_kind == IDENTITY_MEAN:
+        projection = "encoder.projection\t" + ";".join(["0.1,0.1,0.1,0.1,0.1"] * 5)
+        expect(lines + [projection], past_end)
+    w = next(j for j, line in enumerate(lines) if line.startswith("adapter.weight\t"))
+    rows = lines[w].split(";")
+    for wrong in (rows[:-1], rows + rows[-1:]):
+        expect(lines[:w] + [";".join(wrong)] + lines[w + 1 :], w + 1)
+
+
 def test_checkpoint_parse_error_carries_line_number(tmp_path):
     model = _randomized_model(6)
     path = tmp_path / "model.ckpt"
