@@ -10,10 +10,12 @@
 # "clips" variant whose units are sequences of up to 4 frames, this runs
 # synth, train, eval, decode (against configs/vocab.tsv, so a token_dim
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
-# with <checkout>/src on PYTHONPATH.  It keeps the datasets, checkpoints,
-# metrics logs, eval reports and every command's stdout and exit status.
-# Wall times and the directory part of printed paths vary from run to run
-# and are dropped.  Example:
+# with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
+# checkpoint on a copy of its test split whose third line has label 99,
+# so a dataset error message is compared too.  It keeps the datasets,
+# checkpoints, metrics logs, eval reports and every command's stdout,
+# stderr and exit status.  Wall times and the directory part of printed
+# paths vary from run to run and are dropped.  Example:
 #
 #   scripts/same_outputs.sh . /tmp/after
 #   scripts/same_outputs.sh ../parent /tmp/before
@@ -39,14 +41,17 @@ override() {
 }
 
 # Run one metd command; keep its stdout, with paths made relative to the
-# case directory and wall times removed, and its exit status.
+# case directory and wall times removed, its stderr, with paths made
+# relative, and its exit status.
 run() {
     local dir=$1 name=$2
     shift 2
     local status=0
-    PYTHONPATH="$checkout/src" python3 -m metd "$@" >"$dir/$name.raw" || status=$?
+    PYTHONPATH="$checkout/src" python3 -m metd "$@" >"$dir/$name.raw" 2>"$dir/$name.err.raw" \
+        || status=$?
     sed -e "s|$dir/||g" -e 's/ wall_time=[^ ]*//' "$dir/$name.raw" >"$dir/$name.out"
-    rm "$dir/$name.raw"
+    sed -e "s|$dir/||g" "$dir/$name.err.raw" >"$dir/$name.err"
+    rm "$dir/$name.raw" "$dir/$name.err.raw"
     echo "$name exit $status" >>"$dir/status"
 }
 
@@ -101,3 +106,9 @@ synth_case clips "seed = 7" "oversample = true" "stage1_epochs = 4" "stage2_epoc
 regroup "$out/clips/data/train.tsv" drop
 regroup "$out/clips/data/test.tsv" keep
 run_case clips
+
+bad="$out/bad-rows"
+rm -rf "$bad"
+mkdir -p "$bad"
+awk -F'\t' -v OFS='\t' 'NR == 3 { $1 = 99 } { print }' "$out/seed7/data/test.tsv" >"$bad/test.tsv"
+run "$bad" eval eval "$out/seed7/model.ckpt" "$bad/test.tsv"

@@ -52,7 +52,6 @@ from .data import (
 from .inference import (
     EvalReport,
     Prediction,
-    SubclassReport,
     evaluate,
     format_eval_report,
     predict,
@@ -64,12 +63,12 @@ from .training import (
     StageConfig,
     cosine_lr,
     fd_check,
+    fd_sweep,
     optimizer_step,
     run_stage1,
     run_stage2,
 )
 from .harness import (
-    ComparisonReport,
     Strategy,
     StrategyResult,
     compare_all,

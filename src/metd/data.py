@@ -67,6 +67,15 @@ class Unit:
     subcluster_id: int | None = None
 
 
+class _RowError(ContractViolation):
+    """Row ``row`` (0-based) of an ``EmbeddingDataset`` breaks its contract."""
+
+    def __init__(self, row: int, problem: str):
+        super().__init__(f"sample {row}: {problem}")
+        self.row = row
+        self.problem = problem
+
+
 class EmbeddingDataset:
     """An ordered list of samples with a fixed feature dim and class count.
 
@@ -93,36 +102,25 @@ class EmbeddingDataset:
         for idx, sample in enumerate(self.samples):
             arr = np.asarray(sample.features, dtype=np.float64)
             if arr.shape != (self.feature_dim,):
-                raise ContractViolation(
-                    f"sample {idx}: feature shape {arr.shape} != ({self.feature_dim},)"
-                )
+                raise _RowError(idx, f"feature shape {arr.shape} != ({self.feature_dim},)")
             if not np.all(np.isfinite(arr)):
-                raise ContractViolation(f"sample {idx}: non-finite features")
+                raise _RowError(idx, "non-finite features")
             if not 0 <= sample.label < self.n_classes:
-                raise ContractViolation(
-                    f"sample {idx}: label {sample.label} out of range "
-                    f"[0, {self.n_classes})"
+                raise _RowError(
+                    idx, f"label {sample.label} out of range [0, {self.n_classes})"
                 )
             if sample.subcluster_id is not None and sample.subcluster_id < 0:
-                raise ContractViolation(
-                    f"sample {idx}: negative subcluster id {sample.subcluster_id}"
-                )
+                raise _RowError(idx, f"negative subcluster id {sample.subcluster_id}")
             sid = sample.sequence_id
             head = self.samples[starts[-1]] if starts else None
             if sid is not None and head is not None and sid == head.sequence_id:
                 # Continuing the current sequence block.
                 if sample.label != head.label:
-                    raise ContractViolation(
-                        f"sample {idx}: sequence {sid} mixes labels"
-                    )
+                    raise _RowError(idx, f"sequence {sid} mixes labels")
                 if sample.subcluster_id != head.subcluster_id:
-                    raise ContractViolation(
-                        f"sample {idx}: sequence {sid} mixes subcluster ids"
-                    )
+                    raise _RowError(idx, f"sequence {sid} mixes subcluster ids")
             elif sid is not None and sid in started_ids:
-                raise ContractViolation(
-                    f"sample {idx}: sequence {sid} is not contiguous"
-                )
+                raise _RowError(idx, f"sequence {sid} is not contiguous")
             else:
                 started_ids.add(sid)
                 starts.append(idx)
@@ -448,8 +446,12 @@ def load_dataset(path: str) -> EmbeddingDataset:
     ]
     try:
         return EmbeddingDataset(samples, dim, n_classes)
+    except _RowError as exc:
+        # The header is line 1, and each later line is one row.
+        raise ParseError(exc.problem, line=exc.row + 2) from exc
     except ContractViolation as exc:
-        raise ParseError(str(exc)) from exc
+        # Any other breach is the header's dim or class count.
+        raise ParseError(str(exc), line=1) from exc
 
 
 @dataclass

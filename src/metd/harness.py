@@ -84,11 +84,6 @@ class StrategyResult:
     echo: dict
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: list[StrategyResult]
-
-
 BENCHMARK_SIGMA = 0.13
 BENCHMARK_INTRA_DEG = 135.0  # angle between a class's two subcluster means
 BENCHMARK_STEAL_DEG = 55.0  # minority mean to next class's majority mean
@@ -371,28 +366,28 @@ def run_strategy(
 
 def compare_all(
     splits: tuple[EmbeddingDataset, EmbeddingDataset], config
-) -> ComparisonReport:
+) -> list[StrategyResult]:
     """Check each of ``config.strategies`` against the splits, then run each in turn."""
     strategies = [Strategy(kind) for kind in config.strategies]
     if not strategies:
         raise ContractViolation("strategy list is empty")
     for strategy in strategies:
         _check_strategy(strategy, splits, config)
-    return ComparisonReport(rows=[run_strategy(s, splits, config) for s in strategies])
+    return [run_strategy(s, splits, config) for s in strategies]
 
 
-def format_comparison(report: ComparisonReport) -> str:
+def format_comparison(rows: list[StrategyResult]) -> str:
     """Aligned table, then one key=value line per strategy.
 
     Wall times are measurements, not deterministic outputs; they appear
     only in the key=value block.
     """
-    width = max(len(r.kind) for r in report.rows) + 2
+    width = max(len(r.kind) for r in rows) + 2
     lines = [f"{'strategy':<{width}}war     uar"]
-    for row in report.rows:
+    for row in rows:
         lines.append(f"{row.kind:<{width}}{row.war:<8.4f}{row.uar:.4f}")
     lines.append("")
-    for row in report.rows:
+    for row in rows:
         extras = " ".join(f"{k}={v}" for k, v in sorted(row.echo.items()))
         lines.append(
             f"strategy={row.kind} war={row.war:.6f} uar={row.uar:.6f} "

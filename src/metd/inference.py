@@ -90,9 +90,10 @@ class EvalReport:
     ``per_class_recall`` holds NaN for classes absent from the data;
     those classes are excluded from the UAR mean.  ``assignments[u]`` is
     the subclass of unit u's true class that scored highest, in
-    ``dataset.units()`` order, and ``subclass_histogram`` counts them per
-    (true class, subclass).  Both are None when the report was built from
-    bare label pairs.
+    ``dataset.units()`` order, and ``subclass_histogram[i, k]`` counts
+    the units of true class i assigned to subclass k.  Both are None
+    when the report was built from bare label pairs.
+    ``subclass_purity`` is filled in by ``subclass_report``.
     """
 
     war: float
@@ -102,11 +103,10 @@ class EvalReport:
     n_units: int
     subclass_histogram: np.ndarray | None = None
     assignments: np.ndarray | None = None
+    subclass_purity: float | None = None
 
 
-def report_from_labels(
-    truths, predictions, n_classes: int, subclass_histogram=None
-) -> EvalReport:
+def report_from_labels(truths, predictions, n_classes: int) -> EvalReport:
     """Confusion matrix, WAR, and UAR from parallel label sequences."""
     truths = np.asarray(truths, dtype=np.int64).reshape(-1)
     predictions = np.asarray(predictions, dtype=np.int64).reshape(-1)
@@ -135,7 +135,6 @@ def report_from_labels(
         per_class_recall=recall,
         confusion=confusion,
         n_units=int(truths.size),
-        subclass_histogram=subclass_histogram,
     )
 
 
@@ -159,8 +158,8 @@ def _score(dataset: EmbeddingDataset, model: Model, embeddings: np.ndarray) -> E
     assignments = prediction.subclass_argmax[np.arange(truths.size), truths]
     histogram = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
     np.add.at(histogram, (truths, assignments), 1)
-    report = report_from_labels(truths, prediction.label, dataset.n_classes, histogram)
-    return replace(report, assignments=assignments)
+    report = report_from_labels(truths, prediction.label, dataset.n_classes)
+    return replace(report, subclass_histogram=histogram, assignments=assignments)
 
 
 def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
@@ -172,28 +171,15 @@ def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
     return _score(dataset, model, np.stack([unit_embedding(model, unit) for unit in units]))
 
 
-@dataclass(frozen=True)
-class SubclassReport:
-    """Within-class subclass assignment histogram plus optional purity.
+def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> EvalReport:
+    """``evaluate(dataset, model)``'s report with its subclass purity filled in.
 
-    ``histogram[i, k]`` counts units of true class i whose most similar
-    descriptor of class i was subclass k.  ``purity`` is filled in only
-    when the dataset carries ground-truth subcluster ids: per class, the
-    assignment-vs-truth overlap table is matched one-to-one (maximum
-    overlap) and purity is the matched fraction over all id-carrying
-    units.  With a single subclass per class, purity is 1.0 by
-    convention.
-    """
-
-    histogram: np.ndarray
-    purity: float | None
-
-
-def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassReport:
-    """Subclass histogram and purity of ``evaluate(dataset, model)``'s report.
-
-    Reads the report's per-unit assignments and the dataset's subcluster
-    ids; nothing is scored again.
+    Purity needs the dataset's ground-truth subcluster ids and stays None
+    without them.  Per class, the assignment-vs-truth overlap table is
+    matched one-to-one (maximum overlap), and purity is the matched
+    fraction over all id-carrying units.  With a single subclass per
+    class, purity is 1.0 by convention.  Reads the report's per-unit
+    assignments; nothing is scored again.
     """
     if report.assignments is None:
         raise ContractViolation("subclass_report needs a report from evaluate")
@@ -202,26 +188,25 @@ def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> SubclassRe
         raise ContractViolation(
             f"report covers {report.assignments.size} units, dataset has {len(units)}"
         )
-    histogram = report.subclass_histogram
-    k = histogram.shape[1]
+    n_classes, k = report.subclass_histogram.shape
     triples = [
         (unit.label, int(assigned), unit.subcluster_id)
         for unit, assigned in zip(units, report.assignments)
         if unit.subcluster_id is not None
     ]
     if not triples:
-        return SubclassReport(histogram=histogram, purity=None)
+        return report
     if k == 1:
-        return SubclassReport(histogram=histogram, purity=1.0)
+        return replace(report, subclass_purity=1.0)
     # Per class, the (assigned subclass, true subcluster) overlap table,
     # one column per distinct id.  A class's table gets zero columns for
     # the other classes' ids, which no maximum matching needs.
     truth, assigned, ids = np.array(triples).T
     distinct, columns = np.unique(ids, return_inverse=True)
-    overlap = np.zeros((histogram.shape[0], k, distinct.size), dtype=np.int64)
+    overlap = np.zeros((n_classes, k, distinct.size), dtype=np.int64)
     np.add.at(overlap, (truth, assigned, columns), 1)
     matched = sum(_max_matching(o) for o in overlap)
-    return SubclassReport(histogram=histogram, purity=matched / len(triples))
+    return replace(report, subclass_purity=matched / len(triples))
 
 
 def _max_matching(table: np.ndarray) -> int:
@@ -270,9 +255,7 @@ def _max_matching(table: np.ndarray) -> int:
     return int(-cost[owner[1:], np.arange(1, m + 1)].sum())
 
 
-def format_eval_report(
-    report: EvalReport, subclasses: SubclassReport | None = None
-) -> str:
+def format_eval_report(report: EvalReport) -> str:
     """Plain-text report: tab-separated confusion rows, then key=value lines."""
     lines = ["confusion (rows true, cols predicted):"]
     for row in report.confusion:
@@ -284,14 +267,9 @@ def format_eval_report(
     lines.append(f"uar={report.uar:.6f}")
     lines.append(f"per_class_recall={recalls}")
     lines.append(f"units={report.n_units}")
-    histogram = report.subclass_histogram
-    purity = None
-    if subclasses is not None:
-        histogram = subclasses.histogram
-        purity = subclasses.purity
-    if histogram is not None:
-        flat = ";".join(",".join(str(int(c)) for c in row) for row in histogram)
+    if report.subclass_histogram is not None:
+        flat = ";".join(",".join(str(int(c)) for c in row) for row in report.subclass_histogram)
         lines.append(f"subclass_histogram={flat}")
-    if purity is not None:
-        lines.append(f"subclass_purity={purity:.6f}")
+    if report.subclass_purity is not None:
+        lines.append(f"subclass_purity={report.subclass_purity:.6f}")
     return "\n".join(lines)

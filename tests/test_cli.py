@@ -21,6 +21,7 @@ from metd.harness import train_metd
 from metd.model import load_checkpoint, save_checkpoint
 
 from conftest import SYNTHETIC_CFG
+from test_training import _nan_on_call
 
 COMPACT_CONFIG = """\
 seed = 5
@@ -199,6 +200,20 @@ def test_fdcheck_detects_a_corrupted_gradient(tmp_path):
     assert "fdcheck: FAIL" in result.stdout.splitlines()[-1]
 
 
+def test_fdcheck_fails_on_a_nan_error(tmp_path, monkeypatch, capsys):
+    # Call 3 is the first instance's adapter.weight; every other error is
+    # finite and small, so only the NaN can fail the check.
+    from metd.cli import main
+
+    _nan_on_call(monkeypatch, 3)
+    config = tmp_path / "fd.cfg"
+    config.write_text("fdcheck_instances = 2\n")
+    assert main(["fdcheck", "--config", str(config)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].endswith("max_rel_err=nan")
+    assert lines[3] == "fdcheck: FAIL stage 2 adapter.weight max_rel_err=nan exceeds tolerance 0.0001"
+
+
 def test_config_errors_exit_2_and_name_the_key(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("sgima = 0.1\n")
@@ -225,6 +240,12 @@ def test_data_errors_exit_2(workspace, tmp_path):
     result = run_cli("eval", str(checkpoint), str(corrupt))
     assert result.returncode == 2
     assert "parse error" in result.stderr
+
+    bad_row = tmp_path / "bad_row.tsv"
+    bad_row.write_text("metd-embed v1 dim=2 classes=2\n0\t-\t-\t1,2\n7\t-\t-\t1,2\n")
+    result = run_cli("eval", str(checkpoint), str(bad_row))
+    assert result.returncode == 2
+    assert result.stderr == "parse error: line 3: label 7 out of range [0, 2)\n"
 
     mismatched = tmp_path / "mismatch.cfg"
     mismatched.write_text("seed = 5\n")  # defaults: feature_dim 16 vs data dim 8

@@ -315,6 +315,8 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
     _expect_parse_error(tmp_path, "empty.tsv", "", 1)
     _expect_parse_error(tmp_path, "version.tsv",
                         "metd-embed v2 dim=2 classes=2\n", 1)
+    _expect_parse_error(tmp_path, "noclasses.tsv", "metd-embed v1 dim=2 classes=0\n", 1)
+    _expect_parse_error(tmp_path, "nodim.tsv", "metd-embed v1 dim=0 classes=2\n", 1)
     _expect_parse_error(tmp_path, "fields.tsv", header + "0\t-\t1,2\n", 2)
     _expect_parse_error(tmp_path, "label.tsv", header + "x\t-\t-\t1,2\n", 2)
     _expect_parse_error(tmp_path, "seq.tsv", header + "0\tq\t-\t1,2\n", 2)
@@ -327,6 +329,29 @@ def test_dataset_parse_errors_carry_line_numbers(tmp_path):
     bad_label.write_text(header + "7\t-\t-\t1,2\n")
     with pytest.raises(ParseError):
         load_dataset(str(bad_label))  # label range checked on construction
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0\t-\t-\t1,2\n7\t-\t-\t1,2\n", "label 7 out of range [0, 2)"),
+        ("0\t4\t-\t1,2\n1\t4\t-\t1,2\n", "sequence 4 mixes labels"),
+        ("0\t4\t0\t1,2\n0\t4\t1\t1,2\n", "sequence 4 mixes subcluster ids"),
+        ("0\t4\t-\t1,2\n0\t5\t-\t1,2\n0\t4\t-\t1,2\n", "sequence 4 is not contiguous"),
+        ("0\t-\t0\t1,2\n0\t-\t-1\t1,2\n", "negative subcluster id -1"),
+    ],
+    ids=["label-out-of-range", "mixed-labels", "mixed-subcluster-ids",
+         "not-contiguous", "negative-subcluster-id"],
+)
+def test_dataset_row_errors_name_their_file_line(tmp_path, rows, message):
+    # The header is line 1 and each later line is one row, so the faulty
+    # (last) row is on the file's last line.
+    path = tmp_path / "rows.tsv"
+    path.write_text("metd-embed v1 dim=2 classes=2\n" + rows)
+    with pytest.raises(ParseError) as info:
+        load_dataset(str(path))
+    assert info.value.line == rows.count("\n") + 1
+    assert str(info.value) == f"line {info.value.line}: {message}"
 
 
 def test_negative_subcluster_ids_are_rejected(tmp_path):

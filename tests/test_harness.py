@@ -157,19 +157,19 @@ def test_linear_probe_solves_a_separable_benchmark(small_splits):
 def test_single_and_duplicate_strategies(small_splits):
     config = replace(COMPACT, seed=2, strategies=("linear-probe",))
     solo = compare_all(small_splits, config)
-    assert len(solo.rows) == 1
+    assert len(solo) == 1
     twice = compare_all(
         small_splits, replace(config, strategies=("linear-probe", "linear-probe"))
     )
-    assert twice.rows[0].war == twice.rows[1].war
-    assert twice.rows[0].uar == twice.rows[1].uar
-    assert twice.rows[0].echo == twice.rows[1].echo
+    assert twice[0].war == twice[1].war
+    assert twice[0].uar == twice[1].uar
+    assert twice[0].echo == twice[1].echo
 
 
 def test_all_five_strategies_produce_a_row_each(small_splits):
-    report = compare_all(small_splits, replace(COMPACT, seed=4, strategies=STRATEGY_KINDS))
-    assert [row.kind for row in report.rows] == list(STRATEGY_KINDS)
-    for row in report.rows:
+    rows = compare_all(small_splits, replace(COMPACT, seed=4, strategies=STRATEGY_KINDS))
+    assert [row.kind for row in rows] == list(STRATEGY_KINDS)
+    for row in rows:
         assert 0.0 <= row.war <= 1.0
         assert 0.0 <= row.uar <= 1.0
         assert row.wall_time >= 0.0
@@ -243,8 +243,7 @@ def test_split_mismatch_is_rejected(small_splits):
 
 def test_format_comparison_layout(small_splits):
     config = replace(COMPACT, seed=1, strategies=("zero-shot-fixed", "linear-probe"))
-    report = compare_all(small_splits, config)
-    text = format_comparison(report)
+    text = format_comparison(compare_all(small_splits, config))
     lines = text.splitlines()
     assert lines[0].startswith("strategy")
     assert "war" in lines[0] and "uar" in lines[0]
@@ -259,7 +258,7 @@ def test_format_comparison_layout(small_splits):
 
 def test_descriptor_method_stays_near_the_probe(benchmark_runs, clean_probe_row):
     assert benchmark_runs.report_k2.war >= clean_probe_row.war - 0.02
-    assert benchmark_runs.subclasses_k2.purity >= 0.9
+    assert benchmark_runs.report_k2.subclass_purity >= 0.9
 
 
 def test_two_descriptors_beat_one_on_the_default_benchmark(benchmark_runs):

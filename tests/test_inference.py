@@ -290,7 +290,7 @@ def test_subclass_purity_matches_brute_force(n_subclasses):
     )
     model = _small_model(seed=n_subclasses, n_subclasses=n_subclasses)
     report = subclass_report(train, evaluate(train, model))
-    assert report.histogram.shape == (2, n_subclasses)
+    assert report.subclass_histogram.shape == (2, n_subclasses)
     stack = bank_embeddings(model.bank, model.encoder)
     assignments = []
     for unit in train.units():
@@ -299,7 +299,7 @@ def test_subclass_purity_matches_brute_force(n_subclasses):
             (unit.label, int(pred.subclass_argmax[unit.label]), unit.subcluster_id)
         )
     expected = _brute_force_purity(assignments, 2, n_subclasses)
-    np.testing.assert_allclose(report.purity, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(report.subclass_purity, expected, rtol=0, atol=1e-15)
 
 
 def test_single_subclass_purity_is_one_by_convention():
@@ -309,15 +309,15 @@ def test_single_subclass_purity_is_one_by_convention():
     )
     model = _small_model(seed=5, n_subclasses=1)
     report = subclass_report(train, evaluate(train, model))
-    assert report.purity == 1.0
+    assert report.subclass_purity == 1.0
 
 
 def test_purity_absent_without_subcluster_ids():
     samples = [Sample(np.eye(8)[i % 8] + 0.01 * i, i % 2) for i in range(6)]
     dataset = EmbeddingDataset(samples, feature_dim=8, n_classes=2)
     report = subclass_report(dataset, evaluate(dataset, _small_model(seed=6)))
-    assert report.purity is None
-    assert report.histogram.sum() == 6
+    assert report.subclass_purity is None
+    assert report.subclass_histogram.sum() == 6
 
 
 def test_evaluate_then_subclass_report_embed_each_unit_once(monkeypatch):
@@ -395,7 +395,9 @@ def _dataset_and_report(triples, n_classes, k):
     histogram = np.zeros((n_classes, k), dtype=np.int64)
     np.add.at(histogram, (labels, assigned), 1)
     report = replace(
-        report_from_labels(labels, labels, n_classes, histogram), assignments=assigned
+        report_from_labels(labels, labels, n_classes),
+        subclass_histogram=histogram,
+        assignments=assigned,
     )
     return dataset, report
 
@@ -415,7 +417,7 @@ def test_purity_with_any_number_of_subclusters_equals_the_brute_force(
     units = st.tuples(st.integers(0, n_classes - 1), st.integers(0, k - 1),
                       st.integers(0, n_ids - 1))
     triples = data.draw(st.lists(units, min_size=1, max_size=24))
-    purity = subclass_report(*_dataset_and_report(triples, n_classes, k)).purity
+    purity = subclass_report(*_dataset_and_report(triples, n_classes, k)).subclass_purity
     assert purity == _brute_force_purity(triples, n_classes, k)
 
 
@@ -435,7 +437,7 @@ def test_purity_matches_one_column_per_distinct_subcluster_id(monkeypatch):
     for big in (1, 10**6):
         ids = [0, big, big, 0, big, big, 0, 0]
         triples = list(zip(labels, assigned, ids))
-        purities.append(subclass_report(*_dataset_and_report(triples, 2, 2)).purity)
+        purities.append(subclass_report(*_dataset_and_report(triples, 2, 2)).subclass_purity)
     assert shapes == [(2, 2)] * 4
     assert purities[0] == purities[1] == 6 / 8
 
@@ -460,7 +462,6 @@ def test_format_eval_report_fields():
                     feature_dim=8, sigma=0.2, intra_class_angle=60.0, seed=52)
     )
     model = _small_model(seed=7)
-    report = evaluate(train, model)
-    full = format_eval_report(report, subclass_report(train, report))
+    full = format_eval_report(subclass_report(train, evaluate(train, model)))
     assert "subclass_histogram=" in full
     assert "subclass_purity=" in full

@@ -22,6 +22,7 @@ from metd.training import (
     central_difference,
     cosine_lr,
     fd_check,
+    fd_sweep,
     format_metrics_log,
     init_optimizer_state,
     optimizer_step,
@@ -522,34 +523,72 @@ def test_fd_check_passes_on_random_instances():
     for stage in (1, 2):
         for seed in range(4):
             model, sample, counts = random_fd_instance(seed=seed, stage=stage)
-            report = fd_check(
-                model, sample, h=1e-5, tolerance=1e-4,
-                target_counts=counts, stage=stage,
-            )
-            assert report.passed, (
-                f"stage {stage} seed {seed}: {report.worst_group} "
-                f"max_rel_err={report.max_rel_err:.3e}"
-            )
-            names = {group.name for group in report.groups}
+            errors = fd_check(model, sample, h=1e-5, target_counts=counts, stage=stage)
+            for name, (_, worst) in errors.items():
+                assert worst < 1e-4, f"stage {stage} seed {seed}: {name} max_rel_err={worst:.3e}"
             if stage == 1:
-                assert names == {"bank.tokens"}
+                assert set(errors) == {"bank.tokens"}
+                assert errors["bank.tokens"][0] == model.bank.tokens.size
             else:
-                assert names == {"adapter.weight", "adapter.bias"}
+                assert set(errors) == {"adapter.weight", "adapter.bias"}
 
 
 def test_fd_check_corrupt_gradient_is_caught():
-    model, sample, counts = random_fd_instance(seed=0, stage=1)
-    report = fd_check(
-        model, sample, h=1e-5, tolerance=1e-4,
-        target_counts=counts, stage=1, corrupt=True,
-    )
-    assert not report.passed
-    model, sample, counts = random_fd_instance(seed=0, stage=2)
-    report = fd_check(
-        model, sample, h=1e-5, tolerance=1e-4,
-        target_counts=counts, stage=2, corrupt=True,
-    )
-    assert not report.passed
+    for stage in (1, 2):
+        model, sample, counts = random_fd_instance(seed=0, stage=stage)
+        errors = fd_check(
+            model, sample, h=1e-5, target_counts=counts, stage=stage, corrupt=True
+        )
+        assert max(worst for _, worst in errors.values()) >= 1e-4
+
+
+def test_fd_sweep_aggregates_fd_check_over_instances():
+    # Entries summed and errors maxed, per stage and array, over the
+    # instances seed, seed + 1, ...
+    for corrupt in (False, True):
+        expected = []
+        for stage in (1, 2):
+            totals = {}
+            for seed in range(5, 8):
+                model, sample, counts = random_fd_instance(seed=seed, stage=stage)
+                errors = fd_check(
+                    model, sample, 1e-5, target_counts=counts, stage=stage, corrupt=corrupt
+                )
+                for name, (entries, worst) in errors.items():
+                    total, most = totals.get(name, (0, 0.0))
+                    totals[name] = (total + entries, max(most, worst))
+            expected += [(stage, name, *totals[name]) for name in sorted(totals)]
+        assert fd_sweep(seed=5, instances=3, h=1e-5, corrupt=corrupt) == expected
+    names = [(stage, name) for stage, name, _, _ in expected]
+    assert names == [(1, "bank.tokens"), (2, "adapter.bias"), (2, "adapter.weight")]
+
+
+def _nan_on_call(monkeypatch, call):
+    """Make the ``call``-th (from 0) ``_relative_errors`` result NaN in its first entry."""
+    import metd.training
+
+    original = metd.training._relative_errors
+    calls = []
+
+    def patched(analytic, numeric):
+        errors = original(analytic, numeric)
+        if len(calls) == call:
+            errors.reshape(-1)[0] = np.nan
+        calls.append(call)
+        return errors
+
+    monkeypatch.setattr(metd.training, "_relative_errors", patched)
+
+
+def test_fd_sweep_keeps_a_nan_error(monkeypatch):
+    # Stage 1 checks bank.tokens once per instance, then stage 2 checks
+    # adapter.bias and adapter.weight per instance: call 4 is the second
+    # instance's adapter.bias, after a finite error for the first.
+    _nan_on_call(monkeypatch, 4)
+    rows = fd_sweep(seed=0, instances=2, h=1e-5)
+    worst = {(stage, name): err for stage, name, _, err in rows}
+    assert np.isnan(worst[(2, "adapter.bias")])
+    assert worst[(1, "bank.tokens")] < 1e-4 and worst[(2, "adapter.weight")] < 1e-4
 
 
 def test_random_fd_instance_is_deterministic():
