@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Commands: synth, train, eval, decode, compare, fdcheck.  Every command
-reads a flat key=value config (--config; optional where noted, defaults
-apply).  Exit codes: 0 success, 1 check failure (fdcheck tolerance
-breach), 2 usage/config/data errors.  All primary outputs are
-deterministic for a fixed config and seed; only wall-time measurements
-vary between runs.
+but eval reads a flat key=value config (--config; optional for decode,
+where the defaults apply).  Exit codes: 0 success, 1 check failure
+(fdcheck tolerance breach), 2 usage/config/data errors.  All primary
+outputs are deterministic for a fixed config and seed; only wall-time
+measurements vary between runs.
 """
 
 import argparse
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    p.add_argument("--config", required=False, help="optional run config")
     p.add_argument("--out", required=False, help="also write the report here")
     p.add_argument("checkpoint")
     p.add_argument("data", help="dataset file")

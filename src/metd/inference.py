@@ -2,9 +2,9 @@
 
 A sample is scored against each class by the mean cosine similarity over
 that class's subclass descriptors; the predicted label is the argmax
-(lowest index on ties).  Sequences are pooled to a single embedding by a
-temporal mean over per-frame embeddings before scoring, so a sequence
-and its pooled embedding receive the same prediction by construction.
+(lowest index on ties).  Both training stages and ``evaluate`` embed a
+unit as the adapter output for the temporal mean of its frames
+(``unit_embedding``), so they give it the same bits.
 
 Accuracy is reported two ways: WAR (weighted average recall) is the
 fraction of units predicted correctly, UAR (unweighted average recall)
@@ -73,14 +73,12 @@ def temporal_mean_pool(frames) -> np.ndarray:
 
 
 def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
-    """Adapter-encode each frame, then temporal-mean-pool.
+    """Adapter output for the temporal mean of the unit's frames.
 
-    The adapter is affine, so this equals encoding the pooled raw frames;
-    single-sample units pass through the pool unchanged.  The frames were
-    checked when the dataset was built and ``encode_image`` checks them
-    again, as one (n_frames, F) stack, so the pool is a plain mean.
+    Stage 2 encodes a (B, F) stack of pooled units in one call, and each
+    row has the bits of this call on that unit.
     """
-    return encode_image(model.adapter, unit.frames).mean(axis=0)
+    return encode_image(model.adapter, temporal_mean_pool(unit.frames))
 
 
 @dataclass(frozen=True)

@@ -498,12 +498,20 @@ def save_checkpoint(model: Model, path: str):
 def load_checkpoint(path: str) -> Model:
     """Read a checkpoint whose lines follow ``_checkpoint_layout`` in order.
 
-    The first line that is out of place, missing or extra is a ParseError
-    at its line number.
+    A zero dimension in the header is a ParseError at line 1, and the
+    first line that is out of place, missing or extra is one at its line
+    number.
     """
     records = read_records(path, _CHECKPOINT_HEADER, "checkpoint", 2)
     header = next(records)
-    n, k, m, token_dim, embed_dim, _, context_length = map(int, header.groups()[1:8])
+    n, k, m, token_dim, embed_dim, feature_dim, context_length = map(int, header.groups()[1:8])
+    try:
+        _require_positive(
+            n_classes=n, n_subclasses=k, n_tokens=m, token_dim=token_dim,
+            embed_dim=embed_dim, feature_dim=feature_dim, context_length=context_length,
+        )
+    except ContractViolation as exc:
+        raise ParseError(str(exc), line=1) from exc
     kind = header.group(9)
     if kind not in ENCODER_KINDS:
         raise ParseError(f"unknown encoder kind {kind!r}", line=1)

@@ -56,6 +56,7 @@ from .model import (
     adapter_gradients,
     bank_embeddings,
     build_model,
+    encode_image,
     encode_text_token_gradient,
 )
 
@@ -260,7 +261,6 @@ class _Stage:
 
     def __init__(self, model: Model, units: list[Unit], number: int):
         self.model = model
-        self.units = units
         self.number = number
         self.labels = np.array([unit.label for unit in units])
         if number == 1:
@@ -269,7 +269,7 @@ class _Stage:
             self.params = {"bank.tokens": model.bank.tokens}
         elif number == 2:
             # Descriptors are frozen in this stage, so their embeddings are
-            # too, and the raw frames never change.
+            # too; the frames never change, so each unit is pooled once.
             self.stack = bank_embeddings(model.bank, model.encoder)
             self.pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
             self.params = {
@@ -289,7 +289,7 @@ class _Stage:
             embeddings = self.embeddings[batch]
             stack = bank_embeddings(model.bank, model.encoder)
         else:
-            embeddings = np.stack([unit_embedding(model, self.units[i]) for i in batch])
+            embeddings = encode_image(model.adapter, self.pooled[batch])
             stack = self.stack
         grid = losses.similarity_grid(embeddings, stack, model.temperature)
         targets = self.labels[batch]
@@ -350,7 +350,7 @@ def _run_stage(model, dataset, config, number):
         raise ContractViolation("cannot train on an empty dataset")
     check_compatible(dataset, model)
     stage = _Stage(model, dataset.units(), number)
-    n_units = len(stage.units)
+    n_units = len(stage.labels)
     counts = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
     sums = np.zeros(3)
 

@@ -245,26 +245,31 @@ def test_sequence_prediction_equals_pooled_prediction(capsys):
     model.adapter.weight[:] = 0.2 * rng.normal(size=model.adapter.weight.shape)
     model.adapter.bias[:] = 0.2 * rng.normal(size=model.adapter.bias.shape)
     stack = bank_embeddings(model.bank, model.encoder)
-    mismatches = 0
+    # The adapter is affine, so encoding each frame and then pooling is the
+    # same map, rounded differently: its logits may differ in the last bits.
+    tolerance = 1e-12
+    mismatches = label_changes = 0
+    worst = 0.0
     for _ in range(1000):
         n_frames = int(rng.integers(1, 9))
         unit = Unit(frames=rng.normal(size=(n_frames, 16)), label=0)
         direct = predict(unit_embedding(model, unit), stack)
-        pooled = temporal_mean_pool(
-            np.vstack([encode_image(model.adapter, f) for f in unit.frames])
-        )
-        via_pool = predict(pooled, stack)
+        via_pool = predict(encode_image(model.adapter, temporal_mean_pool(unit.frames)), stack)
         if not (
             np.array_equal(direct.logits, via_pool.logits)
             and direct.label == via_pool.label
         ):
             mismatches += 1
-    ok = mismatches == 0
+        per_frame = predict(temporal_mean_pool(encode_image(model.adapter, unit.frames)), stack)
+        worst = max(worst, float(np.max(np.abs(per_frame.logits - direct.logits))))
+        label_changes += per_frame.label != direct.label
+    ok = mismatches == 0 and worst <= tolerance and label_changes == 0
     _verdict(
         capsys,
         "sequence vs pooled-embedding prediction",
         ok,
-        f"1000 sequences, {mismatches} mismatches (bitwise)",
+        f"1000 sequences, {mismatches} mismatches (bitwise); encode-then-pool "
+        f"max |dlogit|={worst:.1e} <= {tolerance:g}, {label_changes} label changes",
     )
 
 

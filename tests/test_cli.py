@@ -331,6 +331,20 @@ def test_decode_vocab_dim_mismatch_exits_2(workspace, tmp_path):
     assert "vocabulary dim" in result.stderr
 
 
+def test_eval_has_no_config_option(workspace, tmp_path, capsys):
+    # eval reads only the checkpoint and the data: a --config it would not
+    # read is a usage error, not silently ignored.
+    from metd.cli import main
+
+    _, _, data, checkpoint = workspace
+    argv = ["eval", "--config", str(tmp_path / "absent.cfg"), str(checkpoint),
+            str(data / "test.tsv")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_missing_required_argument_exits_2():
     result = run_cli("synth")
     assert result.returncode == 2

@@ -130,9 +130,10 @@ def test_temporal_mean_pool_examples():
 
 
 def test_sequence_prediction_equals_pooled_frame_embeddings():
-    # unit_embedding is defined as encode-then-pool, so predicting a
-    # sequence and predicting its pooled per-frame embeddings must agree
-    # bit for bit.
+    # unit_embedding is defined as pool-then-encode, so predicting a
+    # sequence and predicting its encoded pooled frames agree bit for bit.
+    # Encoding each frame and then pooling is the same affine map rounded
+    # differently, so it agrees within a few ulps of the logits.
     model = _small_model(seed=1)
     stack = bank_embeddings(model.bank, model.encoder)
     rng = np.random.default_rng(44)
@@ -140,12 +141,12 @@ def test_sequence_prediction_equals_pooled_frame_embeddings():
         n_frames = int(rng.integers(1, 6))
         unit = Unit(frames=rng.normal(size=(n_frames, 8)), label=0)
         direct = predict(unit_embedding(model, unit), stack)
-        pooled = temporal_mean_pool(
-            np.vstack([encode_image(model.adapter, f) for f in unit.frames])
-        )
-        via_pool = predict(pooled, stack)
+        via_pool = predict(encode_image(model.adapter, temporal_mean_pool(unit.frames)), stack)
         assert np.array_equal(direct.logits, via_pool.logits)
         assert direct.label == via_pool.label
+        per_frame = predict(temporal_mean_pool(encode_image(model.adapter, unit.frames)), stack)
+        np.testing.assert_allclose(per_frame.logits, direct.logits, rtol=0, atol=1e-12)
+        assert per_frame.label == direct.label
 
 
 def test_identity_adapter_passes_frames_through():

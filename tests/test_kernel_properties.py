@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from metd import losses
 from metd.data import Unit
 from metd.inference import temporal_mean_pool, unit_embedding
-from metd.model import adapter_gradients, bank_embeddings
+from metd.model import ImageAdapter, adapter_gradients, bank_embeddings, encode_image
 from metd.training import _counted_gradients, _pull_token_gradient, _Stage, random_fd_instance
 
 FIELDS = ("fg", "margin", "total", "alpha", "closest_subclass", "farthest_subclass")
@@ -106,6 +106,28 @@ def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
     assert grads.keys() == expected.keys()
     for name, grad in grads.items():
         assert np.array_equal(grad, expected[name])
+
+
+@kernel_settings
+@given(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 9),  # B
+    st.integers(1, 64),  # F
+    st.integers(1, 64),  # E, F again for a residual adapter
+    st.booleans(),  # residual
+)
+def test_each_encoded_row_equals_the_one_feature_call(seed, b, f, e, residual):
+    # Stage 2 encodes a batch of pooled units in one call, and evaluate
+    # and unit_embedding encode one unit at a time: the bits must agree.
+    rng = np.random.default_rng(seed)
+    e = f if residual else e
+    adapter = ImageAdapter(
+        weight=rng.normal(size=(e, f)), bias=rng.normal(size=e), residual=residual
+    )
+    features = rng.normal(size=(b, f))
+    batch = encode_image(adapter, features)
+    for row, one in zip(batch, features):
+        assert np.array_equal(row, encode_image(adapter, one))
 
 
 def _untied(values, targets):

@@ -1,5 +1,7 @@
 """Descriptor bank, text encoder, image adapter, and checkpoint round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,23 @@ def test_checkpoint_parse_error_carries_line_number(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         load_checkpoint(str(bad))
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "dimension",
+    ["n_classes", "n_subclasses", "n_tokens", "token_dim", "embed_dim", "feature_dim",
+     "context_length"],
+)
+def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
+    # build_model refuses every zero dimension, so the header does too,
+    # before any row is read.
+    model = _randomized_model(8)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    lines = path.read_text().splitlines()
+    lines[0], count = re.subn(rf"\b{dimension}=\d+", f"{dimension}=0", lines[0])
+    assert count == 1
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"{dimension} must be a positive integer") as info:
+        load_checkpoint(str(path))
+    assert info.value.line == 1

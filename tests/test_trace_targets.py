@@ -99,6 +99,23 @@ def test_training_and_fd_check_call_every_expected_kernel():
     assert tracing["missing_calls"](tracer.stats(), expected) == []
 
 
+def test_fd_sweep_calls_every_expected_library_function():
+    # `metd fdcheck` is fd_sweep plus printing.  fd_check's stage-1
+    # instances are the workload's only unit_embedding calls.
+    expected = _expected_kernels(
+        ("FdCheck",), ("training.", "model.", "inference.", "losses.", "numerics.")
+    )
+    assert "training.fd_check" in expected and "inference.unit_embedding" in expected
+    tracing = _load_tracing()
+    tracer = tracing["Tracer"]()
+    installed = tracing["install"](tracer)
+    try:
+        metd.training.fd_sweep(seed=7, instances=1, h=1e-5)
+    finally:
+        installed.restore()
+    assert tracing["missing_calls"](tracer.stats(), expected) == []
+
+
 def test_eval_and_baselines_call_every_expected_kernel(tmp_path):
     expected = _expected_kernels(
         ("EvalClips", "CompareBaselines"), ("inference.", "model.", "numerics.", "losses.")
