@@ -12,7 +12,11 @@
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
 # with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
 # checkpoint on a copy of its test split whose third line has label 99,
-# so a dataset error message is compared too.  It keeps the datasets,
+# so a dataset error message is compared too.  A "bad-files" case evals
+# a copy of the seed-7 checkpoint whose header says temperature=-1, and
+# decodes the seed-7 checkpoint against a copy of configs/vocab.tsv whose
+# fourth line repeats the word of its second, so a checkpoint header
+# error and a vocabulary row error are compared as well.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -112,3 +116,12 @@ rm -rf "$bad"
 mkdir -p "$bad"
 awk -F'\t' -v OFS='\t' 'NR == 3 { $1 = 99 } { print }' "$out/seed7/data/test.tsv" >"$bad/test.tsv"
 run "$bad" eval eval "$out/seed7/model.ckpt" "$bad/test.tsv"
+
+bad="$out/bad-files"
+rm -rf "$bad"
+mkdir -p "$bad"
+sed '1s/temperature=[^ ]*/temperature=-1/' "$out/seed7/model.ckpt" >"$bad/model.ckpt"
+run "$bad" eval eval "$bad/model.ckpt" "$out/seed7/data/test.tsv"
+awk -F'\t' -v OFS='\t' 'NR == 2 { word = $1 } NR == 4 { $1 = word } { print }' \
+    "$checkout/configs/vocab.tsv" >"$bad/vocab.tsv"
+run "$bad" decode decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" "$bad/vocab.tsv"

@@ -60,7 +60,6 @@ from .inference import (
     unit_embedding,
 )
 from .training import (
-    StageConfig,
     cosine_lr,
     fd_check,
     fd_sweep,

@@ -1,20 +1,21 @@
 """Flat key=value run configuration.
 
 One ``key = value`` pair per line; ``#`` starts a comment (whole line or
-trailing); blank lines are ignored.  Unknown keys, duplicate keys, type
-errors, and out-of-range values are all rejected at parse time with the
-offending key and line number.  Every key has a default, so an empty
-file is a valid config.
+trailing); blank lines are ignored.  Every key has a default, so an empty
+file is a valid config.  A ``RunConfig`` checks each value's type and
+range, and the conflicts between keys, whenever it is built, from a file
+or by ``dataclasses.replace``: a ``ConfigError`` names the key, and the
+file parser adds that key's line.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import SynthConfig
 from .errors import ConfigError
 from .harness import STRATEGY_KINDS
 from .model import ENCODER_KINDS, IDENTITY_MEAN
-from .training import COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS, StageConfig
+from .training import COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS
 
 
 def _parse_int(text: str):
@@ -42,8 +43,32 @@ def _parse_bool(text: str):
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_strategies(text: str):
-    kinds = [part.strip() for part in text.split(",")]
+def _parse_list(text: str):
+    return tuple(part.strip() for part in text.split(","))
+
+
+# A type's text parser, and what a value of the type is called.
+_KINDS = {
+    int: (_parse_int, "an integer"),
+    float: (_parse_float, "a finite number"),
+    bool: (_parse_bool, "true or false"),
+    str: (str, "a string"),
+    tuple: (_parse_list, "a tuple"),
+}
+
+
+def _check_type(kind, value):
+    if kind is float:
+        # An integer is a number too; a float must be finite.
+        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    else:
+        ok = isinstance(value, kind)
+    # bool is an int in Python, but true/false is not a count.
+    if not ok or (kind is not bool and isinstance(value, bool)):
+        raise ValueError(f"expected {_KINDS[kind][1]}, got {value!r}")
+
+
+def _strategies(kinds):
     if not kinds or any(not k for k in kinds):
         raise ValueError("expected a comma-separated list of strategies")
     for kind in kinds:
@@ -51,99 +76,103 @@ def _parse_strategies(text: str):
             raise ValueError(
                 f"unknown strategy {kind!r}, expected one of {STRATEGY_KINDS}"
             )
-    return tuple(kinds)
 
 
 def _positive(value):
     if value < 1:
         raise ValueError(f"must be >= 1, got {value}")
-    return value
 
 
 def _nonnegative(value):
     if value < 0:
         raise ValueError(f"must be >= 0, got {value}")
-    return value
 
 
 def _positive_real(value):
     if not value > 0:
         raise ValueError(f"must be > 0, got {value}")
-    return value
 
 
 def _angle(value):
     if not 0.0 <= value <= 180.0:
         raise ValueError(f"must be in [0, 180], got {value}")
-    return value
 
 
 def _enum(choices):
     def check(value):
         if value not in choices:
             raise ValueError(f"must be one of {choices}, got {value!r}")
-        return value
 
     return check
 
 
-def _identity(value):
-    return value
+def _any(value):
+    pass
 
 
-# key -> (parser, validator, default-as-string)
+# key -> (check, default).  A key's type is its RunConfig field's.
 _SCHEMA = {
-    "seed": (_parse_int, _identity, "7"),
+    "seed": (_any, 7),
     # synthetic benchmark geometry
-    "n_classes": (_parse_int, _positive, "3"),
-    "subclusters_per_class": (_parse_int, _positive, "2"),
-    "samples_per_subcluster": (_parse_int, _positive, "125"),
-    "feature_dim": (_parse_int, _positive, "16"),
-    "sigma": (_parse_float, _nonnegative, "0.1"),
-    "inter_class_min_angle": (_parse_float, _angle, "45"),
-    "intra_class_angle": (_parse_float, _angle, "0"),
+    "n_classes": (_positive, 3),
+    "subclusters_per_class": (_positive, 2),
+    "samples_per_subcluster": (_positive, 125),
+    "feature_dim": (_positive, 16),
+    "sigma": (_nonnegative, 0.1),
+    "inter_class_min_angle": (_angle, 45.0),
+    "intra_class_angle": (_angle, 0.0),
     # model dimensions
-    "token_dim": (_parse_int, _positive, "16"),
-    "embed_dim": (_parse_int, _positive, "16"),
-    "context_length": (_parse_int, _positive, "4"),
-    "n_subclasses": (_parse_int, _positive, "5"),
-    "n_tokens": (_parse_int, _positive, "4"),
-    "encoder_kind": (_identity, _enum(ENCODER_KINDS), IDENTITY_MEAN),
-    "residual_adapter": (_parse_bool, _identity, "true"),
-    "temperature": (_parse_float, _positive_real, "0.01"),
+    "token_dim": (_positive, 16),
+    "embed_dim": (_positive, 16),
+    "context_length": (_positive, 4),
+    "n_subclasses": (_positive, 5),
+    "n_tokens": (_positive, 4),
+    "encoder_kind": (_enum(ENCODER_KINDS), IDENTITY_MEAN),
+    "residual_adapter": (_any, True),
+    "temperature": (_positive_real, 0.01),
     # stage 1
-    "stage1_epochs": (_parse_int, _nonnegative, "2"),
-    "stage1_lr": (_parse_float, _positive_real, "0.01"),
-    "stage1_weight_decay": (_parse_float, _nonnegative, "0"),
-    "stage1_optimizer": (_identity, _enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
-    "stage1_schedule": (_identity, _enum(SCHEDULE_KINDS), "constant"),
-    "stage1_batch_size": (_parse_int, _positive, "128"),
+    "stage1_epochs": (_nonnegative, 2),
+    "stage1_lr": (_positive_real, 0.01),
+    "stage1_weight_decay": (_nonnegative, 0.0),
+    "stage1_optimizer": (_enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
+    "stage1_schedule": (_enum(SCHEDULE_KINDS), "constant"),
+    "stage1_batch_size": (_positive, 128),
     # stage 2
-    "stage2_epochs": (_parse_int, _nonnegative, "50"),
-    "stage2_lr": (_parse_float, _positive_real, "5e-6"),
-    "stage2_weight_decay": (_parse_float, _nonnegative, "0.1"),
-    "stage2_optimizer": (_identity, _enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
-    "stage2_schedule": (_identity, _enum(SCHEDULE_KINDS), "cosine"),
-    "stage2_batch_size": (_parse_int, _positive, "128"),
+    "stage2_epochs": (_nonnegative, 50),
+    "stage2_lr": (_positive_real, 5e-6),
+    "stage2_weight_decay": (_nonnegative, 0.1),
+    "stage2_optimizer": (_enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
+    "stage2_schedule": (_enum(SCHEDULE_KINDS), "cosine"),
+    "stage2_batch_size": (_positive, 128),
     # training extras
-    "count_scope": (_identity, _enum(COUNT_SCOPES), "epoch"),
-    "oversample": (_parse_bool, _identity, "false"),
+    "count_scope": (_enum(COUNT_SCOPES), "epoch"),
+    "oversample": (_any, False),
     # comparison harness
-    "strategies": (_parse_strategies, _identity, ",".join(STRATEGY_KINDS)),
-    "probe_epochs": (_parse_int, _positive, "40"),
-    "probe_lr": (_parse_float, _positive_real, "0.05"),
+    "strategies": (_strategies, STRATEGY_KINDS),
+    "probe_epochs": (_positive, 40),
+    "probe_lr": (_positive_real, 0.05),
     # decoding
-    "decode_top_n": (_parse_int, _positive, "3"),
+    "decode_top_n": (_positive, 3),
     # gradient checking
-    "fdcheck_instances": (_parse_int, _positive, "20"),
-    "fdcheck_step": (_parse_float, _positive_real, "1e-5"),
-    "fdcheck_tolerance": (_parse_float, _positive_real, "1e-4"),
-    "fdcheck_corrupt": (_parse_bool, _identity, "false"),
+    "fdcheck_instances": (_positive, 20),
+    "fdcheck_step": (_positive_real, 1e-5),
+    "fdcheck_tolerance": (_positive_real, 1e-4),
+    "fdcheck_corrupt": (_any, False),
 }
+
+
+class _BadValue(ConfigError):
+    """The value of ``key`` fails its type or its check; ``problem`` says how."""
+
+    def __init__(self, key: str, problem: str):
+        super().__init__(problem, key=key)
+        self.problem = problem
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run, checked when built; a variant is ``dataclasses.replace``."""
+
     seed: int
     n_classes: int
     subclusters_per_class: int
@@ -183,6 +212,27 @@ class RunConfig:
     fdcheck_tolerance: float
     fdcheck_corrupt: bool
 
+    def __post_init__(self):
+        for key, (check, _) in _SCHEMA.items():
+            value = getattr(self, key)
+            try:
+                _check_type(_TYPES[key], value)
+                check(value)
+            except ValueError as exc:
+                raise _BadValue(key, str(exc)) from None
+        if self.encoder_kind == IDENTITY_MEAN and self.token_dim != self.embed_dim:
+            raise ConfigError(
+                f"identity-mean requires token_dim == embed_dim "
+                f"(got {self.token_dim} vs {self.embed_dim})",
+                key="encoder_kind",
+            )
+        if self.residual_adapter and self.feature_dim != self.embed_dim:
+            raise ConfigError(
+                f"residual_adapter requires feature_dim == embed_dim "
+                f"(got {self.feature_dim} vs {self.embed_dim})",
+                key="residual_adapter",
+            )
+
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
             n_classes=self.n_classes,
@@ -195,28 +245,12 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def stage_config(self, stage: int) -> StageConfig:
-        if stage not in (1, 2):
-            raise ConfigError(f"stage must be 1 or 2, got {stage}")
 
-        def field(name):
-            return getattr(self, f"stage{stage}_{name}")
-
-        return StageConfig(
-            stage=stage,
-            epochs=field("epochs"),
-            learning_rate=field("lr"),
-            weight_decay=field("weight_decay"),
-            optimizer=field("optimizer"),
-            lr_schedule=field("schedule"),
-            batch_size=field("batch_size"),
-            seed=self.seed,
-            count_scope=self.count_scope,
-        )
+_TYPES = {field.name: field.type for field in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = {}
+    values = {key: default for key, (_, default) in _SCHEMA.items()}
     lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,39 +263,21 @@ def parse_config_text(text: str) -> RunConfig:
         value = value.strip()
         if key not in _SCHEMA:
             raise ConfigError("unknown key", key=key or "<empty>", line=line_no)
-        if key in values:
+        if key in lines:
             raise ConfigError(
                 f"duplicate key (first set on line {lines[key]})", key=key, line=line_no
             )
         if not value:
             raise ConfigError("empty value", key=key, line=line_no)
-        parser, validator, _ = _SCHEMA[key]
         try:
-            values[key] = validator(parser(value))
+            values[key] = _KINDS[_TYPES[key]][0](value)
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=line_no) from None
         lines[key] = line_no
-    for key, (parser, validator, default) in _SCHEMA.items():
-        if key not in values:
-            values[key] = validator(parser(default))
-    config = RunConfig(**values)
-    _cross_validate(config)
-    return config
-
-
-def _cross_validate(config: RunConfig):
-    if config.encoder_kind == IDENTITY_MEAN and config.token_dim != config.embed_dim:
-        raise ConfigError(
-            f"identity-mean requires token_dim == embed_dim "
-            f"(got {config.token_dim} vs {config.embed_dim})",
-            key="encoder_kind",
-        )
-    if config.residual_adapter and config.feature_dim != config.embed_dim:
-        raise ConfigError(
-            f"residual_adapter requires feature_dim == embed_dim "
-            f"(got {config.feature_dim} vs {config.embed_dim})",
-            key="residual_adapter",
-        )
+    try:
+        return RunConfig(**values)
+    except _BadValue as exc:
+        raise ConfigError(exc.problem, key=exc.key, line=lines.get(exc.key)) from None
 
 
 def parse_config(path: str) -> RunConfig:

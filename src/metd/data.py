@@ -68,10 +68,10 @@ class Unit:
 
 
 class _RowError(ContractViolation):
-    """Row ``row`` (0-based) of an ``EmbeddingDataset`` breaks its contract."""
+    """Row ``row`` (0-based) of an ``EmbeddingDataset`` or ``Vocabulary`` breaks its contract."""
 
     def __init__(self, row: int, problem: str):
-        super().__init__(f"sample {row}: {problem}")
+        super().__init__(f"row {row}: {problem}")
         self.row = row
         self.problem = problem
 
@@ -471,11 +471,13 @@ class Vocabulary:
             raise ContractViolation(
                 f"{len(self.words)} words vs {self.vectors.shape[0]} vectors"
             )
-        if len(set(self.words)) != len(self.words):
-            raise ContractViolation("duplicate words in vocabulary")
-        for word in self.words:
+        seen = set()
+        for idx, word in enumerate(self.words):
             if not word or "\t" in word or "\n" in word:
-                raise ContractViolation(f"bad vocabulary word {word!r}")
+                raise _RowError(idx, f"bad vocabulary word {word!r}")
+            if word in seen:
+                raise _RowError(idx, "duplicate words in vocabulary")
+            seen.add(word)
         if not np.all(np.isfinite(self.vectors)):
             raise ContractViolation("vocabulary vectors contain non-finite entries")
 
@@ -502,8 +504,9 @@ def load_vocabulary(path: str) -> Vocabulary:
     words, vectors = zip(*rows)
     try:
         return Vocabulary(words=list(words), vectors=np.vstack(vectors))
-    except ContractViolation as exc:
-        raise ParseError(str(exc)) from exc
+    except _RowError as exc:
+        # The header is line 1, and each later line is one word.
+        raise ParseError(exc.problem, line=exc.row + 2) from exc
 
 
 def nearest_words(vocab: Vocabulary, token, top_n: int) -> list[tuple[str, float]]:

@@ -39,6 +39,7 @@ from .inference import evaluate, report_from_labels, temporal_mean_pool
 from .model import (
     STREAM_HARNESS,
     Model,
+    adapter_gradients,
     build_adapter,
     build_model,
     build_text_encoder,
@@ -201,22 +202,21 @@ def _train_head(train, config, train_adapter: bool):
         grads = {"head.weight": dz[:, :, None] * v[:, None, :], "head.bias": dz}
         if train_adapter:
             dv = np.matmul(head_weight.T, dz[..., None])[..., 0]
-            grads["adapter.weight"] = dv[:, :, None] * x[:, None, :]
-            grads["adapter.bias"] = dv
+            grads["adapter.weight"], grads["adapter.bias"] = adapter_gradients(adapter, x, dv)
         return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
 
     # Its own fixed optimizer and schedule, at stage 1's batch size; the
     # seed only enters through the stream.
     probe = replace(
-        config.stage_config(1),
-        epochs=config.probe_epochs,
-        learning_rate=config.probe_lr,
-        weight_decay=0.0,
-        optimizer=ADAPTIVE,
-        lr_schedule="constant",
+        config,
+        stage1_epochs=config.probe_epochs,
+        stage1_lr=config.probe_lr,
+        stage1_weight_decay=0.0,
+        stage1_optimizer=ADAPTIVE,
+        stage1_schedule="constant",
     )
     stream = (STREAM_HARNESS, _SUB_PROBE, config.seed)
-    for _ in fit(params, batch_gradients, len(labels), probe, stream):
+    for _ in fit(params, batch_gradients, len(labels), probe, 1, stream):
         pass
     return adapter, head_weight, head_bias
 
@@ -269,7 +269,7 @@ def _train_learnable_context(train, config):
 
     params = {"context": context}
     stream = (STREAM_HARNESS, _SUB_CONTEXT, config.seed)
-    for _ in fit(params, batch_gradients, len(labels), config.stage_config(1), stream):
+    for _ in fit(params, batch_gradients, len(labels), config, 1, stream):
         pass
     return encoder, context, names
 
@@ -304,8 +304,8 @@ def train_metd(
     """Run the full two-stage pipeline; returns the trained model and traces."""
     fitted = oversample_balance(train, config.seed) if config.oversample else train
     model = build_strategy_model(train, config)
-    _, trace1 = run_stage1(model, fitted, config.stage_config(1))
-    _, trace2 = run_stage2(model, fitted, config.stage_config(2))
+    _, trace1 = run_stage1(model, fitted, config)
+    _, trace2 = run_stage2(model, fitted, config)
     return model, trace1, trace2
 
 
@@ -369,8 +369,6 @@ def compare_all(
 ) -> list[StrategyResult]:
     """Check each of ``config.strategies`` against the splits, then run each in turn."""
     strategies = [Strategy(kind) for kind in config.strategies]
-    if not strategies:
-        raise ContractViolation("strategy list is empty")
     for strategy in strategies:
         _check_strategy(strategy, splits, config)
     return [run_strategy(s, splits, config) for s in strategies]

@@ -498,9 +498,10 @@ def save_checkpoint(model: Model, path: str):
 def load_checkpoint(path: str) -> Model:
     """Read a checkpoint whose lines follow ``_checkpoint_layout`` in order.
 
-    A zero dimension in the header is a ParseError at line 1, and the
-    first line that is out of place, missing or extra is one at its line
-    number.
+    A header that ``build_model`` would refuse (a zero dimension, a bad
+    temperature, dims the encoder or adapter cannot take) is a ParseError
+    at line 1, and the first line that is out of place, missing or extra
+    is one at its line number.
     """
     records = read_records(path, _CHECKPOINT_HEADER, "checkpoint", 2)
     header = next(records)
@@ -550,4 +551,6 @@ def load_checkpoint(path: str) -> Model:
             seed=int(header.group(12)),
         )
     except ContractViolation as exc:
-        raise ParseError(str(exc)) from exc
+        # The rows were read to the header's shapes, so any breach left is
+        # the header's: its temperature, or dims the encoder or adapter refuse.
+        raise ParseError(str(exc), line=1) from exc

@@ -72,39 +72,6 @@ SCHEDULE_KINDS = ("constant", "cosine")
 COUNT_SCOPES = ("epoch", "batch")
 
 
-@dataclass(frozen=True)
-class StageConfig:
-    """One stage's settings; ``RunConfig.stage_config`` builds it from a parsed config."""
-
-    stage: int
-    epochs: int
-    learning_rate: float
-    weight_decay: float
-    optimizer: str
-    lr_schedule: str
-    batch_size: int
-    seed: int
-    count_scope: str
-
-    def __post_init__(self):
-        if self.stage not in (1, 2):
-            raise ContractViolation(f"stage must be 1 or 2, got {self.stage}")
-        if int(self.epochs) != self.epochs or self.epochs < 0:
-            raise ContractViolation(f"epochs must be a nonnegative integer, got {self.epochs}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ContractViolation(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
-            raise ContractViolation(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ContractViolation(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_schedule not in SCHEDULE_KINDS:
-            raise ContractViolation(f"unknown lr_schedule {self.lr_schedule!r}")
-        if int(self.batch_size) != self.batch_size or self.batch_size < 1:
-            raise ContractViolation(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.count_scope not in COUNT_SCOPES:
-            raise ContractViolation(f"unknown count_scope {self.count_scope!r}")
-
-
 @dataclass
 class OptimizerState:
     """Per-parameter accumulators; ``first`` is moments or velocity."""
@@ -184,12 +151,6 @@ def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def _schedule_lr(config: StageConfig, step: int, total_steps: int) -> float:
-    if config.lr_schedule == "cosine":
-        return cosine_lr(config.learning_rate, step, total_steps)
-    return config.learning_rate
-
-
 @dataclass(frozen=True)
 class EpochStats:
     """One metrics-log line: epoch index, mean losses, train WAR, epoch lr."""
@@ -223,12 +184,13 @@ def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(pulled[:, :, None, :], model.bank.tokens.shape).copy()
 
 
-def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
+def fit(params, batch_gradients, n_items: int, config, stage: int, stream):
     """The one optimisation loop, shared by both stages and the baselines.
 
+    ``config`` is a ``RunConfig``, read for its ``stage<stage>_*`` keys.
     Each epoch draws a permutation of ``range(n_items)`` from
-    ``default_rng([*stream, epoch])`` and cuts it into batches of
-    ``config.batch_size``.  Every batch is one ``optimizer_step`` on
+    ``default_rng([*stream, epoch])`` and cuts it into batches of the
+    stage's batch size.  Every batch is one ``optimizer_step`` on
     ``params`` (updated in place) with the gradient dict returned by
     ``batch_gradients(batch)``, at the scheduled learning rate of the
     global step.  Yields ``(epoch, lr)`` after each epoch, ``lr`` being
@@ -236,19 +198,29 @@ def fit(params, batch_gradients, n_items: int, config: StageConfig, stream):
     between epochs.  A ContractViolation from ``batch_gradients`` is
     raised again with the epoch and step (from 1) added to its message.
     """
-    state = init_optimizer_state(params, config.optimizer)
-    total_steps = max(1, config.epochs * math.ceil(n_items / config.batch_size))
+
+    def setting(name):
+        return getattr(config, f"stage{stage}_{name}")
+
+    epochs, batch_size = setting("epochs"), setting("batch_size")
+    base_lr, weight_decay = setting("lr"), setting("weight_decay")
+    cosine = setting("schedule") == "cosine"
+    state = init_optimizer_state(params, setting("optimizer"))
+    total_steps = max(1, epochs * math.ceil(n_items / batch_size))
+
+    def scheduled_lr(step):
+        return cosine_lr(base_lr, step, total_steps) if cosine else base_lr
+
     step = 0
-    for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = np.random.default_rng([*stream, epoch]).permutation(n_items)
-        epoch_lr = _schedule_lr(config, step, total_steps)
-        for start in range(0, n_items, config.batch_size):
+        epoch_lr = scheduled_lr(step)
+        for start in range(0, n_items, batch_size):
             try:
-                grads = batch_gradients(order[start : start + config.batch_size])
+                grads = batch_gradients(order[start : start + batch_size])
             except ContractViolation as exc:
                 raise type(exc)(f"{exc} (epoch {epoch}, step {step + 1})") from exc
-            lr = _schedule_lr(config, step, total_steps)
-            optimizer_step(params, grads, state, lr, config.weight_decay)
+            optimizer_step(params, grads, state, scheduled_lr(step), weight_decay)
             step += 1
         yield epoch, epoch_lr
 
@@ -344,8 +316,6 @@ def _run_stage(model, dataset, config, number):
     ``count_scope = "batch"``.  Stage 1's train WAR scores the unit
     embeddings it holds, which it cannot change.
     """
-    if config.stage != number:
-        raise ContractViolation(f"config.stage {config.stage} != {number}")
     if len(dataset) == 0:
         raise ContractViolation("cannot train on an empty dataset")
     check_compatible(dataset, model)
@@ -360,8 +330,8 @@ def _run_stage(model, dataset, config, number):
         return _counted_gradients(stage, batch, counts, sums)
 
     trace: list[EpochStats] = []
-    stream = (STREAM_SHUFFLE, config.seed, config.stage)
-    for epoch, lr in fit(stage.params, gradients, n_units, config, stream):
+    stream = (STREAM_SHUFFLE, config.seed, number)
+    for epoch, lr in fit(stage.params, gradients, n_units, config, number, stream):
         fg, margin, total = sums / n_units
         held = number == 1
         report = _score(dataset, model, stage.embeddings) if held else evaluate(dataset, model)
@@ -372,16 +342,16 @@ def _run_stage(model, dataset, config, number):
 
 
 def run_stage1(
-    model: Model, dataset: EmbeddingDataset, config: StageConfig
+    model: Model, dataset: EmbeddingDataset, config
 ) -> tuple[DescriptorBank, list[EpochStats]]:
-    """Train the descriptor tokens; everything else stays bit-identical."""
+    """Train the descriptor tokens by the stage-1 keys; all else stays bit-identical."""
     return model.bank, _run_stage(model, dataset, config, 1)
 
 
 def run_stage2(
-    model: Model, dataset: EmbeddingDataset, config: StageConfig
+    model: Model, dataset: EmbeddingDataset, config
 ) -> tuple[ImageAdapter, list[EpochStats]]:
-    """Train the adapter against the frozen, stage-1-trained descriptors."""
+    """Train the adapter by the stage-2 keys, against the frozen descriptors."""
     return model.adapter, _run_stage(model, dataset, config, 2)
 
 

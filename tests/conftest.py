@@ -1,8 +1,8 @@
 """Shared settings, and fixtures for the expensive end-to-end benchmark runs.
 
 ``SYNTHETIC`` is the parsed ``configs/synthetic.cfg`` that the harness
-and acceptance tests start from, and ``stage_config`` gives one stage's
-default settings; a variant is ``dataclasses.replace`` of either.
+and acceptance tests start from, and ``run_config`` gives the default
+settings at seed 0; a variant is ``dataclasses.replace`` of either.
 
 The two-stage training runs on the default benchmark take seconds each,
 so they execute once per session here and are shared by the harness
@@ -31,9 +31,9 @@ SYNTHETIC_CFG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "sy
 SYNTHETIC = parse_config(str(SYNTHETIC_CFG))
 
 
-def stage_config(stage, **overrides):
-    """The default settings of ``stage`` at seed 0, with ``overrides``."""
-    return replace(parse_config_text("").stage_config(stage), **({"seed": 0} | overrides))
+def run_config(**overrides):
+    """The default settings at seed 0, with ``overrides``."""
+    return replace(parse_config_text(""), **({"seed": 0} | overrides))
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,15 @@
 """Key=value config parsing, defaults, diagnostics, and derived objects."""
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from metd.config import RunConfig, parse_config, parse_config_text
 from metd.errors import ConfigError
 from metd.harness import STRATEGY_KINDS
+from metd.training import cosine_lr, fit
 
 from conftest import SYNTHETIC
 
@@ -57,6 +62,15 @@ def _error(text):
     return info.value
 
 
+def _replace_errors(bad_values):
+    """Each ``(key, value)`` fails ``replace`` of the defaults with an error naming the key."""
+    defaults = parse_config_text("")
+    for key, value in bad_values:
+        with pytest.raises(ConfigError) as info:
+            replace(defaults, **{key: value})
+        assert info.value.key == key and str(info.value).startswith(f"{key}: ")
+
+
 def test_unknown_key_is_rejected_with_location():
     err = _error("sigmaa = 0.1\n")
     assert err.key == "sigmaa"
@@ -88,6 +102,11 @@ def test_type_errors_name_the_key_and_line():
     assert err.key == "sigma"
     err = _error("oversample = yes\n")
     assert err.key == "oversample"
+    _replace_errors([
+        ("seed", 1.5), ("seed", "7"), ("seed", True), ("sigma", "fast"),
+        ("sigma", math.inf), ("sigma", math.nan), ("oversample", "yes"),
+        ("oversample", "no"), ("oversample", 1), ("strategies", "metd"),
+    ])
 
 
 def test_range_errors():
@@ -102,6 +121,12 @@ def test_range_errors():
     assert _error("probe_lr = 0\n").key == "probe_lr"
     # zero epochs is a valid no-op
     assert parse_config_text("stage1_epochs = 0\n").stage1_epochs == 0
+    _replace_errors([
+        ("sigma", -1.0), ("inter_class_min_angle", 200.0), ("temperature", 0.0),
+        ("n_classes", 0), ("stage1_epochs", -1), ("stage2_lr", -0.5),
+        ("decode_top_n", 0), ("probe_epochs", 0), ("probe_lr", 0.0),
+    ])
+    assert replace(parse_config_text(""), stage1_epochs=0).stage1_epochs == 0
 
 
 def test_enum_keys():
@@ -113,6 +138,10 @@ def test_enum_keys():
         "encoder_kind = projected-mean\ntoken_dim = 8\n"
     )
     assert projected.encoder_kind == "projected-mean"
+    _replace_errors([
+        ("encoder_kind", "mystery"), ("stage1_optimizer", "adam"),
+        ("stage2_schedule", "linear"), ("count_scope", "run"),
+    ])
 
 
 def test_strategy_list_parsing():
@@ -120,6 +149,10 @@ def test_strategy_list_parsing():
     assert config.strategies == ("metd", "linear-probe")
     assert _error("strategies = metd, warp\n").key == "strategies"
     assert _error("strategies = metd,,linear-probe\n").key == "strategies"
+    _replace_errors([
+        ("strategies", ("metd", "warp")), ("strategies", ("metd", "", "linear-probe")),
+        ("strategies", ()),
+    ])
 
 
 def test_cross_validation():
@@ -131,6 +164,13 @@ def test_cross_validation():
         "feature_dim = 8\nembed_dim = 8\ntoken_dim = 8\n"
     )
     assert ok.feature_dim == 8
+    defaults = parse_config_text("")
+    with pytest.raises(ConfigError) as info:
+        replace(defaults, token_dim=8)
+    assert info.value.key == "encoder_kind"
+    with pytest.raises(ConfigError) as info:
+        replace(defaults, feature_dim=8)
+    assert info.value.key == "residual_adapter"
 
 
 def test_synth_config_mapping():
@@ -147,19 +187,34 @@ def test_synth_config_mapping():
     assert synth.seed == 3
 
 
-def test_stage_config_mapping():
+def test_fit_reads_the_keys_of_its_stage():
+    # fit takes the whole RunConfig and reads only the stage<stage>_* keys:
+    # epochs, batch size, lr and schedule, weight decay.  A zero gradient
+    # leaves only the decay to move the parameter.
     config = parse_config_text(
-        "seed = 5\nstage1_epochs = 4\nstage1_lr = 0.2\nstage1_batch_size = 9\n"
-        "stage2_epochs = 6\nstage2_weight_decay = 0.25\ncount_scope = batch\n"
+        "stage1_epochs = 4\nstage1_lr = 0.2\nstage1_batch_size = 9\n"
+        "stage2_epochs = 6\nstage2_weight_decay = 0.25\n"
     )
-    one = config.stage_config(1)
-    assert (one.stage, one.epochs, one.learning_rate, one.batch_size) == (1, 4, 0.2, 9)
-    assert (one.seed, one.count_scope) == (5, "batch")
-    two = config.stage_config(2)
-    assert (two.stage, two.epochs, two.weight_decay) == (2, 6, 0.25)
-    assert two.lr_schedule == "cosine"
-    with pytest.raises(ConfigError):
-        config.stage_config(3)
+    for stage, epochs, sizes, decay in ((1, 4, [9, 9, 2], 0.0), (2, 6, [20], 0.25)):
+        params = {"w": np.ones(1)}
+        seen = []
+
+        def zero(batch):
+            seen.append(len(batch))
+            return {"w": np.zeros(1)}
+
+        rates = [lr for _, lr in fit(params, zero, 20, config, stage, (0,))]
+        assert seen == sizes * epochs
+        expected = 1.0
+        for step in range(len(seen)):
+            lr = cosine_lr(5e-6, step, len(seen)) if stage == 2 else 0.2
+            expected -= (lr * decay) * expected
+        assert params["w"][0] == expected
+        if stage == 1:
+            assert rates == [0.2] * 4 and expected == 1.0
+        else:
+            assert rates == [cosine_lr(5e-6, epoch, 6) for epoch in range(6)]
+            assert expected < 1.0
 
 
 def test_parse_config_reads_files(tmp_path):

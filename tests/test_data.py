@@ -418,6 +418,23 @@ def test_vocabulary_parse_errors(tmp_path):
         load_vocabulary(str(no_words))
 
 
+def test_vocabulary_row_errors_name_their_line(tmp_path):
+    # The header is line 1: a repeated word is reported at its second copy.
+    cases = [
+        ("v_dup.tsv", "metd-vocab v1 dim=2\na\t1,2\nb\t3,4\na\t5,6\n", 4,
+         "duplicate words in vocabulary"),
+        ("v_empty_word.tsv", "metd-vocab v1 dim=2\na\t1,2\n\t3,4\n", 3,
+         "bad vocabulary word ''"),
+    ]
+    for name, text, line, problem in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_vocabulary(str(path))
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {problem}"
+
+
 def test_nearest_words_hand_example():
     vocab = Vocabulary(words=["a", "b"], vectors=np.array([[0.0, 0.0], [1.0, 1.0]]))
     ranked = nearest_words(vocab, np.array([0.9, 0.9]), top_n=2)

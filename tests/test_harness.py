@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metd.data import EmbeddingDataset, Sample, SynthConfig, generate_synthetic
-from metd.errors import ContractViolation
+from metd.errors import ConfigError, ContractViolation
 from metd.harness import (
     STRATEGY_KINDS,
     _train_learnable_context,
@@ -237,8 +237,9 @@ def test_split_mismatch_is_rejected(small_splits):
     other = EmbeddingDataset([Sample(np.ones(4), 0)], feature_dim=4, n_classes=3)
     with pytest.raises(ContractViolation):
         run_strategy(Strategy(kind="linear-probe"), (train, other), COMPACT)
-    with pytest.raises(ContractViolation):
-        compare_all(small_splits, replace(COMPACT, strategies=()))
+    # An empty strategy list is refused when the config is built.
+    with pytest.raises(ConfigError, match="^strategies: "):
+        replace(COMPACT, strategies=())
 
 
 def test_format_comparison_layout(small_splits):

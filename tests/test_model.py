@@ -352,3 +352,37 @@ def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
     with pytest.raises(ParseError, match=f"{dimension} must be a positive integer") as info:
         load_checkpoint(str(path))
     assert info.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "encoder_kind, residual, field, value, message",
+    [
+        (IDENTITY_MEAN, True, "temperature", "-1", "temperature must be > 0"),
+        (IDENTITY_MEAN, True, "temperature", "nan", "temperature must be > 0"),
+        (IDENTITY_MEAN, True, "temperature", "inf", "temperature must be > 0"),
+        (IDENTITY_MEAN, False, "residual", "true",
+         "residual adapter requires feature_dim == embed_dim"),
+        (PROJECTED_MEAN, False, "encoder", IDENTITY_MEAN,
+         "identity-mean requires token_dim == embed_dim"),
+    ],
+    ids=["temperature-negative", "temperature-nan", "temperature-inf", "residual-dims",
+         "identity-mean-dims"],
+)
+def test_checkpoint_header_rejects_what_build_model_refuses(
+    tmp_path, encoder_kind, residual, field, value, message
+):
+    # Found only once the model is built, after the rows are read, but
+    # still the header's fault: line 1.
+    model = _randomized_model(8, encoder_kind=encoder_kind, residual=residual)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    lines = path.read_text().splitlines()
+    lines[0], count = re.subn(rf"\b{field}=\S+", f"{field}={value}", lines[0])
+    assert count == 1
+    if encoder_kind == PROJECTED_MEAN:
+        # An identity-mean header lays out no projection line.
+        assert lines.pop().startswith("encoder.projection\t")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as info:
+        load_checkpoint(str(path))
+    assert info.value.line == 1

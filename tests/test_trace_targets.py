@@ -21,7 +21,7 @@ import metd.training
 from metd.data import SynthConfig, generate_synthetic
 from metd.model import build_model
 
-from conftest import SYNTHETIC, stage_config
+from conftest import SYNTHETIC, run_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -90,8 +90,8 @@ def test_training_and_fd_check_call_every_expected_kernel():
             n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
             feature_dim=8, context_length=2, temperature=0.055, seed=3,
         )
-        metd.training.run_stage1(model, train, stage_config(1, epochs=1, batch_size=8))
-        metd.training.run_stage2(model, train, stage_config(2, epochs=1, batch_size=8))
+        metd.training.run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=8))
+        metd.training.run_stage2(model, train, run_config(stage2_epochs=1, stage2_batch_size=8))
         model, sample, counts = metd.training.random_fd_instance(seed=1, stage=1)
         metd.training.fd_check(model, sample, target_counts=counts, stage=1)
     finally:

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metd.data import SynthConfig, apply_linear_map, generate_synthetic
-from metd.errors import ContractViolation, ZeroNormError
+from metd.data import EmbeddingDataset, SynthConfig, apply_linear_map, generate_synthetic
+from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
 from metd.inference import evaluate, temporal_mean_pool
 from metd.model import build_model
@@ -31,7 +31,7 @@ from metd.training import (
     run_stage2,
 )
 
-from conftest import SYNTHETIC, stage_config
+from conftest import SYNTHETIC, run_config
 
 SEPARABLE = SynthConfig(
     n_classes=3,
@@ -66,7 +66,7 @@ def separable_run():
     train, test = generate_synthetic(SEPARABLE)
     model = _separable_model()
     _, trace = run_stage1(
-        model, train, stage_config(1, epochs=30, batch_size=16, seed=11)
+        model, train, run_config(stage1_epochs=30, stage1_batch_size=16, seed=11)
     )
     return train, test, model, trace
 
@@ -154,23 +154,25 @@ def test_central_difference_exact_on_quadratic():
         central_difference(lambda: 0.0, x, h=0.0)
 
 
-def test_stage_config_defaults_and_validation():
-    one = stage_config(1)
-    assert (one.stage, one.epochs, one.learning_rate) == (1, 2, 1e-2)
-    assert (one.weight_decay, one.lr_schedule) == (0.0, "constant")
-    two = stage_config(2)
-    assert (two.stage, two.epochs, two.learning_rate) == (2, 50, 5e-6)
-    assert (two.weight_decay, two.lr_schedule) == (0.1, "cosine")
-    assert stage_config(1, epochs=7).epochs == 7
-    for bad in (
-        dict(stage=3),
-        dict(epochs=-1),
-        dict(learning_rate=0.0),
-        dict(optimizer="mystery"),
-        dict(lr_schedule="linear"),
+def test_stage_keys_defaults_and_validation():
+    config = run_config()
+    assert (config.stage1_epochs, config.stage1_lr) == (2, 1e-2)
+    assert (config.stage1_weight_decay, config.stage1_schedule) == (0.0, "constant")
+    assert (config.stage2_epochs, config.stage2_lr) == (50, 5e-6)
+    assert (config.stage2_weight_decay, config.stage2_schedule) == (0.1, "cosine")
+    assert run_config(stage1_epochs=7).stage1_epochs == 7
+    for key, bad in (
+        ("stage1_epochs", -1),
+        ("stage1_epochs", 1.5),
+        ("stage2_lr", 0.0),
+        ("stage2_weight_decay", -0.1),
+        ("stage1_optimizer", "mystery"),
+        ("stage2_schedule", "linear"),
+        ("stage1_batch_size", 0),
+        ("count_scope", "run"),
     ):
-        with pytest.raises(ContractViolation):
-            replace(one, **bad)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            replace(config, **{key: bad})
 
 
 def test_zero_epochs_is_a_no_op():
@@ -183,8 +185,8 @@ def test_zero_epochs_is_a_no_op():
         feature_dim=8, context_length=2, temperature=0.055, seed=1,
     )
     before = copy.deepcopy(model)
-    _, trace1 = run_stage1(model, train, stage_config(1, epochs=0))
-    _, trace2 = run_stage2(model, train, stage_config(2, epochs=0))
+    _, trace1 = run_stage1(model, train, run_config(stage1_epochs=0))
+    _, trace2 = run_stage2(model, train, run_config(stage2_epochs=0))
     assert trace1 == [] and trace2 == []
     assert np.array_equal(model.bank.tokens, before.bank.tokens)
     assert np.array_equal(model.adapter.weight, before.adapter.weight)
@@ -210,7 +212,7 @@ def test_stages_touch_only_their_own_parameters():
     )
     for model in (identity, projected):
         before = copy.deepcopy(model)
-        run_stage1(model, train, stage_config(1, epochs=2, batch_size=8, seed=2))
+        run_stage1(model, train, run_config(stage1_epochs=2, stage1_batch_size=8, seed=2))
         assert not np.array_equal(model.bank.tokens, before.bank.tokens)
         assert np.array_equal(model.bank.context, before.bank.context)
         assert np.array_equal(model.adapter.weight, before.adapter.weight)
@@ -221,7 +223,7 @@ def test_stages_touch_only_their_own_parameters():
         tokens_after_stage1 = model.bank.tokens.copy()
         run_stage2(
             model, train,
-            stage_config(2, epochs=2, learning_rate=1e-3, batch_size=8, seed=2),
+            run_config(stage2_epochs=2, stage2_lr=1e-3, stage2_batch_size=8, seed=2),
         )
         assert np.array_equal(model.bank.tokens, tokens_after_stage1)
         assert np.array_equal(model.bank.context, before.bank.context)
@@ -248,7 +250,7 @@ def test_stage1_moves_every_token_of_a_descriptor_alike(encoder_kind, embed_dim)
         temperature=0.055, seed=3,
     )
     before = model.bank.tokens.copy()
-    run_stage1(model, train, stage_config(1, epochs=3, batch_size=8, seed=3))
+    run_stage1(model, train, run_config(stage1_epochs=3, stage1_batch_size=8, seed=3))
     delta = model.bank.tokens - before
     assert np.max(np.abs(delta)) > 1e-3
     for m in range(1, delta.shape[2]):
@@ -269,7 +271,7 @@ def test_fresh_non_residual_model_trains():
         residual=False, temperature=0.055, seed=4,
     )
     assert np.array_equal(model.adapter.weight, np.eye(12, 16))
-    _, trace = run_stage1(model, train, stage_config(1, epochs=1, batch_size=8))
+    _, trace = run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=8))
     assert len(trace) == 1 and np.isfinite(trace[0].total)
 
 
@@ -297,7 +299,7 @@ def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
         feature_dim=8, context_length=2, temperature=0.055, seed=5,
     )
     epochs = 3
-    run_stage1(model, train, stage_config(1, epochs=epochs, batch_size=8, seed=5))
+    run_stage1(model, train, run_config(stage1_epochs=epochs, stage1_batch_size=8, seed=5))
     assert len(calls) == len(train.units())
 
 
@@ -336,7 +338,7 @@ def test_stage1_selects_each_samples_subclass_once(monkeypatch):
 
     model, train = _sixteen_units()
     calls = _count_calls(monkeypatch, metd.losses, ("select_closest", "_check_target"))
-    run_stage1(model, train, stage_config(1, epochs=1, batch_size=5, seed=3))
+    run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=5, seed=3))
     n_batches = math.ceil(len(train.units()) / 5)
     assert calls == {"select_closest": n_batches, "_check_target": 3 * n_batches}
 
@@ -360,8 +362,8 @@ def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch)
     assert calls == [(1, 1), (2, 1)]
     calls.clear()
     model, train = _sixteen_units()
-    run_stage1(model, train, stage_config(1, epochs=1, batch_size=5, seed=3))
-    run_stage2(model, train, stage_config(2, epochs=1, batch_size=5, seed=3))
+    run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=5, seed=3))
+    run_stage2(model, train, run_config(stage2_epochs=1, stage2_batch_size=5, seed=3))
     sizes = [5, 5, 5, 1]
     assert calls == [(1, size) for size in sizes] + [(2, size) for size in sizes]
 
@@ -372,7 +374,7 @@ def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
 
     model, train = _sixteen_units()
     calls = _count_calls(monkeypatch, metd.training, ("temporal_mean_pool",))
-    run_stage2(model, train, stage_config(2, epochs=2, batch_size=5, seed=3))
+    run_stage2(model, train, run_config(stage2_epochs=2, stage2_batch_size=5, seed=3))
     assert calls == {"temporal_mean_pool": len(train.units())}
 
 
@@ -383,7 +385,7 @@ def test_a_zero_descriptor_mid_training_names_its_row_epoch_and_step():
     assert model.encoder.kind == "identity-mean"
     model.bank.context[:] = 0.0
     model.bank.tokens[1, 0] = 0.0
-    config = stage_config(1, epochs=1, batch_size=5, seed=3)
+    config = run_config(stage1_epochs=1, stage1_batch_size=5, seed=3)
     with pytest.raises(ZeroNormError, match=r"row \(1, 0\) has zero norm \(epoch 1, step 1\)"):
         run_stage1(model, train, config)
 
@@ -406,8 +408,8 @@ def test_loss_counts_include_the_sample_and_reset_per_scope(monkeypatch, count_s
 
     monkeypatch.setattr(metd.losses, "total_loss", recording)
     epochs, batch_size = 2, 5
-    config = stage_config(
-        1, epochs=epochs, batch_size=batch_size, count_scope=count_scope, seed=3
+    config = run_config(
+        stage1_epochs=epochs, stage1_batch_size=batch_size, count_scope=count_scope, seed=3
     )
     run_stage1(model, train, config)
     n_units = len(train.units())
@@ -434,7 +436,7 @@ def test_training_is_deterministic():
             feature_dim=8, context_length=2, temperature=0.055, seed=3,
         )
         _, trace = run_stage1(
-            model, train, stage_config(1, epochs=3, batch_size=8, seed=3)
+            model, train, run_config(stage1_epochs=3, stage1_batch_size=8, seed=3)
         )
         traces.append(trace)
         tokens.append(model.bank.tokens.copy())
@@ -451,7 +453,7 @@ def test_metrics_log_format():
         n_classes=2, n_subclasses=1, n_tokens=2, token_dim=8, embed_dim=8,
         feature_dim=8, context_length=2, temperature=0.055, seed=4,
     )
-    _, trace = run_stage1(model, train, stage_config(1, epochs=2, seed=4))
+    _, trace = run_stage1(model, train, run_config(stage1_epochs=2, seed=4))
     text = format_metrics_log(trace)
     lines = text.splitlines()
     assert lines[0] == "epoch\tfg\tmargin\ttotal\twar\tlr"
@@ -463,12 +465,12 @@ def test_metrics_log_format():
         assert all(np.isfinite(float(f)) for f in fields[1:])
 
 
-def test_empty_dataset_and_wrong_stage_rejected(separable_run):
+def test_empty_dataset_rejected(separable_run):
     train, _, model, _ = separable_run
-    with pytest.raises(ContractViolation):
-        run_stage1(model, train, stage_config(2))
-    with pytest.raises(ContractViolation):
-        run_stage2(model, train, stage_config(1))
+    empty = EmbeddingDataset([], train.feature_dim, train.n_classes)
+    for run_stage in (run_stage1, run_stage2):
+        with pytest.raises(ContractViolation, match="cannot train on an empty dataset"):
+            run_stage(model, empty, run_config())
 
 
 def test_stage1_learns_the_separable_benchmark(separable_run):
@@ -511,8 +513,9 @@ def test_stage2_recovers_from_a_feature_distortion(separable_run):
     run_stage2(
         model,
         distorted_train,
-        stage_config(
-            2, epochs=40, learning_rate=1e-2, weight_decay=0.0, batch_size=16, seed=11
+        run_config(
+            stage2_epochs=40, stage2_lr=1e-2, stage2_weight_decay=0.0, stage2_batch_size=16,
+            seed=11,
         ),
     )
     recovered = evaluate(distorted_test, model).war
