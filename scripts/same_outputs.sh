@@ -15,8 +15,12 @@
 # so a dataset error message is compared too.  A "bad-files" case evals
 # a copy of the seed-7 checkpoint whose header says temperature=-1, and
 # decodes the seed-7 checkpoint against a copy of configs/vocab.tsv whose
-# fourth line repeats the word of its second, so a checkpoint header
-# error and a vocabulary row error are compared as well.  It keeps the datasets,
+# fourth line repeats the word of its second, and against a vocabulary
+# whose header says dim=0, so a checkpoint header error and two
+# vocabulary errors are compared as well.  An "fdcheck-wide" case runs
+# fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
+# kinds and both adapter kinds, and once more at seed 0 with
+# fdcheck_corrupt = true, the control that must fail.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -125,3 +129,16 @@ run "$bad" eval eval "$bad/model.ckpt" "$out/seed7/data/test.tsv"
 awk -F'\t' -v OFS='\t' 'NR == 2 { word = $1 } NR == 4 { $1 = word } { print }' \
     "$checkout/configs/vocab.tsv" >"$bad/vocab.tsv"
 run "$bad" decode decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" "$bad/vocab.tsv"
+printf 'metd-vocab v1 dim=0\na\t\n' >"$bad/vocab-dim0.tsv"
+run "$bad" decode-dim0 decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" \
+    "$bad/vocab-dim0.tsv"
+
+wide="$out/fdcheck-wide"
+rm -rf "$wide"
+mkdir -p "$wide"
+for seed in 0 101; do
+    printf 'seed = %s\nfdcheck_instances = 60\n' "$seed" >"$wide/seed$seed.cfg"
+    run "$wide" "fdcheck-seed$seed" fdcheck --config "$wide/seed$seed.cfg"
+done
+printf 'seed = 0\nfdcheck_instances = 60\nfdcheck_corrupt = true\n' >"$wide/corrupt.cfg"
+run "$wide" fdcheck-corrupt fdcheck --config "$wide/corrupt.cfg"

@@ -435,6 +435,9 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
 def load_dataset(path: str) -> EmbeddingDataset:
     records = read_records(path, _DATASET_HEADER, "dataset", 4)
     dim, n_classes = map(int, next(records).groups()[1:])
+    if dim < 1:
+        # Checked before the rows, which would be blamed for the header's dim.
+        raise ParseError(f"feature_dim must be >= 1, got {dim}", line=1)
     samples = [
         Sample(
             label=_parse_int(label, "class label", line_no),
@@ -498,6 +501,8 @@ def save_vocabulary(vocab: Vocabulary, path: str):
 def load_vocabulary(path: str) -> Vocabulary:
     records = read_records(path, _VOCAB_HEADER, "vocabulary", 2)
     dim = int(next(records).group(2))
+    if dim < 1:
+        raise ParseError(f"dim must be >= 1, got {dim}", line=1)
     rows = [(word, parse_floats(vector, dim, line_no)) for line_no, (word, vector) in records]
     if not rows:
         raise ParseError("vocabulary has no words")

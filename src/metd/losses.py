@@ -233,15 +233,21 @@ def similarity_grid(
     """Cosine similarity of each embedding against a (N, K, D) descriptor stack.
 
     ``image_embedding`` is one embedding (D,), giving an (N, K) grid, or
-    a stack (B, D), giving (B, N, K).  The embeddings, the stack's
-    entries and their dimensions are checked by ``cosine_similarity``;
-    only the stack's rank is checked here.
+    a stack (B, D), giving (B, N, K).  One embedding (D,) may also be
+    scored against S descriptor stacks (S, N, K, D), giving (S, N, K).
+    The embeddings, the stacks' entries and their dimensions are checked
+    by ``cosine_similarity``; only the ranks are checked here.
     """
     stack = np.asarray(text_embeddings, dtype=np.float64)
-    if stack.ndim != 3:
+    if stack.ndim == 4 and np.ndim(image_embedding) != 1:
         raise ContractViolation(
-            f"text_embeddings must be 3-D (classes, subclasses, dim), "
-            f"got shape {stack.shape}"
+            f"S descriptor stacks {stack.shape} take one (D,) embedding, "
+            f"got shape {np.shape(image_embedding)}"
+        )
+    if stack.ndim not in (3, 4):
+        raise ContractViolation(
+            f"text_embeddings must be 3-D (classes, subclasses, dim) or 4-D "
+            f"(stacks, classes, subclasses, dim), got shape {stack.shape}"
         )
     values = numerics.cosine_similarity(image_embedding, stack)
     return SimilarityGrid(values=values, temperature=temperature)

@@ -27,7 +27,8 @@ Each stage is defined once, by ``_Stage``: the arrays it trains, the
 side it re-embeds (the descriptor stack in stage 1, the unit embeddings
 in stage 2) and how per-sample (dL/dV, dL/dT) become batch-mean
 parameter gradients.  ``fd_check`` is its one-sample batch, so it checks
-the gradients that ``run_stage1`` and ``run_stage2`` apply.
+the gradients that ``run_stage1`` and ``run_stage2`` apply, and it scores
+the re-embedded sides of all its +/-h perturbations in one batch.
 
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
@@ -251,22 +252,35 @@ class _Stage:
         else:
             raise ContractViolation(f"stage must be 1 or 2, got {number}")
 
-    def loss(self, batch, target_counts):
-        """The batch's embeddings (B, D), descriptor stack, grid and LossBreakdown.
+    def embed(self, rows):
+        """The side this stage trains, embedded from the arrays' current values.
 
-        ``target_counts(grid, targets)`` gives each sample's (B, K) counts.
+        Stage 1 gives the descriptor stack (N, K, D).  Stage 2 gives the
+        embeddings of units ``rows``: (D,) for one index, (B, D) for an
+        index array.
         """
-        model = self.model
         if self.number == 1:
-            embeddings = self.embeddings[batch]
-            stack = bank_embeddings(model.bank, model.encoder)
+            return bank_embeddings(self.model.bank, self.model.encoder)
+        return encode_image(self.model.adapter, self.pooled[rows])
+
+    def score(self, rows, embedded, targets, target_counts):
+        """Units ``rows``' embeddings, descriptor stack, grid and LossBreakdown.
+
+        ``embedded`` is what ``embed`` returned, scored against the side
+        the stage holds frozen.  ``target_counts(grid, targets)`` gives
+        each sample's (B, K) counts.
+        """
+        if self.number == 1:
+            embeddings, stack = self.embeddings[rows], embedded
         else:
-            embeddings = encode_image(model.adapter, self.pooled[batch])
-            stack = self.stack
-        grid = losses.similarity_grid(embeddings, stack, model.temperature)
-        targets = self.labels[batch]
+            embeddings, stack = embedded, self.stack
+        grid = losses.similarity_grid(embeddings, stack, self.model.temperature)
         breakdown = losses.total_loss(grid, targets, target_counts(grid, targets))
         return embeddings, stack, grid, breakdown
+
+    def loss(self, batch, target_counts):
+        """The batch's embeddings (B, D), descriptor stack, grid and LossBreakdown."""
+        return self.score(batch, self.embed(batch), self.labels[batch], target_counts)
 
     def gradients(self, batch, target_counts):
         """The batch's LossBreakdown and the batch-mean gradient of each of ``params``."""
@@ -355,26 +369,34 @@ def run_stage2(
     return model.adapter, _run_stage(model, dataset, config, 2)
 
 
-def central_difference(fn, array: np.ndarray, h: float) -> np.ndarray:
-    """Central finite differences of a scalar closure w.r.t. one array.
+def central_difference(probe, score, array: np.ndarray, h: float) -> np.ndarray:
+    """Central finite differences of a batched loss w.r.t. one array.
 
-    Perturbs entries in place (restoring them exactly) and calls ``fn``
-    twice per entry.
+    Each entry is perturbed in place by +h, then by -h, and restored
+    exactly; after each perturbation ``probe()`` records what the array
+    changes.  ``score`` maps the (2 * entries, ...) stack of those probes,
+    +h and -h alternating, to the loss of each, in one call.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ContractViolation(f"h must be > 0, got {h}")
     flat = array.reshape(-1)
-    grad = np.zeros_like(array)
-    grad_flat = grad.reshape(-1)
+    probes = None
     for idx in range(flat.size):
         original = flat[idx]
-        flat[idx] = original + h
-        f_plus = fn()
-        flat[idx] = original - h
-        f_minus = fn()
+        for side, value in enumerate((original + h, original - h)):
+            flat[idx] = value
+            probed = probe()
+            if probes is None:
+                probes = np.empty((flat.size, 2, *np.shape(probed)))
+            probes[idx, side] = probed
         flat[idx] = original
-        grad_flat[idx] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    values = np.asarray(score(probes.reshape(2 * flat.size, *probes.shape[2:])))
+    if values.shape != (2 * flat.size,):
+        raise ContractViolation(
+            f"score gave shape {values.shape} for {2 * flat.size} probes"
+        )
+    plus, minus = values.reshape(flat.size, 2).T
+    return ((plus - minus) / (2.0 * h)).reshape(array.shape)
 
 
 # Entries whose analytic and FD values are both below this scale are
@@ -401,7 +423,9 @@ def fd_check(
 
     ``sample`` is a one-sample batch of the stage's training path, with
     ``target_counts`` as its counts.  Every entry the stage trains is
-    perturbed by +/-h and the loss re-evaluated.  Returns, per trained
+    perturbed by +/-h and the side it changes re-embedded by the real
+    encoder; each array's perturbed losses are then scored in one batched
+    call, row for row the bits of the one-sample loss.  Returns, per trained
     array name, its entry count and the largest relative error between
     the analytic and the numeric gradient.  ``corrupt`` deliberately
     breaks the first analytic entry (negative control: its error must
@@ -414,10 +438,15 @@ def fd_check(
     batch = np.array([0])
 
     def given(grid, targets):
-        return counts
+        return np.repeat(counts, len(targets), axis=0)
 
-    def loss_value() -> float:
-        return path.loss(batch, given)[-1].total[0]
+    def probe():
+        return path.embed(0)
+
+    def score(probes):
+        # Each probe scored as sample 0 alone, with its counts.
+        targets = np.repeat(path.labels, len(probes))
+        return path.score(0, probes, targets, given)[-1].total
 
     _, analytic = path.gradients(batch, given)
     if corrupt:
@@ -427,7 +456,7 @@ def fd_check(
 
     errors = {}
     for name in sorted(path.params):
-        numeric = central_difference(loss_value, path.params[name], h)
+        numeric = central_difference(probe, score, path.params[name], h)
         relative = _relative_errors(analytic[name], numeric)
         errors[name] = (int(relative.size), float(np.max(relative)))
     return errors

@@ -435,6 +435,24 @@ def test_vocabulary_row_errors_name_their_line(tmp_path):
         assert str(info.value) == f"line {line}: {problem}"
 
 
+@pytest.mark.parametrize(
+    "load, text, problem",
+    [
+        (load_vocabulary, "metd-vocab v1 dim=0\na\t\n", "dim must be >= 1, got 0"),
+        (load_vocabulary, "metd-vocab v1 dim=0\n", "dim must be >= 1, got 0"),
+        (load_dataset, "metd-embed v1 dim=0 classes=2\n0\t-\t-\t1\n",
+         "feature_dim must be >= 1, got 0"),
+    ],
+)
+def test_a_zero_dim_header_is_line_1(tmp_path, load, text, problem):
+    # The header's dim is wrong, not the first row that cannot match it.
+    path = tmp_path / "zero_dim.tsv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    assert str(info.value) == f"line 1: {problem}"
+
+
 def test_nearest_words_hand_example():
     vocab = Vocabulary(words=["a", "b"], vectors=np.array([[0.0, 0.0], [1.0, 1.0]]))
     ranked = nearest_words(vocab, np.array([0.9, 0.9]), top_n=2)

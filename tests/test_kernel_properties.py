@@ -64,6 +64,21 @@ def test_each_batch_row_equals_the_one_sample_call(instance):
 
 
 @kernel_settings
+@given(instances)
+def test_each_stack_row_equals_the_one_stack_call(instance):
+    # One embedding against S descriptor stacks, as fd_check scores its probes.
+    seed, s, n, k, d, tau = instance
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=d)
+    stacks = rng.normal(size=(s, n, k, d))
+    grid = losses.similarity_grid(v, stacks, tau)
+    assert grid.values.shape == (s, n, k)
+    for row in range(s):
+        one = losses.similarity_grid(v, stacks[row], tau)
+        assert np.array_equal(grid.values[row], one.values)
+
+
+@kernel_settings
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from((1, 2)))
 def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
     # A random model of either encoder kind, and B units of 1-3 frames.

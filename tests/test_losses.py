@@ -33,6 +33,17 @@ def test_similarity_grid_validation():
         losses.SimilarityGrid(values=np.array([[0.5]]), temperature=-1.0)
 
 
+def test_stacks_of_descriptor_stacks_take_one_embedding():
+    rng = np.random.default_rng(4)
+    stacks = rng.normal(size=(2, 3, 2, 4))
+    assert losses.similarity_grid(rng.normal(size=4), stacks, 0.5).values.shape == (2, 3, 2)
+    for v in (rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), 1.0):
+        with pytest.raises(ContractViolation, match="take one"):
+            losses.similarity_grid(v, stacks, 0.5)
+    with pytest.raises(ContractViolation, match="3-D"):
+        losses.similarity_grid(rng.normal(size=4), stacks[None], 0.5)
+
+
 def test_selection_breaks_ties_toward_lowest_index():
     grid = losses.SimilarityGrid(
         values=np.array([[0.3, 0.7, 0.7], [0.2, 0.2, 0.2]]), temperature=0.1

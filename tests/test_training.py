@@ -142,16 +142,71 @@ def test_cosine_schedule_endpoints():
         cosine_lr(0.4, 0, 0)
 
 
+def _squares(probes):
+    return np.sum(probes * probes, axis=tuple(range(1, probes.ndim)))
+
+
 def test_central_difference_exact_on_quadratic():
     # (x+h)^2 - (x-h)^2 = 4xh, so the quotient is 2x with no truncation term.
     rng = np.random.default_rng(32)
     x = rng.normal(size=(2, 3))
     original = x.copy()
-    grad = central_difference(lambda: float(np.sum(x * x)), x, h=1e-4)
+    grad = central_difference(x.copy, _squares, x, h=1e-4)
     np.testing.assert_allclose(grad, 2 * original, rtol=1e-9, atol=1e-12)
     assert np.array_equal(x, original)  # perturbations restored exactly
     with pytest.raises(ContractViolation):
-        central_difference(lambda: 0.0, x, h=0.0)
+        central_difference(x.copy, _squares, x, h=0.0)
+
+
+def test_central_difference_needs_one_score_per_probe():
+    x = np.arange(3.0)
+    wrong = (lambda probes: _squares(probes)[:-1], lambda probes: probes, lambda probes: 0.0)
+    for score in wrong:
+        with pytest.raises(ContractViolation, match="for 6 probes"):
+            central_difference(x.copy, score, x, h=1e-3)
+    assert np.array_equal(x, np.arange(3.0))
+
+
+def _one_sample_central_difference(path, array, counts, h):
+    """The reference: two one-sample ``_Stage.loss`` calls per entry."""
+    batch = np.array([0])
+    flat = array.reshape(-1)
+    grad = np.empty(flat.size)
+    for idx in range(flat.size):
+        original = flat[idx]
+        flat[idx] = original + h
+        plus = path.loss(batch, lambda grid, targets: counts)[-1].total[0]
+        flat[idx] = original - h
+        minus = path.loss(batch, lambda grid, targets: counts)[-1].total[0]
+        flat[idx] = original
+        grad[idx] = (plus - minus) / (2.0 * h)
+    return grad.reshape(array.shape)
+
+
+def test_fd_check_numeric_gradient_equals_the_one_sample_loop(monkeypatch):
+    # The batched probes give each entry the bits of its two one-sample losses.
+    import metd.training
+
+    numeric = []
+    original = metd.training.central_difference
+
+    def recorded(*args):
+        numeric.append(original(*args))
+        return numeric[-1]
+
+    monkeypatch.setattr(metd.training, "central_difference", recorded)
+    h = 1e-5
+    for stage in (1, 2):
+        for seed in range(50):
+            model, sample, counts = random_fd_instance(seed=seed, stage=stage)
+            numeric.clear()
+            fd_check(model, sample, h, target_counts=counts, stage=stage)
+            path = metd.training._Stage(model, [sample], stage)
+            names = sorted(path.params)
+            assert len(numeric) == len(names)
+            for got, name in zip(numeric, names):
+                want = _one_sample_central_difference(path, path.params[name], counts[None], h)
+                assert np.array_equal(got, want), f"stage {stage} seed {seed}: {name}"
 
 
 def test_stage_keys_defaults_and_validation():
