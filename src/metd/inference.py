@@ -2,9 +2,9 @@
 
 A sample is scored against each class by the mean cosine similarity over
 that class's subclass descriptors; the predicted label is the argmax
-(lowest index on ties).  Both training stages and ``evaluate`` embed a
-unit as the adapter output for the temporal mean of its frames
-(``unit_embedding``), so they give it the same bits.
+(lowest index on ties).  A unit's embedding is the adapter output for the
+temporal mean of its frames (``unit_embedding``).  Stage 2 encodes a training
+batch, or for its per-epoch report its whole pooled array, in one call.
 
 Accuracy is reported two ways: WAR (weighted average recall) is the
 fraction of units predicted correctly, UAR (unweighted average recall)
@@ -75,8 +75,8 @@ def temporal_mean_pool(frames) -> np.ndarray:
 def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
     """Adapter output for the temporal mean of the unit's frames.
 
-    Stage 2 encodes a (B, F) stack of pooled units in one call, and each
-    row has the bits of this call on that unit.
+    Stage 2 encodes pooled units in one call, a batch per step and all of
+    them for each epoch's report; each row has this call's bits on it.
     """
     return encode_image(model.adapter, temporal_mean_pool(unit.frames))
 

@@ -45,6 +45,7 @@ import numpy as np
 from . import losses
 from .data import EmbeddingDataset, Unit
 from .errors import ContractViolation
+# ``evaluate`` is unused here, but perfbench's binding test reads it from this module.
 from .inference import _score, check_compatible, evaluate, temporal_mean_pool, unit_embedding
 from .model import (
     IDENTITY_MEAN,
@@ -257,7 +258,7 @@ class _Stage:
 
         Stage 1 gives the descriptor stack (N, K, D).  Stage 2 gives the
         embeddings of units ``rows``: (D,) for one index, (B, D) for an
-        index array.
+        index array or a slice.
         """
         if self.number == 1:
             return bank_embeddings(self.model.bank, self.model.encoder)
@@ -326,9 +327,9 @@ def _counted_gradients(stage: _Stage, batch, counts: np.ndarray, sums: np.ndarra
 def _run_stage(model, dataset, config, number):
     """Fit stage ``number``; log each epoch's mean losses, train WAR, and lr.
 
-    The subclass counts restart every epoch, or every batch under
-    ``count_scope = "batch"``.  Stage 1's train WAR scores the unit
-    embeddings it holds, which it cannot change.
+    Counts restart every epoch, or every batch under ``count_scope =
+    "batch"``.  Train WAR scores stage 1's held unit embeddings, or stage
+    2's pooled (U, F) array encoded in one call (``evaluate``'s bits).
     """
     if len(dataset) == 0:
         raise ContractViolation("cannot train on an empty dataset")
@@ -347,8 +348,8 @@ def _run_stage(model, dataset, config, number):
     stream = (STREAM_SHUFFLE, config.seed, number)
     for epoch, lr in fit(stage.params, gradients, n_units, config, number, stream):
         fg, margin, total = sums / n_units
-        held = number == 1
-        report = _score(dataset, model, stage.embeddings) if held else evaluate(dataset, model)
+        embeddings = stage.embeddings if number == 1 else stage.embed(slice(None))
+        report = _score(dataset, model, embeddings)
         trace.append(EpochStats(epoch, fg, margin, total, report.war, lr))
         sums[:] = 0.0
         counts[:] = 0

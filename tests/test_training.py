@@ -424,13 +424,33 @@ def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch)
 
 
 def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
-    # The raw frames never change, so they are pooled once, not every epoch.
+    # The raw frames never change, so they are pooled once, not every epoch,
+    # and the per-epoch report encodes that pooled array instead of pooling
+    # and embedding each unit again through the inference module.
+    import metd.inference
     import metd.training
 
     model, train = _sixteen_units()
-    calls = _count_calls(monkeypatch, metd.training, ("temporal_mean_pool",))
+    names = ("temporal_mean_pool", "unit_embedding")
+    calls = _count_calls(monkeypatch, metd.training, names)
+    inner = _count_calls(monkeypatch, metd.inference, names)
     run_stage2(model, train, run_config(stage2_epochs=2, stage2_batch_size=5, seed=3))
-    assert calls == {"temporal_mean_pool": len(train.units())}
+    assert calls == {"temporal_mean_pool": len(train.units()), "unit_embedding": 0}
+    assert inner == {"temporal_mean_pool": 0, "unit_embedding": 0}
+
+
+@pytest.mark.parametrize("count_scope", ["epoch", "batch"])
+def test_each_stages_last_train_war_equals_evaluate(count_scope):
+    # The per-epoch report scores the stage's own embeddings, not through
+    # evaluate, yet reads exactly what evaluate reads after the stage.
+    model, train = _sixteen_units()
+    config = run_config(
+        stage1_epochs=2, stage2_epochs=2, stage1_batch_size=5, stage2_batch_size=5,
+        stage2_lr=1e-2, count_scope=count_scope, seed=3,  # an adapter that moves
+    )
+    for run_stage in (run_stage1, run_stage2):
+        _, trace = run_stage(model, train, config)
+        assert trace[-1].war == evaluate(train, model).war
 
 
 def test_a_zero_descriptor_mid_training_names_its_row_epoch_and_step():
