@@ -20,7 +20,11 @@
 # vocabulary errors are compared as well.  An "fdcheck-wide" case runs
 # fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
 # kinds and both adapter kinds, and once more at seed 0 with
-# fdcheck_corrupt = true, the control that must fail.  It keeps the datasets,
+# fdcheck_corrupt = true, the control that must fail.  A "synth-edge" case
+# runs synth at the geometry limits of the default 3 classes x 2
+# subclusters: at feature_dim = 6, at feature_dim = 5, which must exit 2
+# without writing anything, and with 3 subclusters at the simplex-limit
+# intra_class_angle = 120.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -142,3 +146,18 @@ for seed in 0 101; do
 done
 printf 'seed = 0\nfdcheck_instances = 60\nfdcheck_corrupt = true\n' >"$wide/corrupt.cfg"
 run "$wide" fdcheck-corrupt fdcheck --config "$wide/corrupt.cfg"
+
+edge="$out/synth-edge"
+rm -rf "$edge"
+mkdir -p "$edge"
+printf 'samples_per_subcluster = 5\nfeature_dim = 6\nembed_dim = 6\ntoken_dim = 6\n' \
+    >"$edge/tight.cfg"
+printf 'samples_per_subcluster = 5\nfeature_dim = 5\nembed_dim = 5\ntoken_dim = 5\n' \
+    >"$edge/narrow.cfg"
+printf 'samples_per_subcluster = 5\nsubclusters_per_class = 3\nintra_class_angle = 120\n' \
+    >"$edge/simplex.cfg"
+for name in tight narrow simplex; do
+    run "$edge" "synth-$name" synth --config "$edge/$name.cfg" "$edge/$name"
+done
+# The narrow case must leave no directory behind.
+ls "$edge" >"$edge/listing"

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     ConfigError,
     ContractViolation,
-    InfeasibleConfigError,
     ParseError,
     ZeroNormError,
 )

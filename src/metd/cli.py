@@ -23,12 +23,7 @@ from .data import (
     nearest_words,
     save_dataset,
 )
-from .errors import (
-    ConfigError,
-    ContractViolation,
-    InfeasibleConfigError,
-    ParseError,
-)
+from .errors import ConfigError, ContractViolation, ParseError
 from .harness import compare_all, format_comparison, train_metd
 from .inference import evaluate, format_eval_report, subclass_report
 from .model import load_checkpoint, save_checkpoint, write_lines
@@ -207,7 +202,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, InfeasibleConfigError) as exc:
+    except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

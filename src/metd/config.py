@@ -93,9 +93,12 @@ def _positive_real(value):
         raise ValueError(f"must be > 0, got {value}")
 
 
-def _angle(value):
-    if not 0.0 <= value <= 180.0:
-        raise ValueError(f"must be in [0, 180], got {value}")
+def _angle(top):
+    def check(value):
+        if not 0.0 <= value <= top:
+            raise ValueError(f"must be in [0, {top:g}], got {value}")
+
+    return check
 
 
 def _enum(choices):
@@ -119,8 +122,9 @@ _SCHEMA = {
     "samples_per_subcluster": (_positive, 125),
     "feature_dim": (_positive, 16),
     "sigma": (_nonnegative, 0.1),
-    "inter_class_min_angle": (_angle, 45.0),
-    "intra_class_angle": (_angle, 0.0),
+    # Synthetic cross-class means are orthogonal, so 90 is the widest bound.
+    "inter_class_min_angle": (_angle(90.0), 45.0),
+    "intra_class_angle": (_angle(180.0), 0.0),
     # model dimensions
     "token_dim": (_positive, 16),
     "embed_dim": (_positive, 16),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, InfeasibleConfigError, ParseError
+from .errors import ContractViolation, ParseError
 from .model import (
     FORMAT_VERSION,
     STREAM_OVERSAMPLE,
@@ -42,9 +42,6 @@ from .model import (
 
 _DATASET_HEADER = re.compile(r"^metd-embed v(\d+) dim=(\d+) classes=(\d+)$")
 _VOCAB_HEADER = re.compile(r"^metd-vocab v(\d+) dim=(\d+)$")
-
-# Total rejection-sampling attempts allowed when placing subcluster means.
-_MEAN_SAMPLING_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -161,9 +158,12 @@ class SynthConfig:
     samples are Gaussian around their mean with spread ``sigma``
     (sigma = 0 degenerates to exact copies of the means, which is allowed
     and useful for tests).  Angles are in degrees.  Within a class the
-    means are placed equiangularly at exactly ``intra_class_angle``
-    pairwise; across classes every pair of means must be at least
-    ``inter_class_min_angle`` apart (enforced by rejection sampling).
+    means are pairwise exactly ``intra_class_angle`` apart; across
+    classes every pair of means is at 90 degrees, so the checked bound
+    ``inter_class_min_angle`` holds by construction.  A geometry that
+    cannot be built is rejected here: an intra angle beyond the simplex
+    limit arccos(-1/(G-1)), a ``feature_dim`` below n_classes * G, or an
+    inter bound above 90 degrees.
     """
 
     n_classes: int
@@ -187,104 +187,47 @@ class SynthConfig:
                 raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ContractViolation(f"sigma must be >= 0, got {self.sigma}")
-        for name in ("inter_class_min_angle", "intra_class_angle"):
+        for name, top in (("inter_class_min_angle", 90.0), ("intra_class_angle", 180.0)):
             value = getattr(self, name)
-            if not (0.0 <= value <= 180.0):
-                raise ContractViolation(f"{name} must be in [0, 180], got {value}")
-
-
-def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        v = rng.normal(size=dim)
-        norm = math.sqrt(float(np.dot(v, v)))
-        if norm > 0.0:
-            return v / norm
-
-
-def _cross_angles_ok(candidates, accepted, cos_limit: float) -> bool:
-    for v in candidates:
-        for u in accepted:
-            if float(np.dot(v, u)) > cos_limit:
-                return False
-    return True
-
-
-def _equiangular_set(
-    rng: np.random.Generator, dim: int, count: int, cos_pair: float
-) -> list[np.ndarray]:
-    """Unit vectors with every pairwise cosine exactly ``cos_pair``.
-
-    Built as sqrt(t)*u + sqrt(1-t)*(frame @ simplex_k) around a random
-    axis u, where the simplex vertices have pairwise cosine -1/(count-1)
-    and t solves the target cosine.  Needs dim >= count + 1.
-    """
-    if count == 1:
-        return [_unit_vector(rng, dim)]
-    t = (cos_pair * (count - 1) + 1.0) / count
-    t = min(max(t, 0.0), 1.0)
-    while True:
-        u = _unit_vector(rng, dim)
-        raw = rng.normal(size=(dim, count))
-        raw -= np.outer(u, u @ raw)
-        frame, r = np.linalg.qr(raw)
-        if np.min(np.abs(np.diag(r))) < 1e-9:
-            continue
-        simplex = np.eye(count) - 1.0 / count
-        simplex /= np.linalg.norm(simplex[0])
-        vectors = []
-        for k in range(count):
-            v = math.sqrt(t) * u + math.sqrt(1.0 - t) * (frame @ simplex[k])
-            vectors.append(v / math.sqrt(float(np.dot(v, v))))
-        return vectors
-
-
-def _sample_means(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Place unit-norm subcluster means satisfying both angle constraints.
-
-    Within a class the means are constructed at exactly the configured
-    intra-class angle; classes are placed one at a time by rejection
-    sampling against the inter-class constraint with a shared attempt
-    budget.  Impossible intra-class geometries (a set of G unit vectors
-    cannot be pairwise further apart than arccos(-1/(G-1))) are rejected
-    up front.
-    """
-    g = config.subclusters_per_class
-    if g > 1:
-        limit = math.degrees(math.acos(-1.0 / (g - 1)))
-        if config.intra_class_angle > limit + 1e-9:
-            raise InfeasibleConfigError(
-                f"{g} unit vectors cannot be pairwise >= "
-                f"{config.intra_class_angle} degrees apart "
-                f"(maximum {limit:.4f} degrees)"
-            )
-        if config.feature_dim < g + 1:
-            raise InfeasibleConfigError(
-                f"feature_dim {config.feature_dim} too small for {g} "
-                f"equiangular subcluster means (needs >= {g + 1})"
-            )
-    cos_intra = math.cos(math.radians(config.intra_class_angle))
-    cos_inter = math.cos(math.radians(config.inter_class_min_angle))
-    accepted: list[np.ndarray] = []
-    means = np.empty((config.n_classes, g, config.feature_dim))
-    attempts = 0
-    for i in range(config.n_classes):
-        while True:
-            attempts += 1
-            if attempts > _MEAN_SAMPLING_BUDGET:
-                raise InfeasibleConfigError(
-                    f"could not place subcluster means for class {i} within "
-                    f"{_MEAN_SAMPLING_BUDGET} attempts; relax the angle "
-                    f"constraints or raise feature_dim"
+            if not (0.0 <= value <= top):
+                raise ContractViolation(f"{name} must be in [0, {top:g}], got {value}")
+        g = self.subclusters_per_class
+        if g > 1:
+            limit = math.degrees(math.acos(-1.0 / (g - 1)))
+            if self.intra_class_angle > limit + 1e-9:
+                raise ContractViolation(
+                    f"{g} unit vectors cannot be pairwise {self.intra_class_angle} "
+                    f"degrees apart (maximum {limit:.4f} degrees)"
                 )
-            candidates = _equiangular_set(
-                rng, config.feature_dim, g, cos_intra
+        if self.feature_dim < self.n_classes * g:
+            raise ContractViolation(
+                f"feature_dim {self.feature_dim} too small for {self.n_classes} classes "
+                f"x {g} subcluster means (needs >= {self.n_classes * g})"
             )
-            if not _cross_angles_ok(candidates, accepted, cos_inter):
-                continue
-            break
-        means[i] = np.vstack(candidates)
-        accepted.extend(candidates)
-    return means
+
+
+def _synthetic_means(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (n_classes, G, dim) unit-norm means, in closed form from one QR frame.
+
+    Class i owns its own block C of G orthonormal columns, so every
+    cross-class pair is orthogonal.  With G > 1 its means are
+    sqrt(t)*u + sqrt(1-t)*w_k, where u = C*1/sqrt(G) is the block's axis,
+    w_k = C*(e_k - 1/G)/||.|| are regular-simplex vertices (pairwise
+    cosine -1/(G-1), orthogonal to u), and t = (cos(theta)*(G-1) + 1)/G
+    makes every same-class cosine cos(theta).
+    """
+    n, g = config.n_classes, config.subclusters_per_class
+    frame, _ = np.linalg.qr(rng.normal(size=(config.feature_dim, n * g)))
+    blocks = frame.T.reshape(n, g, config.feature_dim)
+    if g == 1:
+        return blocks
+    cos_intra = math.cos(math.radians(config.intra_class_angle))
+    # At the simplex limit, rounding can leave t a hair below zero.
+    t = max((cos_intra * (g - 1) + 1.0) / g, 0.0)
+    simplex = np.eye(g) - 1.0 / g
+    simplex /= np.linalg.norm(simplex[0])
+    axes = blocks.sum(axis=1, keepdims=True) / math.sqrt(g)
+    return math.sqrt(t) * axes + math.sqrt(1.0 - t) * (simplex @ blocks)
 
 
 def dataset_from_means(
@@ -334,12 +277,13 @@ def dataset_from_means(
 def generate_synthetic(config: SynthConfig) -> tuple[EmbeddingDataset, EmbeddingDataset]:
     """Build a (train, test) pair of sub-clustered Gaussian datasets.
 
-    Each subcluster contributes floor(0.8 * n) samples to train and the
-    rest to test, split by a seeded shuffle.  Rows carry their true
-    subcluster id; everything is deterministic in ``config.seed``.
+    The means are placed in closed form (``_synthetic_means``).  Each
+    subcluster contributes floor(0.8 * n) samples to train and the rest
+    to test, split by a seeded shuffle.  Rows carry their true subcluster
+    id; everything is deterministic in ``config.seed``.
     """
     rng = np.random.default_rng([STREAM_SYNTH, config.seed])
-    means = _sample_means(config, rng)
+    means = _synthetic_means(config, rng)
     return dataset_from_means(
         means, config.samples_per_subcluster, config.sigma, rng
     )

@@ -2,7 +2,9 @@
 
 Every precondition failure raises an exception from this module rather
 than a bare ValueError, so callers can tell a broken contract apart from
-an ordinary value problem raised by a third-party library.
+an ordinary value problem raised by a third-party library.  A synthetic
+geometry that cannot be built is a ``ContractViolation`` too, raised when
+its ``SynthConfig`` is made.
 """
 
 
@@ -16,15 +18,6 @@ class ZeroNormError(ContractViolation):
     Cosine similarity is undefined for zero vectors; callers that reach
     this state have a modelling problem upstream, so the failure is loud
     instead of silently substituting a similarity of zero.
-    """
-
-
-class InfeasibleConfigError(ValueError):
-    """Rejection sampling exhausted its budget for the requested geometry.
-
-    Raised when no arrangement of unit vectors can satisfy (or is
-    overwhelmingly unlikely to satisfy) the requested pairwise angle
-    constraints in the given dimension.
     """
 
 

@@ -149,14 +149,13 @@ def check_compatible(dataset: EmbeddingDataset, model: Model):
         )
 
 
-def _score(dataset: EmbeddingDataset, model: Model, embeddings: np.ndarray) -> EvalReport:
-    """``evaluate``'s report from the (U, D) embeddings of ``dataset.units()``, in order."""
-    prediction = predict(embeddings, bank_embeddings(model.bank, model.encoder))
-    truths = np.array([unit.label for unit in dataset.units()])
+def _score(truths: np.ndarray, embeddings: np.ndarray, stack: np.ndarray) -> EvalReport:
+    """``evaluate``'s report from units' (U,) labels, (U, D) embeddings and the (N, K, D) stack."""
+    prediction = predict(embeddings, stack)
     assignments = prediction.subclass_argmax[np.arange(truths.size), truths]
-    histogram = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
+    histogram = np.zeros(stack.shape[:2], dtype=np.int64)
     np.add.at(histogram, (truths, assignments), 1)
-    report = report_from_labels(truths, prediction.label, dataset.n_classes)
+    report = report_from_labels(truths, prediction.label, stack.shape[0])
     return replace(report, subclass_histogram=histogram, assignments=assignments)
 
 
@@ -166,7 +165,11 @@ def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
     if not units:
         raise ContractViolation("cannot evaluate an empty dataset")
     check_compatible(dataset, model)
-    return _score(dataset, model, np.stack([unit_embedding(model, unit) for unit in units]))
+    return _score(
+        np.array([unit.label for unit in units]),
+        np.stack([unit_embedding(model, unit) for unit in units]),
+        bank_embeddings(model.bank, model.encoder),
+    )
 
 
 def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> EvalReport:

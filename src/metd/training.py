@@ -264,17 +264,23 @@ class _Stage:
             return bank_embeddings(self.model.bank, self.model.encoder)
         return encode_image(self.model.adapter, self.pooled[rows])
 
+    def sides(self, rows, embedded):
+        """Units ``rows``' embeddings and the descriptor stack.
+
+        ``embedded`` is what ``embed`` returned; the other side is the one
+        the stage holds frozen.
+        """
+        if self.number == 1:
+            return self.embeddings[rows], embedded
+        return embedded, self.stack
+
     def score(self, rows, embedded, targets, target_counts):
         """Units ``rows``' embeddings, descriptor stack, grid and LossBreakdown.
 
-        ``embedded`` is what ``embed`` returned, scored against the side
-        the stage holds frozen.  ``target_counts(grid, targets)`` gives
-        each sample's (B, K) counts.
+        ``embedded`` is what ``embed`` returned.  ``target_counts(grid,
+        targets)`` gives each sample's (B, K) counts.
         """
-        if self.number == 1:
-            embeddings, stack = self.embeddings[rows], embedded
-        else:
-            embeddings, stack = embedded, self.stack
+        embeddings, stack = self.sides(rows, embedded)
         grid = losses.similarity_grid(embeddings, stack, self.model.temperature)
         breakdown = losses.total_loss(grid, targets, target_counts(grid, targets))
         return embeddings, stack, grid, breakdown
@@ -328,8 +334,10 @@ def _run_stage(model, dataset, config, number):
     """Fit stage ``number``; log each epoch's mean losses, train WAR, and lr.
 
     Counts restart every epoch, or every batch under ``count_scope =
-    "batch"``.  Train WAR scores stage 1's held unit embeddings, or stage
-    2's pooled (U, F) array encoded in one call (``evaluate``'s bits).
+    "batch"``.  Train WAR scores the stage's held labels and frozen side
+    against its trained side, embedded once per epoch: stage 1's
+    descriptor stack, or stage 2's pooled (U, F) array encoded in one
+    call.  Each value has ``evaluate``'s bits.
     """
     if len(dataset) == 0:
         raise ContractViolation("cannot train on an empty dataset")
@@ -348,8 +356,8 @@ def _run_stage(model, dataset, config, number):
     stream = (STREAM_SHUFFLE, config.seed, number)
     for epoch, lr in fit(stage.params, gradients, n_units, config, number, stream):
         fg, margin, total = sums / n_units
-        embeddings = stage.embeddings if number == 1 else stage.embed(slice(None))
-        report = _score(dataset, model, embeddings)
+        every = slice(None)
+        report = _score(stage.labels, *stage.sides(every, stage.embed(every)))
         trace.append(EpochStats(epoch, fg, margin, total, report.war, lr))
         sums[:] = 0.0
         counts[:] = 0

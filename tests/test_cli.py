@@ -228,6 +228,19 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path):
     assert "sigma" in result.stderr
 
 
+def test_synth_rejects_an_infeasible_geometry_before_writing(tmp_path):
+    # 3 classes x 2 subcluster means need 6 orthonormal columns.
+    config = tmp_path / "narrow.cfg"
+    config.write_text("feature_dim = 5\nembed_dim = 5\ntoken_dim = 5\n")
+    out = tmp_path / "out"
+    result = run_cli("synth", "--config", str(config), str(out))
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: feature_dim 5 too small for 3 classes x 2 subcluster means (needs >= 6)\n"
+    )
+    assert not out.exists()
+
+
 def test_data_errors_exit_2(workspace, tmp_path):
     root, config, data, checkpoint = workspace
     missing = run_cli("train", "--config", str(config), str(tmp_path / "nowhere"),

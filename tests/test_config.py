@@ -112,6 +112,10 @@ def test_type_errors_name_the_key_and_line():
 def test_range_errors():
     assert _error("sigma = -1\n").key == "sigma"
     assert _error("inter_class_min_angle = 200\n").key == "inter_class_min_angle"
+    # Synthetic cross-class means are orthogonal: 90 degrees is the widest bound.
+    err = _error("seed = 1\ninter_class_min_angle = 91\n")
+    assert (err.key, err.line) == ("inter_class_min_angle", 2) and "[0, 90]" in str(err)
+    assert parse_config_text("inter_class_min_angle = 90\n").inter_class_min_angle == 90
     assert _error("temperature = 0\n").key == "temperature"
     assert _error("n_classes = 0\n").key == "n_classes"
     assert _error("stage1_epochs = -1\n").key == "stage1_epochs"

@@ -1,7 +1,11 @@
 """Synthetic geometry, dataset IO, oversampling, and vocabulary decoding."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metd.data import (
     EmbeddingDataset,
@@ -17,7 +21,7 @@ from metd.data import (
     save_dataset,
     save_vocabulary,
 )
-from metd.errors import ContractViolation, InfeasibleConfigError, ParseError
+from metd.errors import ContractViolation, ParseError
 
 
 def _means_by_subcluster(dataset):
@@ -114,18 +118,58 @@ def test_generation_is_deterministic():
 
 
 def test_infeasible_geometries_are_rejected():
-    with pytest.raises(InfeasibleConfigError):
-        generate_synthetic(
-            SynthConfig(n_classes=2, subclusters_per_class=3,
-                        samples_per_subcluster=5, feature_dim=8, sigma=0.1,
-                        intra_class_angle=150.0, seed=0)
-        )  # three unit vectors cannot be pairwise 150 degrees apart
-    with pytest.raises(InfeasibleConfigError):
-        generate_synthetic(
-            SynthConfig(n_classes=2, subclusters_per_class=3,
-                        samples_per_subcluster=5, feature_dim=3, sigma=0.1,
-                        intra_class_angle=60.0, seed=0)
-        )  # needs feature_dim >= subclusters + 1
+    good = dict(n_classes=2, subclusters_per_class=3, samples_per_subcluster=5,
+                feature_dim=6, sigma=0.1, intra_class_angle=60.0, seed=0)
+    SynthConfig(**good)
+    # Three unit vectors cannot be pairwise 150 degrees apart.
+    with pytest.raises(ContractViolation, match=r"maximum 120\.0000 degrees"):
+        SynthConfig(**{**good, "intra_class_angle": 150.0})
+    # Each of the 2 x 3 means needs its own orthonormal column.
+    with pytest.raises(ContractViolation, match=r"feature_dim 5 too small .*\(needs >= 6\)"):
+        SynthConfig(**{**good, "feature_dim": 5})
+    with pytest.raises(ContractViolation, match="feature_dim 3 too small"):
+        SynthConfig(**{**good, "feature_dim": 3})
+    # Cross-class means are orthogonal, so no wider bound can hold.
+    with pytest.raises(ContractViolation, match=r"inter_class_min_angle must be in \[0, 90\]"):
+        SynthConfig(**{**good, "inter_class_min_angle": 91.0})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_classes=st.integers(1, 5),
+    g=st.integers(1, 5),
+    spare_dims=st.integers(0, 3),
+    angle_share=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synthetic_means_hold_the_geometry_exactly(n_classes, g, spare_dims, angle_share, seed):
+    """Unit means, same-class cosines cos(theta), orthogonal classes, one draw per seed.
+
+    ``angle_share`` 1.0 is the simplex limit arccos(-1/(G-1)), and
+    ``spare_dims`` 0 the smallest feature_dim, n_classes * G.
+    """
+    limit = 180.0 if g == 1 else math.degrees(math.acos(-1.0 / (g - 1)))
+    config = SynthConfig(
+        n_classes=n_classes, subclusters_per_class=g, samples_per_subcluster=1,
+        feature_dim=n_classes * g + spare_dims, sigma=0.0,
+        inter_class_min_angle=90.0, intra_class_angle=angle_share * limit, seed=seed,
+    )
+    train, test = generate_synthetic(config)
+    # One sample per subcluster lands in test, and with sigma 0 it is the mean.
+    means = np.stack([s.features for s in test.samples])
+    labels = np.array([s.label for s in test.samples])
+    np.testing.assert_allclose(np.linalg.norm(means, axis=1), 1.0, rtol=0, atol=1e-9)
+    cosines = means @ means.T
+    same = (labels[:, None] == labels[None, :]) & ~np.eye(len(labels), dtype=bool)
+    cos_intra = math.cos(math.radians(config.intra_class_angle))
+    np.testing.assert_allclose(cosines[same], cos_intra, rtol=0, atol=1e-9)
+    assert np.all(cosines[labels[:, None] != labels[None, :]] <= 1e-9)
+    again = generate_synthetic(config)
+    for a, b in zip((train, test), again):
+        assert all(
+            np.asarray(x.features).tobytes() == np.asarray(y.features).tobytes()
+            for x, y in zip(a.samples, b.samples)
+        )
 
 
 def test_synth_config_validation():

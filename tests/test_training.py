@@ -439,6 +439,19 @@ def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
     assert inner == {"temporal_mean_pool": 0, "unit_embedding": 0}
 
 
+def test_stage2_embeds_its_frozen_descriptors_once(monkeypatch):
+    # The descriptors are frozen in stage 2, so the stack embedded at set-up
+    # also scores every per-epoch report.
+    import metd.inference
+    import metd.training
+
+    model, train = _sixteen_units()
+    calls = _count_calls(monkeypatch, metd.training, ("bank_embeddings",))
+    inner = _count_calls(monkeypatch, metd.inference, ("bank_embeddings",))
+    run_stage2(model, train, run_config(stage2_epochs=2, stage2_batch_size=5, seed=3))
+    assert calls["bank_embeddings"] + inner["bank_embeddings"] == 1
+
+
 @pytest.mark.parametrize("count_scope", ["epoch", "batch"])
 def test_each_stages_last_train_war_equals_evaluate(count_scope):
     # The per-epoch report scores the stage's own embeddings, not through
