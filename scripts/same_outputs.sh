@@ -12,10 +12,12 @@
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
 # with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
 # checkpoint on a copy of its test split whose third line has label 99,
-# so a dataset error message is compared too.  A "bad-files" case evals
-# a copy of the seed-7 checkpoint whose header says temperature=-1, and
-# decodes the seed-7 checkpoint against a copy of configs/vocab.tsv whose
-# fourth line repeats the word of its second, and against a vocabulary
+# and on two more copies whose line 40 holds a malformed float or one
+# value too few, so three dataset error messages are compared too.  A
+# "bad-files" case evals a copy of the seed-7 checkpoint whose header
+# says temperature=-1, and decodes the seed-7 checkpoint against a copy
+# of configs/vocab.tsv whose fourth line repeats the word of its second,
+# and against a vocabulary
 # whose header says dim=0, so a checkpoint header error and two
 # vocabulary errors are compared as well.  An "fdcheck-wide" case runs
 # fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
@@ -124,6 +126,12 @@ rm -rf "$bad"
 mkdir -p "$bad"
 awk -F'\t' -v OFS='\t' 'NR == 3 { $1 = 99 } { print }' "$out/seed7/data/test.tsv" >"$bad/test.tsv"
 run "$bad" eval eval "$out/seed7/model.ckpt" "$bad/test.tsv"
+awk -F'\t' -v OFS='\t' 'NR == 40 { sub(/,/, "x,", $4) } { print }' \
+    "$out/seed7/data/test.tsv" >"$bad/test-bad-float.tsv"
+run "$bad" eval-bad-float eval "$out/seed7/model.ckpt" "$bad/test-bad-float.tsv"
+awk -F'\t' -v OFS='\t' 'NR == 40 { sub(/,[^,]*$/, "", $4) } { print }' \
+    "$out/seed7/data/test.tsv" >"$bad/test-short-row.tsv"
+run "$bad" eval-short-row eval "$out/seed7/model.ckpt" "$bad/test-short-row.tsv"
 
 bad="$out/bad-files"
 rm -rf "$bad"

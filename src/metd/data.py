@@ -14,7 +14,12 @@ Vocabulary::
 
 Floats are written with 17 significant digits, which round-trips every
 float64 exactly: save followed by load reproduces the same bits, and
-saving again produces a byte-identical file.
+saving again produces a byte-identical file.  One streaming parser,
+``model.parse_float_rows``, reads the vectors of datasets, vocabularies
+and checkpoints: every row's text goes into one ``np.loadtxt`` call as
+the file is read, and each value gets the same bits ``float()`` would
+give it.  Python-only spellings such as ``1_000``, which metd never
+writes, are bad values.
 
 Rows that share a sequence id form one unit (for example the frames of
 one clip) and must be contiguous in the file and agree on class and
@@ -35,7 +40,7 @@ from .model import (
     STREAM_OVERSAMPLE,
     STREAM_SYNTH,
     format_floats,
-    parse_floats,
+    parse_float_rows,
     read_records,
     write_lines,
 )
@@ -100,7 +105,7 @@ class EmbeddingDataset:
             arr = np.asarray(sample.features, dtype=np.float64)
             if arr.shape != (self.feature_dim,):
                 raise _RowError(idx, f"feature shape {arr.shape} != ({self.feature_dim},)")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise _RowError(idx, "non-finite features")
             if not 0 <= sample.label < self.n_classes:
                 raise _RowError(
@@ -382,14 +387,21 @@ def load_dataset(path: str) -> EmbeddingDataset:
     if dim < 1:
         # Checked before the rows, which would be blamed for the header's dim.
         raise ParseError(f"feature_dim must be >= 1, got {dim}", line=1)
+    ids = []  # (label, sequence id, subcluster id) of each row, parsed as it streams
+
+    def feature_rows():
+        for line_no, (label, seq, sub, features) in records:
+            ids.append((
+                _parse_int(label, "class label", line_no),
+                None if seq == "-" else _parse_int(seq, "sequence id", line_no),
+                None if sub == "-" else _parse_int(sub, "subcluster id", line_no),
+            ))
+            yield line_no, features
+
+    features = parse_float_rows(feature_rows(), dim)
     samples = [
-        Sample(
-            label=_parse_int(label, "class label", line_no),
-            sequence_id=None if seq == "-" else _parse_int(seq, "sequence id", line_no),
-            subcluster_id=None if sub == "-" else _parse_int(sub, "subcluster id", line_no),
-            features=parse_floats(features, dim, line_no),
-        )
-        for line_no, (label, seq, sub, features) in records
+        Sample(row, label, sequence_id, subcluster_id)
+        for row, (label, sequence_id, subcluster_id) in zip(features, ids)
     ]
     try:
         return EmbeddingDataset(samples, dim, n_classes)
@@ -447,12 +459,18 @@ def load_vocabulary(path: str) -> Vocabulary:
     dim = int(next(records).group(2))
     if dim < 1:
         raise ParseError(f"dim must be >= 1, got {dim}", line=1)
-    rows = [(word, parse_floats(vector, dim, line_no)) for line_no, (word, vector) in records]
-    if not rows:
+    words = []
+
+    def vector_rows():
+        for line_no, (word, vector) in records:
+            words.append(word)
+            yield line_no, vector
+
+    vectors = parse_float_rows(vector_rows(), dim)
+    if not words:
         raise ParseError("vocabulary has no words")
-    words, vectors = zip(*rows)
     try:
-        return Vocabulary(words=list(words), vectors=np.vstack(vectors))
+        return Vocabulary(words=words, vectors=vectors)
     except _RowError as exc:
         # The header is line 1, and each later line is one word.
         raise ParseError(exc.problem, line=exc.row + 2) from exc

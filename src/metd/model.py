@@ -16,6 +16,7 @@ rows with ``;``.  Token vectors are keyed ``bank.tokens[i][k][m]`` and
 context vectors ``bank.context[c]``.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -392,7 +393,8 @@ def read_records(path: str, header: re.Pattern, what: str, n_fields: int):
     ``header``'s first group is the format version, which must be
     ``FORMAT_VERSION``.  Every later line must be nonblank and hold
     ``n_fields`` tab-separated fields.  Lines are read and yielded one at
-    a time, so no file is ever held in memory whole.
+    a time, so no file is ever held in memory whole; the loaders pass the
+    float fields on, still one row at a time, to ``parse_float_rows``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -423,31 +425,62 @@ def write_lines(path: str, lines):
 
 
 def format_floats(values: np.ndarray) -> str:
-    """17 significant digits: every float64 round-trips through parse_floats."""
+    """17 significant digits, so ``parse_float_rows`` reads back every float64's bits."""
     return ",".join(format(float(x), ".17g") for x in values)
 
 
-def parse_floats(text: str, dim: int, line_no: int) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != dim:
-        raise ParseError(f"expected {dim} values, got {len(parts)}", line=line_no)
+def parse_float_rows(rows, dim: int) -> np.ndarray:
+    """The (R, dim) float64 array of R ``(line_no, text)`` rows of comma-separated values.
+
+    The one float parser of every metd text file.  ``rows`` is pulled one
+    row at a time into a single ``np.loadtxt`` call, whose C conversion is
+    correctly rounded: each value gets the bits ``float()`` gives it.
+    Spellings only ``float()`` takes (``1_000``, non-ASCII digits) are bad
+    values.  A wrong value count or a bad value is a ParseError at its
+    row's line as the rows stream; a non-finite value is one at its row's
+    line once all rows are read.  An exception raised by ``rows`` itself
+    passes through unchanged.
+    """
+    lines = []  # the line of each row pulled so far
+
+    def texts():
+        for line_no, text in rows:
+            lines.append(line_no)
+            count = text.count(",") + 1
+            if count != dim:
+                raise ParseError(f"expected {dim} values, got {count}", line=line_no)
+            if not text:  # loadtxt would skip an empty line, not reject it
+                raise ParseError("bad float value", line=line_no)
+            yield text
+
+    stream = texts()
+    first = next(stream, None)
+    if first is None:  # loadtxt warns on empty input
+        return np.empty((0, dim))
     try:
-        values = np.array([float(p) for p in parts])
-    except ValueError:
-        raise ParseError("bad float value", line=line_no) from None
-    if not np.all(np.isfinite(values)):
-        raise ParseError("non-finite value", line=line_no)
+        values = np.loadtxt(
+            itertools.chain((first,), stream),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+    except ValueError as exc:
+        if type(exc) is not ValueError:  # a ParseError or decode error from ``rows``
+            raise
+        # loadtxt converts each row as it pulls it, so the last row pulled is at fault.
+        raise ParseError("bad float value", line=lines[-1]) from None
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite value", line=lines[int(np.argmin(finite))])
     return values
 
 
 def _parse_value(text: str, shape: tuple, line_no: int) -> np.ndarray:
     """A vector, or a matrix whose rows are joined with ``;``."""
     if len(shape) == 1:
-        return parse_floats(text, shape[0], line_no)
+        return parse_float_rows([(line_no, text)], shape[0])[0]
     parts = text.split(";")
     if len(parts) != shape[0]:
         raise ParseError(f"expected {shape[0]} rows, got {len(parts)}", line=line_no)
-    return np.vstack([parse_floats(p, shape[1], line_no) for p in parts])
+    return parse_float_rows(((line_no, part) for part in parts), shape[1])
 
 
 def _checkpoint_layout(header: re.Match) -> list[tuple[str, tuple]]:

@@ -1,6 +1,7 @@
 """Synthetic geometry, dataset IO, oversampling, and vocabulary decoding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from metd.data import (
     save_vocabulary,
 )
 from metd.errors import ContractViolation, ParseError
+from metd.model import format_floats, parse_float_rows
 
 
 def _means_by_subcluster(dataset):
@@ -341,8 +343,118 @@ def test_dataset_round_trip(tmp_path):
 def test_dataset_header_only_is_an_empty_dataset(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("metd-embed v1 dim=4 classes=2\n")
-    loaded = load_dataset(str(path))
+    with warnings.catch_warnings():
+        # The float parser never hands loadtxt empty input, which it warns about.
+        warnings.simplefilter("error")
+        loaded = load_dataset(str(path))
     assert len(loaded) == 0 and loaded.feature_dim == 4
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _as_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# Finite float64 bit patterns: any pattern (non-finite ones filtered),
+# the subnormals and zeros of both signs, and the extremes.
+_FINITE = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.tuples(st.booleans(), st.integers(0, 2**52 - 1)).map(lambda t: t[0] << 63 | t[1]),
+    st.sampled_from(_bits([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           np.finfo(np.float64).max, -np.finfo(np.float64).max])),
+).map(_as_float).filter(math.isfinite)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_FINITE, min_size=3, max_size=3), min_size=1, max_size=6))
+def test_parse_float_rows_gives_the_bits_of_float(table):
+    texts = [format_floats(np.array(row)) for row in table]
+    texts += [",".join(repr(x) for x in row) for row in table]
+    parsed = parse_float_rows(enumerate(texts, start=2), 3)
+    assert parsed.shape == (len(texts), 3)
+    expected = [[float(part) for part in text.split(",")] for text in texts]
+    assert _bits(parsed) == _bits(expected)
+    assert _bits(parsed[: len(table)]) == _bits(table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2),
+                          st.lists(st.lists(_FINITE, min_size=2, max_size=2),
+                                   min_size=1, max_size=4)),
+                min_size=1, max_size=8))
+def test_multi_frame_dataset_save_load_save_is_byte_identical(tmp_path_factory, units):
+    rows = [
+        Sample(np.array(frame), label, sequence_id=seq, subcluster_id=seq % 2)
+        for seq, (label, frames) in enumerate(units)
+        for frame in frames
+    ]
+    path = tmp_path_factory.mktemp("frames") / "frames.tsv"
+    save_dataset(EmbeddingDataset(rows, feature_dim=2, n_classes=3), str(path))
+    first = path.read_bytes()
+    loaded = load_dataset(str(path))
+    assert [_bits(s.features) for s in loaded.samples] == [_bits(s.features) for s in rows]
+    save_dataset(loaded, str(path))
+    assert path.read_bytes() == first
+
+
+_ROW = ",".join(["0.5"] * 8)
+_FAULTS = {
+    "malformed": ("0.5,0.5,0.5,0.5x,0.5,0.5,0.5,0.5", "bad float value"),
+    "too-few": (",".join(["0.5"] * 7), "expected 8 values, got 7"),
+    "inf": ("0.5,0.5,0.5,0.5,0.5,0.5,inf,0.5", "non-finite value"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("row", [0, 3, 2999, 5999])
+def test_a_faulty_row_of_a_large_dataset_names_its_line(tmp_path, fault, row):
+    vector, problem = _FAULTS[fault]
+    lines = [f"{r % 2}\t{r // 4}\t-\t{vector if r == row else _ROW}" for r in range(6000)]
+    path = tmp_path / "large.tsv"
+    path.write_text("metd-embed v1 dim=8 classes=2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"line {row + 2}: {problem}"
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_a_faulty_row_of_a_large_vocabulary_names_its_line(tmp_path, fault):
+    vector, problem = _FAULTS[fault]
+    lines = [f"w{r}\t{vector if r == 3000 else _ROW}" for r in range(6000)]
+    path = tmp_path / "large_vocab.tsv"
+    path.write_text("metd-vocab v1 dim=8\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_vocabulary(str(path))
+    assert str(info.value) == f"line 3002: {problem}"
+
+
+def test_a_decode_error_is_not_blamed_on_a_float(tmp_path):
+    # The parser maps only loadtxt's own errors to "bad float value".  The
+    # bad byte sits past the reader's first decoded block, so it is met
+    # while the rows stream.
+    path = tmp_path / "latin1.tsv"
+    path.write_bytes(b"metd-embed v1 dim=2 classes=2\n" + b"0\t-\t-\t1,2\n" * 5000
+                     + b"0\t-\t-\t1,\xff2\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize(
+    "vector, problem",
+    [("1_000", "bad float value"), ("", "bad float value"), ("1e999", "non-finite value")],
+    ids=["python-only-spelling", "empty", "overflow"],
+)
+def test_one_value_rows_parse_like_any_other(tmp_path, vector, problem):
+    # An empty field is a bad value, not a skipped line; a float() spelling
+    # that metd never writes is not a float here.
+    path = tmp_path / "one.tsv"
+    path.write_text(f"metd-embed v1 dim=1 classes=1\n0\t-\t-\t1\n0\t-\t-\t{vector}\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"line 3: {problem}"
 
 
 def _expect_parse_error(tmp_path, name, text, line):
@@ -458,7 +570,8 @@ def test_vocabulary_parse_errors(tmp_path):
         assert info.value.line == line
     no_words = tmp_path / "v_nowords.tsv"
     no_words.write_text("metd-vocab v1 dim=2\n")
-    with pytest.raises(ParseError):
+    with warnings.catch_warnings(), pytest.raises(ParseError, match="vocabulary has no words"):
+        warnings.simplefilter("error")
         load_vocabulary(str(no_words))
 
 

@@ -334,6 +334,34 @@ def test_checkpoint_parse_error_carries_line_number(tmp_path):
     assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize("fault", ["malformed", "too-few", "inf"])
+@pytest.mark.parametrize("key", ["adapter.weight", "bank.tokens[1][0][1]"])
+def test_a_faulty_value_names_its_checkpoint_line(tmp_path, key, fault):
+    # A matrix's rows share its line: a fault in the middle row of
+    # adapter.weight (5 rows of 6 values) is reported at that line.
+    model = _randomized_model(9, residual=False)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, str(path))
+    lines = path.read_text().splitlines()
+    j = next(j for j, line in enumerate(lines) if line.startswith(key + "\t"))
+    name, value = lines[j].split("\t")
+    rows = [row.split(",") for row in value.split(";")]
+    row = rows[len(rows) // 2]
+    width = len(row)
+    if fault == "malformed":
+        row[1], problem = "0.5.5", "bad float value"
+    elif fault == "too-few":
+        row.pop()
+        problem = f"expected {width} values, got {width - 1}"
+    else:
+        row[1], problem = "-inf", "non-finite value"
+    lines[j] = name + "\t" + ";".join(",".join(r) for r in rows)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value) == f"line {j + 1}: {problem}"
+
+
 @pytest.mark.parametrize(
     "dimension",
     ["n_classes", "n_subclasses", "n_tokens", "token_dim", "embed_dim", "feature_dim",
