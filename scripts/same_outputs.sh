@@ -6,7 +6,9 @@
 #
 # For configs/synthetic.cfg at seeds 7 and 8, for a projected-mean, SGD,
 # count_scope = batch variant of it, for a variant with 3 descriptors
-# per class on 2 subclusters (so purity matches 3 x 2 tables), and for a
+# per class on 2 subclusters (so purity matches 3 x 2 tables), for the
+# slot-indexing edge shapes (a "one-descriptor" variant with 1 descriptor
+# per class and a "two-classes" variant with 2 classes), and for a
 # "clips" variant whose units are sequences of up to 4 frames, this runs
 # synth, train, eval, decode (against configs/vocab.tsv, so a token_dim
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
@@ -15,7 +17,8 @@
 # and on two more copies whose line 40 holds a malformed float or one
 # value too few, so three dataset error messages are compared too.  A
 # "bad-files" case evals a copy of the seed-7 checkpoint whose header
-# says temperature=-1, and decodes the seed-7 checkpoint against a copy
+# says temperature=-1, evals the seed-7 checkpoint on a copy of its test
+# split whose third line holds the byte 0xff, which is not UTF-8, and decodes the seed-7 checkpoint against a copy
 # of configs/vocab.tsv whose fourth line repeats the word of its second,
 # and against a vocabulary
 # whose header says dim=0, so a checkpoint header error and two
@@ -116,6 +119,8 @@ case_dir projected-sgd-batch "seed = 7" \
     "stage1_schedule = cosine" "count_scope = batch" "oversample = true" \
     "stage1_epochs = 4" "stage2_epochs = 4"
 case_dir three-descriptors "seed = 7" "n_subclasses = 3"
+case_dir one-descriptor "seed = 7" "n_subclasses = 1"
+case_dir two-classes "seed = 7" "n_classes = 2"
 synth_case clips "seed = 7" "oversample = true" "stage1_epochs = 4" "stage2_epochs = 4"
 regroup "$out/clips/data/train.tsv" drop
 regroup "$out/clips/data/test.tsv" keep
@@ -138,6 +143,8 @@ rm -rf "$bad"
 mkdir -p "$bad"
 sed '1s/temperature=[^ ]*/temperature=-1/' "$out/seed7/model.ckpt" >"$bad/model.ckpt"
 run "$bad" eval eval "$bad/model.ckpt" "$out/seed7/data/test.tsv"
+awk 'NR == 3 { sub(/\t/, "\t\377") } { print }' "$out/seed7/data/test.tsv" >"$bad/not-utf8.tsv"
+run "$bad" eval-not-utf8 eval "$out/seed7/model.ckpt" "$bad/not-utf8.tsv"
 awk -F'\t' -v OFS='\t' 'NR == 2 { word = $1 } NR == 4 { $1 = word } { print }' \
     "$checkout/configs/vocab.tsv" >"$bad/vocab.tsv"
 run "$bad" decode decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" "$bad/vocab.tsv"

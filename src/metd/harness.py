@@ -254,11 +254,11 @@ def _train_learnable_context(train, config):
     def batch_gradients(batch):
         embeddings = encode_text(encoder, context, names[:, None, :])
         v = pooled[batch]
-        sims = numerics.cosine_similarity(v, embeddings)
+        sims, *norms = numerics.cosine_similarity(v, embeddings, with_norms=True)
         coeff = numerics.stable_softmax(sims / tau)
         coeff[np.arange(len(batch)), labels[batch]] -= 1.0
         coeff /= tau
-        _, grad_t = losses._cosine_gradients(v, embeddings, sims)
+        grad_t = losses._cosine_gradient(v, embeddings, sims, norms, losses.TEXT)
         # Pulled back as (1, E) rows, so each is the pullback of that row
         # alone: a stacked matrix product may round differently.
         terms = coeff[..., None, None] * grad_t[..., None, :]

@@ -39,20 +39,25 @@ cross-entropy, clip_ce_loss.
 
 Everything works on rows: a grid is (N, K) for one sample or (B, N, K)
 for a batch, and row b of every batched result is bit for bit the
-one-sample call on row b, so training makes one call per batch.
-total_loss is the one loss entry point: it checks the targets and
-counts, takes k+ and k- by argmax/argmin, calls modulating_factor once
-and returns both terms in a LossBreakdown.  select_closest is public
-because training counts k+ before the loss.  loss_gradients takes that
-grid and that LossBreakdown and selects nothing again.  Each loss
-adds weight * (softmax(terms) - onehot(pos)) / tau to the grid entries
-its terms read (its slots): every (i, k) with i != t plus (t, k+) for
-the fine-grained list, weight alpha; (t, k-) plus each rival's argmax
-for the margin list, weight 1.  Each row has (N-1)K+1 and N slots.
+one-sample call on row b, so training makes one call per batch, and
+each intermediate is computed once: the grid keeps the row norms
+similarity_grid took and computes its logits (values / tau) and each
+class's best subclass on first use.  total_loss is the one loss entry
+point: it checks the targets and counts, takes k+ and k- from the grid,
+calls modulating_factor once and returns both terms in a LossBreakdown.
+select_closest is public because training counts k+ before the loss.
+loss_gradients takes that grid and that LossBreakdown, selects nothing
+again, and builds only the sides it is asked for.  Each loss adds
+weight * (softmax(terms) - onehot(pos)) / tau to the grid entries its
+terms read (its slots): every (i, k) with i != t plus (t, k+) for the
+fine-grained list, weight alpha; (t, k-) plus each rival's argmax for
+the margin list, weight 1.  Each row has (N-1)K+1 and N slots, found
+by integer index.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,11 +70,14 @@ class SimilarityGrid:
     """Cosine similarities with tau: (N, K) for one sample, (B, N, K) for B samples.
 
     N counts classes and K subclasses.  Entries must lie in [-1, 1];
-    the temperature must be positive.
+    the temperature must be positive.  ``norms`` is set by
+    ``similarity_grid``: the row norms of the embeddings and of the
+    descriptors, which ``loss_gradients`` reuses.
     """
 
     values: np.ndarray
     temperature: float
+    norms: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -91,12 +99,23 @@ class SimilarityGrid:
     def n_subclasses(self) -> int:
         return self.values.shape[-1]
 
+    @functools.cached_property
+    def logits(self) -> np.ndarray:
+        """values / temperature, the terms every softmax of the losses reads."""
+        return self.values / self.temperature
+
+    @functools.cached_property
+    def best_subclasses(self) -> np.ndarray:
+        """Each class's highest-similarity subclass (lowest-index ties): (N,) or (B, N)."""
+        return self.values.argmax(axis=-1)
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
     """Loss parts per sample, Python scalars for one sample and (B,) arrays for a batch.
 
-    total is fg + margin exactly as computed.
+    total is fg + margin exactly as computed; target_class is the class
+    each loss was taken against.
     """
 
     fg: float | np.ndarray
@@ -105,17 +124,18 @@ class LossBreakdown:
     alpha: float | np.ndarray
     closest_subclass: int | np.ndarray
     farthest_subclass: int | np.ndarray
+    target_class: int | np.ndarray
 
 
-def _check_target(grid: SimilarityGrid, targets) -> tuple[np.ndarray, np.ndarray]:
-    """The grid as rows (B, N, K) and its targets, one int per row, as (B,)."""
+def _check_target(grid: SimilarityGrid, targets) -> np.ndarray:
+    """The grid's targets, one int per row, as (B,)."""
     t = np.asarray(targets)
     if t.shape != grid.values.shape[:-2] or t.dtype.kind not in "iu":
         raise ContractViolation(f"targets {targets!r} do not fit grid {grid.values.shape}")
     bad = (t < 0) | (t >= grid.n_classes)
     if bad.any():
         raise ContractViolation(f"target {t[bad][0]} out of range for {grid.n_classes} classes")
-    return grid.values.reshape(-1, grid.n_classes, grid.n_subclasses), t.reshape(-1)
+    return t.reshape(-1)
 
 
 def _unbatch(grid: SimilarityGrid, rows: np.ndarray):
@@ -123,10 +143,15 @@ def _unbatch(grid: SimilarityGrid, rows: np.ndarray):
     return rows[0].item() if grid.values.ndim == 2 else rows
 
 
+def _target_rows(grid: SimilarityGrid, t: np.ndarray) -> np.ndarray:
+    """Each row's checked target as an index into the grid's (B * N, K) class rows."""
+    return np.arange(0, t.size * grid.n_classes, grid.n_classes) + t
+
+
 def select_closest(grid: SimilarityGrid, targets):
     """Index of each target class's highest-similarity subclass (lowest-index ties)."""
-    values, t = _check_target(grid, targets)
-    return _unbatch(grid, values[np.arange(t.size), t].argmax(axis=-1))
+    t = _check_target(grid, targets)
+    return _unbatch(grid, grid.best_subclasses.reshape(-1)[_target_rows(grid, t)])
 
 
 def modulating_factor(counts, closest):
@@ -168,25 +193,32 @@ def modulating_factor(counts, closest):
     return float(alpha[0]) if arr.ndim == 1 else alpha
 
 
-def _neg_log_softmax_at(z, targets, picks, rivals) -> np.ndarray:
-    """-log softmax of each row's target term z[b, t_b, picks_b] against its (B, L-1) rivals.
+def _softplus(gaps: np.ndarray) -> np.ndarray:
+    """max(g, 0) + log1p(e^{-|g|}) of each entry of a 1-D array, with libm's exp and log1p.
 
-    Strictly positive whenever there is at least one rival and the
-    rivals' share of the softmax is above the float64 underflow limit;
-    exactly 0 for a one-term list.
+    softplus(lse(rivals) - target) is -log softmax at the target; see numerics
+    for why the exp and log1p are libm's.
     """
-    if rivals.shape[-1] == 0:
-        return np.zeros(len(z))
-    gap = numerics.log_sum_exp(rivals) - z[np.arange(len(z)), targets, picks]
-    # softplus per row with libm's exp and log1p (see numerics)
-    return np.array([max(g, 0.0) + math.log1p(math.exp(-abs(g))) for g in gap.tolist()])
+    tail = map(math.log1p, map(math.exp, (-np.abs(gaps)).tolist()))
+    return np.maximum(gaps, 0.0) + np.fromiter(tail, np.float64, gaps.size)
 
 
-def _rival_classes(z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Every row's classes but its target, (B, N-1, K) in class order."""
-    n_rows, n_classes, n_subclasses = z.shape
-    other = np.arange(n_classes) != targets[:, None]
-    return z[other].reshape(n_rows, n_classes - 1, n_subclasses)
+@functools.lru_cache(maxsize=None)
+def _term_slots(n_classes: int, n_subclasses: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the term lists sit in a flat (class, subclass) grid row, by target; once per shape.
+
+    ``rivals[t]`` (N, (N-1)K) lists every entry of the classes but t, in
+    order.  ``fine[t * K + k]`` (NK, (N-1)K+1) is ``rivals[t]`` with (t, k)
+    at position t * K: the fine-grained list of a target t with k+ = k.
+    """
+    flat = np.arange(n_classes * n_subclasses).reshape(n_classes, n_subclasses)
+    rivals = np.stack([np.delete(flat, t, axis=0).reshape(-1) for t in range(n_classes)])
+    fine = np.stack([
+        np.insert(rivals[t], t * n_subclasses, flat[t, k])
+        for t in range(n_classes)
+        for k in range(n_subclasses)
+    ])
+    return rivals, fine
 
 
 def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
@@ -196,20 +228,30 @@ def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     of its target class, already including that sample: (K,) for a
     one-sample grid, (B, K) for a batch.
     """
-    values, t = _check_target(grid, targets)
+    t = _check_target(grid, targets)
     counts = np.asarray(target_counts)
-    expected = grid.values.shape[:-2] + (grid.n_subclasses,)
+    n, k = grid.n_classes, grid.n_subclasses
+    expected = grid.values.shape[:-2] + (k,)
     if counts.shape != expected:
         raise ContractViolation(f"target_counts shape {counts.shape} != {expected}")
-    own = values[np.arange(t.size), t]
-    closest = own.argmax(axis=-1)
-    farthest = own.argmin(axis=-1)
-    alpha = modulating_factor(counts.reshape(-1, grid.n_subclasses), closest)
-    z = values / grid.temperature
-    rivals = _rival_classes(z, t)
-    fg = alpha * _neg_log_softmax_at(z, t, closest, rivals.reshape(t.size, -1))
-    mg = _neg_log_softmax_at(z, t, farthest, rivals.max(axis=-1))
-    parts = (fg, mg, fg + mg, alpha, closest, farthest)
+    own = _target_rows(grid, t)
+    closest = grid.best_subclasses.reshape(-1)[own]
+    farthest = grid.values.reshape(-1, k)[own].argmin(axis=-1)
+    alpha = modulating_factor(counts.reshape(-1, k), closest)
+    if n > 1:
+        z = grid.logits.reshape(-1)
+        starts = np.arange(0, z.size, n * k)[:, None]
+        rivals = z[starts + _term_slots(n, k)[0][t]]
+        best_rivals = rivals.reshape(t.size, n - 1, k).max(axis=-1)
+        gaps = np.concatenate((
+            numerics.log_sum_exp(rivals) - z[own * k + closest],
+            numerics.log_sum_exp(best_rivals) - z[own * k + farthest],
+        ))
+        fg, mg = _softplus(gaps).reshape(2, t.size)
+    else:  # no rival class: each list is its target term alone, and the loss is 0
+        fg = mg = np.zeros(t.size)
+    fg = alpha * fg
+    parts = (fg, mg, fg + mg, alpha, closest, farthest, t)
     return LossBreakdown(*(_unbatch(grid, part) for part in parts))
 
 
@@ -222,9 +264,12 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
         raise ContractViolation(f"target {target} out of range for {sims.size} classes")
     if not (temperature > 0.0 and np.isfinite(temperature)):
         raise ContractViolation(f"temperature must be > 0, got {temperature}")
+    if sims.size == 1:
+        return 0.0
     # the fine-grained loss of one sample with one subclass per class
-    z, t = (sims / temperature).reshape(1, -1, 1), np.array([target])
-    return float(_neg_log_softmax_at(z, t, [0], _rival_classes(z, t).reshape(1, -1))[0])
+    z = sims / temperature
+    rivals = z[_term_slots(sims.size, 1)[0][target]]
+    return float(_softplus(numerics.log_sum_exp(rivals[None]) - z[target])[0])
 
 
 def similarity_grid(
@@ -249,61 +294,69 @@ def similarity_grid(
             f"text_embeddings must be 3-D (classes, subclasses, dim) or 4-D "
             f"(stacks, classes, subclasses, dim), got shape {stack.shape}"
         )
-    values = numerics.cosine_similarity(image_embedding, stack)
-    return SimilarityGrid(values=values, temperature=temperature)
+    values, *norms = numerics.cosine_similarity(image_embedding, stack, with_norms=True)
+    return SimilarityGrid(values=values, temperature=temperature, norms=tuple(norms))
 
 
-def _cosine_gradients(v, t, similarity):
-    """d cos / dv and d cos / dt, (B, ..., D) each, for each row of v (B, D).
+IMAGE = "image"
+TEXT = "text"
+
+
+def _cosine_gradient(v, t, similarity, norms, wrt: str):
+    """d cos / dv (wrt IMAGE) or d cos / dt (wrt TEXT), (B, ..., D), for each row of v (B, D).
 
     The cosines are with each row of the stack t (..., D); ``similarity``
-    holds them, clamped, as (B, ...).
+    holds them, clamped, as (B, ...), and ``norms`` the row norms of v
+    and of t, as ``cosine_similarity`` gives them.
     """
     spread = (1,) * (t.ndim - 1)
-    nv = numerics._row_norms(v, "image_embedding").reshape(len(v), *spread, 1)
+    nv = np.reshape(norms[0], (len(v), *spread, 1))
     v = v.reshape(len(v), *spread, v.shape[-1])
-    nt = np.expand_dims(numerics._row_norms(t, "text_embedding"), -1)
-    similarity = np.expand_dims(similarity, -1)
-    gv = t / (nv * nt) - similarity * v / (nv * nv)
-    gt = v / (nv * nt) - similarity * t / (nt * nt)
-    return gv, gt
+    nt = norms[1][..., None]
+    similarity = similarity[..., None]
+    if wrt == IMAGE:
+        return t / (nv * nt) - similarity * v / (nv * nv)
+    return v / (nv * nt) - similarity * t / (nt * nt)
 
 
 def _gradient_coefficients(grid: SimilarityGrid, targets, breakdown: LossBreakdown):
     """dL/ds from the breakdown's k+, k- and alpha, shaped like the grid; 0 off every slot.
 
-    The fine-grained slots are scattered first, then the margin slots.
+    The fine-grained slots are written first, then the margin slots added.
     """
     n, k = grid.n_classes, grid.n_subclasses
-    values = grid.values.reshape(-1, n, k)
     t = np.reshape(targets, -1)
     rows = np.arange(t.size)
-    z = values / grid.temperature
-    coeff = np.zeros_like(z)
-    fg_slots = np.repeat((np.arange(n) != t[:, None])[..., None], k, axis=-1)
-    fg_slots[rows, t, np.reshape(breakdown.closest_subclass, -1)] = True
-    picks = values.argmax(axis=-1)
-    picks[rows, t] = np.reshape(breakdown.farthest_subclass, -1)
-    mg_slots = np.arange(k) == picks[..., None]
-    for weight, slots, pos in (
-        (np.reshape(breakdown.alpha, (-1, 1)), fg_slots, t * k),
-        (1.0, mg_slots, t),
-    ):
-        delta = numerics.stable_softmax(z[slots].reshape(t.size, -1))
-        delta[rows, pos] -= 1.0
-        coeff[slots] += (weight * delta / grid.temperature).reshape(-1)
+    z = grid.logits.reshape(-1)
+    starts = np.arange(0, z.size, n * k)[:, None]
+    fg_slots = starts + _term_slots(n, k)[1][t * k + np.reshape(breakdown.closest_subclass, -1)]
+    picks = grid.best_subclasses.reshape(-1).copy()  # each rival's argmax
+    picks[_target_rows(grid, t)] = np.reshape(breakdown.farthest_subclass, -1)
+    mg_slots = starts + np.arange(0, n * k, k) + picks.reshape(-1, n)
+    coeff = np.zeros(z.size)
+    delta = numerics.stable_softmax(z[fg_slots])
+    delta[rows, t * k] -= 1.0
+    # Written, not added: no entry is -0.0, so this is 0.0 + the entry's bits.
+    coeff[fg_slots] = np.reshape(breakdown.alpha, (-1, 1)) * delta / grid.temperature
+    delta = numerics.stable_softmax(z[mg_slots])
+    delta[rows, t] -= 1.0
+    coeff[mg_slots] += delta / grid.temperature
     return coeff.reshape(grid.values.shape)
 
 
-def loss_gradients(image_embedding, text_embeddings, grid: SimilarityGrid, targets, breakdown):
+def loss_gradients(
+    image_embedding, text_embeddings, grid: SimilarityGrid, targets, breakdown, wrt=(IMAGE, TEXT)
+):
     """Exact gradients of each sample's total loss w.r.t. its V and every T[i, k].
 
     ``grid`` is ``similarity_grid(image_embedding, text_embeddings, tau)``
-    and ``breakdown`` is what ``total_loss`` returned for it; k+, k-,
-    alpha and the rivals' argmax are taken as constants, matching how
-    the loss is defined between selection flips.  Returns (dL/dV, dL/dT):
-    (D,) and (N, K, D) for one embedding, (B, D) and (B, N, K, D) for a
-    stack, row b being the gradients of sample b's loss alone.
+    and ``breakdown`` is what ``total_loss`` returned for it and
+    ``targets``; k+, k-, alpha and the rivals' argmax are taken as
+    constants, matching how the loss is defined between selection flips.
+    Returns (dL/dV, dL/dT): (D,) and (N, K, D) for one embedding, (B, D)
+    and (B, N, K, D) for a stack, row b being the gradients of sample b's
+    loss alone.  Only the sides named in ``wrt`` (IMAGE, TEXT) are built;
+    the other is None.
     """
     v = np.asarray(image_embedding, dtype=np.float64)
     stack = np.asarray(text_embeddings, dtype=np.float64)
@@ -312,11 +365,21 @@ def loss_gradients(image_embedding, text_embeddings, grid: SimilarityGrid, targe
         raise ContractViolation(
             f"embeddings {v.shape} and {stack.shape} do not fit grid {grid.values.shape}"
         )
-    values, t = _check_target(grid, targets)
-    coeff = _gradient_coefficients(grid, t, breakdown).reshape(values.shape)
+    if grid.norms is None:
+        raise ContractViolation("loss_gradients needs a grid built by similarity_grid")
+    t = np.reshape(breakdown.target_class, -1)
+    if not np.array_equal(np.reshape(targets, -1), t):
+        raise ContractViolation(f"targets {targets!r} are not those of the breakdown")
+    coeff = _gradient_coefficients(grid, t, breakdown).reshape(-1, n, k, 1)
     rows = v.reshape(-1, v.shape[-1])
-    gv, gt = _cosine_gradients(rows, stack, values)
-    # A running sum in (class, subclass) order, as a loop adds: np.sum may add pairwise.
-    grad_v = np.cumsum((coeff[..., None] * gv).reshape(len(rows), n * k, -1), axis=1)[:, -1]
-    grad_t = coeff[..., None] * gt
-    return grad_v.reshape(v.shape), grad_t.reshape(grid.values.shape + v.shape[-1:])
+    values = grid.values.reshape(-1, n, k)
+    grad_v = grad_t = None
+    if IMAGE in wrt:
+        gv = _cosine_gradient(rows, stack, values, grid.norms, IMAGE)
+        # A running sum in (class, subclass) order, as a loop adds: np.sum may add pairwise.
+        grad_v = np.cumsum((coeff * gv).reshape(len(rows), n * k, -1), axis=1)[:, -1]
+        grad_v = grad_v.reshape(v.shape)
+    if TEXT in wrt:
+        gt = _cosine_gradient(rows, stack, values, grid.norms, TEXT)
+        grad_t = (coeff * gt).reshape(grid.values.shape + v.shape[-1:])
+    return grad_v, grad_t

@@ -395,27 +395,46 @@ def read_records(path: str, header: re.Pattern, what: str, n_fields: int):
     ``n_fields`` tab-separated fields.  Lines are read and yielded one at
     a time, so no file is ever held in memory whole; the loaders pass the
     float fields on, still one row at a time, to ``parse_float_rows``.
+    A file that is not UTF-8 is a ParseError at its first undecodable line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise ParseError("empty file, missing header", line=1)
-        match = header.match(first.rstrip("\n"))
-        if not match:
-            raise ParseError(f"bad {what} header", line=1)
-        if int(match.group(1)) != FORMAT_VERSION:
-            raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
-        yield match
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if fields == [""]:
-                raise ParseError("blank line", line=line_no)
-            if len(fields) != n_fields:
-                raise ParseError(
-                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
-                    line=line_no,
-                )
-            yield line_no, fields
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first:
+                raise ParseError("empty file, missing header", line=1)
+            match = header.match(first.rstrip("\n"))
+            if not match:
+                raise ParseError(f"bad {what} header", line=1)
+            if int(match.group(1)) != FORMAT_VERSION:
+                raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
+            yield match
+            for line_no, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split("\t")
+                if fields == [""]:
+                    raise ParseError("blank line", line=line_no)
+                if len(fields) != n_fields:
+                    raise ParseError(
+                        f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                        line=line_no,
+                    )
+                yield line_no, fields
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in blocks, so the line is found again.
+        raise ParseError(
+            f"not UTF-8 text: {exc.reason}", line=_first_undecodable_line(path)
+        ) from None
+
+
+def _first_undecodable_line(path: str) -> int | None:
+    """The 1-based line of ``path`` holding its first byte sequence that is not UTF-8."""
+    # Latin-1 decodes every byte, and splits lines where UTF-8 text mode does.
+    with open(path, "r", encoding="latin-1") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
 
 
 def write_lines(path: str, lines):
@@ -425,8 +444,13 @@ def write_lines(path: str, lines):
 
 
 def format_floats(values: np.ndarray) -> str:
-    """17 significant digits, so ``parse_float_rows`` reads back every float64's bits."""
-    return ",".join(format(float(x), ".17g") for x in values)
+    """17 significant digits, so ``parse_float_rows`` reads back every float64's bits.
+
+    The row is one ``%`` format of a ``"%.17g,..."`` template, which gives
+    each value the text ``format(float(x), ".17g")`` gives it.
+    """
+    row = np.asarray(values, dtype=np.float64).tolist()
+    return ",".join(["%.17g"] * len(row)) % tuple(row)
 
 
 def parse_float_rows(rows, dim: int) -> np.ndarray:

@@ -57,7 +57,7 @@ def vector_norm(values, name: str = "vector"):
     return float(norm) if arr.ndim == 1 else norm
 
 
-def cosine_similarity(a, b):
+def cosine_similarity(a, b, *, with_norms: bool = False):
     """Cosine of each row of ``a`` with each row of ``b``.
 
     ``a`` and ``b`` are vectors (D,) or stacks (..., D); the result has
@@ -66,6 +66,8 @@ def cosine_similarity(a, b):
     [-1, 1]: the clamp removes the tiny floating-point excursions beyond
     +/-1 that parallel vectors can produce.  Exactly commutative for two
     vectors, because both the dot product and the norm product are.
+    With ``with_norms`` the result is ``(cosines, vector_norm(a),
+    vector_norm(b))``, the norms the cosines were divided by.
     """
     va = _as_rows(a, "a")
     vb = _as_rows(b, "b")
@@ -75,12 +77,14 @@ def cosine_similarity(a, b):
         )
     norm_a = vector_norm(va, "a")
     norm_b = vector_norm(vb, "b")
+    scale_a = norm_a
     if va.ndim > 1:  # each row of a against the whole of b
         spread = (1,) * (vb.ndim - 1)
         va = va.reshape(*va.shape[:-1], *spread, -1)
-        norm_a = norm_a.reshape(*norm_a.shape, *spread)
-    raw = np.minimum(np.maximum(np.vecdot(va, vb) / (norm_a * norm_b), -1.0), 1.0)
-    return float(raw) if raw.ndim == 0 else raw
+        scale_a = norm_a.reshape(*norm_a.shape, *spread)
+    raw = np.minimum(np.maximum(np.vecdot(va, vb) / (scale_a * norm_b), -1.0), 1.0)
+    cosines = float(raw) if raw.ndim == 0 else raw
+    return (cosines, norm_a, norm_b) if with_norms else cosines
 
 
 def _lse(arr: np.ndarray) -> np.ndarray:
@@ -88,7 +92,8 @@ def _lse(arr: np.ndarray) -> np.ndarray:
     shift = arr.max(axis=-1, keepdims=True)
     total = np.exp(arr - shift).sum(axis=-1)
     # math.log per row: NumPy's vectorised log rounds differently from libm.
-    logs = np.array([math.log(x) for x in total.ravel().tolist()]).reshape(total.shape)
+    logs = np.fromiter(map(math.log, total.ravel().tolist()), np.float64, total.size)
+    logs = logs.reshape(total.shape)
     return shift[..., 0] + logs
 
 

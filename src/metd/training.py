@@ -25,8 +25,9 @@ those before the batch plus a running sum of the batch's assignments.
 
 Each stage is defined once, by ``_Stage``: the arrays it trains, the
 side it re-embeds (the descriptor stack in stage 1, the unit embeddings
-in stage 2) and how per-sample (dL/dV, dL/dT) become batch-mean
-parameter gradients.  ``fd_check`` is its one-sample batch, so it checks
+in stage 2), which is the one side the loss is differentiated for, and
+how that side's per-sample gradients become batch-mean parameter
+gradients.  ``fd_check`` is its one-sample batch, so it checks
 the gradients that ``run_stage1`` and ``run_stage2`` apply, and it scores
 the re-embedded sides of all its +/-h perturbations in one batch.
 
@@ -230,7 +231,9 @@ def fit(params, batch_gradients, n_items: int, config, stage: int, stream):
 class _Stage:
     """Stage 1 or 2 of ``model`` over ``units``: ``params`` are the arrays it trains.
 
-    The side those arrays cannot change is embedded once, here.
+    ``trains`` names the side they embed into (``losses.TEXT`` or
+    ``losses.IMAGE``), the only side the loss is differentiated for.  The
+    side those arrays cannot change is embedded once, here.
     """
 
     def __init__(self, model: Model, units: list[Unit], number: int):
@@ -241,6 +244,7 @@ class _Stage:
             # The adapter is frozen in this stage, so the unit embeddings are too.
             self.embeddings = np.stack([unit_embedding(model, unit) for unit in units])
             self.params = {"bank.tokens": model.bank.tokens}
+            self.trains = losses.TEXT
         elif number == 2:
             # Descriptors are frozen in this stage, so their embeddings are
             # too; the frames never change, so each unit is pooled once.
@@ -250,6 +254,7 @@ class _Stage:
                 "adapter.weight": model.adapter.weight,
                 "adapter.bias": model.adapter.bias,
             }
+            self.trains = losses.IMAGE
         else:
             raise ContractViolation(f"stage must be 1 or 2, got {number}")
 
@@ -293,7 +298,7 @@ class _Stage:
         """The batch's LossBreakdown and the batch-mean gradient of each of ``params``."""
         embeddings, stack, grid, breakdown = self.loss(batch, target_counts)
         grad_v, grad_t = losses.loss_gradients(
-            embeddings, stack, grid, self.labels[batch], breakdown
+            embeddings, stack, grid, breakdown.target_class, breakdown, wrt=(self.trains,)
         )
         n = len(batch)
         if self.number == 1:
@@ -324,9 +329,9 @@ def _counted_gradients(stage: _Stage, batch, counts: np.ndarray, sums: np.ndarra
         return running[rows, targets]
 
     breakdown, grads = stage.gradients(batch, count)
-    parts = np.stack((breakdown.fg, breakdown.margin, breakdown.total), axis=1)
+    parts = (breakdown.fg, breakdown.margin, breakdown.total)
     # A running sum, as the loop added them: np.sum may add pairwise.
-    sums[:] = np.cumsum(np.vstack((sums, parts)), axis=0)[-1]
+    sums[:] = np.concatenate((sums[:, None], parts), axis=1).cumsum(axis=1)[:, -1]
     return grads
 
 

@@ -268,6 +268,24 @@ def test_data_errors_exit_2(workspace, tmp_path):
     assert "error" in result.stderr
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(workspace, tmp_path):
+    # The reader decodes ahead in blocks; the error still names the line.
+    _, _, data, checkpoint = workspace
+    lines = (data / "test.tsv").read_bytes().split(b"\n")
+    lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+    not_utf8 = tmp_path / "not_utf8.tsv"
+    not_utf8.write_bytes(b"\n".join(lines))
+    result = run_cli("eval", str(checkpoint), str(not_utf8))
+    assert result.returncode == 2
+    assert result.stderr == "parse error: line 3: not UTF-8 text: invalid start byte\n"
+
+    config = tmp_path / "not_utf8.cfg"
+    config.write_bytes(b"seed = 5\n# caf\xe9\n")
+    result = run_cli("fdcheck", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("parse error: ") and "Traceback" not in result.stderr
+
+
 def test_train_rejects_data_of_another_dimension_without_a_residual_adapter(
     workspace, tmp_path
 ):

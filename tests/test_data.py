@@ -380,6 +380,13 @@ def test_parse_float_rows_gives_the_bits_of_float(table):
     assert _bits(parsed[: len(table)]) == _bits(table)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_FINITE, max_size=20))
+def test_format_floats_writes_each_value_as_format_17g_does(row):
+    expected = ",".join(format(x, ".17g") for x in row)
+    assert format_floats(np.array(row, dtype=np.float64)) == expected
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.integers(0, 2),
                           st.lists(st.lists(_FINITE, min_size=2, max_size=2),
@@ -434,12 +441,13 @@ def test_a_faulty_row_of_a_large_vocabulary_names_its_line(tmp_path, fault):
 def test_a_decode_error_is_not_blamed_on_a_float(tmp_path):
     # The parser maps only loadtxt's own errors to "bad float value".  The
     # bad byte sits past the reader's first decoded block, so it is met
-    # while the rows stream.
+    # while the rows stream, and the reader names its line.
     path = tmp_path / "latin1.tsv"
     path.write_bytes(b"metd-embed v1 dim=2 classes=2\n" + b"0\t-\t-\t1,2\n" * 5000
                      + b"0\t-\t-\t1,\xff2\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError) as info:
         load_dataset(str(path))
+    assert str(info.value) == "line 5002: not UTF-8 text: invalid start byte"
 
 
 @pytest.mark.parametrize(

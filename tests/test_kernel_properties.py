@@ -9,6 +9,7 @@ derandomized, so the suite sees the same examples every time.
 """
 
 import functools
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -17,7 +18,15 @@ from hypothesis import strategies as st
 from metd import losses
 from metd.data import Unit
 from metd.inference import temporal_mean_pool, unit_embedding
-from metd.model import ImageAdapter, adapter_gradients, bank_embeddings, encode_image
+from metd.model import (
+    IDENTITY_MEAN,
+    PROJECTED_MEAN,
+    ImageAdapter,
+    adapter_gradients,
+    bank_embeddings,
+    build_model,
+    encode_image,
+)
 from metd.training import _counted_gradients, _pull_token_gradient, _Stage, random_fd_instance
 
 FIELDS = ("fg", "margin", "total", "alpha", "closest_subclass", "farthest_subclass")
@@ -232,3 +241,147 @@ def test_the_loss_is_invariant_to_positive_rescaling(instance):
     np.testing.assert_allclose(
         losses.total_loss(scaled, targets, counts).total, total, rtol=1e-12, atol=0.0
     )
+
+
+# The per-batch formulas the stage path had before it computed each
+# intermediate once, kept here as its reference: boolean class and slot
+# masks, the row norms and z = s / tau taken again for the gradients, both
+# cosine-gradient halves built, and libm's log and log1p called in list
+# comprehensions.  The stage path must give their bits.
+
+
+def _ref_lse(arr):
+    shift = arr.max(axis=-1, keepdims=True)
+    total = np.exp(arr - shift).sum(axis=-1)
+    logs = np.array([math.log(x) for x in total.ravel().tolist()]).reshape(total.shape)
+    return shift[..., 0] + logs
+
+
+def _ref_cosines(v, stack):
+    nv = np.sqrt(np.vecdot(v, v)).reshape(len(v), 1, 1)
+    nt = np.sqrt(np.vecdot(stack, stack))
+    raw = np.vecdot(v.reshape(len(v), 1, 1, -1), stack) / (nv * nt)
+    return np.minimum(np.maximum(raw, -1.0), 1.0)
+
+
+def _ref_alpha(rows, picks):
+    assigned = (np.arange(len(rows)), picks)
+    weights = np.exp(1.0 / np.maximum(rows, 1))
+    first = weights[assigned] / np.where(rows > 0, weights, 0.0).sum(axis=-1)
+    return first * (rows.sum(axis=-1) / rows[assigned])
+
+
+def _ref_neg_log_softmax_at(z, targets, picks, rivals):
+    if rivals.shape[-1] == 0:
+        return np.zeros(len(z))
+    gap = _ref_lse(rivals) - z[np.arange(len(z)), targets, picks]
+    return np.array([max(g, 0.0) + math.log1p(math.exp(-abs(g))) for g in gap.tolist()])
+
+
+def _ref_batch(values, t, counts, tau):
+    """The breakdown fields and dL/ds of a (B, N, K) grid, as the mask formulas gave them."""
+    b, n, k = values.shape
+    rows = np.arange(b)
+    own = values[rows, t]
+    closest, farthest = own.argmax(axis=-1), own.argmin(axis=-1)
+    alpha = _ref_alpha(counts, closest)
+    z = values / tau
+    rivals = z[np.arange(n) != t[:, None]].reshape(b, n - 1, k)
+    fg = alpha * _ref_neg_log_softmax_at(z, t, closest, rivals.reshape(b, -1))
+    mg = _ref_neg_log_softmax_at(z, t, farthest, rivals.max(axis=-1))
+    coeff = np.zeros_like(z)
+    fg_slots = np.repeat((np.arange(n) != t[:, None])[..., None], k, axis=-1)
+    fg_slots[rows, t, closest] = True
+    picks = values.argmax(axis=-1)
+    picks[rows, t] = farthest
+    mg_slots = np.arange(k) == picks[..., None]
+    for weight, slots, pos in ((alpha.reshape(-1, 1), fg_slots, t * k), (1.0, mg_slots, t)):
+        terms = (values / tau)[slots].reshape(b, -1)
+        delta = np.exp(terms - _ref_lse(terms)[..., None])
+        delta[rows, pos] -= 1.0
+        coeff[slots] += (weight * delta / tau).reshape(-1)
+    fields = dict(fg=fg, margin=mg, total=fg + mg, alpha=alpha,
+                  closest_subclass=closest, farthest_subclass=farthest)
+    return fields, coeff
+
+
+def _ref_cosine_gradients(v, stack, values):
+    nv = np.sqrt(np.vecdot(v, v)).reshape(len(v), 1, 1, 1)
+    nt = np.sqrt(np.vecdot(stack, stack))[..., None]
+    rows = v.reshape(len(v), 1, 1, -1)
+    s = values[..., None]
+    return stack / (nv * nt) - s * rows / (nv * nv), rows / (nv * nt) - s * stack / (nt * nt)
+
+
+def _random_stage_model(seed, n, k, encoder_kind, residual):
+    rng = np.random.default_rng(seed)
+    token_dim = int(rng.integers(2, 9))
+    embed_dim = token_dim if encoder_kind == IDENTITY_MEAN else int(rng.integers(2, 9))
+    model = build_model(
+        n_classes=n, n_subclasses=k, n_tokens=int(rng.integers(1, 4)), token_dim=token_dim,
+        embed_dim=embed_dim, feature_dim=embed_dim if residual else int(rng.integers(2, 9)),
+        context_length=int(rng.integers(1, 4)), encoder_kind=encoder_kind,
+        residual=residual, temperature=float(10.0 ** rng.uniform(-2.0, 0.0)), seed=seed,
+    )
+    model.bank.tokens[:] = rng.normal(size=model.bank.tokens.shape)
+    model.bank.context[:] = rng.normal(size=model.bank.context.shape)
+    model.adapter.weight[:] = rng.normal(0.0, 0.3, size=model.adapter.weight.shape)
+    model.adapter.bias[:] = rng.normal(0.0, 0.1, size=model.adapter.bias.shape)
+    return rng, model
+
+
+@kernel_settings
+@given(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 9),  # B
+    st.integers(2, 5),  # N
+    st.integers(1, 3),  # K
+    st.sampled_from((IDENTITY_MEAN, PROJECTED_MEAN)),
+    st.booleans(),  # residual adapter
+    st.sampled_from((1, 2)),
+)
+def test_the_stage_path_gives_the_mask_formulas_bits(seed, b, n, k, encoder_kind, residual,
+                                                     number):
+    rng, model = _random_stage_model(seed, n, k, encoder_kind, residual)
+    units = [
+        Unit(
+            frames=rng.normal(size=(int(rng.integers(1, 4)), model.adapter.feature_dim)),
+            label=int(rng.integers(n)),
+        )
+        for _ in range(b)
+    ]
+    start = rng.integers(0, 4, size=(n, k))
+    t = np.array([unit.label for unit in units])
+    pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
+    v = encode_image(model.adapter, pooled)
+    stack = bank_embeddings(model.bank, model.encoder)
+    values = _ref_cosines(v, stack)
+    rows = np.arange(b)
+    assigned = np.zeros((b, n, k), dtype=np.int64)
+    assigned[rows, t, values[rows, t].argmax(axis=-1)] = 1
+    running = start + np.cumsum(assigned, axis=0)
+    fields, coeff = _ref_batch(values, t, running[rows, t], model.temperature)
+    gv, gt = _ref_cosine_gradients(v, stack, values)
+    if number == 1:
+        grad_t = coeff[..., None] * gt
+        expected = {"bank.tokens": _pull_token_gradient(model, grad_t.sum(axis=0) / b)}
+    else:
+        grad_v = np.cumsum((coeff[..., None] * gv).reshape(b, n * k, -1), axis=1)[:, -1]
+        grad_w, grad_b = adapter_gradients(model.adapter, pooled, grad_v)
+        expected = {"adapter.weight": grad_w.sum(axis=0) / b,
+                    "adapter.bias": grad_b.sum(axis=0) / b}
+
+    stage = _Stage(model, units, number)
+    counts, sums = start.copy(), np.zeros(3)
+    grads = _counted_gradients(stage, np.arange(b), counts, sums)
+    breakdown, again = stage.gradients(np.arange(b), lambda grid, targets: running[rows, t])
+    assert np.array_equal(counts, running[-1])
+    parts = np.stack((fields["fg"], fields["margin"], fields["total"]), axis=1)
+    assert np.array_equal(sums, np.cumsum(np.vstack((np.zeros(3), parts)), axis=0)[-1])
+    for name, value in fields.items():
+        assert np.array_equal(getattr(breakdown, name), value), name
+    assert np.array_equal(breakdown.target_class, t)
+    assert grads.keys() == again.keys() == expected.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, expected[name]), name
+        assert np.array_equal(again[name], expected[name]), name

@@ -387,15 +387,15 @@ def _count_calls(monkeypatch, module, names):
 def test_stage1_selects_each_samples_subclass_once(monkeypatch):
     # Each sample is counted on its closest subclass; total_loss then takes
     # k+ and k- from the grid itself.  The batch is one call each of
-    # select_closest, total_loss and loss_gradients, and each checks the
-    # batch's targets once.
+    # select_closest, total_loss and loss_gradients; the first two check
+    # the batch's targets, and loss_gradients takes them from the breakdown.
     import metd.losses
 
     model, train = _sixteen_units()
     calls = _count_calls(monkeypatch, metd.losses, ("select_closest", "_check_target"))
     run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=5, seed=3))
     n_batches = math.ceil(len(train.units()) / 5)
-    assert calls == {"select_closest": n_batches, "_check_target": 3 * n_batches}
+    assert calls == {"select_closest": n_batches, "_check_target": 2 * n_batches}
 
 
 def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch):
@@ -476,6 +476,29 @@ def test_a_zero_descriptor_mid_training_names_its_row_epoch_and_step():
     config = run_config(stage1_epochs=1, stage1_batch_size=5, seed=3)
     with pytest.raises(ZeroNormError, match=r"row \(1, 0\) has zero norm \(epoch 1, step 1\)"):
         run_stage1(model, train, config)
+
+
+@pytest.mark.parametrize("run_stage", [run_stage1, run_stage2])
+def test_a_non_finite_trained_side_mid_training_names_its_epoch_and_step(
+    monkeypatch, run_stage
+):
+    # After global step 5 (epoch 2's first) one trained entry turns NaN, so
+    # the side the stage embeds from it is non-finite at step 6.
+    import metd.training
+
+    model, train = _sixteen_units()
+    original = metd.training.optimizer_step
+
+    def poisoning(params, grads, state, learning_rate, weight_decay):
+        original(params, grads, state, learning_rate, weight_decay)
+        if state.step == 5:
+            next(iter(params.values())).reshape(-1)[0] = np.nan
+
+    monkeypatch.setattr(metd.training, "optimizer_step", poisoning)
+    config = run_config(stage1_epochs=2, stage2_epochs=2, stage1_batch_size=5,
+                        stage2_batch_size=5, seed=3)
+    with pytest.raises(ContractViolation, match=r"non-finite entries \(epoch 2, step 6\)$"):
+        run_stage(model, train, config)
 
 
 @pytest.mark.parametrize("count_scope", ["epoch", "batch"])
