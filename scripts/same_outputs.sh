@@ -21,11 +21,14 @@
 # split whose third line holds the byte 0xff, which is not UTF-8, and decodes the seed-7 checkpoint against a copy
 # of configs/vocab.tsv whose fourth line repeats the word of its second,
 # and against a vocabulary
-# whose header says dim=0, so a checkpoint header error and two
-# vocabulary errors are compared as well.  An "fdcheck-wide" case runs
+# whose header says dim=0, and runs fdcheck with a config whose second
+# line holds the byte 0xe9, so a checkpoint header error, two vocabulary
+# errors and a config error are compared as well.  An "fdcheck-wide" case runs
 # fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
 # kinds and both adapter kinds, and once more at seed 0 with
-# fdcheck_corrupt = true, the control that must fail.  A "synth-edge" case
+# fdcheck_corrupt = true, the control that must fail.  An "fdcheck-step"
+# case runs fdcheck at fdcheck_step = 1e-3 and 1e-7, where x + h and
+# x - h round differently than at the default step.  A "synth-edge" case
 # runs synth at the geometry limits of the default 3 classes x 2
 # subclusters: at feature_dim = 6, at feature_dim = 5, which must exit 2
 # without writing anything, and with 3 subclusters at the simplex-limit
@@ -151,6 +154,8 @@ run "$bad" decode decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" "
 printf 'metd-vocab v1 dim=0\na\t\n' >"$bad/vocab-dim0.tsv"
 run "$bad" decode-dim0 decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" \
     "$bad/vocab-dim0.tsv"
+printf 'seed = 7\n# caf\351\n' >"$bad/not-utf8.cfg"
+run "$bad" fdcheck-not-utf8 fdcheck --config "$bad/not-utf8.cfg"
 
 wide="$out/fdcheck-wide"
 rm -rf "$wide"
@@ -161,6 +166,14 @@ for seed in 0 101; do
 done
 printf 'seed = 0\nfdcheck_instances = 60\nfdcheck_corrupt = true\n' >"$wide/corrupt.cfg"
 run "$wide" fdcheck-corrupt fdcheck --config "$wide/corrupt.cfg"
+
+step="$out/fdcheck-step"
+rm -rf "$step"
+mkdir -p "$step"
+for h in 1e-3 1e-7; do
+    printf 'seed = 7\nfdcheck_step = %s\n' "$h" >"$step/step$h.cfg"
+    run "$step" "fdcheck-step$h" fdcheck --config "$step/step$h.cfg"
+done
 
 edge="$out/synth-edge"
 rm -rf "$edge"

@@ -285,9 +285,16 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def parse_config(path: str) -> RunConfig:
+    """The config in file ``path``; a file that is not UTF-8 is a ConfigError at its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line parse_config_text would give the first bad byte.
+        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"not UTF-8 text: {exc.reason}", line=line) from None
     return parse_config_text(text)

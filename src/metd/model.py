@@ -295,9 +295,20 @@ def encode_image(adapter: ImageAdapter, features) -> np.ndarray:
         )
     if not np.isfinite(features).all():
         raise ContractViolation("features contain non-finite entries")
+    return adapter_map(adapter.weight, adapter.bias, features, adapter.residual)
+
+
+def adapter_map(weight, bias, features: np.ndarray, residual: bool) -> np.ndarray:
+    """``W x + b``, plus ``x`` with the residual path: the adapter's map, unchecked.
+
+    ``encode_image`` applies it to one adapter's (E, F) weight and (E,)
+    bias.  Leading axes broadcast, so a stack of weights (S, E, F) or of
+    biases (S, E) with one feature vector (F,) gives S outputs (S, E),
+    each the bits of the call with that one weight or bias.
+    """
     # W times each row as a column: the bits of W @ x, unlike x @ W.T
-    out = np.matmul(adapter.weight, features[..., None])[..., 0] + adapter.bias
-    if adapter.residual:
+    out = np.matmul(weight, features[..., None])[..., 0] + bias
+    if residual:
         out = out + features
     return out
 

@@ -28,8 +28,10 @@ side it re-embeds (the descriptor stack in stage 1, the unit embeddings
 in stage 2), which is the one side the loss is differentiated for, and
 how that side's per-sample gradients become batch-mean parameter
 gradients.  ``fd_check`` is its one-sample batch, so it checks
-the gradients that ``run_stage1`` and ``run_stage2`` apply, and it scores
-the re-embedded sides of all its +/-h perturbations in one batch.
+the gradients that ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
+probes are copies of a trained array, never the array itself: the
+probes of one row of the array go through the real encoder in one call
+(``_Stage.probe``), and all of the array's probes are scored in one batch.
 
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
@@ -38,6 +40,7 @@ step) and plain momentum SGD (momentum 0.9).  The cosine schedule decays
 the learning rate per optimizer step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +60,11 @@ from .model import (
     ImageAdapter,
     Model,
     adapter_gradients,
+    adapter_map,
     bank_embeddings,
     build_model,
     encode_image,
+    encode_text,
     encode_text_token_gradient,
 )
 
@@ -269,6 +274,21 @@ class _Stage:
             return bank_embeddings(self.model.bank, self.model.encoder)
         return encode_image(self.model.adapter, self.pooled[rows])
 
+    def probe(self, name, values):
+        """Unit 0's trained side at each of the (S, *shape) ``values`` of array ``name``.
+
+        Gives (S, ...): row s has the bits ``embed(0)`` gives with
+        ``params[name]`` set to ``values[s]``, in one encoder call.  The
+        arrays themselves are only read.
+        """
+        if self.number == 1:
+            return encode_text(self.model.encoder, self.model.bank.context, values)
+        arrays = {**self.params, name: values}
+        return adapter_map(
+            arrays["adapter.weight"], arrays["adapter.bias"], self.pooled[0],
+            self.model.adapter.residual,
+        )
+
     def sides(self, rows, embedded):
         """Units ``rows``' embeddings and the descriptor stack.
 
@@ -383,33 +403,38 @@ def run_stage2(
     return model.adapter, _run_stage(model, dataset, config, 2)
 
 
-def central_difference(probe, score, array: np.ndarray, h: float) -> np.ndarray:
+def central_difference(embed, score, array: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences of a batched loss w.r.t. one array.
 
-    Each entry is perturbed in place by +h, then by -h, and restored
-    exactly; after each perturbation ``probe()`` records what the array
-    changes.  ``score`` maps the (2 * entries, ...) stack of those probes,
-    +h and -h alternating, to the loss of each, in one call.
+    Each entry has two probes: copies of ``array`` with that entry moved
+    by +h and by -h.  ``array`` itself is only read, so it keeps its bits
+    whatever ``embed`` or ``score`` raise.  The probes of one row of
+    ``array`` (its last axis) form a (2 * width, *array.shape) block, +h
+    and -h alternating, which ``embed`` maps to what each probe embeds
+    to, in one call.  ``score`` maps the (2 * entries, ...) stack of all
+    those embeddings to the loss of each, in one call.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ContractViolation(f"h must be > 0, got {h}")
-    flat = array.reshape(-1)
+    width = array.shape[-1]
+    rows = array.reshape(-1, width)
+    entries = np.arange(width)
     probes = None
-    for idx in range(flat.size):
-        original = flat[idx]
-        for side, value in enumerate((original + h, original - h)):
-            flat[idx] = value
-            probed = probe()
-            if probes is None:
-                probes = np.empty((flat.size, 2, *np.shape(probed)))
-            probes[idx, side] = probed
-        flat[idx] = original
-    values = np.asarray(score(probes.reshape(2 * flat.size, *probes.shape[2:])))
-    if values.shape != (2 * flat.size,):
-        raise ContractViolation(
-            f"score gave shape {values.shape} for {2 * flat.size} probes"
-        )
-    plus, minus = values.reshape(flat.size, 2).T
+    for index, row in enumerate(rows):
+        block = np.repeat(array[None], 2 * width, axis=0)
+        # block[2j + side] is entry j of this row moved by +h (side 0) or -h.
+        moved = block.reshape(width, 2, len(rows), width)
+        moved[entries, 0, index, entries] = row + h
+        moved[entries, 1, index, entries] = row - h
+        embedded = embed(block)
+        if probes is None:
+            probes = np.empty((len(rows), 2 * width, *np.shape(embedded)[1:]))
+        probes[index] = embedded
+    n_probes = 2 * array.size
+    values = np.asarray(score(probes.reshape(n_probes, *probes.shape[2:])))
+    if values.shape != (n_probes,):
+        raise ContractViolation(f"score gave shape {values.shape} for {n_probes} probes")
+    plus, minus = values.reshape(array.size, 2).T
     return ((plus - minus) / (2.0 * h)).reshape(array.shape)
 
 
@@ -436,10 +461,11 @@ def fd_check(
     """Compare one stage's training gradients with central differences.
 
     ``sample`` is a one-sample batch of the stage's training path, with
-    ``target_counts`` as its counts.  Every entry the stage trains is
-    perturbed by +/-h and the side it changes re-embedded by the real
-    encoder; each array's perturbed losses are then scored in one batched
-    call, row for row the bits of the one-sample loss.  Returns, per trained
+    ``target_counts`` as its counts.  ``central_difference`` moves each
+    entry the stage trains by +/-h in a copy of its array, embeds each
+    row's copies in one ``_Stage.probe`` call and scores each array's
+    probes in one batched call, row for row the bits of the one-sample
+    loss with the entry moved in place.  Returns, per trained
     array name, its entry count and the largest relative error between
     the analytic and the numeric gradient.  ``corrupt`` deliberately
     breaks the first analytic entry (negative control: its error must
@@ -454,9 +480,6 @@ def fd_check(
     def given(grid, targets):
         return np.repeat(counts, len(targets), axis=0)
 
-    def probe():
-        return path.embed(0)
-
     def score(probes):
         # Each probe scored as sample 0 alone, with its counts.
         targets = np.repeat(path.labels, len(probes))
@@ -470,7 +493,8 @@ def fd_check(
 
     errors = {}
     for name in sorted(path.params):
-        numeric = central_difference(probe, score, path.params[name], h)
+        embed = functools.partial(path.probe, name)
+        numeric = central_difference(embed, score, path.params[name], h)
         relative = _relative_errors(analytic[name], numeric)
         errors[name] = (int(relative.size), float(np.max(relative)))
     return errors

@@ -283,7 +283,7 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(workspace, tmp_pat
     config.write_bytes(b"seed = 5\n# caf\xe9\n")
     result = run_cli("fdcheck", "--config", str(config))
     assert result.returncode == 2
-    assert result.stderr.startswith("parse error: ") and "Traceback" not in result.stderr
+    assert result.stderr == "config error: not UTF-8 text: invalid continuation byte (line 2)\n"
 
 
 def test_train_rejects_data_of_another_dimension_without_a_residual_adapter(

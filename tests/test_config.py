@@ -229,6 +229,19 @@ def test_parse_config_reads_files(tmp_path):
         parse_config(str(tmp_path / "missing.cfg"))
 
 
+def test_a_config_that_is_not_utf8_is_an_error_at_the_line_the_parser_counts(tmp_path):
+    path = tmp_path / "run.cfg"
+    # CRLF and a lone CR each end one line, for the parser as for the error.
+    path.write_bytes(b"seed = 21\r\n# \xc3\xa9t\xc3\xa9\rstage1_epochs = 3\n# caf\xff\n")
+    with pytest.raises(ConfigError) as caught:
+        parse_config(str(path))
+    assert str(caught.value) == "not UTF-8 text: invalid start byte (line 4)"
+    assert caught.value.line == 4
+    path.write_bytes(b"seed = 21\r\n# \xc3\xa9t\xc3\xa9\rstage1_epochs = 3\n")
+    config = parse_config(str(path))
+    assert (config.seed, config.stage1_epochs) == (21, 3)
+
+
 def test_shipped_default_config_parses():
     assert isinstance(SYNTHETIC, RunConfig)
     assert SYNTHETIC.n_classes >= 2

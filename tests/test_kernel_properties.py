@@ -1,4 +1,4 @@
-"""Property tests of the batched (B, N, K) loss kernel and the stage path.
+"""Property tests of the batched (B, N, K) loss kernel, the stage path and fd_check's probes.
 
 Hypothesis draws the shapes (B <= 9 samples, N <= 5 classes, K <= 3
 subclasses, D in 2..17), the temperature in [1e-3, 1] and a seed for
@@ -23,6 +23,7 @@ from metd.model import (
     PROJECTED_MEAN,
     ImageAdapter,
     adapter_gradients,
+    adapter_map,
     bank_embeddings,
     build_model,
     encode_image,
@@ -152,6 +153,68 @@ def test_each_encoded_row_equals_the_one_feature_call(seed, b, f, e, residual):
     batch = encode_image(adapter, features)
     for row, one in zip(batch, features):
         assert np.array_equal(row, encode_image(adapter, one))
+
+
+@kernel_settings
+@given(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 9),  # S
+    st.integers(1, 9),  # B
+    st.integers(1, 64),  # F
+    st.integers(1, 64),  # E, F again for a residual adapter
+    st.booleans(),  # residual
+)
+def test_each_stacked_adapter_row_equals_the_one_adapter_call(seed, s, b, f, e, residual):
+    # fd_check maps a stack of S weights or S biases in one call; each row
+    # must be the bits of encode_image with that weight or bias alone.
+    rng = np.random.default_rng(seed)
+    e = f if residual else e
+    weights = rng.normal(size=(s, e, f))
+    biases = rng.normal(size=(s, e))
+    x = rng.normal(size=f)
+    by_weight = adapter_map(weights, biases[0], x, residual)
+    by_bias = adapter_map(weights[0], biases, x, residual)
+    assert by_weight.shape == by_bias.shape == (s, e)
+    for row in range(s):
+        one_weight = ImageAdapter(weight=weights[row], bias=biases[0], residual=residual)
+        one_bias = ImageAdapter(weight=weights[0], bias=biases[row], residual=residual)
+        assert np.array_equal(by_weight[row], encode_image(one_weight, x))
+        assert np.array_equal(by_bias[row], encode_image(one_bias, x))
+    # encode_image's own bits, for one feature vector and for a batch.
+    adapter = ImageAdapter(weight=weights[0], bias=biases[0], residual=residual)
+    for features in (x, rng.normal(size=(b, f))):
+        want = np.matmul(weights[0], features[..., None])[..., 0] + biases[0]
+        if residual:
+            want = want + features
+        assert np.array_equal(encode_image(adapter, features), want)
+
+
+@kernel_settings
+@given(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 9),  # S
+    st.integers(1, 5),  # N
+    st.integers(1, 3),  # K
+    st.sampled_from((IDENTITY_MEAN, PROJECTED_MEAN)),
+    st.booleans(),  # residual adapter
+    st.sampled_from((1, 2)),
+)
+def test_each_stacked_probe_equals_embedding_that_value_in_place(seed, s, n, k, encoder_kind,
+                                                                residual, number):
+    # fd_check's probes: S values of one trained array embedded in one
+    # encoder call, row for row the bits of writing each value into the
+    # array and embedding unit 0 the way training does.
+    rng, model = _random_stage_model(seed, n, k, encoder_kind, residual)
+    frames = rng.normal(size=(int(rng.integers(1, 4)), model.adapter.feature_dim))
+    stage = _Stage(model, [Unit(frames=frames, label=int(rng.integers(n)))], number)
+    for name, array in stage.params.items():
+        values = rng.normal(size=(s, *array.shape))
+        probed = stage.probe(name, values)
+        kept = array.copy()
+        for row in range(s):
+            array[...] = values[row]
+            assert np.array_equal(probed[row], stage.embed(0)), (name, row)
+        array[...] = kept
 
 
 def _untied(values, targets):

@@ -146,16 +146,20 @@ def _squares(probes):
     return np.sum(probes * probes, axis=tuple(range(1, probes.ndim)))
 
 
+def _as_is(block):
+    return block
+
+
 def test_central_difference_exact_on_quadratic():
     # (x+h)^2 - (x-h)^2 = 4xh, so the quotient is 2x with no truncation term.
     rng = np.random.default_rng(32)
     x = rng.normal(size=(2, 3))
     original = x.copy()
-    grad = central_difference(x.copy, _squares, x, h=1e-4)
+    grad = central_difference(_as_is, _squares, x, h=1e-4)
     np.testing.assert_allclose(grad, 2 * original, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(x, original)  # perturbations restored exactly
+    assert np.array_equal(x, original)  # the probes are copies
     with pytest.raises(ContractViolation):
-        central_difference(x.copy, _squares, x, h=0.0)
+        central_difference(_as_is, _squares, x, h=0.0)
 
 
 def test_central_difference_needs_one_score_per_probe():
@@ -163,8 +167,38 @@ def test_central_difference_needs_one_score_per_probe():
     wrong = (lambda probes: _squares(probes)[:-1], lambda probes: probes, lambda probes: 0.0)
     for score in wrong:
         with pytest.raises(ContractViolation, match="for 6 probes"):
-            central_difference(x.copy, score, x, h=1e-3)
+            central_difference(_as_is, score, x, h=1e-3)
     assert np.array_equal(x, np.arange(3.0))
+
+
+def test_central_difference_leaves_the_array_alone_when_embed_or_score_raises():
+    # Probes are copies: a failure part way leaves no entry moved by h.
+    x = np.random.default_rng(5).normal(size=(3, 4))
+    x[1, 2] = -0.0
+    bits = x.tobytes()
+    blocks = []
+
+    def embed_fails_on_row_two(block):
+        blocks.append(block.copy())
+        if len(blocks) == 2:
+            raise ZeroNormError("probe")
+        return block
+
+    def score_fails(probes):
+        raise ContractViolation("score")
+
+    with pytest.raises(ZeroNormError):
+        central_difference(embed_fails_on_row_two, _squares, x, h=1e-3)
+    assert x.tobytes() == bits
+    assert [block.shape for block in blocks] == [(8, 3, 4)] * 2
+    # Row one's block: probe 2j moves entry (0, j) by +h, probe 2j + 1 by -h.
+    moved = blocks[0] - x
+    for j in range(4):
+        assert np.count_nonzero(moved[2 * j]) == np.count_nonzero(moved[2 * j + 1]) == 1
+        assert moved[2 * j, 0, j] > 0 > moved[2 * j + 1, 0, j]
+    with pytest.raises(ContractViolation, match="score"):
+        central_difference(_as_is, score_fails, x, h=1e-3)
+    assert x.tobytes() == bits
 
 
 def _one_sample_central_difference(path, array, counts, h):
