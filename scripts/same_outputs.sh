@@ -15,7 +15,10 @@
 # with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
 # checkpoint on a copy of its test split whose third line has label 99,
 # and on two more copies whose line 40 holds a malformed float or one
-# value too few, so three dataset error messages are compared too.  A
+# value too few, and evals the clips checkpoint on four copies of its test
+# split that each break one rule (a sequence that mixes labels, one that
+# mixes subcluster ids, one that is not contiguous, a negative subcluster
+# id), so seven dataset error messages are compared too.  A
 # "bad-files" case evals a copy of the seed-7 checkpoint whose header
 # says temperature=-1, evals the seed-7 checkpoint on a copy of its test
 # split whose third line holds the byte 0xff, which is not UTF-8, and decodes the seed-7 checkpoint against a copy
@@ -140,6 +143,19 @@ run "$bad" eval-bad-float eval "$out/seed7/model.ckpt" "$bad/test-bad-float.tsv"
 awk -F'\t' -v OFS='\t' 'NR == 40 { sub(/,[^,]*$/, "", $4) } { print }' \
     "$out/seed7/data/test.tsv" >"$bad/test-short-row.tsv"
 run "$bad" eval-short-row eval "$out/seed7/model.ckpt" "$bad/test-short-row.tsv"
+# Four copies of the clips test split, each breaking one sequence or id rule
+# past line 20: the first row that continues a sequence gets another label,
+# or another subcluster id; the first row that starts a sequence takes the
+# id of the file's first sequence; line 25 gets subcluster id -1.
+clips_rule() {
+    awk -F'\t' -v OFS='\t' "NR == 2 { first = \$2 } { seq = \$2 } $2 { prev = seq; print }" \
+        "$out/clips/data/test.tsv" >"$bad/clips-$1.tsv"
+    run "$bad" "eval-clips-$1" eval "$out/clips/model.ckpt" "$bad/clips-$1.tsv"
+}
+clips_rule mixed-labels 'NR > 20 && !done && seq == prev { $1 = ($1 + 1) % 3; done = 1 }'
+clips_rule mixed-subclusters 'NR > 20 && !done && seq == prev { $3 = $3 + 1; done = 1 }'
+clips_rule not-contiguous 'NR > 20 && !done && seq != prev { $2 = first; done = 1 }'
+clips_rule negative-subcluster 'NR == 25 { $3 = -1 }'
 
 bad="$out/bad-files"
 rm -rf "$bad"

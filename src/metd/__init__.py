@@ -47,6 +47,7 @@ from .data import (
     oversample_balance,
     save_dataset,
     save_vocabulary,
+    temporal_mean_pool,
 )
 from .inference import (
     EvalReport,
@@ -55,7 +56,6 @@ from .inference import (
     format_eval_report,
     predict,
     subclass_report,
-    temporal_mean_pool,
     unit_embedding,
 )
 from .training import (

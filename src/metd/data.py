@@ -26,11 +26,14 @@ one clip) and must be contiguous in the file and agree on class and
 subcluster.  Rows with ``-`` in the sequence column are single-sample
 units.  The subcluster column carries ground-truth subcluster ids,
 non-negative integers, for synthetic data and is ``-`` when unknown.
+The parser checks field and value counts, floats and finiteness;
+``EmbeddingDataset`` checks the ids and these rules, once, in NumPy.
 """
 
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +72,18 @@ class Unit:
     subcluster_id: int | None = None
 
 
+def temporal_mean_pool(frames) -> np.ndarray:
+    """Mean over the frame axis of a nonempty (n_frames, dim) stack."""
+    arr = np.asarray(frames, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ContractViolation(
+            f"frames must be a nonempty 2-D stack, got shape {arr.shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ContractViolation("frames contain non-finite entries")
+    return arr.mean(axis=0)
+
+
 class _RowError(ContractViolation):
     """Row ``row`` (0-based) of an ``EmbeddingDataset`` or ``Vocabulary`` breaks its contract."""
 
@@ -78,81 +93,155 @@ class _RowError(ContractViolation):
         self.problem = problem
 
 
-class EmbeddingDataset:
-    """An ordered list of samples with a fixed feature dim and class count.
+_NO_ID = np.iinfo(np.int64).min  # a "-" (no id) in a sequence or subcluster column
+_RULES = (  # the id rules, in the order each row is checked against them
+    "label {} out of range [0, {})",
+    "negative subcluster id {}",
+    "sequence {} mixes labels",
+    "sequence {} mixes subcluster ids",
+    "sequence {} is not contiguous",
+)
 
-    Validates on construction: labels in range, uniform finite features,
-    subcluster ids non-negative, sequence rows contiguous and internally
-    consistent.  Treat instances as immutable once built.
+
+def _id_column(values: list, what: str) -> np.ndarray:
+    """The (R,) int64 column of R ids, ``_NO_ID`` for each None."""
+    try:
+        column = np.array([_NO_ID if v is None else v for v in values], dtype=np.int64)
+        if np.count_nonzero(column == _NO_ID) == values.count(None):
+            return column
+    except OverflowError:
+        pass
+    row = next(i for i, v in enumerate(values) if v is not None and not _NO_ID < v < 2**63)
+    raise _RowError(row, f"{what} {values[row]} is out of the id range (-2**63, 2**63)")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _ids(column: np.ndarray) -> list:
+    """The Python ids of an id column, None for ``_NO_ID``."""
+    return [None if v == _NO_ID else v for v in column.tolist()]
+
+
+def _feature_fault(samples: list[Sample], dim: int) -> tuple[int, str] | None:
+    """The first Sample row whose features are not ``dim`` finite floats, as (row, problem)."""
+    for row, sample in enumerate(samples):
+        features = np.asarray(sample.features, dtype=np.float64)
+        if features.shape != (dim,):
+            return row, f"feature shape {features.shape} != ({dim},)"
+        if not np.isfinite(features).all():
+            return row, "non-finite features"
+    return None
+
+
+def _unit_starts(n_classes: int, labels, seqs, subs, fault) -> np.ndarray:
+    """Each unit's first row; or raise the first faulty row, ``fault`` first at its row."""
+    has_seq = seqs != _NO_ID
+    # Row r continues the unit above it.  Up to the first faulty row, every
+    # row of a unit has its first row's ids, so row r - 1's stand in for them.
+    continues = np.zeros(labels.size, dtype=bool)
+    continues[1:] = has_seq[1:] & (seqs[1:] == seqs[:-1])
+    _, first, where = np.unique(seqs, return_index=True, return_inverse=True)
+    broken = np.stack([
+        (labels < 0) | (labels >= n_classes),
+        (subs < 0) & (subs != _NO_ID),
+        continues & (labels != np.roll(labels, 1)),
+        continues & (subs != np.roll(subs, 1)),
+        has_seq & ~continues & (first[where] < np.arange(labels.size)),
+    ])
+    row = int(np.argmax(broken.any(axis=0))) if broken.any() else labels.size
+    if fault is not None and fault[0] <= row:
+        raise _RowError(*fault)
+    if row < labels.size:
+        rule = int(np.argmax(broken[:, row]))
+        value = (labels, subs, seqs, seqs, seqs)[rule][row]
+        raise _RowError(row, _RULES[rule].format(value, n_classes))
+    return np.flatnonzero(~continues)
+
+
+class EmbeddingDataset:
+    """Rows of one feature dim and class count, grouped into units.
+
+    Each row is checked once.  A loaded row's values are the parser's to
+    check; a ``Sample``'s shape and finiteness are checked here.  Then
+    the (R,) id columns are checked in NumPy (labels in range, subcluster
+    ids non-negative, the sequence rules), naming the first faulty row.
+    ``temporal_mean_pool`` and ``encode_image`` keep their own checks.
+    A loaded dataset keeps the parser's array, read-only: unit frames
+    are views into it, and ``samples`` is built only if read.  Treat
+    instances as immutable.
     """
 
-    def __init__(self, samples: list[Sample], feature_dim: int, n_classes: int):
+    def __init__(self, samples, feature_dim: int, n_classes: int):
+        samples = list(samples)
+        ids = ([s.label for s in samples], [s.sequence_id for s in samples],
+               [s.subcluster_id for s in samples])
+        self._adopt(feature_dim, n_classes, None, samples, ids)
+
+    @classmethod
+    def _from_parsed(cls, features: np.ndarray, ids: tuple, n_classes: int) -> "EmbeddingDataset":
+        """A dataset over parsed (R, F) ``features``, kept read-only, and three id lists."""
+        dataset = cls.__new__(cls)
+        dataset._adopt(features.shape[1], n_classes, _read_only(features), None, ids)
+        return dataset
+
+    def _adopt(self, feature_dim, n_classes, features, samples, ids):
         if feature_dim < 1:
             raise ContractViolation(f"feature_dim must be >= 1, got {feature_dim}")
         if n_classes < 1:
             raise ContractViolation(f"n_classes must be >= 1, got {n_classes}")
-        self.samples = list(samples)
-        self.feature_dim = feature_dim
-        self.n_classes = n_classes
-        self._units: list[Unit] | None = None
-        self._starts = self._validate()
-
-    def _validate(self) -> list[int]:
-        """Check every row, in one pass; return the index of each unit's first row."""
-        starts = []
-        started_ids = set()
-        for idx, sample in enumerate(self.samples):
-            arr = np.asarray(sample.features, dtype=np.float64)
-            if arr.shape != (self.feature_dim,):
-                raise _RowError(idx, f"feature shape {arr.shape} != ({self.feature_dim},)")
-            if not np.isfinite(arr).all():
-                raise _RowError(idx, "non-finite features")
-            if not 0 <= sample.label < self.n_classes:
-                raise _RowError(
-                    idx, f"label {sample.label} out of range [0, {self.n_classes})"
-                )
-            if sample.subcluster_id is not None and sample.subcluster_id < 0:
-                raise _RowError(idx, f"negative subcluster id {sample.subcluster_id}")
-            sid = sample.sequence_id
-            head = self.samples[starts[-1]] if starts else None
-            if sid is not None and head is not None and sid == head.sequence_id:
-                # Continuing the current sequence block.
-                if sample.label != head.label:
-                    raise _RowError(idx, f"sequence {sid} mixes labels")
-                if sample.subcluster_id != head.subcluster_id:
-                    raise _RowError(idx, f"sequence {sid} mixes subcluster ids")
-            elif sid is not None and sid in started_ids:
-                raise _RowError(idx, f"sequence {sid} is not contiguous")
-            else:
-                started_ids.add(sid)
-                starts.append(idx)
-        return starts
+        self.feature_dim, self.n_classes = feature_dim, n_classes
+        self._features, self._samples, self._units = features, samples, None
+        self._columns = tuple(map(_id_column, ids, ("label", "sequence id", "subcluster id")))
+        fault = None if samples is None else _feature_fault(samples, feature_dim)
+        self._starts = _unit_starts(n_classes, *self._columns, fault)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._columns[0].size
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The rows as ``Sample`` objects; a loaded dataset builds them on first read."""
+        if self._samples is None:
+            labels, seqs, subs = self._columns
+            self._samples = list(
+                map(Sample, self._features, labels.tolist(), _ids(seqs), _ids(subs))
+            )
+        return self._samples
 
     def units(self) -> list[Unit]:
-        """Group contiguous same-sequence rows; single rows are their own unit."""
+        """Group contiguous same-sequence rows; single rows are their own unit.
+
+        A loaded dataset's unit frames are read-only views into its array;
+        a dataset built in code stacks copies of its rows.
+        """
         if self._units is None:
-            ends = self._starts[1:] + [len(self.samples)]
+            starts = self._starts
+            rows = self._features
+            if rows is None:
+                rows = [s.features for s in self._samples]
+            labels, seqs, subs = (column[starts] for column in self._columns)
+            bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(self)])
             self._units = [
-                Unit(
-                    frames=np.vstack(
-                        [np.asarray(s.features, dtype=np.float64) for s in self.samples[a:b]]
-                    ),
-                    label=self.samples[a].label,
-                    sequence_id=self.samples[a].sequence_id,
-                    subcluster_id=self.samples[a].subcluster_id,
-                )
-                for a, b in zip(self._starts, ends)
+                Unit(np.asarray(rows[a:b], dtype=np.float64), *ids)
+                for (a, b), *ids in zip(bounds, labels.tolist(), _ids(seqs), _ids(subs))
             ]
         return self._units
 
+    @cached_property
+    def unit_labels(self) -> np.ndarray:
+        """Each unit's class, (U,), in ``units()`` order, built on first use."""
+        return _read_only(self._columns[0][self._starts])
+
+    @cached_property
+    def pooled(self) -> np.ndarray:
+        """Each unit's ``temporal_mean_pool`` of its frames, (U, F), built on first use."""
+        return _read_only(np.stack([temporal_mean_pool(unit.frames) for unit in self.units()]))
+
     def unit_class_counts(self) -> np.ndarray:
-        counts = np.zeros(self.n_classes, dtype=np.int64)
-        for unit in self.units():
-            counts[unit.label] += 1
-        return counts
+        return np.bincount(self.unit_labels, minlength=self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -211,7 +300,7 @@ class SynthConfig:
             )
 
 
-def _synthetic_means(config: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+def _synthetic_means(config: SynthConfig, rng: "np.random.Generator") -> np.ndarray:
     """The (n_classes, G, dim) unit-norm means, in closed form from one QR frame.
 
     Class i owns its own block C of G orthonormal columns, so every
@@ -239,7 +328,7 @@ def dataset_from_means(
     means: np.ndarray,
     samples_per_subcluster,
     sigma: float,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
 ) -> tuple[EmbeddingDataset, EmbeddingDataset]:
     """Sample Gaussian subclusters around given means and 80/20-split them.
 
@@ -331,35 +420,22 @@ def oversample_balance(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset
         raise ContractViolation(f"class {missing} has no units to oversample")
     target = int(np.max(counts))
     rng = np.random.default_rng([STREAM_OVERSAMPLE, seed])
-    used_ids = [s.sequence_id for s in dataset.samples if s.sequence_id is not None]
-    next_id = max(used_ids, default=-1) + 1
+    seqs = dataset._columns[1]
+    next_id = max(seqs[seqs != _NO_ID].tolist(), default=-1) + 1
     new_rows = list(dataset.samples)
     for label in range(dataset.n_classes):
         deficit = target - int(counts[label])
         if deficit == 0:
             continue
-        pool = [idx for idx, u in enumerate(units) if u.label == label]
-        picks = rng.choice(len(pool), size=deficit, replace=True)
-        for pick in picks:
-            unit = units[pool[int(pick)]]
+        pool = np.flatnonzero(dataset.unit_labels == label)
+        for pick in rng.choice(len(pool), size=deficit, replace=True):
+            unit = units[pool[pick]]
             if unit.sequence_id is None:
-                new_rows.append(
-                    Sample(
-                        features=unit.frames[0],
-                        label=unit.label,
-                        subcluster_id=unit.subcluster_id,
-                    )
-                )
+                new_rows.append(Sample(unit.frames[0], unit.label, None, unit.subcluster_id))
             else:
-                for frame in unit.frames:
-                    new_rows.append(
-                        Sample(
-                            features=frame,
-                            label=unit.label,
-                            sequence_id=next_id,
-                            subcluster_id=unit.subcluster_id,
-                        )
-                    )
+                new_rows.extend(
+                    Sample(frame, unit.label, next_id, unit.subcluster_id) for frame in unit.frames
+                )
                 next_id += 1
     return EmbeddingDataset(new_rows, dataset.feature_dim, dataset.n_classes)
 
@@ -387,24 +463,20 @@ def load_dataset(path: str) -> EmbeddingDataset:
     if dim < 1:
         # Checked before the rows, which would be blamed for the header's dim.
         raise ParseError(f"feature_dim must be >= 1, got {dim}", line=1)
-    ids = []  # (label, sequence id, subcluster id) of each row, parsed as it streams
+    labels, sequence_ids, subcluster_ids = [], [], []  # parsed as the rows stream
 
     def feature_rows():
         for line_no, (label, seq, sub, features) in records:
-            ids.append((
-                _parse_int(label, "class label", line_no),
-                None if seq == "-" else _parse_int(seq, "sequence id", line_no),
-                None if sub == "-" else _parse_int(sub, "subcluster id", line_no),
-            ))
+            labels.append(_parse_int(label, "class label", line_no))
+            sequence_ids.append(None if seq == "-" else _parse_int(seq, "sequence id", line_no))
+            subcluster_ids.append(None if sub == "-" else _parse_int(sub, "subcluster id", line_no))
             yield line_no, features
 
     features = parse_float_rows(feature_rows(), dim)
-    samples = [
-        Sample(row, label, sequence_id, subcluster_id)
-        for row, (label, sequence_id, subcluster_id) in zip(features, ids)
-    ]
     try:
-        return EmbeddingDataset(samples, dim, n_classes)
+        return EmbeddingDataset._from_parsed(
+            features, (labels, sequence_ids, subcluster_ids), n_classes
+        )
     except _RowError as exc:
         # The header is line 1, and each later line is one row.
         raise ParseError(exc.problem, line=exc.row + 2) from exc

@@ -35,7 +35,7 @@ from .data import (
     oversample_balance,
 )
 from .errors import ContractViolation
-from .inference import evaluate, report_from_labels, temporal_mean_pool
+from .inference import evaluate, report_from_labels
 from .model import (
     STREAM_HARNESS,
     Model,
@@ -168,15 +168,6 @@ def distorted_benchmark(
     return apply_linear_map(train, matrix), apply_linear_map(test, matrix)
 
 
-def _pooled(dataset: EmbeddingDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Each unit's temporal-mean-pooled raw features (U, F) and its label (U,)."""
-    units = dataset.units()
-    return (
-        np.stack([temporal_mean_pool(unit.frames) for unit in units]),
-        np.array([unit.label for unit in units]),
-    )
-
-
 def _head_logits(features, head_weight, head_bias):
     # W times each row as a column: the bits of W @ v, unlike v @ W.T
     return np.matmul(head_weight, features[..., None])[..., 0] + head_bias
@@ -184,7 +175,7 @@ def _head_logits(features, head_weight, head_bias):
 
 def _train_head(train, config, train_adapter: bool):
     """Linear softmax-cross-entropy head, optionally with a joint adapter."""
-    pooled, labels = _pooled(train)
+    pooled, labels = train.pooled, train.unit_labels
     adapter = build_adapter(train.feature_dim, train.feature_dim, residual=True)
     head_weight = np.zeros((train.n_classes, train.feature_dim))
     head_bias = np.zeros(train.n_classes)
@@ -222,10 +213,9 @@ def _train_head(train, config, train_adapter: bool):
 
 
 def _head_report(test, adapter, head_weight, head_bias, use_adapter):
-    pooled, labels = _pooled(test)
-    v = encode_image(adapter, pooled) if use_adapter else pooled
+    v = encode_image(adapter, test.pooled) if use_adapter else test.pooled
     predicted = _head_logits(v, head_weight, head_bias).argmax(axis=-1)
-    return report_from_labels(labels, predicted, test.n_classes)
+    return report_from_labels(test.unit_labels, predicted, test.n_classes)
 
 
 def _train_learnable_context(train, config):
@@ -248,7 +238,7 @@ def _train_learnable_context(train, config):
         config.encoder_kind, config.token_dim, config.embed_dim, config.seed
     )
     length = config.n_tokens + 1
-    pooled, labels = _pooled(train)
+    pooled, labels = train.pooled, train.unit_labels
     tau = config.temperature
 
     def batch_gradients(batch):
@@ -276,9 +266,8 @@ def _train_learnable_context(train, config):
 
 def _context_report(test, encoder, context, names):
     embeddings = encode_text(encoder, context, names[:, None, :])
-    pooled, labels = _pooled(test)
-    sims = numerics.cosine_similarity(pooled, embeddings)
-    return report_from_labels(labels, sims.argmax(axis=-1), test.n_classes)
+    sims = numerics.cosine_similarity(test.pooled, embeddings)
+    return report_from_labels(test.unit_labels, sims.argmax(axis=-1), test.n_classes)
 
 
 def build_strategy_model(train: EmbeddingDataset, config) -> Model:

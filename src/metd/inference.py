@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .data import EmbeddingDataset, Unit
+from .data import EmbeddingDataset, Unit, temporal_mean_pool
 from .errors import ContractViolation
 from .model import Model, bank_embeddings, encode_image
 
@@ -58,18 +58,6 @@ def predict(image_embedding, text_embeddings) -> Prediction:
         label=int(label) if logits.ndim == 1 else label,
         subclass_argmax=sims.argmax(axis=-1),
     )
-
-
-def temporal_mean_pool(frames) -> np.ndarray:
-    """Mean over the frame axis of a nonempty (n_frames, dim) stack."""
-    arr = np.asarray(frames, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ContractViolation(
-            f"frames must be a nonempty 2-D stack, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation("frames contain non-finite entries")
-    return arr.mean(axis=0)
 
 
 def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
@@ -166,7 +154,7 @@ def evaluate(dataset: EmbeddingDataset, model: Model) -> EvalReport:
         raise ContractViolation("cannot evaluate an empty dataset")
     check_compatible(dataset, model)
     return _score(
-        np.array([unit.label for unit in units]),
+        dataset.unit_labels,
         np.stack([unit_embedding(model, unit) for unit in units]),
         bank_embeddings(model.bank, model.encoder),
     )

@@ -379,3 +379,24 @@ def test_eval_has_no_config_option(workspace, tmp_path, capsys):
 def test_missing_required_argument_exits_2():
     result = run_cli("synth")
     assert result.returncode == 2
+
+
+def test_eval_and_decode_never_import_numpy_random(workspace, tmp_path):
+    # Neither command draws a random number, and numpy.random is the
+    # largest module tree an import of metd.cli would otherwise load.
+    root, config, data, checkpoint = workspace
+    vocab_path = tmp_path / "vocab.tsv"
+    save_vocabulary(
+        Vocabulary(words=["a", "b", "c"], vectors=np.eye(3, 8)), str(vocab_path)
+    )
+    commands = [["eval", str(checkpoint), str(data / "test.tsv")],
+                ["decode", str(checkpoint), str(vocab_path)]]
+    code = (
+        "import contextlib, io, sys, metd.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert [metd.cli.main(argv) for argv in {commands!r}] == [0, 0]\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -659,3 +660,159 @@ def test_nearest_words_validation():
     empty = Vocabulary(words=[], vectors=np.zeros((0, 3)))
     with pytest.raises(ContractViolation):
         nearest_words(empty, np.ones(3), top_n=1)
+
+
+def _reference_fault(rows, dim, n_classes):
+    """The first ``(row, problem)`` a row-by-row pass over the dataset rules finds, or None.
+
+    Each row is checked in turn against every rule, in this order: shape,
+    finiteness, label range, negative subcluster id, then the sequence
+    rules against the first row of the unit the row would continue.
+    """
+    starts, started = [], set()
+    for idx, s in enumerate(rows):
+        arr = np.asarray(s.features, dtype=np.float64)
+        if arr.shape != (dim,):
+            return idx, f"feature shape {arr.shape} != ({dim},)"
+        if not np.isfinite(arr).all():
+            return idx, "non-finite features"
+        if not 0 <= s.label < n_classes:
+            return idx, f"label {s.label} out of range [0, {n_classes})"
+        if s.subcluster_id is not None and s.subcluster_id < 0:
+            return idx, f"negative subcluster id {s.subcluster_id}"
+        head = rows[starts[-1]] if starts else None
+        if s.sequence_id is not None and head is not None and s.sequence_id == head.sequence_id:
+            if s.label != head.label:
+                return idx, f"sequence {s.sequence_id} mixes labels"
+            if s.subcluster_id != head.subcluster_id:
+                return idx, f"sequence {s.sequence_id} mixes subcluster ids"
+        elif s.sequence_id is not None and s.sequence_id in started:
+            return idx, f"sequence {s.sequence_id} is not contiguous"
+        else:
+            started.add(s.sequence_id)
+            starts.append(idx)
+    return None
+
+
+def _reference_units(rows):
+    """(frame bits, label, sequence id, subcluster id) of each unit: runs of one sequence id."""
+    units = []
+    for s in rows:
+        if units and s.sequence_id is not None and s.sequence_id == units[-1][2]:
+            units[-1][0].append(_bits(s.features))
+        else:
+            units.append(([_bits(s.features)], s.label, s.sequence_id, s.subcluster_id))
+    return units
+
+
+_ID_FAULTS = ("label", "negative", "mixes-labels", "mixes-subclusters", "not-contiguous")
+_FEATURE_FAULTS = ("shape", "non-finite")  # only for rows built in code: a file's are parse errors
+
+
+@st.composite
+def _rows_with_faults(draw):
+    """Rows of valid units, then zero to two faults injected, often in one row; (rows, faults)."""
+    ids = iter(draw(st.lists(st.integers(-2**63 + 1, 2**63 - 1), min_size=8, max_size=8,
+                             unique=True)))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        label = draw(st.integers(0, 2))
+        sub = draw(st.sampled_from([None, 0, 1, 2**40]))
+        seq = next(ids) if draw(st.booleans()) else None
+        for _ in range(draw(st.integers(1, 4)) if seq is not None else 1):
+            rows.append(Sample(draw(st.lists(_FINITE, min_size=2, max_size=2).map(np.array)),
+                               label, seq, sub))
+    kinds = st.sampled_from(_ID_FAULTS + _FEATURE_FAULTS)
+    faults = draw(st.lists(kinds, max_size=2)) if rows else []
+    touched = []
+    for fault in faults:
+        r = touched[0] if touched and draw(st.booleans()) else draw(st.integers(0, len(rows) - 1))
+        touched.append(r)
+        s = rows[r]
+        if fault == "label":
+            s = replace(s, label=draw(st.sampled_from([-1, 3, 2**62])))
+        elif fault == "negative":
+            s = replace(s, subcluster_id=draw(st.sampled_from([-1, -7])))
+        elif fault == "mixes-labels":
+            s = replace(s, label=(s.label + 1) % 3)
+        elif fault == "mixes-subclusters":
+            s = replace(s, subcluster_id=None if s.subcluster_id == 0 else 0)
+        elif fault == "shape":
+            s = replace(s, features=np.append(s.features, 0.0))
+        elif fault == "non-finite":
+            bad = draw(st.sampled_from([np.nan, -np.inf]))
+            s = replace(s, features=np.array([s.features[0], bad]))
+        elif fault == "not-contiguous" and r > 1:
+            earlier = [row.sequence_id for row in rows[: r - 1] if row.sequence_id is not None]
+            if earlier:
+                s = replace(s, sequence_id=draw(st.sampled_from(earlier)))
+        rows[r] = s
+    return rows, faults
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rows_with_faults())
+def test_the_column_checks_match_the_row_by_row_check(tmp_path_factory, case):
+    # Built in code or loaded, a dataset names the row and the problem the
+    # row-by-row check names, and a valid one has its units.
+    rows, faults = case
+    expected = _reference_fault(rows, 2, 3)
+    if expected is not None:
+        row, problem = expected
+        with pytest.raises(ContractViolation) as built:
+            EmbeddingDataset(rows, feature_dim=2, n_classes=3)
+        assert str(built.value) == f"row {row}: {problem}"
+    if set(faults) & set(_FEATURE_FAULTS):
+        return
+    path = tmp_path_factory.getbasetemp() / "rules.tsv"
+    path.write_text("metd-embed v1 dim=2 classes=3\n" + "".join(
+        f"{s.label}\t{'-' if s.sequence_id is None else s.sequence_id}\t"
+        f"{'-' if s.subcluster_id is None else s.subcluster_id}\t{format_floats(s.features)}\n"
+        for s in rows
+    ))
+    if expected is not None:
+        with pytest.raises(ParseError) as loaded:
+            load_dataset(str(path))
+        assert str(loaded.value) == f"line {row + 2}: {problem}"
+        return
+    for dataset in (EmbeddingDataset(rows, feature_dim=2, n_classes=3), load_dataset(str(path))):
+        units = [
+            ([_bits(frame) for frame in u.frames], u.label, u.sequence_id, u.subcluster_id)
+            for u in dataset.units()
+        ]
+        assert units == _reference_units(rows)
+        assert dataset.unit_labels.tolist() == [u[1] for u in units]
+
+
+def test_ids_beyond_64_bits_are_row_errors(tmp_path):
+    # Ids are kept as 64-bit integers; -2**63 stands for "no id", so it is not one.
+    for bad in (2**63, -(2**63)):
+        rows = [Sample(np.ones(2), 0), Sample(np.ones(2), 0, sequence_id=bad)]
+        with pytest.raises(ContractViolation, match=f"^row 1: sequence id {bad} is out of the id"):
+            EmbeddingDataset(rows, feature_dim=2, n_classes=1)
+        path = tmp_path / "wide.tsv"
+        path.write_text(f"metd-embed v1 dim=2 classes=1\n0\t-\t-\t1,2\n0\t-\t{bad}\t1,2\n")
+        with pytest.raises(ParseError, match=f"^line 3: subcluster id {bad} is out of the id"):
+            load_dataset(str(path))
+
+
+def test_loaded_units_are_read_only_views_of_the_parsed_array(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = [Sample(rng.normal(size=4), seq % 2, seq, seq % 3)
+            for seq in range(6) for _ in range(seq % 3 + 1)]
+    path = tmp_path / "clips.tsv"
+    save_dataset(EmbeddingDataset(rows, 4, 2), str(path))
+    loaded = load_dataset(str(path))
+    array = loaded._features  # the parser's (R, F) array, which the dataset keeps
+    assert not array.flags.writeable
+    for unit in loaded.units():
+        assert np.shares_memory(unit.frames, array)
+        assert not unit.frames.flags.writeable
+        with pytest.raises(ValueError):
+            unit.frames[0, 0] = 1.0
+    assert len(loaded.units()) == 6
+    for cached in (loaded.pooled, loaded.unit_labels):
+        assert not cached.flags.writeable
+    assert _bits(loaded.pooled) == _bits(
+        [np.mean(np.asarray(u.frames), axis=0) for u in EmbeddingDataset(rows, 4, 2).units()]
+    )

@@ -264,3 +264,25 @@ def test_descriptor_method_stays_near_the_probe(benchmark_runs, clean_probe_row)
 
 def test_two_descriptors_beat_one_on_the_default_benchmark(benchmark_runs):
     assert benchmark_runs.report_k2.war > benchmark_runs.report_k1.war
+
+
+def test_one_comparison_pools_each_split_once(monkeypatch):
+    # The baselines read each split's pooled array, which the dataset builds
+    # on first use: one temporal_mean_pool call per unit of each split, where
+    # pooling per baseline made three per unit.  Fresh splits, so no earlier
+    # test has pooled them.
+    import metd.data
+
+    train, test = generate_synthetic(SMALL)
+    calls = []
+
+    def counted(frames):
+        calls.append(1)
+        return temporal_mean_pool(frames)
+
+    monkeypatch.setattr(metd.data, "temporal_mean_pool", counted)
+    baselines = tuple(kind for kind in STRATEGY_KINDS if kind != "metd")
+    rows = compare_all((train, test), replace(COMPACT, seed=4, strategies=baselines))
+    assert [row.kind for row in rows] == list(baselines)
+    assert len(calls) == len(train.units()) + len(test.units())
+    assert train.pooled is train.pooled and test.pooled is test.pooled

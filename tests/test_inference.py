@@ -466,3 +466,24 @@ def test_format_eval_report_fields():
     full = format_eval_report(subclass_report(train, evaluate(train, model)))
     assert "subclass_histogram=" in full
     assert "subclass_purity=" in full
+
+
+def test_a_loaded_dataset_and_the_same_rows_built_in_code_report_alike(tmp_path):
+    # Loading keeps the parsed array and cuts units as views of it; the rows
+    # built in code stack their own frames.  Both give the same reports.
+    from metd.data import load_dataset, save_dataset
+
+    rng = np.random.default_rng(31)
+    rows = [Sample(rng.normal(size=8), seq % 2, seq if seq % 3 else None, seq % 2 + seq % 4 // 2)
+            for seq in range(40) for _ in range(1 + (seq % 3 != 0) * (seq % 4))]
+    built = EmbeddingDataset(rows, feature_dim=8, n_classes=2)
+    path = tmp_path / "clips.tsv"
+    save_dataset(built, str(path))
+    loaded = load_dataset(str(path))
+    assert len(built.units()) == len(loaded.units()) == 40
+    model = _small_model(seed=3)
+    reports = [subclass_report(d, evaluate(d, model)) for d in (built, loaded)]
+    assert format_eval_report(reports[0]) == format_eval_report(reports[1])
+    for field in ("per_class_recall", "confusion", "subclass_histogram", "assignments"):
+        np.testing.assert_array_equal(getattr(reports[0], field), getattr(reports[1], field))
+    assert reports[0].subclass_purity == reports[1].subclass_purity is not None
