@@ -26,7 +26,12 @@
 # and against a vocabulary
 # whose header says dim=0, and runs fdcheck with a config whose second
 # line holds the byte 0xe9, so a checkpoint header error, two vocabulary
-# errors and a config error are compared as well.  An "fdcheck-wide" case runs
+# errors and a config error are compared as well.  A "bad-configs" case
+# runs fdcheck with one config per config error class (unknown key,
+# duplicate key, missing "=", empty value, bad integer, non-finite float,
+# bad bool, n_tokens = 0, unknown encoder_kind, unknown strategy, duplicate
+# strategy, and the identity-mean and residual conflicts), so each config
+# error's text, key and line are compared too.  An "fdcheck-wide" case runs
 # fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
 # kinds and both adapter kinds, and once more at seed 0 with
 # fdcheck_corrupt = true, the control that must fail.  An "fdcheck-step"
@@ -172,6 +177,31 @@ run "$bad" decode-dim0 decode --config "$out/seed7/run.cfg" "$out/seed7/model.ck
     "$bad/vocab-dim0.tsv"
 printf 'seed = 7\n# caf\351\n' >"$bad/not-utf8.cfg"
 run "$bad" fdcheck-not-utf8 fdcheck --config "$bad/not-utf8.cfg"
+
+cfgs="$out/bad-configs"
+rm -rf "$cfgs"
+mkdir -p "$cfgs"
+# Config $1 holds a comment line, then the lines $2.., so errors are at line 2 or later.
+bad_config() {
+    local name=$1
+    shift
+    printf '# %s\n' "$name" >"$cfgs/$name.cfg"
+    printf '%s\n' "$@" >>"$cfgs/$name.cfg"
+    run "$cfgs" "fdcheck-$name" fdcheck --config "$cfgs/$name.cfg"
+}
+bad_config unknown-key "sigmaa = 0.1"
+bad_config duplicate-key "seed = 1" "seed = 2"
+bad_config missing-equals "seed 5"
+bad_config empty-value "seed ="
+bad_config bad-integer "n_classes = 1.5"
+bad_config non-finite "sigma = inf"
+bad_config bad-bool "oversample = yes"
+bad_config zero-tokens "seed = 1" "n_tokens = 0"
+bad_config unknown-encoder "encoder_kind = mystery"
+bad_config unknown-strategy "strategies = metd, warp"
+bad_config duplicate-strategy "strategies = metd, metd"
+bad_config identity-mean-conflict "token_dim = 8"
+bad_config residual-conflict "feature_dim = 8"
 
 wide="$out/fdcheck-wide"
 rm -rf "$wide"

@@ -2,20 +2,21 @@
 
 One ``key = value`` pair per line; ``#`` starts a comment (whole line or
 trailing); blank lines are ignored.  Every key has a default, so an empty
-file is a valid config.  A ``RunConfig`` checks each value's type and
-range, and the conflicts between keys, whenever it is built, from a file
-or by ``dataclasses.replace``: a ``ConfigError`` names the key, and the
-file parser adds that key's line.
+file is a valid config.  Each key is declared once, as a ``RunConfig``
+field that carries its type, its default and its check.  A ``RunConfig``
+checks each value's type and range, and the conflicts between keys,
+whenever it is built, from a file or by ``dataclasses.replace``: a
+``ConfigError`` names the key, and the file parser adds that key's line.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .data import SynthConfig
 from .errors import ConfigError
 from .harness import STRATEGY_KINDS
 from .model import ENCODER_KINDS, IDENTITY_MEAN
-from .training import COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS
+from .training import ADAPTIVE, COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS
 
 
 def _parse_int(text: str):
@@ -71,11 +72,14 @@ def _check_type(kind, value):
 def _strategies(kinds):
     if not kinds or any(not k for k in kinds):
         raise ValueError("expected a comma-separated list of strategies")
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in STRATEGY_KINDS:
             raise ValueError(
                 f"unknown strategy {kind!r}, expected one of {STRATEGY_KINDS}"
             )
+        # metd compare would train it twice and print the same row twice.
+        if kind in kinds[:i]:
+            raise ValueError(f"duplicate strategy {kind!r}")
 
 
 def _positive(value):
@@ -113,56 +117,9 @@ def _any(value):
     pass
 
 
-# key -> (check, default).  A key's type is its RunConfig field's.
-_SCHEMA = {
-    "seed": (_any, 7),
-    # synthetic benchmark geometry
-    "n_classes": (_positive, 3),
-    "subclusters_per_class": (_positive, 2),
-    "samples_per_subcluster": (_positive, 125),
-    "feature_dim": (_positive, 16),
-    "sigma": (_nonnegative, 0.1),
-    # Synthetic cross-class means are orthogonal, so 90 is the widest bound.
-    "inter_class_min_angle": (_angle(90.0), 45.0),
-    "intra_class_angle": (_angle(180.0), 0.0),
-    # model dimensions
-    "token_dim": (_positive, 16),
-    "embed_dim": (_positive, 16),
-    "context_length": (_positive, 4),
-    "n_subclasses": (_positive, 5),
-    "n_tokens": (_positive, 4),
-    "encoder_kind": (_enum(ENCODER_KINDS), IDENTITY_MEAN),
-    "residual_adapter": (_any, True),
-    "temperature": (_positive_real, 0.01),
-    # stage 1
-    "stage1_epochs": (_nonnegative, 2),
-    "stage1_lr": (_positive_real, 0.01),
-    "stage1_weight_decay": (_nonnegative, 0.0),
-    "stage1_optimizer": (_enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
-    "stage1_schedule": (_enum(SCHEDULE_KINDS), "constant"),
-    "stage1_batch_size": (_positive, 128),
-    # stage 2
-    "stage2_epochs": (_nonnegative, 50),
-    "stage2_lr": (_positive_real, 5e-6),
-    "stage2_weight_decay": (_nonnegative, 0.1),
-    "stage2_optimizer": (_enum(OPTIMIZER_KINDS), "adaptive-moments-decoupled-decay"),
-    "stage2_schedule": (_enum(SCHEDULE_KINDS), "cosine"),
-    "stage2_batch_size": (_positive, 128),
-    # training extras
-    "count_scope": (_enum(COUNT_SCOPES), "epoch"),
-    "oversample": (_any, False),
-    # comparison harness
-    "strategies": (_strategies, STRATEGY_KINDS),
-    "probe_epochs": (_positive, 40),
-    "probe_lr": (_positive_real, 0.05),
-    # decoding
-    "decode_top_n": (_positive, 3),
-    # gradient checking
-    "fdcheck_instances": (_positive, 20),
-    "fdcheck_step": (_positive_real, 1e-5),
-    "fdcheck_tolerance": (_positive_real, 1e-4),
-    "fdcheck_corrupt": (_any, False),
-}
+def _key(check, default):
+    """A config key: its RunConfig field, with the check its value must pass."""
+    return field(default=default, metadata={"check": check})
 
 
 class _BadValue(ConfigError):
@@ -177,53 +134,63 @@ class _BadValue(ConfigError):
 class RunConfig:
     """Every setting of a run, checked when built; a variant is ``dataclasses.replace``."""
 
-    seed: int
-    n_classes: int
-    subclusters_per_class: int
-    samples_per_subcluster: int
-    feature_dim: int
-    sigma: float
-    inter_class_min_angle: float
-    intra_class_angle: float
-    token_dim: int
-    embed_dim: int
-    context_length: int
-    n_subclasses: int
-    n_tokens: int
-    encoder_kind: str
-    residual_adapter: bool
-    temperature: float
-    stage1_epochs: int
-    stage1_lr: float
-    stage1_weight_decay: float
-    stage1_optimizer: str
-    stage1_schedule: str
-    stage1_batch_size: int
-    stage2_epochs: int
-    stage2_lr: float
-    stage2_weight_decay: float
-    stage2_optimizer: str
-    stage2_schedule: str
-    stage2_batch_size: int
-    count_scope: str
-    oversample: bool
-    strategies: tuple
-    probe_epochs: int
-    probe_lr: float
-    decode_top_n: int
-    fdcheck_instances: int
-    fdcheck_step: float
-    fdcheck_tolerance: float
-    fdcheck_corrupt: bool
+    seed: int = _key(_any, 7)
+    # synthetic benchmark geometry
+    n_classes: int = _key(_positive, 3)
+    subclusters_per_class: int = _key(_positive, 2)
+    samples_per_subcluster: int = _key(_positive, 125)
+    feature_dim: int = _key(_positive, 16)
+    sigma: float = _key(_nonnegative, 0.1)
+    # Synthetic cross-class means are orthogonal, so 90 is the widest bound.
+    inter_class_min_angle: float = _key(_angle(90.0), 45.0)
+    intra_class_angle: float = _key(_angle(180.0), 0.0)
+    # model dimensions
+    token_dim: int = _key(_positive, 16)
+    embed_dim: int = _key(_positive, 16)
+    context_length: int = _key(_positive, 4)
+    n_subclasses: int = _key(_positive, 5)
+    n_tokens: int = _key(_positive, 4)
+    encoder_kind: str = _key(_enum(ENCODER_KINDS), IDENTITY_MEAN)
+    residual_adapter: bool = _key(_any, True)
+    temperature: float = _key(_positive_real, 0.01)
+    # stage 1
+    stage1_epochs: int = _key(_nonnegative, 2)
+    stage1_lr: float = _key(_positive_real, 0.01)
+    stage1_weight_decay: float = _key(_nonnegative, 0.0)
+    stage1_optimizer: str = _key(_enum(OPTIMIZER_KINDS), ADAPTIVE)
+    stage1_schedule: str = _key(_enum(SCHEDULE_KINDS), "constant")
+    stage1_batch_size: int = _key(_positive, 128)
+    # stage 2
+    stage2_epochs: int = _key(_nonnegative, 50)
+    stage2_lr: float = _key(_positive_real, 5e-6)
+    stage2_weight_decay: float = _key(_nonnegative, 0.1)
+    stage2_optimizer: str = _key(_enum(OPTIMIZER_KINDS), ADAPTIVE)
+    stage2_schedule: str = _key(_enum(SCHEDULE_KINDS), "cosine")
+    stage2_batch_size: int = _key(_positive, 128)
+    # training extras
+    count_scope: str = _key(_enum(COUNT_SCOPES), "epoch")
+    oversample: bool = _key(_any, False)
+    # comparison harness
+    strategies: tuple = _key(_strategies, STRATEGY_KINDS)
+    probe_epochs: int = _key(_positive, 40)
+    probe_lr: float = _key(_positive_real, 0.05)
+    # decoding
+    decode_top_n: int = _key(_positive, 3)
+    # gradient checking
+    fdcheck_instances: int = _key(_positive, 20)
+    fdcheck_step: float = _key(_positive_real, 1e-5)
+    fdcheck_tolerance: float = _key(_positive_real, 1e-4)
+    fdcheck_corrupt: bool = _key(_any, False)
 
     def __post_init__(self):
-        for key, (check, _) in _SCHEMA.items():
-            value = getattr(self, key)
+        # In field order, so the first bad key is the first one declared.
+        for key in fields(self):
+            value = getattr(self, key.name)
             try:
-                _check_type(_TYPES[key], value)
-                check(value)
+                _check_type(key.type, value)
+                key.metadata["check"](value)
             except ValueError as exc:
-                raise _BadValue(key, str(exc)) from None
+                raise _BadValue(key.name, str(exc)) from None
         if self.encoder_kind == IDENTITY_MEAN and self.token_dim != self.embed_dim:
             raise ConfigError(
                 f"identity-mean requires token_dim == embed_dim "
@@ -239,22 +206,15 @@ class RunConfig:
 
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
-            n_classes=self.n_classes,
-            subclusters_per_class=self.subclusters_per_class,
-            samples_per_subcluster=self.samples_per_subcluster,
-            feature_dim=self.feature_dim,
-            sigma=self.sigma,
-            inter_class_min_angle=self.inter_class_min_angle,
-            intra_class_angle=self.intra_class_angle,
-            seed=self.seed,
+            **{key.name: getattr(self, key.name) for key in fields(SynthConfig)}
         )
 
 
-_TYPES = {field.name: field.type for field in fields(RunConfig)}
+_KEYS = {key.name: key for key in fields(RunConfig)}
 
 
 def parse_config_text(text: str) -> RunConfig:
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
+    values = {}
     lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -265,7 +225,7 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError("unknown key", key=key or "<empty>", line=line_no)
         if key in lines:
             raise ConfigError(
@@ -274,7 +234,7 @@ def parse_config_text(text: str) -> RunConfig:
         if not value:
             raise ConfigError("empty value", key=key, line=line_no)
         try:
-            values[key] = _KINDS[_TYPES[key]][0](value)
+            values[key] = _KINDS[_KEYS[key].type][0](value)
         except ValueError as exc:
             raise ConfigError(str(exc), key=key, line=line_no) from None
         lines[key] = line_no

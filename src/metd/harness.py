@@ -40,6 +40,7 @@ from .model import (
     STREAM_HARNESS,
     Model,
     adapter_gradients,
+    adapter_map,
     build_adapter,
     build_model,
     build_text_encoder,
@@ -168,11 +169,6 @@ def distorted_benchmark(
     return apply_linear_map(train, matrix), apply_linear_map(test, matrix)
 
 
-def _head_logits(features, head_weight, head_bias):
-    # W times each row as a column: the bits of W @ v, unlike v @ W.T
-    return np.matmul(head_weight, features[..., None])[..., 0] + head_bias
-
-
 def _train_head(train, config, train_adapter: bool):
     """Linear softmax-cross-entropy head, optionally with a joint adapter."""
     pooled, labels = train.pooled, train.unit_labels
@@ -187,7 +183,7 @@ def _train_head(train, config, train_adapter: bool):
     def batch_gradients(batch):
         x = pooled[batch]
         v = encode_image(adapter, x) if train_adapter else x
-        dz = numerics.stable_softmax(_head_logits(v, head_weight, head_bias))
+        dz = numerics.stable_softmax(adapter_map(head_weight, head_bias, v, False))
         dz[np.arange(len(batch)), labels[batch]] -= 1.0
         # Summed over the batch with np.sum(axis=0), which adds row after row.
         grads = {"head.weight": dz[:, :, None] * v[:, None, :], "head.bias": dz}
@@ -214,7 +210,7 @@ def _train_head(train, config, train_adapter: bool):
 
 def _head_report(test, adapter, head_weight, head_bias, use_adapter):
     v = encode_image(adapter, test.pooled) if use_adapter else test.pooled
-    predicted = _head_logits(v, head_weight, head_bias).argmax(axis=-1)
+    predicted = adapter_map(head_weight, head_bias, v, False).argmax(axis=-1)
     return report_from_labels(test.unit_labels, predicted, test.n_classes)
 
 

@@ -167,19 +167,15 @@ class TextEncoder:
 
 def build_text_encoder(kind: str, token_dim: int, embed_dim: int, seed: int) -> TextEncoder:
     _require_positive(token_dim=token_dim, embed_dim=embed_dim)
-    if kind == IDENTITY_MEAN:
-        return TextEncoder(kind=kind, token_dim=token_dim, embed_dim=embed_dim)
+    projection = None
     if kind == PROJECTED_MEAN:
         rng = np.random.default_rng([STREAM_PROJECTION, seed])
         # 1/sqrt(token_dim) scaling keeps output norms comparable to inputs.
         projection = rng.normal(
             0.0, 1.0 / np.sqrt(token_dim), size=(embed_dim, token_dim)
         )
-        return TextEncoder(
-            kind=kind, token_dim=token_dim, embed_dim=embed_dim, projection=projection
-        )
-    raise ContractViolation(
-        f"unknown encoder kind {kind!r}, expected one of {ENCODER_KINDS}"
+    return TextEncoder(
+        kind=kind, token_dim=token_dim, embed_dim=embed_dim, projection=projection
     )
 
 

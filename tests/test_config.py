@@ -1,7 +1,8 @@
 """Key=value config parsing, defaults, diagnostics, and derived objects."""
 
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from metd.errors import ConfigError
 from metd.harness import STRATEGY_KINDS
 from metd.training import cosine_lr, fit
 
-from conftest import SYNTHETIC
+from conftest import SYNTHETIC, SYNTHETIC_CFG
 
 
 def test_empty_text_yields_all_defaults():
@@ -153,9 +154,12 @@ def test_strategy_list_parsing():
     assert config.strategies == ("metd", "linear-probe")
     assert _error("strategies = metd, warp\n").key == "strategies"
     assert _error("strategies = metd,,linear-probe\n").key == "strategies"
+    err = _error("seed = 1\nstrategies = metd, linear-probe, metd\n")
+    assert (err.key, err.line) == ("strategies", 2)
+    assert str(err) == "strategies: duplicate strategy 'metd' (line 2)"
     _replace_errors([
         ("strategies", ("metd", "warp")), ("strategies", ("metd", "", "linear-probe")),
-        ("strategies", ()),
+        ("strategies", ()), ("strategies", ("metd", "metd")),
     ])
 
 
@@ -240,6 +244,24 @@ def test_a_config_that_is_not_utf8_is_an_error_at_the_line_the_parser_counts(tmp
     path.write_bytes(b"seed = 21\r\n# \xc3\xa9t\xc3\xa9\rstage1_epochs = 3\n")
     config = parse_config(str(path))
     assert (config.seed, config.stage1_epochs) == (21, 3)
+
+
+def test_readme_configuration_table_matches_the_config_keys():
+    readme = (SYNTHETIC_CFG.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    shown = {}
+    for row in section.splitlines():
+        if row.startswith("|"):
+            # `key` or `key` (note); a default is the note's first item.
+            for key, note in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", row):
+                shown[key] = note.split(",")[0]
+    assert set(shown) == {key.name for key in fields(RunConfig)}
+    parsers = {int: int, float: float, bool: {"true": True, "false": False}.get}
+    defaults = RunConfig()
+    for key in fields(RunConfig):
+        if key.type in parsers:
+            value = parsers[key.type](shown[key.name])
+            assert value == getattr(defaults, key.name), key.name
 
 
 def test_shipped_default_config_parses():

@@ -158,12 +158,15 @@ def test_single_and_duplicate_strategies(small_splits):
     config = replace(COMPACT, seed=2, strategies=("linear-probe",))
     solo = compare_all(small_splits, config)
     assert len(solo) == 1
-    twice = compare_all(
-        small_splits, replace(config, strategies=("linear-probe", "linear-probe"))
-    )
-    assert twice[0].war == twice[1].war
-    assert twice[0].uar == twice[1].uar
-    assert twice[0].echo == twice[1].echo
+    # A strategy listed twice is a config error; a second comparison on the
+    # same splits gives the same row.
+    with pytest.raises(ConfigError) as info:
+        replace(config, strategies=("linear-probe", "linear-probe"))
+    assert info.value.key == "strategies"
+    again = compare_all(small_splits, config)
+    assert again[0].war == solo[0].war
+    assert again[0].uar == solo[0].uar
+    assert again[0].echo == solo[0].echo
 
 
 def test_all_five_strategies_produce_a_row_each(small_splits):
