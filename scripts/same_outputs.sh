@@ -40,7 +40,10 @@
 # runs synth at the geometry limits of the default 3 classes x 2
 # subclusters: at feature_dim = 6, at feature_dim = 5, which must exit 2
 # without writing anything, and with 3 subclusters at the simplex-limit
-# intra_class_angle = 120.  It keeps the datasets,
+# intra_class_angle = 120.  An "empty-split" case runs compare with
+# strategies = linear-probe, metd on a copy of the seed-7 data whose
+# train.tsv holds only its header, and on one whose test.tsv does, so the
+# empty-split error is compared too.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -235,3 +238,14 @@ for name in tight narrow simplex; do
 done
 # The narrow case must leave no directory behind.
 ls "$edge" >"$edge/listing"
+
+empty="$out/empty-split"
+rm -rf "$empty"
+mkdir -p "$empty"
+override "$out/seed7/run.cfg" "strategies = linear-probe, metd" >"$empty/run.cfg"
+for split in train test; do
+    mkdir -p "$empty/$split"
+    cp "$out/seed7/data/train.tsv" "$out/seed7/data/test.tsv" "$empty/$split/"
+    head -n 1 "$out/seed7/data/$split.tsv" >"$empty/$split/$split.tsv"
+    run "$empty" "compare-empty-$split" compare --config "$empty/run.cfg" "$empty/$split"
+done

@@ -28,8 +28,13 @@ units.  The subcluster column carries ground-truth subcluster ids,
 non-negative integers, for synthetic data and is ``-`` when unknown.
 The parser checks field and value counts, floats and finiteness;
 ``EmbeddingDataset`` checks the ids and these rules, once, in NumPy.
+
+However it was built, a dataset is one read-only (R, F) float64 array
+plus (R,) int64 label, sequence-id and subcluster-id columns, and the
+builders here work on those arrays, not on ``Sample`` rows.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -103,8 +108,10 @@ _RULES = (  # the id rules, in the order each row is checked against them
 )
 
 
-def _id_column(values: list, what: str) -> np.ndarray:
-    """The (R,) int64 column of R ids, ``_NO_ID`` for each None."""
+def _id_column(values, what: str) -> np.ndarray:
+    """The (R,) int64 column of a list of R ids, ``_NO_ID`` for each None; a column passes as is."""
+    if isinstance(values, np.ndarray):
+        return values
     try:
         column = np.array([_NO_ID if v is None else v for v in values], dtype=np.int64)
         if np.count_nonzero(column == _NO_ID) == values.count(None):
@@ -164,68 +171,64 @@ def _unit_starts(n_classes: int, labels, seqs, subs, fault) -> np.ndarray:
 class EmbeddingDataset:
     """Rows of one feature dim and class count, grouped into units.
 
+    The rows are one read-only (R, F) float64 array plus (R,) int64
+    label, sequence-id and subcluster-id columns, ``_NO_ID`` for None.
     Each row is checked once.  A loaded row's values are the parser's to
-    check; a ``Sample``'s shape and finiteness are checked here.  Then
-    the (R,) id columns are checked in NumPy (labels in range, subcluster
-    ids non-negative, the sequence rules), naming the first faulty row.
+    check; a ``Sample``'s shape and finiteness are checked here, before
+    the rows are stacked (copied) into the array.  Then the id columns
+    are checked in NumPy (labels in range, subcluster ids non-negative,
+    the sequence rules), naming the first faulty row.
     ``temporal_mean_pool`` and ``encode_image`` keep their own checks.
-    A loaded dataset keeps the parser's array, read-only: unit frames
-    are views into it, and ``samples`` is built only if read.  Treat
-    instances as immutable.
+    Unit frames and ``samples``' features are views into the array.
+    Treat instances as immutable.
     """
 
     def __init__(self, samples, feature_dim: int, n_classes: int):
         samples = list(samples)
         ids = ([s.label for s in samples], [s.sequence_id for s in samples],
                [s.subcluster_id for s in samples])
-        self._adopt(feature_dim, n_classes, None, samples, ids)
+        self._adopt(feature_dim, n_classes, ids, lambda: _feature_fault(samples, feature_dim))
+        # The checked rows stack into the dataset's own copy of them.
+        features = np.array([s.features for s in samples], dtype=np.float64)
+        self._features = _read_only(features.reshape(len(samples), feature_dim))
 
     @classmethod
-    def _from_parsed(cls, features: np.ndarray, ids: tuple, n_classes: int) -> "EmbeddingDataset":
-        """A dataset over parsed (R, F) ``features``, kept read-only, and three id lists."""
+    def _from_columns(cls, features: np.ndarray, ids: tuple, n_classes: int) -> "EmbeddingDataset":
+        """A dataset over (R, F) ``features``, kept read-only, and three id lists or columns."""
         dataset = cls.__new__(cls)
-        dataset._adopt(features.shape[1], n_classes, _read_only(features), None, ids)
+        dataset._adopt(features.shape[1], n_classes, ids, lambda: None)
+        dataset._features = _read_only(features)
         return dataset
 
-    def _adopt(self, feature_dim, n_classes, features, samples, ids):
+    def _adopt(self, feature_dim, n_classes, ids, feature_fault):
         if feature_dim < 1:
             raise ContractViolation(f"feature_dim must be >= 1, got {feature_dim}")
         if n_classes < 1:
             raise ContractViolation(f"n_classes must be >= 1, got {n_classes}")
-        self.feature_dim, self.n_classes = feature_dim, n_classes
-        self._features, self._samples, self._units = features, samples, None
+        self.feature_dim, self.n_classes, self._units = feature_dim, n_classes, None
         self._columns = tuple(map(_id_column, ids, ("label", "sequence id", "subcluster id")))
-        fault = None if samples is None else _feature_fault(samples, feature_dim)
-        self._starts = _unit_starts(n_classes, *self._columns, fault)
+        self._starts = _unit_starts(n_classes, *self._columns, feature_fault())
 
     def __len__(self) -> int:
         return self._columns[0].size
 
     @property
     def samples(self) -> list[Sample]:
-        """The rows as ``Sample`` objects; a loaded dataset builds them on first read."""
-        if self._samples is None:
-            labels, seqs, subs = self._columns
-            self._samples = list(
-                map(Sample, self._features, labels.tolist(), _ids(seqs), _ids(subs))
-            )
-        return self._samples
+        """The rows as ``Sample`` objects, built on each read; features are read-only views."""
+        labels, seqs, subs = self._columns
+        return list(map(Sample, self._features, labels.tolist(), _ids(seqs), _ids(subs)))
 
     def units(self) -> list[Unit]:
         """Group contiguous same-sequence rows; single rows are their own unit.
 
-        A loaded dataset's unit frames are read-only views into its array;
-        a dataset built in code stacks copies of its rows.
+        Each unit's frames are a read-only view into the dataset's array.
         """
         if self._units is None:
             starts = self._starts
-            rows = self._features
-            if rows is None:
-                rows = [s.features for s in self._samples]
             labels, seqs, subs = (column[starts] for column in self._columns)
             bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(self)])
             self._units = [
-                Unit(np.asarray(rows[a:b], dtype=np.float64), *ids)
+                Unit(self._features[a:b], *ids)
                 for (a, b), *ids in zip(bounds, labels.tolist(), _ids(seqs), _ids(subs))
             ]
         return self._units
@@ -344,8 +347,7 @@ def dataset_from_means(
         np.asarray(samples_per_subcluster, dtype=np.int64),
         (n_classes, subclusters),
     )
-    train_rows: list[Sample] = []
-    test_rows: list[Sample] = []
+    splits = ([], [])  # each subcluster's train and test points, class-major
     for i in range(n_classes):
         for k in range(subclusters):
             n_per = int(counts[i, k])
@@ -353,19 +355,16 @@ def dataset_from_means(
             points = means[i, k] + sigma * noise
             order = rng.permutation(n_per)
             n_train = int(math.floor(0.8 * n_per))
-            train_idx = np.sort(order[:n_train])
-            test_idx = np.sort(order[n_train:])
-            for idx in train_idx:
-                train_rows.append(
-                    Sample(features=points[idx], label=i, subcluster_id=k)
-                )
-            for idx in test_idx:
-                test_rows.append(
-                    Sample(features=points[idx], label=i, subcluster_id=k)
-                )
-    train = EmbeddingDataset(train_rows, dim, n_classes)
-    test = EmbeddingDataset(test_rows, dim, n_classes)
-    return train, test
+            splits[0].append(points[np.sort(order[:n_train])])
+            splits[1].append(points[np.sort(order[n_train:])])
+    labels, subs = np.indices((n_classes, subclusters), dtype=np.int64).reshape(2, -1)
+    datasets = []
+    for blocks in splits:
+        sizes = [len(points) for points in blocks]
+        columns = (np.repeat(labels, sizes), np.full(sum(sizes), _NO_ID), np.repeat(subs, sizes))
+        features = np.concatenate([np.empty((0, dim)), *blocks])
+        datasets.append(EmbeddingDataset._from_columns(features, columns, n_classes))
+    return tuple(datasets)
 
 
 def generate_synthetic(config: SynthConfig) -> tuple[EmbeddingDataset, EmbeddingDataset]:
@@ -393,16 +392,9 @@ def apply_linear_map(dataset: EmbeddingDataset, matrix) -> EmbeddingDataset:
         )
     if not np.all(np.isfinite(m)):
         raise ContractViolation("matrix contains non-finite entries")
-    rows = [
-        Sample(
-            features=m @ np.asarray(s.features, dtype=np.float64),
-            label=s.label,
-            sequence_id=s.sequence_id,
-            subcluster_id=s.subcluster_id,
-        )
-        for s in dataset.samples
-    ]
-    return EmbeddingDataset(rows, m.shape[0], dataset.n_classes)
+    # One matrix-vector product per row, which has the bits of ``m @ row``.
+    mapped = np.matmul(m, dataset._features[..., None])[..., 0]
+    return EmbeddingDataset._from_columns(mapped, dataset._columns, dataset.n_classes)
 
 
 def oversample_balance(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset:
@@ -413,41 +405,43 @@ def oversample_balance(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset
     fresh sequence ids so they stay distinct units.  Deterministic in
     ``seed``; a class with zero units is an error.
     """
-    units = dataset.units()
     counts = dataset.unit_class_counts()
     if np.any(counts == 0):
         missing = int(np.argmin(counts))
         raise ContractViolation(f"class {missing} has no units to oversample")
     target = int(np.max(counts))
     rng = np.random.default_rng([STREAM_OVERSAMPLE, seed])
-    seqs = dataset._columns[1]
+    labels, seqs, subs = dataset._columns
     next_id = max(seqs[seqs != _NO_ID].tolist(), default=-1) + 1
-    new_rows = list(dataset.samples)
+    bounds = [*dataset._starts.tolist(), len(dataset)]
+    # Python ints, so a fresh id past 2**63 - 1 is the constructor's row error.
+    rows, seq_ids = list(range(len(dataset))), _ids(seqs)
     for label in range(dataset.n_classes):
         deficit = target - int(counts[label])
         if deficit == 0:
             continue
         pool = np.flatnonzero(dataset.unit_labels == label)
-        for pick in rng.choice(len(pool), size=deficit, replace=True):
-            unit = units[pool[pick]]
-            if unit.sequence_id is None:
-                new_rows.append(Sample(unit.frames[0], unit.label, None, unit.subcluster_id))
+        for unit in pool[rng.choice(len(pool), size=deficit, replace=True)].tolist():
+            start, end = bounds[unit], bounds[unit + 1]
+            rows.extend(range(start, end))
+            if seqs[start] == _NO_ID:
+                seq_ids.append(None)
             else:
-                new_rows.extend(
-                    Sample(frame, unit.label, next_id, unit.subcluster_id) for frame in unit.frames
-                )
+                seq_ids.extend([next_id] * (end - start))
                 next_id += 1
-    return EmbeddingDataset(new_rows, dataset.feature_dim, dataset.n_classes)
+    return EmbeddingDataset._from_columns(
+        dataset._features[rows], (labels[rows], seq_ids, subs[rows]), dataset.n_classes
+    )
 
 
 def save_dataset(dataset: EmbeddingDataset, path: str):
     header = f"metd-embed v{FORMAT_VERSION} dim={dataset.feature_dim} classes={dataset.n_classes}"
-    write_lines(path, [header] + [
-        f"{s.label}\t{'-' if s.sequence_id is None else s.sequence_id}\t"
-        f"{'-' if s.subcluster_id is None else s.subcluster_id}\t"
-        f"{format_floats(np.asarray(s.features, dtype=np.float64))}"
-        for s in dataset.samples
-    ])
+    labels, seqs, subs = dataset._columns
+    write_lines(path, itertools.chain([header], (
+        f"{label}\t{'-' if seq is None else seq}\t{'-' if sub is None else sub}\t"
+        f"{format_floats(row)}"
+        for label, seq, sub, row in zip(labels.tolist(), _ids(seqs), _ids(subs), dataset._features)
+    )))
 
 
 def _parse_int(text: str, what: str, line_no: int) -> int:
@@ -474,7 +468,7 @@ def load_dataset(path: str) -> EmbeddingDataset:
 
     features = parse_float_rows(feature_rows(), dim)
     try:
-        return EmbeddingDataset._from_parsed(
+        return EmbeddingDataset._from_columns(
             features, (labels, sequence_ids, subcluster_ids), n_classes
         )
     except _RowError as exc:

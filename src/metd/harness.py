@@ -299,6 +299,10 @@ def _check_strategy(strategy: Strategy, splits, config):
     train, test = splits
     if train.n_classes != test.n_classes or train.feature_dim != test.feature_dim:
         raise ContractViolation("train/test splits disagree on classes or dims")
+    if len(train) == 0 and strategy.kind != ZERO_SHOT:
+        raise ContractViolation("cannot train on an empty dataset")
+    if len(test) == 0:
+        raise ContractViolation("cannot evaluate an empty dataset")
     if strategy.kind == LEARNABLE_CONTEXT and config.embed_dim != train.feature_dim:
         raise ContractViolation(
             f"learnable-context baseline needs embed_dim == feature_dim, "

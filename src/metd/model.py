@@ -553,10 +553,10 @@ def save_checkpoint(model: Model, path: str):
         model.encoder.projection,  # None, and cut by zip, for identity-mean
     ]
     layout = _checkpoint_layout(_CHECKPOINT_HEADER.match(header))
-    write_lines(path, [header] + [
+    write_lines(path, itertools.chain([header], (
         f"{key}\t{';'.join(format_floats(row) for row in np.atleast_2d(value))}"
         for (key, _), value in zip(layout, values)
-    ])
+    )))
 
 
 def load_checkpoint(path: str) -> Model:

@@ -320,6 +320,23 @@ def test_compare_rejects_data_of_another_dimension_before_training(
     assert "feature_dim 8" in captured.err and "feature_dim 16" in captured.err
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_compare_on_a_header_only_split_is_a_data_error(workspace, tmp_path, empty):
+    # A split file with no rows is exit 2 with one error line, not a
+    # traceback from pooling no units.
+    root, _, data, _ = workspace
+    config = root / "empty.cfg"
+    config.write_text(COMPACT_CONFIG + "strategies = linear-probe, metd\n")
+    for name in ("train", "test"):
+        lines = (data / f"{name}.tsv").read_text().splitlines(keepends=True)
+        (tmp_path / f"{name}.tsv").write_text("".join(lines[:1] if name == empty else lines))
+    result = run_cli("compare", "--config", str(config), str(tmp_path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    verb = "train on" if empty == "train" else "evaluate"
+    assert result.stderr == f"error: cannot {verb} an empty dataset\n"
+
+
 def test_no_metd_module_imports_scipy():
     # SciPy's import costs more than all of metd's own; no command needs it.
     code = (

@@ -24,7 +24,7 @@ from metd.data import (
     save_vocabulary,
 )
 from metd.errors import ContractViolation, ParseError
-from metd.model import format_floats, parse_float_rows
+from metd.model import STREAM_OVERSAMPLE, format_floats, parse_float_rows
 
 
 def _means_by_subcluster(dataset):
@@ -240,14 +240,20 @@ def test_units_group_contiguous_sequence_rows():
 
 def test_apply_linear_map_transforms_every_row():
     rng = np.random.default_rng(18)
-    rows = [Sample(rng.normal(size=4), i % 2, subcluster_id=i % 3) for i in range(6)]
-    dataset = EmbeddingDataset(rows, feature_dim=4, n_classes=2)
+    singles = [Sample(rng.normal(size=4), i % 2, subcluster_id=i % 3) for i in range(6)]
+    clips = [Sample(rng.normal(size=4), seq % 2, seq, seq % 3 or None)
+             for seq in (4, 9, 2) for _ in range(seq % 3 + 1)]
     matrix = rng.normal(size=(3, 4))
-    mapped = apply_linear_map(dataset, matrix)
-    assert mapped.feature_dim == 3
-    for before, after in zip(dataset.samples, mapped.samples):
-        np.testing.assert_array_equal(after.features, matrix @ before.features)
-        assert (after.label, after.subcluster_id) == (before.label, before.subcluster_id)
+    for rows in (singles, clips):
+        dataset = EmbeddingDataset(rows, feature_dim=4, n_classes=2)
+        mapped = apply_linear_map(dataset, matrix)
+        assert mapped.feature_dim == 3
+        assert len(mapped.units()) == len(dataset.units())
+        for before, after in zip(dataset.samples, mapped.samples):
+            assert _bits(after.features) == _bits(matrix @ before.features)
+            assert (after.label, after.sequence_id, after.subcluster_id) == (
+                before.label, before.sequence_id, before.subcluster_id
+            )
     with pytest.raises(ContractViolation):
         apply_linear_map(dataset, np.ones((3, 5)))
     with pytest.raises(ContractViolation):
@@ -287,6 +293,44 @@ def test_oversample_balances_unit_counts():
     for a, b in zip(again.samples, balanced.samples):
         assert np.array_equal(a.features, b.features)
         assert a.sequence_id == b.sequence_id
+
+
+def _oversample_row_by_row(dataset, seed):
+    """``oversample_balance`` as written over ``Sample`` rows, the reference for the columns."""
+    units = dataset.units()
+    counts = dataset.unit_class_counts()
+    if np.any(counts == 0):
+        missing = int(np.argmin(counts))
+        raise ContractViolation(f"class {missing} has no units to oversample")
+    target = int(np.max(counts))
+    rng = np.random.default_rng([STREAM_OVERSAMPLE, seed])
+    next_id = max((s.sequence_id for s in dataset.samples if s.sequence_id is not None),
+                  default=-1) + 1
+    new_rows = list(dataset.samples)
+    for label in range(dataset.n_classes):
+        deficit = target - int(counts[label])
+        if deficit == 0:
+            continue
+        pool = [unit for unit in units if unit.label == label]
+        for pick in rng.choice(len(pool), size=deficit, replace=True):
+            unit = pool[pick]
+            if unit.sequence_id is None:
+                new_rows.append(Sample(unit.frames[0], unit.label, None, unit.subcluster_id))
+            else:
+                new_rows.extend(
+                    Sample(frame, unit.label, next_id, unit.subcluster_id) for frame in unit.frames
+                )
+                next_id += 1
+    return EmbeddingDataset(new_rows, dataset.feature_dim, dataset.n_classes)
+
+
+def _outcome(build):
+    """``build()``'s rows as (feature bits, label, sequence, subcluster), or its error."""
+    try:
+        dataset = build()
+    except ContractViolation as exc:
+        return type(exc), str(exc)
+    return [(_bits(s.features), s.label, s.sequence_id, s.subcluster_id) for s in dataset.samples]
 
 
 def test_oversample_noop_when_already_balanced():
@@ -784,6 +828,24 @@ def test_the_column_checks_match_the_row_by_row_check(tmp_path_factory, case):
         assert dataset.unit_labels.tolist() == [u[1] for u in units]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rows_with_faults().filter(lambda case: not case[1]), st.integers(0, 2**32), st.booleans())
+def test_oversample_matches_the_row_by_row_oversample(case, seed, top):
+    # Same rows, labels, subcluster ids and fresh sequence ids as copying
+    # Sample rows one unit at a time; the same error for a class with no
+    # units, or for a fresh id past 2**63 - 1, which ``top`` brings about by
+    # moving the sequence ids, in order, up to the top of the id range.
+    rows, _ = case
+    if top:
+        ranks = sorted({s.sequence_id for s in rows if s.sequence_id is not None})
+        top_ids = {seq: 2**63 - len(ranks) + rank for rank, seq in enumerate(ranks)}
+        rows = [replace(s, sequence_id=top_ids.get(s.sequence_id)) for s in rows]
+    dataset = EmbeddingDataset(rows, feature_dim=2, n_classes=3)
+    assert _outcome(lambda: oversample_balance(dataset, seed)) == _outcome(
+        lambda: _oversample_row_by_row(dataset, seed)
+    )
+
+
 def test_ids_beyond_64_bits_are_row_errors(tmp_path):
     # Ids are kept as 64-bit integers; -2**63 stands for "no id", so it is not one.
     for bad in (2**63, -(2**63)):
@@ -801,7 +863,8 @@ def test_loaded_units_are_read_only_views_of_the_parsed_array(tmp_path):
     rows = [Sample(rng.normal(size=4), seq % 2, seq, seq % 3)
             for seq in range(6) for _ in range(seq % 3 + 1)]
     path = tmp_path / "clips.tsv"
-    save_dataset(EmbeddingDataset(rows, 4, 2), str(path))
+    built = EmbeddingDataset(rows, 4, 2)
+    save_dataset(built, str(path))
     loaded = load_dataset(str(path))
     array = loaded._features  # the parser's (R, F) array, which the dataset keeps
     assert not array.flags.writeable
@@ -816,3 +879,19 @@ def test_loaded_units_are_read_only_views_of_the_parsed_array(tmp_path):
     assert _bits(loaded.pooled) == _bits(
         [np.mean(np.asarray(u.frames), axis=0) for u in EmbeddingDataset(rows, 4, 2).units()]
     )
+    # However it was built, a dataset is one read-only array that its units
+    # and its samples view.
+    synthetic, _ = generate_synthetic(SynthConfig(2, 2, 5, 4, 0.1))
+    for dataset in (built, synthetic, apply_linear_map(built, rng.normal(size=(3, 4))),
+                    oversample_balance(_imbalanced_dataset(), seed=1)):
+        array = dataset._features
+        assert not array.flags.writeable
+        views = [unit.frames for unit in dataset.units()] + [s.features for s in dataset.samples]
+        for view in views:
+            assert np.shares_memory(view, array)
+            assert not view.flags.writeable
+    # The rows are copied in: writing to a caller's features leaves the dataset as it was.
+    before = _bits(built._features)
+    rows[0].features[:] = 7.0
+    assert _bits(built._features) == before
+    assert _bits(built.units()[0].frames[0]) == before[0]

@@ -235,6 +235,33 @@ def test_compare_checks_every_strategy_before_training_any(tmp_path, monkeypatch
     assert "strategies" in captured.err
 
 
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_compare_rejects_an_empty_split_before_training_any(small_splits, monkeypatch, empty):
+    # An empty test split stops every strategy, and an empty train split
+    # every strategy that trains (here linear-probe, listed after
+    # zero-shot-fixed), with the message training or evaluate gives, before
+    # any strategy runs.
+    import metd.harness
+
+    calls = []
+    monkeypatch.setattr(metd.harness, "run_strategy", lambda *args, **kw: calls.append(args))
+    train, test = small_splits
+    nothing = EmbeddingDataset([], train.feature_dim, train.n_classes)
+    splits = (nothing, test) if empty == "train" else (train, nothing)
+    message = {"train": "cannot train on an empty dataset",
+               "test": "cannot evaluate an empty dataset"}[empty]
+    config = replace(COMPACT, strategies=("zero-shot-fixed", "linear-probe", "metd"))
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        compare_all(splits, config)
+    assert calls == []
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        run_strategy(Strategy(kind="metd"), splits, config)
+    if empty == "train":
+        # zero-shot-fixed trains nothing, so it still runs on an empty train split.
+        row = run_strategy(Strategy(kind="zero-shot-fixed"), splits, config)
+        assert row.kind == "zero-shot-fixed"
+
+
 def test_split_mismatch_is_rejected(small_splits):
     train, _ = small_splits
     other = EmbeddingDataset([Sample(np.ones(4), 0)], feature_dim=4, n_classes=3)
