@@ -42,8 +42,9 @@
 # without writing anything, and with 3 subclusters at the simplex-limit
 # intra_class_angle = 120.  An "empty-split" case runs compare with
 # strategies = linear-probe, metd on a copy of the seed-7 data whose
-# train.tsv holds only its header, and on one whose test.tsv does, so the
-# empty-split error is compared too.  It keeps the datasets,
+# train.tsv holds only its header, and on one whose test.tsv does, and
+# runs train with oversample = true on the copy with the empty train.tsv,
+# so the empty-split errors are compared too.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -249,3 +250,6 @@ for split in train test; do
     head -n 1 "$out/seed7/data/$split.tsv" >"$empty/$split/$split.tsv"
     run "$empty" "compare-empty-$split" compare --config "$empty/run.cfg" "$empty/$split"
 done
+override "$empty/run.cfg" "oversample = true" >"$empty/oversample.cfg"
+run "$empty" train-empty-oversample train --config "$empty/oversample.cfg" "$empty/train" \
+    "$empty/train/model.ckpt"

@@ -241,7 +241,8 @@ class EmbeddingDataset:
     @cached_property
     def pooled(self) -> np.ndarray:
         """Each unit's ``temporal_mean_pool`` of its frames, (U, F), built on first use."""
-        return _read_only(np.stack([temporal_mean_pool(unit.frames) for unit in self.units()]))
+        pooled = np.array([temporal_mean_pool(unit.frames) for unit in self.units()])
+        return _read_only(pooled.reshape(-1, self.feature_dim))
 
     def unit_class_counts(self) -> np.ndarray:
         return np.bincount(self.unit_labels, minlength=self.n_classes)

@@ -244,7 +244,7 @@ def _train_learnable_context(train, config):
         coeff = numerics.stable_softmax(sims / tau)
         coeff[np.arange(len(batch)), labels[batch]] -= 1.0
         coeff /= tau
-        grad_t = losses._cosine_gradient(v, embeddings, sims, norms, losses.TEXT)
+        grad_t = losses._cosine_gradient(v, embeddings, sims, *norms, losses.TEXT)
         # Pulled back as (1, E) rows, so each is the pullback of that row
         # alone: a stacked matrix product may round differently.
         terms = coeff[..., None, None] * grad_t[..., None, :]
@@ -287,7 +287,8 @@ def train_metd(
     train: EmbeddingDataset, config
 ) -> tuple[Model, list[EpochStats], list[EpochStats]]:
     """Run the full two-stage pipeline; returns the trained model and traces."""
-    fitted = oversample_balance(train, config.seed) if config.oversample else train
+    # An empty split is not oversampled: the stages reject it.
+    fitted = oversample_balance(train, config.seed) if config.oversample and len(train) else train
     model = build_strategy_model(train, config)
     _, trace1 = run_stage1(model, fitted, config)
     _, trace2 = run_stage2(model, fitted, config)

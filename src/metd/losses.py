@@ -37,17 +37,19 @@ exactly 0.  The rivals keep class order, so with one subclass per class
 the fine-grained loss at alpha = 1 is bit for bit the plain contrastive
 cross-entropy, clip_ce_loss.
 
-Everything works on rows: a grid is (N, K) for one sample or (B, N, K)
-for a batch, and row b of every batched result is bit for bit the
-one-sample call on row b, so training makes one call per batch, and
-each intermediate is computed once: the grid keeps the row norms
-similarity_grid took and computes its logits (values / tau) and each
-class's best subclass on first use.  total_loss is the one loss entry
-point: it checks the targets and counts, takes k+ and k- from the grid,
-calls modulating_factor once and returns both terms in a LossBreakdown.
+Everything works on a batch: a grid is (B, N, K), every result has one
+row per sample, and row b is bit for bit the batch-of-one call on row
+b, so training makes one call per batch (a single sample is a batch of
+one).  Each intermediate is computed once: the grid keeps the
+embeddings, the descriptor stack and the row norms similarity_grid
+took, and computes its logits (values / tau) and each class's best
+subclass on first use.  total_loss is the one loss entry point: it
+checks the targets and counts, takes k+ and k- from the grid, calls
+modulating_factor once and returns both terms in a LossBreakdown.
 select_closest is public because training counts k+ before the loss.
-loss_gradients takes that grid and that LossBreakdown, selects nothing
-again, and builds only the sides it is asked for.  Each loss adds
+loss_gradients takes that grid and that LossBreakdown, reads the
+embeddings, stack and targets from them, selects nothing again, and
+builds only the sides it is asked for.  Each loss adds
 weight * (softmax(terms) - onehot(pos)) / tau to the grid entries its
 terms read (its slots): every (i, k) with i != t plus (t, k+) for the
 fine-grained list, weight alpha; (t, k-) plus each rival's argmax for
@@ -67,23 +69,26 @@ from .errors import ContractViolation
 
 @dataclass(frozen=True)
 class SimilarityGrid:
-    """Cosine similarities with tau: (N, K) for one sample, (B, N, K) for B samples.
+    """Cosine similarities (B, N, K) of B samples with tau.
 
     N counts classes and K subclasses.  Entries must lie in [-1, 1];
-    the temperature must be positive.  ``norms`` is set by
-    ``similarity_grid``: the row norms of the embeddings and of the
-    descriptors, which ``loss_gradients`` reuses.
+    the temperature must be positive.  ``similarity_grid`` also sets the
+    inputs the values came from, which ``loss_gradients`` reads: the
+    embeddings, the descriptor stack and the row norms of each.
     """
 
     values: np.ndarray
     temperature: float
-    norms: tuple | None = field(default=None, repr=False, compare=False)
+    embeddings: np.ndarray | None = field(default=None, repr=False, compare=False)
+    stack: np.ndarray | None = field(default=None, repr=False, compare=False)
+    embedding_norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    stack_norms: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if values.ndim not in (2, 3) or values.size == 0:
-            raise ContractViolation(f"similarities must be (N, K) or (B, N, K): {values.shape}")
+        if values.ndim != 3 or values.size == 0:
+            raise ContractViolation(f"similarities must be (B, N, K): {values.shape}")
         if not (np.abs(values) <= 1.0).all():
             if not np.isfinite(values).all():
                 raise ContractViolation("similarities contain non-finite entries")
@@ -106,41 +111,36 @@ class SimilarityGrid:
 
     @functools.cached_property
     def best_subclasses(self) -> np.ndarray:
-        """Each class's highest-similarity subclass (lowest-index ties): (N,) or (B, N)."""
+        """Each class's highest-similarity subclass (lowest-index ties), (B, N)."""
         return self.values.argmax(axis=-1)
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss parts per sample, Python scalars for one sample and (B,) arrays for a batch.
+    """Loss parts per sample, each a (B,) array.
 
     total is fg + margin exactly as computed; target_class is the class
     each loss was taken against.
     """
 
-    fg: float | np.ndarray
-    margin: float | np.ndarray
-    total: float | np.ndarray
-    alpha: float | np.ndarray
-    closest_subclass: int | np.ndarray
-    farthest_subclass: int | np.ndarray
-    target_class: int | np.ndarray
+    fg: np.ndarray
+    margin: np.ndarray
+    total: np.ndarray
+    alpha: np.ndarray
+    closest_subclass: np.ndarray
+    farthest_subclass: np.ndarray
+    target_class: np.ndarray
 
 
 def _check_target(grid: SimilarityGrid, targets) -> np.ndarray:
-    """The grid's targets, one int per row, as (B,)."""
+    """The grid's targets, one int per row, (B,)."""
     t = np.asarray(targets)
     if t.shape != grid.values.shape[:-2] or t.dtype.kind not in "iu":
         raise ContractViolation(f"targets {targets!r} do not fit grid {grid.values.shape}")
     bad = (t < 0) | (t >= grid.n_classes)
     if bad.any():
         raise ContractViolation(f"target {t[bad][0]} out of range for {grid.n_classes} classes")
-    return t.reshape(-1)
-
-
-def _unbatch(grid: SimilarityGrid, rows: np.ndarray):
-    """Row 0 as a Python scalar for a one-sample grid, else the rows unchanged."""
-    return rows[0].item() if grid.values.ndim == 2 else rows
+    return t
 
 
 def _target_rows(grid: SimilarityGrid, t: np.ndarray) -> np.ndarray:
@@ -149,48 +149,42 @@ def _target_rows(grid: SimilarityGrid, t: np.ndarray) -> np.ndarray:
 
 
 def select_closest(grid: SimilarityGrid, targets):
-    """Index of each target class's highest-similarity subclass (lowest-index ties)."""
+    """Index of each target class's highest-similarity subclass (lowest-index ties), (B,)."""
     t = _check_target(grid, targets)
-    return _unbatch(grid, grid.best_subclasses.reshape(-1)[_target_rows(grid, t)])
+    return grid.best_subclasses.reshape(-1)[_target_rows(grid, t)]
 
 
 def modulating_factor(counts, closest):
     """Count-based weight for the fine-grained loss, per row.
 
-    ``counts`` holds how many samples of the target class have been
-    assigned to each of its subclasses so far (including the current
-    sample): one (K,) vector with an int ``closest``, or a (B, K) stack
-    with B ints.  ``closest`` is the subclass the current sample landed
-    on.  With n+ = counts[closest] and the sum below running over
+    Row b of ``counts`` (B, K) holds how many samples of sample b's
+    target class have been assigned to each of its subclasses so far
+    (including sample b), and ``closest[b]`` is the subclass sample b
+    landed on.  With n+ = counts[closest] and the sum below running over
     subclasses with nonzero counts:
 
         alpha = ( e^{1/n+} / sum_k e^{1/n_k} ) * ( sum_k n_k / n+ )
 
     Rare subclasses get a factor above 1, saturated ones below; with all
-    counts equal the two factors cancel to 1.  A float for one vector,
-    (B,) for a stack.
+    counts equal the two factors cancel to 1.  Returns (B,).
     """
-    arr = np.asarray(counts)
-    if arr.ndim not in (1, 2) or arr.shape[-1] == 0:
-        raise ContractViolation(f"counts must be a nonempty (K,) or (B, K) array: {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        if not (arr == np.floor(arr)).all():
-            raise ContractViolation("counts must be integers")
-        arr = arr.astype(np.int64)
-    rows = arr.reshape(-1, arr.shape[-1])
+    rows = np.asarray(counts)
+    if rows.ndim != 2 or rows.shape[1] == 0 or rows.dtype.kind not in "iu":
+        raise ContractViolation(
+            f"counts must be a nonempty (B, K) integer array: {rows.shape} {rows.dtype}"
+        )
     picks = np.asarray(closest)
-    if picks.shape != arr.shape[:-1] or not ((picks >= 0) & (picks < arr.shape[-1])).all():
-        raise ContractViolation(f"closest {closest} out of range for {arr.shape[-1]} counts")
+    if picks.shape != rows.shape[:1] or not ((picks >= 0) & (picks < rows.shape[1])).all():
+        raise ContractViolation(f"closest {closest} out of range for {rows.shape[1]} counts")
     if rows.min() < 0:
         raise ContractViolation("counts must be nonnegative")
-    assigned = (np.arange(len(rows)), picks.reshape(-1))
+    assigned = (np.arange(len(rows)), picks)
     n_plus = rows[assigned]
     if n_plus.min() < 1:
         raise ContractViolation("count of the assigned subclass must be >= 1")
     weights = np.exp(1.0 / np.maximum(rows, 1))
     first = weights[assigned] / np.where(rows > 0, weights, 0.0).sum(axis=-1)
-    alpha = first * (rows.sum(axis=-1) / n_plus)
-    return float(alpha[0]) if arr.ndim == 1 else alpha
+    return first * (rows.sum(axis=-1) / n_plus)
 
 
 def _softplus(gaps: np.ndarray) -> np.ndarray:
@@ -224,9 +218,9 @@ def _term_slots(n_classes: int, n_subclasses: int) -> tuple[np.ndarray, np.ndarr
 def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     """Fine-grained + margin loss for each sample of the grid.
 
-    ``target_counts`` holds each sample's per-subclass assignment counts
-    of its target class, already including that sample: (K,) for a
-    one-sample grid, (B, K) for a batch.
+    ``targets`` holds each sample's class, (B,), and ``target_counts``
+    its per-subclass assignment counts of that class, already including
+    the sample, (B, K).
     """
     t = _check_target(grid, targets)
     counts = np.asarray(target_counts)
@@ -237,7 +231,7 @@ def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     own = _target_rows(grid, t)
     closest = grid.best_subclasses.reshape(-1)[own]
     farthest = grid.values.reshape(-1, k)[own].argmin(axis=-1)
-    alpha = modulating_factor(counts.reshape(-1, k), closest)
+    alpha = modulating_factor(counts, closest)
     if n > 1:
         z = grid.logits.reshape(-1)
         starts = np.arange(0, z.size, n * k)[:, None]
@@ -251,8 +245,7 @@ def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     else:  # no rival class: each list is its target term alone, and the loss is 0
         fg = mg = np.zeros(t.size)
     fg = alpha * fg
-    parts = (fg, mg, fg + mg, alpha, closest, farthest, t)
-    return LossBreakdown(*(_unbatch(grid, part) for part in parts))
+    return LossBreakdown(fg, mg, fg + mg, alpha, closest, farthest, t)
 
 
 def clip_ce_loss(similarities, target: int, temperature: float) -> float:
@@ -272,114 +265,97 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
     return float(_softplus(numerics.log_sum_exp(rivals[None]) - z[target])[0])
 
 
-def similarity_grid(
-    image_embedding, text_embeddings, temperature: float
-) -> SimilarityGrid:
-    """Cosine similarity of each embedding against a (N, K, D) descriptor stack.
+def similarity_grid(embeddings, text_embeddings, temperature: float) -> SimilarityGrid:
+    """Cosine similarity of embeddings against descriptor stacks.
 
-    ``image_embedding`` is one embedding (D,), giving an (N, K) grid, or
-    a stack (B, D), giving (B, N, K).  One embedding (D,) may also be
-    scored against S descriptor stacks (S, N, K, D), giving (S, N, K).
-    The embeddings, the stacks' entries and their dimensions are checked
-    by ``cosine_similarity``; only the ranks are checked here.
+    A batch of embeddings (B, D) against one (N, K, D) descriptor stack
+    gives a (B, N, K) grid.  One embedding (D,) against S stacks
+    (S, N, K, D) gives an (S, N, K) grid, row s against stack s.  The
+    embeddings, the stacks' entries and their dimensions are checked by
+    ``cosine_similarity``; only the ranks are checked here.
     """
+    v = np.asarray(embeddings, dtype=np.float64)
     stack = np.asarray(text_embeddings, dtype=np.float64)
-    if stack.ndim == 4 and np.ndim(image_embedding) != 1:
+    if (v.ndim, stack.ndim) not in ((2, 3), (1, 4)):
         raise ContractViolation(
-            f"S descriptor stacks {stack.shape} take one (D,) embedding, "
-            f"got shape {np.shape(image_embedding)}"
+            f"embeddings {v.shape} do not fit descriptor stacks {stack.shape}: one 3-D stack "
+            f"(N, K, D) takes a (B, D) batch, S stacks (S, N, K, D) take one (D,) embedding"
         )
-    if stack.ndim not in (3, 4):
-        raise ContractViolation(
-            f"text_embeddings must be 3-D (classes, subclasses, dim) or 4-D "
-            f"(stacks, classes, subclasses, dim), got shape {stack.shape}"
-        )
-    values, *norms = numerics.cosine_similarity(image_embedding, stack, with_norms=True)
-    return SimilarityGrid(values=values, temperature=temperature, norms=tuple(norms))
+    values, v_norms, t_norms = numerics.cosine_similarity(v, stack, with_norms=True)
+    return SimilarityGrid(values, temperature, v, stack, v_norms, t_norms)
 
 
 IMAGE = "image"
 TEXT = "text"
 
 
-def _cosine_gradient(v, t, similarity, norms, wrt: str):
+def _cosine_gradient(v, t, similarity, v_norms, t_norms, wrt: str):
     """d cos / dv (wrt IMAGE) or d cos / dt (wrt TEXT), (B, ..., D), for each row of v (B, D).
 
     The cosines are with each row of the stack t (..., D); ``similarity``
-    holds them, clamped, as (B, ...), and ``norms`` the row norms of v
-    and of t, as ``cosine_similarity`` gives them.
+    holds them, clamped, as (B, ...), and ``v_norms`` and ``t_norms`` the
+    row norms of v and of t, as ``cosine_similarity`` gives them.
     """
     spread = (1,) * (t.ndim - 1)
-    nv = np.reshape(norms[0], (len(v), *spread, 1))
+    nv = np.reshape(v_norms, (len(v), *spread, 1))
     v = v.reshape(len(v), *spread, v.shape[-1])
-    nt = norms[1][..., None]
+    nt = t_norms[..., None]
     similarity = similarity[..., None]
     if wrt == IMAGE:
         return t / (nv * nt) - similarity * v / (nv * nv)
     return v / (nv * nt) - similarity * t / (nt * nt)
 
 
-def _gradient_coefficients(grid: SimilarityGrid, targets, breakdown: LossBreakdown):
-    """dL/ds from the breakdown's k+, k- and alpha, shaped like the grid; 0 off every slot.
+def _gradient_coefficients(grid: SimilarityGrid, breakdown: LossBreakdown):
+    """dL/ds from the breakdown's targets, k+, k- and alpha, (B, N, K); 0 off every slot.
 
     The fine-grained slots are written first, then the margin slots added.
     """
     n, k = grid.n_classes, grid.n_subclasses
-    t = np.reshape(targets, -1)
+    t = breakdown.target_class
     rows = np.arange(t.size)
     z = grid.logits.reshape(-1)
     starts = np.arange(0, z.size, n * k)[:, None]
-    fg_slots = starts + _term_slots(n, k)[1][t * k + np.reshape(breakdown.closest_subclass, -1)]
+    fg_slots = starts + _term_slots(n, k)[1][t * k + breakdown.closest_subclass]
     picks = grid.best_subclasses.reshape(-1).copy()  # each rival's argmax
-    picks[_target_rows(grid, t)] = np.reshape(breakdown.farthest_subclass, -1)
+    picks[_target_rows(grid, t)] = breakdown.farthest_subclass
     mg_slots = starts + np.arange(0, n * k, k) + picks.reshape(-1, n)
     coeff = np.zeros(z.size)
     delta = numerics.stable_softmax(z[fg_slots])
     delta[rows, t * k] -= 1.0
     # Written, not added: no entry is -0.0, so this is 0.0 + the entry's bits.
-    coeff[fg_slots] = np.reshape(breakdown.alpha, (-1, 1)) * delta / grid.temperature
+    coeff[fg_slots] = breakdown.alpha[:, None] * delta / grid.temperature
     delta = numerics.stable_softmax(z[mg_slots])
     delta[rows, t] -= 1.0
     coeff[mg_slots] += delta / grid.temperature
     return coeff.reshape(grid.values.shape)
 
 
-def loss_gradients(
-    image_embedding, text_embeddings, grid: SimilarityGrid, targets, breakdown, wrt=(IMAGE, TEXT)
-):
+def loss_gradients(grid: SimilarityGrid, breakdown: LossBreakdown, wrt=(IMAGE, TEXT)):
     """Exact gradients of each sample's total loss w.r.t. its V and every T[i, k].
 
-    ``grid`` is ``similarity_grid(image_embedding, text_embeddings, tau)``
-    and ``breakdown`` is what ``total_loss`` returned for it and
-    ``targets``; k+, k-, alpha and the rivals' argmax are taken as
-    constants, matching how the loss is defined between selection flips.
-    Returns (dL/dV, dL/dT): (D,) and (N, K, D) for one embedding, (B, D)
-    and (B, N, K, D) for a stack, row b being the gradients of sample b's
-    loss alone.  Only the sides named in ``wrt`` (IMAGE, TEXT) are built;
-    the other is None.
+    ``grid`` is what ``similarity_grid`` gave for a batch of embeddings V
+    (B, D) and one descriptor stack T (N, K, D), and ``breakdown`` what
+    ``total_loss`` returned for it; k+, k- and alpha, and the rivals'
+    argmax, are taken as constants, matching how the loss is defined
+    between selection flips.  Returns (dL/dV, dL/dT), (B, D) and
+    (B, N, K, D), row b being the gradients of sample b's loss alone.
+    Only the sides named in ``wrt`` (IMAGE, TEXT) are built; the other
+    is None.
     """
-    v = np.asarray(image_embedding, dtype=np.float64)
-    stack = np.asarray(text_embeddings, dtype=np.float64)
-    n, k = grid.n_classes, grid.n_subclasses
-    if v.shape[:-1] != grid.values.shape[:-2] or stack.shape != (n, k, v.shape[-1]):
+    if grid.stack is None or grid.stack.ndim != 3:
         raise ContractViolation(
-            f"embeddings {v.shape} and {stack.shape} do not fit grid {grid.values.shape}"
+            "loss_gradients needs a grid that similarity_grid built from (B, D) "
+            "embeddings and one (N, K, D) descriptor stack"
         )
-    if grid.norms is None:
-        raise ContractViolation("loss_gradients needs a grid built by similarity_grid")
-    t = np.reshape(breakdown.target_class, -1)
-    if not np.array_equal(np.reshape(targets, -1), t):
-        raise ContractViolation(f"targets {targets!r} are not those of the breakdown")
-    coeff = _gradient_coefficients(grid, t, breakdown).reshape(-1, n, k, 1)
-    rows = v.reshape(-1, v.shape[-1])
-    values = grid.values.reshape(-1, n, k)
+    b, n, k = grid.values.shape
+    coeff = _gradient_coefficients(grid, breakdown)[..., None]
+    inputs = (grid.embeddings, grid.stack, grid.values, grid.embedding_norms, grid.stack_norms)
     grad_v = grad_t = None
     if IMAGE in wrt:
-        gv = _cosine_gradient(rows, stack, values, grid.norms, IMAGE)
+        gv = _cosine_gradient(*inputs, IMAGE)
         # A running sum in (class, subclass) order, as a loop adds: np.sum may add pairwise.
-        grad_v = np.cumsum((coeff * gv).reshape(len(rows), n * k, -1), axis=1)[:, -1]
-        grad_v = grad_v.reshape(v.shape)
+        grad_v = np.cumsum((coeff * gv).reshape(b, n * k, -1), axis=1)[:, -1]
     if TEXT in wrt:
-        gt = _cosine_gradient(rows, stack, values, grid.norms, TEXT)
-        grad_t = (coeff * gt).reshape(grid.values.shape + v.shape[-1:])
+        grad_t = coeff * _cosine_gradient(*inputs, TEXT)
     return grad_v, grad_t

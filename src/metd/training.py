@@ -300,26 +300,18 @@ class _Stage:
         return embedded, self.stack
 
     def score(self, rows, embedded, targets, target_counts):
-        """Units ``rows``' embeddings, descriptor stack, grid and LossBreakdown.
+        """Units ``rows``' grid and LossBreakdown against ``targets`` (B,).
 
         ``embedded`` is what ``embed`` returned.  ``target_counts(grid,
         targets)`` gives each sample's (B, K) counts.
         """
-        embeddings, stack = self.sides(rows, embedded)
-        grid = losses.similarity_grid(embeddings, stack, self.model.temperature)
-        breakdown = losses.total_loss(grid, targets, target_counts(grid, targets))
-        return embeddings, stack, grid, breakdown
-
-    def loss(self, batch, target_counts):
-        """The batch's embeddings (B, D), descriptor stack, grid and LossBreakdown."""
-        return self.score(batch, self.embed(batch), self.labels[batch], target_counts)
+        grid = losses.similarity_grid(*self.sides(rows, embedded), self.model.temperature)
+        return grid, losses.total_loss(grid, targets, target_counts(grid, targets))
 
     def gradients(self, batch, target_counts):
         """The batch's LossBreakdown and the batch-mean gradient of each of ``params``."""
-        embeddings, stack, grid, breakdown = self.loss(batch, target_counts)
-        grad_v, grad_t = losses.loss_gradients(
-            embeddings, stack, grid, breakdown.target_class, breakdown, wrt=(self.trains,)
-        )
+        grid, breakdown = self.score(batch, self.embed(batch), self.labels[batch], target_counts)
+        grad_v, grad_t = losses.loss_gradients(grid, breakdown, wrt=(self.trains,))
         n = len(batch)
         if self.number == 1:
             pulled = _pull_token_gradient(self.model, grad_t.sum(axis=0) / n)

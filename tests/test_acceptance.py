@@ -12,7 +12,15 @@ import time
 import numpy as np
 
 from test_data import _random_dataset_with_sequences
-from test_losses import _mp_alpha, _mp_clip, _mp_fine_grained, _mp_margin, _random_grid
+from test_losses import (
+    _alpha,
+    _mp_alpha,
+    _mp_clip,
+    _mp_fine_grained,
+    _mp_margin,
+    _one_loss,
+    _random_grid,
+)
 from test_model import _randomized_model
 
 from metd import losses
@@ -65,10 +73,10 @@ def test_single_descriptor_reduces_to_plain_contrastive_loss(capsys):
         grid = _random_grid(rng, k=1)
         target = int(rng.integers(grid.n_classes))
         counts = np.array([int(rng.integers(1, 100))])
-        breakdown = losses.total_loss(grid, target, counts)
-        alpha_exact = alpha_exact and breakdown.alpha == 1.0
-        fine = breakdown.fg
-        plain = losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature)
+        breakdown = _one_loss(grid, target, counts)
+        alpha_exact = alpha_exact and breakdown.alpha[0] == 1.0
+        fine = breakdown.fg[0]
+        plain = losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature)
         worst = max(worst, abs(fine - plain))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and alpha_exact and elapsed < 5.0
@@ -86,17 +94,15 @@ def test_modulating_factor_identities(capsys):
     for k in range(1, 11):
         counts = np.full(k, 6)
         for closest in range(k):
-            equal_ok = equal_ok and abs(
-                losses.modulating_factor(counts, closest) - 1.0
-            ) <= 1e-12
-    reference = losses.modulating_factor(np.array([1, 3]), 0)
+            equal_ok = equal_ok and abs(_alpha(counts, closest) - 1.0) <= 1e-12
+    reference = _alpha([1, 3], 0)
     ref_ok = abs(reference - 2.6430254750632687) <= 1e-9
     order_ok = True
     for n1 in range(1, 21):
         for n2 in range(1, 21):
             counts = np.array([n1, n2])
-            rare = losses.modulating_factor(counts, int(np.argmin(counts)))
-            common = losses.modulating_factor(counts, int(np.argmax(counts)))
+            rare = _alpha(counts, int(np.argmin(counts)))
+            common = _alpha(counts, int(np.argmax(counts)))
             order_ok = order_ok and rare >= common
     ok = equal_ok and ref_ok and order_ok
     _verdict(
@@ -113,20 +119,20 @@ def test_losses_match_extended_precision_reference(capsys):
     worst = 0.0
     for _ in range(500):
         grid = _random_grid(rng)
-        values, tau = grid.values, grid.temperature
+        values, tau = grid.values[0], grid.temperature
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=grid.n_subclasses)
-        closest = losses.select_closest(grid, target)
+        closest = int(losses.select_closest(grid, np.array([target]))[0])
         counts[closest] = int(rng.integers(1, 9))
-        breakdown = losses.total_loss(grid, target, counts)
+        breakdown = _one_loss(grid, target, counts)
         alpha = _mp_alpha(counts, closest)
         fg = float(_mp_fine_grained(values, tau, target, alpha))
         margin = float(_mp_margin(values, tau, target))
         worst = max(
             worst,
-            abs(breakdown.fg - fg),
-            abs(breakdown.margin - margin),
-            abs(breakdown.total - (fg + margin)),
+            abs(breakdown.fg[0] - fg),
+            abs(breakdown.margin[0] - margin),
+            abs(breakdown.total[0] - (fg + margin)),
         )
         sims = rng.uniform(-1.0, 1.0, size=4)
         t2 = int(rng.integers(4))

@@ -337,6 +337,23 @@ def test_compare_on_a_header_only_split_is_a_data_error(workspace, tmp_path, emp
     assert result.stderr == f"error: cannot {verb} an empty dataset\n"
 
 
+@pytest.mark.parametrize("oversample", ["false", "true"])
+def test_train_on_a_header_only_split_is_a_data_error(workspace, tmp_path, oversample):
+    # With or without oversampling, an empty train split is one error line
+    # from the stages, not an oversampling error about class 0.
+    _, _, data, _ = workspace
+    config = tmp_path / "run.cfg"
+    config.write_text(COMPACT_CONFIG + f"oversample = {oversample}\n")
+    header = (data / "train.tsv").read_text().splitlines(keepends=True)[0]
+    (tmp_path / "train.tsv").write_text(header)
+    checkpoint = tmp_path / "model.ckpt"
+    result = run_cli("train", "--config", str(config), str(tmp_path), str(checkpoint))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: cannot train on an empty dataset\n"
+    assert not checkpoint.exists()
+
+
 def test_no_metd_module_imports_scipy():
     # SciPy's import costs more than all of metd's own; no command needs it.
     code = (

@@ -395,6 +395,17 @@ def test_dataset_header_only_is_an_empty_dataset(tmp_path):
     assert len(loaded) == 0 and loaded.feature_dim == 4
 
 
+def test_an_empty_dataset_has_empty_read_only_unit_arrays(tmp_path):
+    # No units: pooled is (0, F) and unit_labels (0,), as units() is [].
+    path = tmp_path / "empty.tsv"
+    path.write_text("metd-embed v1 dim=4 classes=2\n")
+    for dataset in (EmbeddingDataset([], 4, 2), load_dataset(str(path))):
+        assert dataset.units() == []
+        assert dataset.pooled.shape == (0, 4) and dataset.pooled.dtype == np.float64
+        assert dataset.unit_labels.shape == (0,)
+        assert not dataset.pooled.flags.writeable and not dataset.unit_labels.flags.writeable
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 

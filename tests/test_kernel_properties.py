@@ -58,19 +58,21 @@ def _instance(seed, b, n, k, d, tau):
 @kernel_settings
 @given(instances)
 def test_each_batch_row_equals_the_one_sample_call(instance):
+    # The one-sample call is the batch of one: row b's bits must not
+    # depend on the other rows of the batch.
     tau = instance[-1]
     _, v, stack, targets, grid, counts = _instance(*instance)
     breakdown = losses.total_loss(grid, targets, counts)
-    grad_v, grad_t = losses.loss_gradients(v, stack, grid, targets, breakdown)
-    for row, target in enumerate(targets.tolist()):
-        one = losses.similarity_grid(v[row], stack, tau)
-        assert np.array_equal(grid.values[row], one.values)
-        one_breakdown = losses.total_loss(one, target, counts[row])
+    grad_v, grad_t = losses.loss_gradients(grid, breakdown)
+    for row in range(len(targets)):
+        one = losses.similarity_grid(v[row : row + 1], stack, tau)
+        assert np.array_equal(grid.values[row], one.values[0])
+        one_breakdown = losses.total_loss(one, targets[row : row + 1], counts[row : row + 1])
         for field in FIELDS:
-            assert np.array_equal(getattr(breakdown, field)[row], getattr(one_breakdown, field))
-        one_v, one_t = losses.loss_gradients(v[row], stack, one, target, one_breakdown)
-        assert np.array_equal(grad_v[row], one_v)
-        assert np.array_equal(grad_t[row], one_t)
+            assert np.array_equal(getattr(breakdown, field)[row], getattr(one_breakdown, field)[0])
+        one_v, one_t = losses.loss_gradients(one, one_breakdown)
+        assert np.array_equal(grad_v[row], one_v[0])
+        assert np.array_equal(grad_t[row], one_t[0])
 
 
 @kernel_settings
@@ -84,8 +86,8 @@ def test_each_stack_row_equals_the_one_stack_call(instance):
     grid = losses.similarity_grid(v, stacks, tau)
     assert grid.values.shape == (s, n, k)
     for row in range(s):
-        one = losses.similarity_grid(v, stacks[row], tau)
-        assert np.array_equal(grid.values[row], one.values)
+        one = losses.similarity_grid(v[None], stacks[row], tau)
+        assert np.array_equal(grid.values[row], one.values[0])
 
 
 @kernel_settings
@@ -107,17 +109,17 @@ def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
     stack = bank_embeddings(model.bank, model.encoder)
     counts, sums, loop = start.copy(), np.zeros(3), []
     for unit in units:
-        v = unit_embedding(model, unit)
-        grid = losses.similarity_grid(v, stack, model.temperature)
-        counts[unit.label, losses.select_closest(grid, unit.label)] += 1
-        breakdown = losses.total_loss(grid, unit.label, counts[unit.label])
-        sums += (breakdown.fg, breakdown.margin, breakdown.total)
-        grad_v, grad_t = losses.loss_gradients(v, stack, grid, unit.label, breakdown)
+        target = np.array([unit.label])
+        grid = losses.similarity_grid(unit_embedding(model, unit)[None], stack, model.temperature)
+        counts[unit.label, losses.select_closest(grid, target)[0]] += 1
+        breakdown = losses.total_loss(grid, target, counts[target])
+        sums += (breakdown.fg[0], breakdown.margin[0], breakdown.total[0])
+        grad_v, grad_t = losses.loss_gradients(grid, breakdown)
         if number == 1:
-            loop.append({"bank.tokens": grad_t})
+            loop.append({"bank.tokens": grad_t[0]})
         else:
             pooled = temporal_mean_pool(unit.frames)
-            grad_w, grad_b = adapter_gradients(model.adapter, pooled, grad_v)
+            grad_w, grad_b = adapter_gradients(model.adapter, pooled, grad_v[0])
             loop.append({"adapter.weight": grad_w, "adapter.bias": grad_b})
     expected = {name: functools.reduce(np.add, (g[name] for g in loop)) / b for name in loop[0]}
     if number == 1:
@@ -243,11 +245,11 @@ def test_the_loss_is_equivariant_under_a_class_permutation(instance, random):
     # the j with perm[j] == t.
     moved = np.argsort(perm)[targets]
     breakdown = losses.total_loss(grid, targets, counts)
-    grad_v, grad_t = losses.loss_gradients(v, stack, grid, targets, breakdown)
+    grad_v, grad_t = losses.loss_gradients(grid, breakdown)
     permuted = losses.similarity_grid(v, stack[perm], tau)
     assert np.array_equal(permuted.values, grid.values[:, perm])
     after = losses.total_loss(permuted, moved, counts)
-    perm_v, perm_t = losses.loss_gradients(v, stack[perm], permuted, moved, after)
+    perm_v, perm_t = losses.loss_gradients(permuted, after)
     for field in ("fg", "margin", "total", "alpha"):
         _assert_close(getattr(after, field), getattr(breakdown, field))
     assert np.array_equal(after.closest_subclass, breakdown.closest_subclass)
@@ -266,11 +268,11 @@ def test_the_loss_is_invariant_under_a_subclass_permutation(instance, random):
     # Subclass k of the permuted stack is subclass perm[k] of every class.
     back = np.argsort(perm)
     breakdown = losses.total_loss(grid, targets, counts)
-    grad_v, grad_t = losses.loss_gradients(v, stack, grid, targets, breakdown)
+    grad_v, grad_t = losses.loss_gradients(grid, breakdown)
     permuted = losses.similarity_grid(v, stack[:, perm], tau)
     assert np.array_equal(permuted.values, grid.values[:, :, perm])
     after = losses.total_loss(permuted, targets, counts[:, perm])
-    perm_v, perm_t = losses.loss_gradients(v, stack[:, perm], permuted, targets, after)
+    perm_v, perm_t = losses.loss_gradients(permuted, after)
     for field in ("fg", "margin", "total", "alpha"):
         _assert_close(getattr(after, field), getattr(breakdown, field))
     assert np.array_equal(after.closest_subclass, back[breakdown.closest_subclass])

@@ -13,24 +13,37 @@ mp.mp.dps = 50
 
 
 def _random_grid(rng, n=None, k=None, tau=None):
+    """A batch-of-one grid, (1, n, k)."""
     n = n if n is not None else int(rng.integers(2, 7))
     k = k if k is not None else int(rng.integers(1, 5))
     tau = tau if tau is not None else float(10.0 ** rng.uniform(-2.0, 0.0))
-    values = rng.uniform(-1.0, 1.0, size=(n, k))
+    values = rng.uniform(-1.0, 1.0, size=(1, n, k))
     return losses.SimilarityGrid(values=values, temperature=tau)
+
+
+def _one_loss(grid, target, counts):
+    """total_loss of a batch-of-one grid against one target with its (K,) counts."""
+    return losses.total_loss(grid, np.array([target]), np.array([counts]))
+
+
+def _alpha(counts, closest):
+    """modulating_factor of one sample's (K,) counts."""
+    return losses.modulating_factor(np.array([counts]), np.array([closest]))[0]
 
 
 def test_similarity_grid_validation():
     with pytest.raises(ContractViolation):
         losses.SimilarityGrid(values=np.array([0.1, 0.2]), temperature=0.1)
+    with pytest.raises(ContractViolation, match=r"\(B, N, K\)"):
+        losses.SimilarityGrid(values=np.array([[0.1, 0.2]]), temperature=0.1)
     with pytest.raises(ContractViolation):
-        losses.SimilarityGrid(values=np.array([[1.5]]), temperature=0.1)
+        losses.SimilarityGrid(values=np.array([[[1.5]]]), temperature=0.1)
     with pytest.raises(ContractViolation):
-        losses.SimilarityGrid(values=np.array([[np.nan]]), temperature=0.1)
+        losses.SimilarityGrid(values=np.array([[[np.nan]]]), temperature=0.1)
     with pytest.raises(ContractViolation):
-        losses.SimilarityGrid(values=np.array([[0.5]]), temperature=0.0)
+        losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=0.0)
     with pytest.raises(ContractViolation):
-        losses.SimilarityGrid(values=np.array([[0.5]]), temperature=-1.0)
+        losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=-1.0)
 
 
 def test_stacks_of_descriptor_stacks_take_one_embedding():
@@ -42,18 +55,21 @@ def test_stacks_of_descriptor_stacks_take_one_embedding():
             losses.similarity_grid(v, stacks, 0.5)
     with pytest.raises(ContractViolation, match="3-D"):
         losses.similarity_grid(rng.normal(size=4), stacks[None], 0.5)
+    # One stack takes a (B, D) batch; a single embedding goes in as a batch of one.
+    with pytest.raises(ContractViolation, match=r"takes a \(B, D\) batch"):
+        losses.similarity_grid(rng.normal(size=4), stacks[0], 0.5)
 
 
 def test_selection_breaks_ties_toward_lowest_index():
     grid = losses.SimilarityGrid(
-        values=np.array([[0.3, 0.7, 0.7], [0.2, 0.2, 0.2]]), temperature=0.1
+        values=np.array([[[0.3, 0.7, 0.7], [0.2, 0.2, 0.2]]]), temperature=0.1
     )
-    assert losses.select_closest(grid, 0) == 1
-    assert losses.total_loss(grid, 0, np.ones(3, dtype=np.int64)).farthest_subclass == 0
-    assert losses.select_closest(grid, 1) == 0
-    assert losses.total_loss(grid, 1, np.ones(3, dtype=np.int64)).farthest_subclass == 0
+    assert losses.select_closest(grid, np.array([0])).tolist() == [1]
+    assert _one_loss(grid, 0, np.ones(3, dtype=np.int64)).farthest_subclass.tolist() == [0]
+    assert losses.select_closest(grid, np.array([1])).tolist() == [0]
+    assert _one_loss(grid, 1, np.ones(3, dtype=np.int64)).farthest_subclass.tolist() == [0]
     with pytest.raises(ContractViolation):
-        losses.select_closest(grid, 2)
+        losses.select_closest(grid, np.array([2]))
 
 
 def test_single_subclass_reduces_to_plain_cross_entropy():
@@ -64,11 +80,11 @@ def test_single_subclass_reduces_to_plain_cross_entropy():
     for _ in range(1000):
         grid = _random_grid(rng, k=1)
         target = int(rng.integers(grid.n_classes))
-        plain = losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature)
+        plain = losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature)
         counts = np.array([int(rng.integers(1, 50))])
-        breakdown = losses.total_loss(grid, target, counts)
-        assert breakdown.alpha == 1.0
-        assert breakdown.fg == plain
+        breakdown = _one_loss(grid, target, counts)
+        assert breakdown.alpha[0] == 1.0
+        assert breakdown.fg[0] == plain
 
 
 def test_modulating_factor_equal_counts_is_one():
@@ -76,14 +92,12 @@ def test_modulating_factor_equal_counts_is_one():
         for count in (1, 2, 7, 31):
             counts = np.full(k, count)
             for closest in range(k):
-                np.testing.assert_allclose(
-                    losses.modulating_factor(counts, closest), 1.0, rtol=0, atol=1e-12
-                )
+                np.testing.assert_allclose(_alpha(counts, closest), 1.0, rtol=0, atol=1e-12)
 
 
 def test_modulating_factor_reference_value():
     # (e / (e + e^(1/3))) * 4, checked against extended-precision arithmetic
-    value = losses.modulating_factor(np.array([1, 3]), 0)
+    value = _alpha([1, 3], 0)
     np.testing.assert_allclose(value, 2.6430254750632687, rtol=0, atol=1e-9)
 
 
@@ -91,8 +105,8 @@ def test_modulating_factor_favors_rare_subclass():
     for a in range(1, 21):
         for b in range(1, 21):
             counts = np.array([a, b])
-            rare = losses.modulating_factor(counts, int(np.argmin(counts)))
-            common = losses.modulating_factor(counts, int(np.argmax(counts)))
+            rare = _alpha(counts, int(np.argmin(counts)))
+            common = _alpha(counts, int(np.argmax(counts)))
             assert rare >= common
 
 
@@ -103,22 +117,27 @@ def test_modulating_factor_positive_and_finite():
         counts = rng.integers(0, 40, size=k)
         closest = int(rng.integers(k))
         counts[closest] = int(rng.integers(1, 40))
-        alpha = losses.modulating_factor(counts, closest)
+        alpha = _alpha(counts, closest)
         assert math.isfinite(alpha)
         assert alpha > 0.0
 
 
 def test_modulating_factor_validation():
     with pytest.raises(ContractViolation):
-        losses.modulating_factor(np.array([0, 3]), 0)  # assigned count zero
+        _alpha([0, 3], 0)  # assigned count zero
     with pytest.raises(ContractViolation):
-        losses.modulating_factor(np.array([-1, 3]), 1)
+        _alpha([-1, 3], 1)
     with pytest.raises(ContractViolation):
-        losses.modulating_factor(np.array([1.5, 3.0]), 0)
+        _alpha([1.5, 3.0], 0)
     with pytest.raises(ContractViolation):
-        losses.modulating_factor(np.array([1, 3]), 2)
+        _alpha([1, 3], 2)
     with pytest.raises(ContractViolation):
-        losses.modulating_factor(np.array([]), 0)
+        losses.modulating_factor(np.zeros((1, 0), dtype=np.int64), np.array([0]))
+    # Counts are one (B, K) integer row per sample: no (K,) vector, no floats.
+    with pytest.raises(ContractViolation, match=r"\(B, K\)"):
+        losses.modulating_factor(np.array([1, 3]), 0)
+    with pytest.raises(ContractViolation, match="integer"):
+        _alpha([1.0, 3.0], 0)
 
 
 def test_fine_grained_loss_monotone_in_target_similarity():
@@ -126,11 +145,11 @@ def test_fine_grained_loss_monotone_in_target_similarity():
     previous = None
     for s in np.linspace(0.1, 0.9, 9):
         grid = losses.SimilarityGrid(
-            values=np.array([[s, 0.0], [0.3, 0.1], [0.2, 0.0]]), temperature=0.1
+            values=np.array([[[s, 0.0], [0.3, 0.1], [0.2, 0.0]]]), temperature=0.1
         )
-        breakdown = losses.total_loss(grid, 0, np.array([1, 1]))
-        assert breakdown.alpha == 1.0
-        value = breakdown.fg
+        breakdown = _one_loss(grid, 0, [1, 1])
+        assert breakdown.alpha[0] == 1.0
+        value = breakdown.fg[0]
         if previous is not None:
             assert value < previous
         previous = value
@@ -140,9 +159,9 @@ def test_margin_loss_monotone_in_rival_similarity():
     increasing = None
     for s in np.linspace(-0.5, 0.5, 9):
         grid = losses.SimilarityGrid(
-            values=np.array([[0.6, 0.2], [s, -0.9]]), temperature=0.1
+            values=np.array([[[0.6, 0.2], [s, -0.9]]]), temperature=0.1
         )
-        value = losses.total_loss(grid, 0, np.array([1, 1])).margin
+        value = _one_loss(grid, 0, [1, 1]).margin[0]
         if increasing is not None:
             assert value > increasing
         increasing = value
@@ -150,9 +169,9 @@ def test_margin_loss_monotone_in_rival_similarity():
     for s in np.linspace(-0.3, 0.55, 9):
         # s stays the minimum of the target row throughout
         grid = losses.SimilarityGrid(
-            values=np.array([[0.6, s], [0.1, -0.9]]), temperature=0.1
+            values=np.array([[[0.6, s], [0.1, -0.9]]]), temperature=0.1
         )
-        value = losses.total_loss(grid, 0, np.array([1, 1])).margin
+        value = _one_loss(grid, 0, [1, 1]).margin[0]
         if decreasing is not None:
             assert value < decreasing
         decreasing = value
@@ -163,17 +182,17 @@ def test_losses_strictly_positive():
     for _ in range(300):
         grid = _random_grid(rng)
         target = int(rng.integers(grid.n_classes))
-        breakdown = losses.total_loss(grid, target, np.ones(grid.n_subclasses, dtype=np.int64))
-        assert breakdown.fg > 0.0
-        assert breakdown.margin > 0.0
-        assert losses.clip_ce_loss(grid.values[:, 0], target, grid.temperature) > 0.0
+        breakdown = _one_loss(grid, target, np.ones(grid.n_subclasses, dtype=np.int64))
+        assert breakdown.fg[0] > 0.0
+        assert breakdown.margin[0] > 0.0
+        assert losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature) > 0.0
 
 
 def test_single_class_losses_are_zero():
     # With no rival class every softmax puts all its mass on the target.
     assert losses.clip_ce_loss([0.5], 0, 0.1) == 0.0
-    grid = losses.SimilarityGrid(values=np.array([[0.7, -0.2]]), temperature=0.05)
-    assert losses.total_loss(grid, 0, np.array([2, 1])).total == 0.0
+    grid = losses.SimilarityGrid(values=np.array([[[0.7, -0.2]]]), temperature=0.05)
+    assert _one_loss(grid, 0, [2, 1]).total[0] == 0.0
 
 
 def test_total_is_sum_of_parts():
@@ -183,13 +202,13 @@ def test_total_is_sum_of_parts():
         k = grid.n_subclasses
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=k)
-        closest = losses.select_closest(grid, target)
+        closest = int(losses.select_closest(grid, np.array([target]))[0])
         counts[closest] = int(rng.integers(1, 9))
-        breakdown = losses.total_loss(grid, target, counts)
-        assert breakdown.total == breakdown.fg + breakdown.margin
-        assert breakdown.closest_subclass == closest
-        assert breakdown.farthest_subclass == int(np.argmin(grid.values[target]))
-        assert breakdown.alpha == losses.modulating_factor(counts, closest)
+        breakdown = _one_loss(grid, target, counts)
+        assert breakdown.total[0] == breakdown.fg[0] + breakdown.margin[0]
+        assert breakdown.closest_subclass[0] == closest
+        assert breakdown.farthest_subclass[0] == int(np.argmin(grid.values[0, target]))
+        assert breakdown.alpha[0] == _alpha(counts, closest)
 
 
 def _mp_alpha(counts, closest):
@@ -234,21 +253,21 @@ def test_losses_match_extended_precision_oracle():
     rng = np.random.default_rng(14)
     for _ in range(500):
         grid = _random_grid(rng)
-        values, tau = grid.values, grid.temperature
+        values, tau = grid.values[0], grid.temperature
         k = grid.n_subclasses
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=k)
-        closest = losses.select_closest(grid, target)
+        closest = int(losses.select_closest(grid, np.array([target]))[0])
         counts[closest] = int(rng.integers(1, 9))
-        breakdown = losses.total_loss(grid, target, counts)
+        breakdown = _one_loss(grid, target, counts)
         alpha = _mp_alpha(counts, closest)
         fg = _mp_fine_grained(values, tau, target, alpha)
         margin = _mp_margin(values, tau, target)
-        np.testing.assert_allclose(breakdown.alpha, float(alpha), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(breakdown.alpha[0], float(alpha), rtol=0, atol=1e-12)
         for value, reference in (
-            (breakdown.fg, fg),
-            (breakdown.margin, margin),
-            (breakdown.total, fg + margin),
+            (breakdown.fg[0], fg),
+            (breakdown.margin[0], margin),
+            (breakdown.total[0], fg + margin),
         ):
             np.testing.assert_allclose(value, float(reference), rtol=0, atol=1e-8)
             # Relative check: a loss that rounds to 0 when the target leads
@@ -263,18 +282,18 @@ def test_losses_match_extended_precision_oracle():
 
 
 def test_losses_finite_at_extreme_temperature_and_similarity():
-    values = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]])
+    values = np.array([[[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]])
     grid = losses.SimilarityGrid(values=values, temperature=1e-4)
     for target in range(3):
-        breakdown = losses.total_loss(grid, target, np.array([1, 1]))
-        assert math.isfinite(breakdown.total)
+        breakdown = _one_loss(grid, target, [1, 1])
+        assert math.isfinite(breakdown.total[0])
     assert math.isfinite(losses.clip_ce_loss([1.0, -1.0], 0, 1e-4))
 
 
 def _per_pair_pullback(v, stack, target, counts, tau):
     """loss_gradients with the cosine gradients pulled back one (class, subclass) pair at a time."""
-    grid = losses.similarity_grid(v, stack, tau)
-    coeff = losses._gradient_coefficients(grid, target, losses.total_loss(grid, target, counts))
+    grid = losses.similarity_grid(v[None], stack, tau)
+    coeff = losses._gradient_coefficients(grid, _one_loss(grid, target, counts))[0]
     nv = math.sqrt(float(np.dot(v, v)))
     grad_v = np.zeros_like(v)
     grad_t = np.zeros_like(stack)
@@ -283,7 +302,7 @@ def _per_pair_pullback(v, stack, target, counts, tau):
             c = coeff[i, j]
             if c == 0.0:
                 continue
-            t, s = stack[i, j], grid.values[i, j]
+            t, s = stack[i, j], grid.values[0, i, j]
             nt = math.sqrt(float(np.dot(t, t)))
             grad_v += c * (t / (nv * nt) - s * v / (nv * nv))
             grad_t[i, j] = c * (v / (nv * nt) - s * t / (nt * nt))
@@ -300,16 +319,16 @@ def test_loss_gradients_match_central_differences():
         target = int(rng.integers(n))
         counts = rng.integers(1, 6, size=k)
         tau = float(rng.uniform(0.2, 1.0))
-        grid = losses.similarity_grid(v, stack, tau)
-        breakdown = losses.total_loss(grid, target, counts)
-        grad_v, grad_t = losses.loss_gradients(v, stack, grid, target, breakdown)
+        grid = losses.similarity_grid(v[None], stack, tau)
+        grad_v, grad_t = losses.loss_gradients(grid, _one_loss(grid, target, counts))
+        grad_v, grad_t = grad_v[0], grad_t[0]
         ref_v, ref_t = _per_pair_pullback(v, stack, target, counts, tau)
         np.testing.assert_allclose(grad_v, ref_v, rtol=0, atol=0)
         np.testing.assert_allclose(grad_t, ref_t, rtol=0, atol=0)
 
         def loss_at(vec, tensors):
-            grid = losses.similarity_grid(vec, tensors, tau)
-            return losses.total_loss(grid, target, counts).total
+            grid = losses.similarity_grid(vec[None], tensors, tau)
+            return _one_loss(grid, target, counts).total[0]
 
         for idx in range(dim):
             bumped = v.copy()
@@ -335,15 +354,20 @@ def test_loss_gradients_match_central_differences():
 
 
 def test_loss_gradients_reject_a_grid_of_another_shape():
+    # The embeddings and the stack come from the grid, so only a grid that
+    # similarity_grid built from (B, D) embeddings and one stack will do.
     rng = np.random.default_rng(16)
     v = rng.normal(size=4)
     stack = rng.normal(size=(3, 2, 4))
-    grid = losses.similarity_grid(v, stack, 0.5)
-    breakdown = losses.total_loss(grid, 1, np.array([1, 1]))
-    with pytest.raises(ContractViolation):
-        losses.loss_gradients(v, stack[:2], grid, 1, breakdown)
-    with pytest.raises(ContractViolation):
-        losses.loss_gradients(v, stack[:, :1], grid, 1, breakdown)
+    grid = losses.similarity_grid(v[None], stack, 0.5)
+    breakdown = _one_loss(grid, 1, [1, 1])
+    assert losses.loss_gradients(grid, breakdown)[1].shape == (1, 3, 2, 4)
+    bare = losses.SimilarityGrid(grid.values, grid.temperature)
+    stacks = losses.similarity_grid(v, stack[None], 0.5)
+    assert np.array_equal(stacks.values, grid.values)
+    for other in (bare, stacks):
+        with pytest.raises(ContractViolation, match=r"one \(N, K, D\) descriptor stack"):
+            losses.loss_gradients(other, breakdown)
 
 
 def test_clip_ce_validation():

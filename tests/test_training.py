@@ -202,16 +202,21 @@ def test_central_difference_leaves_the_array_alone_when_embed_or_score_raises():
 
 
 def _one_sample_central_difference(path, array, counts, h):
-    """The reference: two one-sample ``_Stage.loss`` calls per entry."""
+    """The reference: two one-sample ``_Stage.score`` calls per entry."""
     batch = np.array([0])
     flat = array.reshape(-1)
     grad = np.empty(flat.size)
+
+    def loss():
+        scored = path.score(batch, path.embed(batch), path.labels[batch], lambda *_: counts)
+        return scored[-1].total[0]
+
     for idx in range(flat.size):
         original = flat[idx]
         flat[idx] = original + h
-        plus = path.loss(batch, lambda grid, targets: counts)[-1].total[0]
+        plus = loss()
         flat[idx] = original - h
-        minus = path.loss(batch, lambda grid, targets: counts)[-1].total[0]
+        minus = loss()
         flat[idx] = original
         grad[idx] = (plus - minus) / (2.0 * h)
     return grad.reshape(array.shape)
