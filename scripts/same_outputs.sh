@@ -5,12 +5,16 @@
 #   scripts/same_outputs.sh <checkout> <outdir>
 #
 # For configs/synthetic.cfg at seeds 7 and 8, for a projected-mean, SGD,
-# count_scope = batch variant of it, for a variant with 3 descriptors
-# per class on 2 subclusters (so purity matches 3 x 2 tables), for the
-# slot-indexing edge shapes (a "one-descriptor" variant with 1 descriptor
-# per class and a "two-classes" variant with 2 classes), and for a
-# "clips" variant whose units are sequences of up to 4 frames, this runs
-# synth, train, eval, decode (against configs/vocab.tsv, so a token_dim
+# count_scope = batch variant of it, for a "decay" variant with stage-1
+# weight decay 0.05 and a stage-2 momentum SGD without decay (so a
+# one-array fit with decay, in stage 1 and in the learnable-context
+# baseline, and a two-array momentum fit without it), for a variant
+# with 3 descriptors per class on 2 subclusters (so purity matches
+# 3 x 2 tables), for the slot-indexing edge shapes (a "one-descriptor"
+# variant with 1 descriptor per class and a "two-classes" variant with
+# 2 classes), and for a "clips" variant whose units are sequences of up
+# to 4 frames, this runs synth, train, eval, decode (against
+# configs/vocab.tsv, so a token_dim
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
 # with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
 # checkpoint on a copy of its test split whose third line has label 99,
@@ -132,6 +136,9 @@ case_dir projected-sgd-batch "seed = 7" \
     "encoder_kind = projected-mean" "token_dim = 12" \
     "stage1_optimizer = sgd-momentum" "stage2_optimizer = sgd-momentum" \
     "stage1_schedule = cosine" "count_scope = batch" "oversample = true" \
+    "stage1_epochs = 4" "stage2_epochs = 4"
+case_dir decay "seed = 7" "stage1_weight_decay = 0.05" \
+    "stage2_optimizer = sgd-momentum" "stage2_weight_decay = 0" \
     "stage1_epochs = 4" "stage2_epochs = 4"
 case_dir three-descriptors "seed = 7" "n_subclasses = 3"
 case_dir one-descriptor "seed = 7" "n_subclasses = 1"

@@ -182,7 +182,7 @@ def _train_head(train, config, train_adapter: bool):
 
     def batch_gradients(batch):
         x = pooled[batch]
-        v = encode_image(adapter, x) if train_adapter else x
+        v = adapter_map(adapter.weight, adapter.bias, x, adapter.residual) if train_adapter else x
         dz = numerics.stable_softmax(adapter_map(head_weight, head_bias, v, False))
         dz[np.arange(len(batch)), labels[batch]] -= 1.0
         # Summed over the batch with np.sum(axis=0), which adds row after row.

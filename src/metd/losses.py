@@ -349,6 +349,8 @@ def loss_gradients(grid: SimilarityGrid, breakdown: LossBreakdown, wrt=(IMAGE, T
             "embeddings and one (N, K, D) descriptor stack"
         )
     b, n, k = grid.values.shape
+    if breakdown.total.shape != (b,):
+        raise ContractViolation(f"breakdown has {breakdown.total.size} rows, the grid {b}")
     coeff = _gradient_coefficients(grid, breakdown)[..., None]
     inputs = (grid.embeddings, grid.stack, grid.values, grid.embedding_norms, grid.stack_norms)
     grad_v = grad_t = None

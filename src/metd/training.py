@@ -36,8 +36,9 @@ probes of one row of the array go through the real encoder in one call
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
 correction, decay applied to the parameter separately from the gradient
-step) and plain momentum SGD (momentum 0.9).  The cosine schedule decays
-the learning rate per optimizer step.
+step) and plain momentum SGD (momentum 0.9).  Their accumulators are flat over
+the arrays in sorted-name order, so a step is one elementwise pass however
+many arrays it updates.  The cosine schedule decays the rate per step.
 """
 
 import functools
@@ -63,7 +64,6 @@ from .model import (
     adapter_map,
     bank_embeddings,
     build_model,
-    encode_image,
     encode_text,
     encode_text_token_gradient,
 )
@@ -82,24 +82,27 @@ COUNT_SCOPES = ("epoch", "batch")
 
 @dataclass
 class OptimizerState:
-    """Per-parameter accumulators; ``first`` is moments or velocity."""
+    """Flat float64 accumulators over a fit's arrays, end to end in ``shapes``' sorted order.
+
+    ``first`` is moments or velocity, ``second`` second moments (empty for SGD).
+    """
 
     kind: str
     step: int
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
+    shapes: dict[str, tuple[int, ...]]
+    first: np.ndarray
+    second: np.ndarray
 
 
 def init_optimizer_state(params: dict[str, np.ndarray], kind: str) -> OptimizerState:
     if kind not in OPTIMIZER_KINDS:
         raise ContractViolation(f"unknown optimizer {kind!r}")
-    first = {name: np.zeros_like(arr) for name, arr in params.items()}
-    second = (
-        {name: np.zeros_like(arr) for name, arr in params.items()}
-        if kind == ADAPTIVE
-        else {}
-    )
-    return OptimizerState(kind=kind, step=0, first=first, second=second)
+    if not params:
+        raise ContractViolation("an optimizer needs at least one parameter array")
+    shapes = {name: params[name].shape for name in sorted(params)}
+    size = sum(math.prod(shape) for shape in shapes.values())
+    second = np.zeros(size if kind == ADAPTIVE else 0)
+    return OptimizerState(kind=kind, step=0, shapes=shapes, first=np.zeros(size), second=second)
 
 
 def optimizer_step(
@@ -113,41 +116,42 @@ def optimizer_step(
 
     Decoupled weight decay (p <- p - lr*wd*p) is applied first, then the
     gradient step; with a zero gradient only the decay acts, and with
-    zero decay only the gradient step does.
+    zero decay only the gradient step does.  The gradient step is one
+    elementwise pass over the flat accumulators and the grads laid end to
+    end in the same order; nothing changes unless all fit ``state.shapes``.
     """
-    if set(params) != set(grads) or set(params) != set(state.first):
-        raise ContractViolation("params, grads, and state must share the same keys")
+    for role, arrays in (("params", params), ("grads", grads)):
+        shapes = {name: array.shape for name, array in arrays.items()}
+        if shapes != state.shapes:
+            raise ContractViolation(f"{role} {shapes} do not fit the optimizer's {state.shapes}")
     if not (learning_rate >= 0 and math.isfinite(learning_rate)):
         raise ContractViolation(f"bad learning_rate {learning_rate}")
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ContractViolation(f"bad weight_decay {weight_decay}")
-    for name, param in params.items():
-        if grads[name].shape != param.shape:
-            raise ContractViolation(
-                f"{name}: grad shape {grads[name].shape} != param shape {param.shape}"
-            )
     state.step += 1
     t = state.step
-    for name in sorted(params):
+    grad = np.concatenate([grads[name].ravel() for name in state.shapes])
+    if state.kind == ADAPTIVE:
+        m, v = state.first, state.second
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        update = learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    else:
+        velocity = state.first
+        velocity *= SGD_MOMENTUM
+        velocity += grad
+        update = learning_rate * velocity
+    start = 0
+    for name, shape in state.shapes.items():
         param = params[name]
-        grad = grads[name]
         if weight_decay != 0.0:
             param -= (learning_rate * weight_decay) * param
-        if state.kind == ADAPTIVE:
-            m = state.first[name]
-            v = state.second[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * grad
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (grad * grad)
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            param -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        else:
-            velocity = state.first[name]
-            velocity *= SGD_MOMENTUM
-            velocity += grad
-            param -= learning_rate * velocity
+        param -= update[start : start + param.size].reshape(shape)
+        start += param.size
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -251,10 +255,13 @@ class _Stage:
             self.params = {"bank.tokens": model.bank.tokens}
             self.trains = losses.TEXT
         elif number == 2:
-            # Descriptors are frozen in this stage, so their embeddings are
-            # too; the frames never change, so each unit is pooled once.
+            # Descriptors are frozen in this stage, so their embeddings are too;
+            # the frames never change, so each unit is pooled and checked once.
             self.stack = bank_embeddings(model.bank, model.encoder)
             self.pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
+            width = model.adapter.feature_dim
+            if self.pooled.shape[1] != width:
+                raise ContractViolation(f"features shape {self.pooled.shape} != (U, {width})")
             self.params = {
                 "adapter.weight": model.adapter.weight,
                 "adapter.bias": model.adapter.bias,
@@ -272,7 +279,8 @@ class _Stage:
         """
         if self.number == 1:
             return bank_embeddings(self.model.bank, self.model.encoder)
-        return encode_image(self.model.adapter, self.pooled[rows])
+        adapter = self.model.adapter
+        return adapter_map(adapter.weight, adapter.bias, self.pooled[rows], adapter.residual)
 
     def probe(self, name, values):
         """Unit 0's trained side at each of the (S, *shape) ``values`` of array ``name``.

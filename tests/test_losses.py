@@ -370,6 +370,21 @@ def test_loss_gradients_reject_a_grid_of_another_shape():
             losses.loss_gradients(other, breakdown)
 
 
+def test_loss_gradients_reject_a_breakdown_of_another_batch():
+    # A one-row breakdown would broadcast against a two-row grid into two
+    # rows of gradients; the row counts must agree instead.
+    rng = np.random.default_rng(17)
+    stack = rng.normal(size=(3, 2, 4))
+    pair = losses.similarity_grid(rng.normal(size=(2, 4)), stack, 0.5)
+    one = losses.similarity_grid(pair.embeddings[:1], stack, 0.5)
+    breakdown = _one_loss(one, 1, [1, 1])
+    assert losses.loss_gradients(one, breakdown)[0].shape == (1, 4)
+    with pytest.raises(ContractViolation, match="breakdown has 1 rows, the grid 2"):
+        losses.loss_gradients(pair, breakdown)
+    with pytest.raises(ContractViolation, match="breakdown has 2 rows, the grid 1"):
+        losses.loss_gradients(one, losses.total_loss(pair, [0, 1], [[1, 1], [1, 1]]))
+
+
 def test_clip_ce_validation():
     with pytest.raises(ContractViolation):
         losses.clip_ce_loss([0.5, 1.2], 0, 0.1)

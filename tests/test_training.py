@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from metd.data import EmbeddingDataset, SynthConfig, apply_linear_map, generate_synthetic
+from metd.data import EmbeddingDataset, SynthConfig, Unit, apply_linear_map, generate_synthetic
 from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
 from metd.inference import evaluate, temporal_mean_pool
@@ -127,6 +127,82 @@ def test_optimizer_step_validation():
         optimizer_step(params, {"p": np.zeros(2)}, state, -0.1, 0.0)
     with pytest.raises(ContractViolation):
         init_optimizer_state(params, "mystery")
+
+
+# Four arrays of a full fine-tune's shapes, listed out of sorted order.
+_SHAPES = {"w": (3, 16), "b": (3,), "aw": (16, 16), "ab": (16,)}
+
+
+def _per_array_step(params, grads, first, second, t, kind, learning_rate, weight_decay):
+    """The optimizer step as one loop over the arrays, each with its own accumulators."""
+    for name in sorted(params):
+        param = params[name]
+        grad = grads[name]
+        if weight_decay != 0.0:
+            param -= (learning_rate * weight_decay) * param
+        if kind == ADAPTIVE:
+            m = first[name]
+            v = second[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (grad * grad)
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            param -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        else:
+            velocity = first[name]
+            velocity *= SGD_MOMENTUM
+            velocity += grad
+            param -= learning_rate * velocity
+
+
+@pytest.mark.parametrize("kind", [ADAPTIVE, SGD])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_optimizer_step_has_the_bits_of_a_per_array_loop(kind, weight_decay):
+    rng = np.random.default_rng(32)
+    params = {name: rng.normal(size=shape) for name, shape in _SHAPES.items()}
+    expected = copy.deepcopy(params)
+    first = {name: np.zeros(shape) for name, shape in _SHAPES.items()}
+    second = copy.deepcopy(first)
+    state = init_optimizer_state(params, kind)
+    for t, lr in enumerate([0.05, 0.03, 0.2, 1e-4, 0.011, 0.0], start=1):
+        grads = {name: rng.normal(size=shape) for name, shape in _SHAPES.items()}
+        optimizer_step(params, grads, state, lr, weight_decay)
+        _per_array_step(expected, grads, first, second, t, kind, lr, weight_decay)
+        for name in _SHAPES:
+            assert np.array_equal(params[name], expected[name]), (t, name)
+    assert state.step == 6
+
+
+def test_a_step_that_does_not_fit_the_layout_changes_nothing():
+    with pytest.raises(ContractViolation, match="at least one parameter array"):
+        init_optimizer_state({}, SGD)
+    rng = np.random.default_rng(33)
+    params = {name: rng.normal(size=shape) for name, shape in _SHAPES.items()}
+    state = init_optimizer_state(params, ADAPTIVE)
+    optimizer_step(params, {n: rng.normal(size=s) for n, s in _SHAPES.items()}, state, 0.1, 0.1)
+    grads = {name: rng.normal(size=shape) for name, shape in _SHAPES.items()}
+    broken = [
+        (params, {n: g for n, g in grads.items() if n != "b"}),
+        (params, {**grads, "extra": np.zeros(3)}),
+        (params, {**grads, "aw": np.zeros((16, 15))}),
+        ({**params, "extra": np.zeros(3)}, {**grads, "extra": np.zeros(3)}),
+        (
+            {n: p for n, p in params.items() if n != "w"},
+            {n: g for n, g in grads.items() if n != "w"},
+        ),
+        ({**params, "b": np.zeros(4)}, {**grads, "b": np.zeros(4)}),
+    ]
+    before = copy.deepcopy((params, state))
+    for bad_params, bad_grads in broken:
+        with pytest.raises(ContractViolation, match="do not fit"):
+            optimizer_step(bad_params, bad_grads, state, 0.1, 0.1)
+        for name in _SHAPES:
+            assert np.array_equal(params[name], before[0][name])
+        assert np.array_equal(state.first, before[1].first)
+        assert np.array_equal(state.second, before[1].second)
+        assert state.step == before[1].step == 1
 
 
 def test_cosine_schedule_endpoints():
@@ -693,6 +769,15 @@ def test_fd_check_corrupt_gradient_is_caught():
             model, sample, h=1e-5, target_counts=counts, stage=stage, corrupt=True
         )
         assert max(worst for _, worst in errors.values()) >= 1e-4
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_fd_check_rejects_a_sample_the_adapter_cannot_take(stage):
+    # Stage 2 maps its pooled rows unchecked every batch, so it checks their width at set-up.
+    model, sample, counts = random_fd_instance(seed=3, stage=stage)
+    wide = Unit(frames=np.ones((2, model.adapter.feature_dim + 1)), label=sample.label)
+    with pytest.raises(ContractViolation, match="features shape"):
+        fd_check(model, wide, target_counts=counts, stage=stage)
 
 
 def test_fd_sweep_aggregates_fd_check_over_instances():
