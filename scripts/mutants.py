@@ -1,0 +1,188 @@
+#!/usr/bin/env python3
+"""Mutation check: does Tier-1 fail when the method is wrong?
+
+Each mutant below is one deliberate defect in ``src/metd``, written as an
+exact source edit.  For each, the script copies the repository into a
+temporary directory, applies the edit there and runs Tier-1 with ``-x``
+against the copy; a failing run means the tests caught the defect
+(killed), a passing one that they did not (survived).  The working tree
+is only read.
+
+Every edit must match its file exactly once.  If one does not (a
+refactor moved or reworded the line), the script stops before running
+anything and names the mutant, so the edit is updated with the code.  A
+survivor is a finding about the tests: mend it with a test, never by
+editing the mutant.
+
+  python scripts/mutants.py              # the unmutated copy, then every mutant
+  python scripts/mutants.py NAME ...     # only these mutants (names in MUTANTS)
+
+Exit status: 0 if every mutant run was killed, 1 if any survived, 2 if
+an edit does not match or the unmutated copy already fails.  Stdlib only;
+not part of Tier-1.  Each run takes up to one Tier-1 run (about 35 s on
+a 2-vCPU VM).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/metd, text to replace, replacement)
+MUTANTS = (
+    (
+        "margin-takes-k-plus",
+        "losses.py",
+        "farthest = grid.values.reshape(-1, k)[own].argmin(axis=-1)",
+        "farthest = closest",
+    ),
+    (
+        "counts-without-running-sum",
+        "training.py",
+        "        counts[:] = running[-1]\n        return running[rows, targets]",
+        "        alone = (counts + assigned)[rows, targets]\n"
+        "        counts[:] = running[-1]\n        return alone",
+    ),
+    (
+        "alpha-is-one",
+        "losses.py",
+        "alpha = modulating_factor(counts, closest)",
+        "alpha = np.ones_like(modulating_factor(counts, closest))",
+    ),
+    (
+        "adam-without-bias-correction-on-m",
+        "training.py",
+        "m_hat = m / (1.0 - ADAM_BETA1**t)",
+        "m_hat = m",
+    ),
+    (
+        "decay-after-the-gradient-step",
+        "training.py",
+        "        if weight_decay != 0.0:\n"
+        "            param -= (learning_rate * weight_decay) * param\n"
+        "        param -= update[start : start + param.size].reshape(shape)\n",
+        "        param -= update[start : start + param.size].reshape(shape)\n"
+        "        if weight_decay != 0.0:\n"
+        "            param -= (learning_rate * weight_decay) * param\n",
+    ),
+    (
+        "schedule-one-step-late",
+        "training.py",
+        "optimizer_step(params, grads, state, scheduled_lr(step), weight_decay)",
+        "optimizer_step(params, grads, state, scheduled_lr(max(step - 1, 0)), weight_decay)",
+    ),
+    (
+        "stage2-reuses-stage1-stream",
+        "training.py",
+        "stream = (STREAM_SHUFFLE, config.seed, number)",
+        "stream = (STREAM_SHUFFLE, config.seed, 1)",
+    ),
+    (
+        "k-plus-ties-to-the-highest-index",
+        "losses.py",
+        "return self.values.argmax(axis=-1)",
+        "return (self.values.shape[-1] - 1) - self.values[..., ::-1].argmax(axis=-1)",
+    ),
+    (
+        "batch-sum-not-mean",
+        "training.py",
+        "        n = len(batch)\n",
+        "        n = 1\n",
+    ),
+    (
+        "logits-without-temperature",
+        "losses.py",
+        "return self.values / self.temperature",
+        "return self.values",
+    ),
+    (
+        "adapter-without-residual",
+        "model.py",
+        "    if residual:\n        out = out + features\n",
+        "    if False:\n        out = out + features\n",
+    ),
+    (
+        "oversample-seed-off-by-one",
+        "data.py",
+        "rng = np.random.default_rng([STREAM_OVERSAMPLE, seed])",
+        "rng = np.random.default_rng([STREAM_OVERSAMPLE, seed + 1])",
+    ),
+    (
+        "stage2-before-stage1",
+        "harness.py",
+        "    trace1 = run_stage1(model, fitted, config)\n"
+        "    trace2 = run_stage2(model, fitted, config)\n",
+        "    trace2 = run_stage2(model, fitted, config)\n"
+        "    trace1 = run_stage1(model, fitted, config)\n",
+    ),
+)
+
+IGNORED = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work", "*.egg-info"
+)
+
+
+def _check_edits(mutants) -> list[str]:
+    """One problem line per mutant whose edit does not match its file exactly once."""
+    problems = []
+    for name, file, old, _ in mutants:
+        found = (ROOT / "src" / "metd" / file).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"mutant {name}: its edit matches src/metd/{file} {found} times")
+    return problems
+
+
+def _tier1(copy: Path) -> tuple[bool, str]:
+    """Run Tier-1 with -x in ``copy``: (passed, last line of its output)."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    lines = run.stdout.strip().splitlines()
+    return run.returncode == 0, lines[-1] if lines else run.stderr.strip()[-200:]
+
+
+def _run(name: str, edit) -> bool:
+    """Tier-1 on a fresh copy with ``edit`` (file, old, new) applied, or none; True if it passed."""
+    with tempfile.TemporaryDirectory(prefix="metd-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        if edit is not None:
+            file, old, new = edit
+            path = copy / "src" / "metd" / file
+            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        started = time.perf_counter()
+        passed, last = _tier1(copy)
+    print(f"{name:<36} {'passed' if passed else 'failed'} in {time.perf_counter() - started:5.1f} s"
+          f"  ({last})", flush=True)
+    return passed
+
+
+def main(argv) -> int:
+    unknown = sorted(set(argv) - {name for name, *_ in MUTANTS})
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m[0] in argv]
+    problems = _check_edits(chosen)
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 2
+    if not _run("(unmutated)", None):
+        print("Tier-1 fails without a mutant, so no mutant can be judged", file=sys.stderr)
+        return 2
+    survivors = [name for name, *edit in chosen if _run(name, edit)]
+    for name, *_ in chosen:
+        print(f"{name}: {'survived' if name in survivors else 'killed'}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -47,6 +47,7 @@ from .model import (
     FORMAT_VERSION,
     STREAM_OVERSAMPLE,
     STREAM_SYNTH,
+    _require_positive,
     format_floats,
     parse_float_rows,
     read_records,
@@ -274,15 +275,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "n_classes",
-            "subclusters_per_class",
-            "samples_per_subcluster",
-            "feature_dim",
-        ):
-            value = getattr(self, name)
-            if int(value) != value or value < 1:
-                raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
+        _require_positive(
+            n_classes=self.n_classes,
+            subclusters_per_class=self.subclusters_per_class,
+            samples_per_subcluster=self.samples_per_subcluster,
+            feature_dim=self.feature_dim,
+        )
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ContractViolation(f"sigma must be >= 0, got {self.sigma}")
         for name, top in (("inter_class_min_angle", 90.0), ("intra_class_angle", 180.0)):

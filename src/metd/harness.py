@@ -290,8 +290,8 @@ def train_metd(
     # An empty split is not oversampled: the stages reject it.
     fitted = oversample_balance(train, config.seed) if config.oversample and len(train) else train
     model = build_strategy_model(train, config)
-    _, trace1 = run_stage1(model, fitted, config)
-    _, trace2 = run_stage2(model, fitted, config)
+    trace1 = run_stage1(model, fitted, config)
+    trace2 = run_stage2(model, fitted, config)
     return model, trace1, trace2
 
 

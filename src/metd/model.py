@@ -42,8 +42,9 @@ STREAM_FDCHECK = 7
 
 
 def _require_positive(**named_values):
+    """Each value must be an integer >= 1: a NumPy integer passes, a bool or a float does not."""
     for name, value in named_values.items():
-        if int(value) != value or value < 1:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
 
 

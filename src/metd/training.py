@@ -30,8 +30,8 @@ how that side's per-sample gradients become batch-mean parameter
 gradients.  ``fd_check`` is its one-sample batch, so it checks
 the gradients that ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
 probes are copies of a trained array, never the array itself: the
-probes of one row of the array go through the real encoder in one call
-(``_Stage.probe``), and all of the array's probes are scored in one batch.
+probes of one row of the array go through the real encoder in one
+``_Stage.embed`` call, and all of the array's probes are scored in one batch.
 
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
@@ -41,7 +41,6 @@ the arrays in sorted-name order, so a step is one elementwise pass however
 many arrays it updates.  The cosine schedule decays the rate per step.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -57,8 +56,6 @@ from .model import (
     PROJECTED_MEAN,
     STREAM_FDCHECK,
     STREAM_SHUFFLE,
-    DescriptorBank,
-    ImageAdapter,
     Model,
     adapter_gradients,
     adapter_map,
@@ -242,7 +239,7 @@ class _Stage:
 
     ``trains`` names the side they embed into (``losses.TEXT`` or
     ``losses.IMAGE``), the only side the loss is differentiated for.  The
-    side those arrays cannot change is embedded once, here.
+    side those arrays cannot change, ``frozen``, is embedded once, here.
     """
 
     def __init__(self, model: Model, units: list[Unit], number: int):
@@ -251,13 +248,13 @@ class _Stage:
         self.labels = np.array([unit.label for unit in units])
         if number == 1:
             # The adapter is frozen in this stage, so the unit embeddings are too.
-            self.embeddings = np.stack([unit_embedding(model, unit) for unit in units])
+            self.frozen = np.stack([unit_embedding(model, unit) for unit in units])
             self.params = {"bank.tokens": model.bank.tokens}
             self.trains = losses.TEXT
         elif number == 2:
             # Descriptors are frozen in this stage, so their embeddings are too;
             # the frames never change, so each unit is pooled and checked once.
-            self.stack = bank_embeddings(model.bank, model.encoder)
+            self.frozen = bank_embeddings(model.bank, model.encoder)
             self.pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
             width = model.adapter.feature_dim
             if self.pooled.shape[1] != width:
@@ -270,42 +267,35 @@ class _Stage:
         else:
             raise ContractViolation(f"stage must be 1 or 2, got {number}")
 
-    def embed(self, rows):
+    def embed(self, rows, moved=None):
         """The side this stage trains, embedded from the arrays' current values.
 
         Stage 1 gives the descriptor stack (N, K, D).  Stage 2 gives the
         embeddings of units ``rows``: (D,) for one index, (B, D) for an
-        index array or a slice.
+        index array or a slice.  ``moved`` maps one of ``params``' names to
+        an (S, *shape) stack of values, embedded in that array's place in
+        one encoder call: the result gains a leading S axis, row s with the
+        bits of the call with the array set to value s.  The arrays
+        themselves are only read.
         """
         if self.number == 1:
-            return bank_embeddings(self.model.bank, self.model.encoder)
-        adapter = self.model.adapter
-        return adapter_map(adapter.weight, adapter.bias, self.pooled[rows], adapter.residual)
-
-    def probe(self, name, values):
-        """Unit 0's trained side at each of the (S, *shape) ``values`` of array ``name``.
-
-        Gives (S, ...): row s has the bits ``embed(0)`` gives with
-        ``params[name]`` set to ``values[s]``, in one encoder call.  The
-        arrays themselves are only read.
-        """
-        if self.number == 1:
-            return encode_text(self.model.encoder, self.model.bank.context, values)
-        arrays = {**self.params, name: values}
+            if moved is None:
+                return bank_embeddings(self.model.bank, self.model.encoder)
+            return encode_text(self.model.encoder, self.model.bank.context, moved["bank.tokens"])
+        arrays = {**self.params, **(moved or {})}
         return adapter_map(
-            arrays["adapter.weight"], arrays["adapter.bias"], self.pooled[0],
+            arrays["adapter.weight"], arrays["adapter.bias"], self.pooled[rows],
             self.model.adapter.residual,
         )
 
     def sides(self, rows, embedded):
         """Units ``rows``' embeddings and the descriptor stack.
 
-        ``embedded`` is what ``embed`` returned; the other side is the one
-        the stage holds frozen.
+        ``embedded`` is what ``embed`` returned; the other side is ``frozen``.
         """
         if self.number == 1:
-            return self.embeddings[rows], embedded
-        return embedded, self.stack
+            return self.frozen[rows], embedded
+        return embedded, self.frozen
 
     def score(self, rows, embedded, targets, target_counts):
         """Units ``rows``' grid and LossBreakdown against ``targets`` (B,).
@@ -389,18 +379,14 @@ def _run_stage(model, dataset, config, number):
     return trace
 
 
-def run_stage1(
-    model: Model, dataset: EmbeddingDataset, config
-) -> tuple[DescriptorBank, list[EpochStats]]:
+def run_stage1(model: Model, dataset: EmbeddingDataset, config) -> list[EpochStats]:
     """Train the descriptor tokens by the stage-1 keys; all else stays bit-identical."""
-    return model.bank, _run_stage(model, dataset, config, 1)
+    return _run_stage(model, dataset, config, 1)
 
 
-def run_stage2(
-    model: Model, dataset: EmbeddingDataset, config
-) -> tuple[ImageAdapter, list[EpochStats]]:
+def run_stage2(model: Model, dataset: EmbeddingDataset, config) -> list[EpochStats]:
     """Train the adapter by the stage-2 keys, against the frozen descriptors."""
-    return model.adapter, _run_stage(model, dataset, config, 2)
+    return _run_stage(model, dataset, config, 2)
 
 
 def central_difference(embed, score, array: np.ndarray, h: float) -> np.ndarray:
@@ -454,8 +440,8 @@ def fd_check(
     sample: Unit,
     h: float = 1e-5,
     *,
-    target_counts=None,
-    stage: int = 1,
+    target_counts,
+    stage: int,
     corrupt: bool = False,
 ) -> dict[str, tuple[int, float]]:
     """Compare one stage's training gradients with central differences.
@@ -463,7 +449,7 @@ def fd_check(
     ``sample`` is a one-sample batch of the stage's training path, with
     ``target_counts`` as its counts.  ``central_difference`` moves each
     entry the stage trains by +/-h in a copy of its array, embeds each
-    row's copies in one ``_Stage.probe`` call and scores each array's
+    row's copies in one ``_Stage.embed`` call and scores each array's
     probes in one batched call, row for row the bits of the one-sample
     loss with the entry moved in place.  Returns, per trained
     array name, its entry count and the largest relative error between
@@ -471,8 +457,6 @@ def fd_check(
     breaks the first analytic entry (negative control: its error must
     be large).
     """
-    if target_counts is None:
-        target_counts = np.ones(model.n_subclasses, dtype=np.int64)
     counts = np.asarray(target_counts)[None]
     path = _Stage(model, [sample], stage)
     batch = np.array([0])
@@ -493,7 +477,9 @@ def fd_check(
 
     errors = {}
     for name in sorted(path.params):
-        embed = functools.partial(path.probe, name)
+        def embed(block):
+            return path.embed(0, {name: block})
+
         numeric = central_difference(embed, score, path.params[name], h)
         relative = _relative_errors(analytic[name], numeric)
         errors[name] = (int(relative.size), float(np.max(relative)))

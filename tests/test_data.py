@@ -137,6 +137,19 @@ def test_infeasible_geometries_are_rejected():
         SynthConfig(**{**good, "inter_class_min_angle": 91.0})
 
 
+@pytest.mark.parametrize("value", [6.0, True])
+@pytest.mark.parametrize(
+    "field", ["n_classes", "subclusters_per_class", "samples_per_subcluster", "feature_dim"]
+)
+def test_synth_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # A whole float or a bool would pass as a count until NumPy failed on it.
+    good = dict(n_classes=1, subclusters_per_class=1, samples_per_subcluster=6,
+                feature_dim=6, sigma=0.1, seed=0)
+    with pytest.raises(ContractViolation, match=f"{field} must be a positive integer"):
+        generate_synthetic(SynthConfig(**{**good, field: value}))
+    generate_synthetic(SynthConfig(**{**good, field: np.int64(good[field])}))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n_classes=st.integers(1, 5),

@@ -211,7 +211,7 @@ def test_each_stacked_probe_equals_embedding_that_value_in_place(seed, s, n, k, 
     stage = _Stage(model, [Unit(frames=frames, label=int(rng.integers(n)))], number)
     for name, array in stage.params.items():
         values = rng.normal(size=(s, *array.shape))
-        probed = stage.probe(name, values)
+        probed = stage.embed(0, {name: values})
         kept = array.copy()
         for row in range(s):
             array[...] = values[row]

@@ -362,6 +362,48 @@ def test_a_faulty_value_names_its_checkpoint_line(tmp_path, key, fault):
     assert str(info.value) == f"line {j + 1}: {problem}"
 
 
+# A whole float or a bool is not a dimension: each builder names the
+# field instead of leaving NumPy to fail later.  A NumPy integer is one.
+NOT_DIMENSIONS = [3.0, True]
+BANK_DIMS = dict(n_classes=3, n_subclasses=2, n_tokens=2, token_dim=4, context_length=3)
+
+
+@pytest.mark.parametrize("value", NOT_DIMENSIONS)
+@pytest.mark.parametrize("field", sorted(BANK_DIMS))
+def test_build_bank_rejects_a_dimension_that_is_not_an_integer(field, value):
+    with pytest.raises(ContractViolation, match=f"{field} must be a positive integer"):
+        build_bank(**{**BANK_DIMS, field: value}, seed=0)
+    build_bank(**{**BANK_DIMS, field: np.int64(BANK_DIMS[field])}, seed=0)
+
+
+@pytest.mark.parametrize("value", NOT_DIMENSIONS)
+@pytest.mark.parametrize("field", ["token_dim", "embed_dim"])
+def test_build_text_encoder_rejects_a_dimension_that_is_not_an_integer(field, value):
+    dims = dict(token_dim=4, embed_dim=3)
+    with pytest.raises(ContractViolation, match=f"{field} must be a positive integer"):
+        build_text_encoder(PROJECTED_MEAN, **{**dims, field: value}, seed=0)
+    build_text_encoder(PROJECTED_MEAN, **{**dims, field: np.int64(dims[field])}, seed=0)
+
+
+@pytest.mark.parametrize("value", NOT_DIMENSIONS)
+@pytest.mark.parametrize("field", ["feature_dim", "embed_dim"])
+def test_build_adapter_rejects_a_dimension_that_is_not_an_integer(field, value):
+    dims = dict(feature_dim=4, embed_dim=4)
+    with pytest.raises(ContractViolation, match=f"{field} must be a positive integer"):
+        build_adapter(**{**dims, field: value})
+    build_adapter(**{**dims, field: np.int64(dims[field])})
+
+
+@pytest.mark.parametrize("value", NOT_DIMENSIONS)
+@pytest.mark.parametrize("field", ["n_classes", "n_subclasses", "feature_dim"])
+def test_build_model_rejects_a_dimension_that_is_not_an_integer(field, value):
+    dims = dict(n_classes=3, n_subclasses=2, n_tokens=2, token_dim=4, embed_dim=4,
+                feature_dim=4, context_length=3)
+    with pytest.raises(ContractViolation, match=f"{field} must be a positive integer"):
+        build_model(**{**dims, field: value})
+    build_model(**{**dims, field: np.int64(dims[field])})
+
+
 @pytest.mark.parametrize(
     "dimension",
     ["n_classes", "n_subclasses", "n_tokens", "token_dim", "embed_dim", "feature_dim",

@@ -11,7 +11,7 @@ from metd.data import EmbeddingDataset, SynthConfig, Unit, apply_linear_map, gen
 from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
 from metd.inference import evaluate, temporal_mean_pool
-from metd.model import build_model
+from metd.model import STREAM_SHUFFLE, build_model
 from metd.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -65,7 +65,7 @@ def separable_run():
     """Stage-1 training on an easy three-cluster set, shared by the slow tests."""
     train, test = generate_synthetic(SEPARABLE)
     model = _separable_model()
-    _, trace = run_stage1(
+    trace = run_stage1(
         model, train, run_config(stage1_epochs=30, stage1_batch_size=16, seed=11)
     )
     return train, test, model, trace
@@ -355,8 +355,8 @@ def test_zero_epochs_is_a_no_op():
         feature_dim=8, context_length=2, temperature=0.055, seed=1,
     )
     before = copy.deepcopy(model)
-    _, trace1 = run_stage1(model, train, run_config(stage1_epochs=0))
-    _, trace2 = run_stage2(model, train, run_config(stage2_epochs=0))
+    trace1 = run_stage1(model, train, run_config(stage1_epochs=0))
+    trace2 = run_stage2(model, train, run_config(stage2_epochs=0))
     assert trace1 == [] and trace2 == []
     assert np.array_equal(model.bank.tokens, before.bank.tokens)
     assert np.array_equal(model.adapter.weight, before.adapter.weight)
@@ -441,7 +441,7 @@ def test_fresh_non_residual_model_trains():
         residual=False, temperature=0.055, seed=4,
     )
     assert np.array_equal(model.adapter.weight, np.eye(12, 16))
-    _, trace = run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=8))
+    trace = run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=8))
     assert len(trace) == 1 and np.isfinite(trace[0].total)
 
 
@@ -538,6 +538,35 @@ def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch)
     assert calls == [(1, size) for size in sizes] + [(2, size) for size in sizes]
 
 
+def test_each_stage_shuffles_with_its_own_stream(monkeypatch):
+    # Epoch e of stage n draws its order from default_rng([STREAM_SHUFFLE,
+    # seed, n, e]): stage 2 must not replay stage 1's batches.
+    import metd.training
+
+    batches = []
+    original = metd.training._counted_gradients
+
+    def recorded(stage, batch, counts, sums):
+        batches.append((stage.number, batch.tolist()))
+        return original(stage, batch, counts, sums)
+
+    monkeypatch.setattr(metd.training, "_counted_gradients", recorded)
+    model, train = _sixteen_units()
+    seed, size, n_units = 3, 5, len(train.units())
+    config = run_config(stage1_epochs=2, stage2_epochs=2, stage1_batch_size=size,
+                        stage2_batch_size=size, seed=seed)
+    run_stage1(model, train, config)
+    run_stage2(model, train, config)
+    expected = []
+    for number in (1, 2):
+        for epoch in (1, 2):
+            rng = np.random.default_rng([STREAM_SHUFFLE, seed, number, epoch])
+            order = rng.permutation(n_units)
+            expected += [(number, order[start : start + size].tolist())
+                         for start in range(0, n_units, size)]
+    assert batches == expected
+
+
 def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
     # The raw frames never change, so they are pooled once, not every epoch,
     # and the per-epoch report encodes that pooled array instead of pooling
@@ -577,7 +606,7 @@ def test_each_stages_last_train_war_equals_evaluate(count_scope):
         stage2_lr=1e-2, count_scope=count_scope, seed=3,  # an adapter that moves
     )
     for run_stage in (run_stage1, run_stage2):
-        _, trace = run_stage(model, train, config)
+        trace = run_stage(model, train, config)
         assert trace[-1].war == evaluate(train, model).war
 
 
@@ -661,7 +690,7 @@ def test_training_is_deterministic():
             n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
             feature_dim=8, context_length=2, temperature=0.055, seed=3,
         )
-        _, trace = run_stage1(
+        trace = run_stage1(
             model, train, run_config(stage1_epochs=3, stage1_batch_size=8, seed=3)
         )
         traces.append(trace)
@@ -679,7 +708,7 @@ def test_metrics_log_format():
         n_classes=2, n_subclasses=1, n_tokens=2, token_dim=8, embed_dim=8,
         feature_dim=8, context_length=2, temperature=0.055, seed=4,
     )
-    _, trace = run_stage1(model, train, run_config(stage1_epochs=2, seed=4))
+    trace = run_stage1(model, train, run_config(stage1_epochs=2, seed=4))
     text = format_metrics_log(trace)
     lines = text.splitlines()
     assert lines[0] == "epoch\tfg\tmargin\ttotal\twar\tlr"
