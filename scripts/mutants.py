@@ -44,9 +44,11 @@ MUTANTS = (
     (
         "counts-without-running-sum",
         "training.py",
-        "        counts[:] = running[-1]\n        return running[rows, targets]",
-        "        alone = (counts + assigned)[rows, targets]\n"
-        "        counts[:] = running[-1]\n        return alone",
+        "    counts[:] = running[-1]\n"
+        "    breakdown = losses.total_loss(grid, targets, running[rows, targets])\n",
+        "    alone = (counts + assigned)[rows, targets]\n"
+        "    counts[:] = running[-1]\n"
+        "    breakdown = losses.total_loss(grid, targets, alone)\n",
     ),
     (
         "alpha-is-one",
@@ -91,7 +93,7 @@ MUTANTS = (
     (
         "batch-sum-not-mean",
         "training.py",
-        "        n = len(batch)\n",
+        "        n = len(rows)\n",
         "        n = 1\n",
     ),
     (

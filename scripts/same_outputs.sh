@@ -33,9 +33,11 @@
 # errors and a config error are compared as well.  A "bad-configs" case
 # runs fdcheck with one config per config error class (unknown key,
 # duplicate key, missing "=", empty value, bad integer, non-finite float,
-# bad bool, n_tokens = 0, unknown encoder_kind, unknown strategy, duplicate
-# strategy, and the identity-mean and residual conflicts), so each config
-# error's text, key and line are compared too.  An "fdcheck-wide" case runs
+# bad bool, n_tokens = 0, a negative seed, unknown encoder_kind, unknown
+# strategy, duplicate strategy, and the identity-mean and residual
+# conflicts), so each config error's text, key and line are compared too,
+# and runs train on the seed-7 data at temperature = 1e-320, whose
+# reciprocal overflows.  An "fdcheck-wide" case runs
 # fdcheck on 60 instances at seeds 0 and 101, which cover both encoder
 # kinds and both adapter kinds, and once more at seed 0 with
 # fdcheck_corrupt = true, the control that must fail.  An "fdcheck-step"
@@ -208,11 +210,15 @@ bad_config bad-integer "n_classes = 1.5"
 bad_config non-finite "sigma = inf"
 bad_config bad-bool "oversample = yes"
 bad_config zero-tokens "seed = 1" "n_tokens = 0"
+bad_config negative-seed "seed = -1"
 bad_config unknown-encoder "encoder_kind = mystery"
 bad_config unknown-strategy "strategies = metd, warp"
 bad_config duplicate-strategy "strategies = metd, metd"
 bad_config identity-mean-conflict "token_dim = 8"
 bad_config residual-conflict "feature_dim = 8"
+override "$out/seed7/run.cfg" "temperature = 1e-320" >"$cfgs/tiny-temperature.cfg"
+run "$cfgs" train-tiny-temperature train --config "$cfgs/tiny-temperature.cfg" \
+    "$out/seed7/data" "$cfgs/tiny-temperature.ckpt"
 
 wide="$out/fdcheck-wide"
 rm -rf "$wide"

@@ -14,7 +14,6 @@ from .losses import (
     clip_ce_loss,
     loss_gradients,
     modulating_factor,
-    select_closest,
     similarity_grid,
     total_loss,
 )

@@ -134,7 +134,7 @@ class _BadValue(ConfigError):
 class RunConfig:
     """Every setting of a run, checked when built; a variant is ``dataclasses.replace``."""
 
-    seed: int = _key(_any, 7)
+    seed: int = _key(_nonnegative, 7)
     # synthetic benchmark geometry
     n_classes: int = _key(_positive, 3)
     subclusters_per_class: int = _key(_positive, 2)

@@ -48,6 +48,7 @@ from .model import (
     STREAM_OVERSAMPLE,
     STREAM_SYNTH,
     _require_positive,
+    _require_seed,
     format_floats,
     parse_float_rows,
     read_records,
@@ -281,6 +282,7 @@ class SynthConfig:
             samples_per_subcluster=self.samples_per_subcluster,
             feature_dim=self.feature_dim,
         )
+        _require_seed(self.seed)
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise ContractViolation(f"sigma must be >= 0, got {self.sigma}")
         for name, top in (("inter_class_min_angle", 90.0), ("intra_class_angle", 180.0)):

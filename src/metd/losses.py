@@ -46,7 +46,7 @@ took, and computes its logits (values / tau) and each class's best
 subclass on first use.  total_loss is the one loss entry point: it
 checks the targets and counts, takes k+ and k- from the grid, calls
 modulating_factor once and returns both terms in a LossBreakdown.
-select_closest is public because training counts k+ before the loss.
+Training counts each sample on k+, read from best_subclasses, first.
 loss_gradients takes that grid and that LossBreakdown, reads the
 embeddings, stack and targets from them, selects nothing again, and
 builds only the sides it is asked for.  Each loss adds
@@ -93,8 +93,7 @@ class SimilarityGrid:
             if not np.isfinite(values).all():
                 raise ContractViolation("similarities contain non-finite entries")
             raise ContractViolation("similarities must lie in [-1, 1]")
-        if not (self.temperature > 0.0 and math.isfinite(self.temperature)):
-            raise ContractViolation(f"temperature must be > 0, got {self.temperature}")
+        numerics.check_temperature(self.temperature)
 
     @property
     def n_classes(self) -> int:
@@ -146,12 +145,6 @@ def _check_target(grid: SimilarityGrid, targets) -> np.ndarray:
 def _target_rows(grid: SimilarityGrid, t: np.ndarray) -> np.ndarray:
     """Each row's checked target as an index into the grid's (B * N, K) class rows."""
     return np.arange(0, t.size * grid.n_classes, grid.n_classes) + t
-
-
-def select_closest(grid: SimilarityGrid, targets):
-    """Index of each target class's highest-similarity subclass (lowest-index ties), (B,)."""
-    t = _check_target(grid, targets)
-    return grid.best_subclasses.reshape(-1)[_target_rows(grid, t)]
 
 
 def modulating_factor(counts, closest):
@@ -255,8 +248,7 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
         raise ContractViolation("similarities must lie in [-1, 1]")
     if not 0 <= target < sims.size:
         raise ContractViolation(f"target {target} out of range for {sims.size} classes")
-    if not (temperature > 0.0 and np.isfinite(temperature)):
-        raise ContractViolation(f"temperature must be > 0, got {temperature}")
+    numerics.check_temperature(temperature)
     if sims.size == 1:
         return 0.0
     # the fine-grained loss of one sample with one subclass per class

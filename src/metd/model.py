@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+from .numerics import check_temperature
 
 TOKEN_INIT_STD = 0.02
 
@@ -46,6 +47,12 @@ def _require_positive(**named_values):
     for name, value in named_values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
             raise ContractViolation(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_seed(seed):
+    """A seed is an integer >= 0, as ``default_rng`` takes it: a bool or a float is not."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolation(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass
@@ -120,6 +127,7 @@ def build_bank(
         token_dim=token_dim,
         context_length=context_length,
     )
+    _require_seed(seed)
     rng = np.random.default_rng([STREAM_BANK, seed])
     tokens = rng.normal(
         0.0, TOKEN_INIT_STD, size=(n_classes, n_subclasses, n_tokens, token_dim)
@@ -168,6 +176,7 @@ class TextEncoder:
 
 def build_text_encoder(kind: str, token_dim: int, embed_dim: int, seed: int) -> TextEncoder:
     _require_positive(token_dim=token_dim, embed_dim=embed_dim)
+    _require_seed(seed)
     projection = None
     if kind == PROJECTED_MEAN:
         rng = np.random.default_rng([STREAM_PROJECTION, seed])
@@ -339,8 +348,7 @@ class Model:
     seed: int
 
     def __post_init__(self):
-        if not (self.temperature > 0.0 and np.isfinite(self.temperature)):
-            raise ContractViolation(f"temperature must be > 0, got {self.temperature}")
+        check_temperature(self.temperature)
         if self.bank.token_dim != self.encoder.token_dim:
             raise ContractViolation(
                 f"bank token dim {self.bank.token_dim} != "

@@ -22,6 +22,14 @@ import numpy as np
 from .errors import ContractViolation, ZeroNormError
 
 
+def check_temperature(temperature) -> None:
+    """A similarity temperature must be > 0 and finite, and so must its reciprocal."""
+    if not (temperature > 0.0 and math.isfinite(temperature)):
+        raise ContractViolation(f"temperature must be > 0, got {temperature}")
+    if not math.isfinite(1.0 / float(temperature)):
+        raise ContractViolation(f"temperature {temperature} is too small: 1/temperature overflows")
+
+
 def as_vector(values, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float64 array, rejecting empty or non-finite input."""
     arr = np.asarray(values, dtype=np.float64)

@@ -19,16 +19,17 @@ BEFORE its loss is computed, which guarantees the assigned subclass
 count is at least one.  Counts reset every epoch by default
 (``count_scope="epoch"``), or every batch behind the config flag.
 
-Each batch is one call of the batched loss kernel: the parameters, and
-so every selection, are fixed within a batch, so sample b's counts are
-those before the batch plus a running sum of the batch's assignments.
+One function, ``_step``, runs a training batch in one grid: the
+parameters, and so every selection, are fixed within a batch, so sample
+b's counts are those before the batch plus a running sum of the batch's
+assignments, taken before its one loss and one gradient call.
 
 Each stage is defined once, by ``_Stage``: the arrays it trains, the
 side it re-embeds (the descriptor stack in stage 1, the unit embeddings
-in stage 2), which is the one side the loss is differentiated for, and
-how that side's per-sample gradients become batch-mean parameter
-gradients.  ``fd_check`` is its one-sample batch, so it checks
-the gradients that ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
+in stage 2), which is the one side the loss is differentiated for, its
+grid, and how that side's per-sample gradients become batch-mean
+parameter gradients.  ``fd_check`` is its one-sample batch with given
+counts, so it checks the gradients ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
 probes are copies of a trained array, never the array itself: the
 probes of one row of the array go through the real encoder in one
 ``_Stage.embed`` call, and all of the array's probes are scored in one batch.
@@ -182,17 +183,6 @@ def format_metrics_log(trace: list[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pull_token_gradient(model: Model, grad_t: np.ndarray) -> np.ndarray:
-    """Map descriptor-embedding gradients onto the token grid.
-
-    The encoder is a mean over (context ++ tokens), so every token
-    position of a descriptor receives the same pullback, broadcast over M.
-    """
-    length = model.bank.context_length + model.bank.n_tokens
-    pulled = encode_text_token_gradient(model.encoder, grad_t, length)
-    return np.broadcast_to(pulled[:, :, None, :], model.bank.tokens.shape).copy()
-
-
 def fit(params, batch_gradients, n_items: int, config, stage: int, stream):
     """The one optimisation loop, shared by both stages and the baselines.
 
@@ -297,52 +287,50 @@ class _Stage:
             return self.frozen[rows], embedded
         return embedded, self.frozen
 
-    def score(self, rows, embedded, targets, target_counts):
-        """Units ``rows``' grid and LossBreakdown against ``targets`` (B,).
+    def grid(self, rows, embedded):
+        """Units ``rows``' ``similarity_grid``; ``embedded`` is what ``embed`` returned."""
+        return losses.similarity_grid(*self.sides(rows, embedded), self.model.temperature)
 
-        ``embedded`` is what ``embed`` returned.  ``target_counts(grid,
-        targets)`` gives each sample's (B, K) counts.
+    def gradients(self, rows, grid, breakdown):
+        """The batch-mean gradient of each of ``params`` from units ``rows``' grid and loss.
+
+        The encoder is a mean over (context ++ tokens), so every token
+        position of a descriptor receives the same pullback, broadcast over M.
         """
-        grid = losses.similarity_grid(*self.sides(rows, embedded), self.model.temperature)
-        return grid, losses.total_loss(grid, targets, target_counts(grid, targets))
-
-    def gradients(self, batch, target_counts):
-        """The batch's LossBreakdown and the batch-mean gradient of each of ``params``."""
-        grid, breakdown = self.score(batch, self.embed(batch), self.labels[batch], target_counts)
         grad_v, grad_t = losses.loss_gradients(grid, breakdown, wrt=(self.trains,))
-        n = len(batch)
+        n = len(rows)
         if self.number == 1:
-            pulled = _pull_token_gradient(self.model, grad_t.sum(axis=0) / n)
-            return breakdown, {"bank.tokens": pulled}
-        grad_w, grad_b = adapter_gradients(self.model.adapter, self.pooled[batch], grad_v)
-        return breakdown, {
+            bank = self.model.bank
+            length = bank.context_length + bank.n_tokens
+            pulled = encode_text_token_gradient(self.model.encoder, grad_t.sum(axis=0) / n, length)
+            return {"bank.tokens": np.broadcast_to(pulled[:, :, None, :], bank.tokens.shape).copy()}
+        grad_w, grad_b = adapter_gradients(self.model.adapter, self.pooled[rows], grad_v)
+        return {
             "adapter.weight": grad_w.sum(axis=0) / n,
             "adapter.bias": grad_b.sum(axis=0) / n,
         }
 
 
-def _counted_gradients(stage: _Stage, batch, counts: np.ndarray, sums: np.ndarray):
-    """Count a training batch, then return its batch-mean parameter gradients.
+def _step(stage: _Stage, batch, counts: np.ndarray, sums: np.ndarray):
+    """Count a training batch in its grid, then return its batch-mean parameter gradients.
 
     Sample b's loss sees the (n_classes, n_subclasses) ``counts`` plus the
     batch's assignments to closest subclasses up to and including b.
     ``counts`` then moves past the batch, and each sample's (fg, margin,
     total) is added to ``sums`` in batch order.
     """
-
-    def count(grid, targets):
-        rows = np.arange(len(targets))
-        assigned = np.zeros((len(targets), *counts.shape), dtype=np.int64)
-        assigned[rows, targets, losses.select_closest(grid, targets)] = 1
-        running = counts + np.cumsum(assigned, axis=0)
-        counts[:] = running[-1]
-        return running[rows, targets]
-
-    breakdown, grads = stage.gradients(batch, count)
+    grid = stage.grid(batch, stage.embed(batch))
+    targets = stage.labels[batch]
+    rows = np.arange(len(batch))
+    assigned = np.zeros((len(batch), *counts.shape), dtype=np.int64)
+    assigned[rows, targets, grid.best_subclasses[rows, targets]] = 1
+    running = counts + np.cumsum(assigned, axis=0)
+    counts[:] = running[-1]
+    breakdown = losses.total_loss(grid, targets, running[rows, targets])
     parts = (breakdown.fg, breakdown.margin, breakdown.total)
     # A running sum, as the loop added them: np.sum may add pairwise.
     sums[:] = np.concatenate((sums[:, None], parts), axis=1).cumsum(axis=1)[:, -1]
-    return grads
+    return stage.gradients(batch, grid, breakdown)
 
 
 def _run_stage(model, dataset, config, number):
@@ -365,7 +353,7 @@ def _run_stage(model, dataset, config, number):
     def gradients(batch):
         if config.count_scope == "batch":
             counts[:] = 0
-        return _counted_gradients(stage, batch, counts, sums)
+        return _step(stage, batch, counts, sums)
 
     trace: list[EpochStats] = []
     stream = (STREAM_SHUFFLE, config.seed, number)
@@ -461,15 +449,14 @@ def fd_check(
     path = _Stage(model, [sample], stage)
     batch = np.array([0])
 
-    def given(grid, targets):
-        return np.repeat(counts, len(targets), axis=0)
-
     def score(probes):
         # Each probe scored as sample 0 alone, with its counts.
-        targets = np.repeat(path.labels, len(probes))
-        return path.score(0, probes, targets, given)[-1].total
+        n = len(probes)
+        targets, repeated = np.repeat(path.labels, n), np.repeat(counts, n, axis=0)
+        return losses.total_loss(path.grid(0, probes), targets, repeated).total
 
-    _, analytic = path.gradients(batch, given)
+    grid = path.grid(batch, path.embed(batch))
+    analytic = path.gradients(batch, grid, losses.total_loss(grid, path.labels, counts))
     if corrupt:
         first = sorted(analytic)[0]
         worst_scale = max(float(np.max(np.abs(g))) for g in analytic.values())

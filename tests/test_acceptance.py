@@ -122,7 +122,7 @@ def test_losses_match_extended_precision_reference(capsys):
         values, tau = grid.values[0], grid.temperature
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=grid.n_subclasses)
-        closest = int(losses.select_closest(grid, np.array([target]))[0])
+        closest = int(grid.best_subclasses[0, target])
         counts[closest] = int(rng.integers(1, 9))
         breakdown = _one_loss(grid, target, counts)
         alpha = _mp_alpha(counts, closest)

@@ -228,6 +228,32 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path):
     assert "sigma" in result.stderr
 
 
+def test_a_negative_seed_is_a_config_error_for_every_command(tmp_path):
+    # NumPy's generators take no negative seed: the config must refuse it
+    # before any command seeds one.
+    config = tmp_path / "negative.cfg"
+    config.write_text("seed = -1\n")
+    data = tmp_path / "data"
+    for argv in (("synth", str(data)), ("train", str(data), str(tmp_path / "m.ckpt")),
+                 ("fdcheck",)):
+        result = run_cli(argv[0], "--config", str(config), *argv[1:])
+        assert (result.returncode, result.stdout) == (2, ""), argv
+        assert result.stderr == "config error: seed: must be >= 0, got -1 (line 1)\n", argv
+
+
+def test_train_rejects_a_temperature_whose_reciprocal_overflows(workspace, tmp_path):
+    # 1e-320 is positive and finite, but the logits s / tau are not: the
+    # error must name the temperature before training, with no warning.
+    _, _, data, _ = workspace
+    config = tmp_path / "tiny.cfg"
+    config.write_text(COMPACT_CONFIG.replace("temperature = 0.055", "temperature = 1e-320"))
+    checkpoint = tmp_path / "model.ckpt"
+    result = run_cli("train", "--config", str(config), str(data), str(checkpoint))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: temperature 1e-320 is too small: 1/temperature overflows\n"
+    assert not checkpoint.exists()
+
+
 def test_synth_rejects_an_infeasible_geometry_before_writing(tmp_path):
     # 3 classes x 2 subcluster means need 6 orthonormal columns.
     config = tmp_path / "narrow.cfg"

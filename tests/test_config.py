@@ -118,6 +118,9 @@ def test_range_errors():
     assert (err.key, err.line) == ("inter_class_min_angle", 2) and "[0, 90]" in str(err)
     assert parse_config_text("inter_class_min_angle = 90\n").inter_class_min_angle == 90
     assert _error("temperature = 0\n").key == "temperature"
+    # Every random stream is default_rng([tag, seed, ...]), which takes no negative entry.
+    assert str(_error("# comment\nseed = -1\n")) == "seed: must be >= 0, got -1 (line 2)"
+    assert parse_config_text("seed = 0\n").seed == 0
     assert _error("n_classes = 0\n").key == "n_classes"
     assert _error("stage1_epochs = -1\n").key == "stage1_epochs"
     assert _error("stage2_lr = -0.5\n").key == "stage2_lr"
@@ -129,7 +132,7 @@ def test_range_errors():
     _replace_errors([
         ("sigma", -1.0), ("inter_class_min_angle", 200.0), ("temperature", 0.0),
         ("n_classes", 0), ("stage1_epochs", -1), ("stage2_lr", -0.5),
-        ("decode_top_n", 0), ("probe_epochs", 0), ("probe_lr", 0.0),
+        ("decode_top_n", 0), ("probe_epochs", 0), ("probe_lr", 0.0), ("seed", -1),
     ])
     assert replace(parse_config_text(""), stage1_epochs=0).stage1_epochs == 0
 

@@ -201,6 +201,9 @@ def test_synth_config_validation():
         SynthConfig(**{**good, "n_classes": 0})
     with pytest.raises(ContractViolation):
         SynthConfig(**{**good, "samples_per_subcluster": 0})
+    with pytest.raises(ContractViolation, match="seed must be a nonnegative integer, got -2"):
+        SynthConfig(**good, seed=-2)
+    assert len(generate_synthetic(SynthConfig(**good, seed=0))[0]) > 0
 
 
 def test_dataset_validation():

@@ -27,8 +27,9 @@ from metd.model import (
     bank_embeddings,
     build_model,
     encode_image,
+    encode_text_token_gradient,
 )
-from metd.training import _counted_gradients, _pull_token_gradient, _Stage, random_fd_instance
+from metd.training import _Stage, _step, random_fd_instance
 
 FIELDS = ("fg", "margin", "total", "alpha", "closest_subclass", "farthest_subclass")
 
@@ -51,7 +52,7 @@ def _instance(seed, b, n, k, d, tau):
     targets = rng.integers(0, n, size=b)
     grid = losses.similarity_grid(v, stack, tau)
     counts = rng.integers(0, 6, size=(b, k))
-    counts[np.arange(b), losses.select_closest(grid, targets)] += 1
+    counts[np.arange(b), grid.best_subclasses[np.arange(b), targets]] += 1
     return rng, v, stack, targets, grid, counts
 
 
@@ -90,6 +91,16 @@ def test_each_stack_row_equals_the_one_stack_call(instance):
         assert np.array_equal(grid.values[row], one.values[0])
 
 
+def _pulled(model, grad_t):
+    """Descriptor-embedding gradients (N, K, D) pulled back onto the token grid.
+
+    The encoder is a mean, so each of a descriptor's M token positions gets the same pullback.
+    """
+    length = model.bank.context_length + model.bank.n_tokens
+    pulled = encode_text_token_gradient(model.encoder, grad_t, length)
+    return np.broadcast_to(pulled[:, :, None, :], model.bank.tokens.shape)
+
+
 @kernel_settings
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from((1, 2)))
 def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
@@ -111,7 +122,7 @@ def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
     for unit in units:
         target = np.array([unit.label])
         grid = losses.similarity_grid(unit_embedding(model, unit)[None], stack, model.temperature)
-        counts[unit.label, losses.select_closest(grid, target)[0]] += 1
+        counts[unit.label, grid.best_subclasses[0, unit.label]] += 1
         breakdown = losses.total_loss(grid, target, counts[target])
         sums += (breakdown.fg[0], breakdown.margin[0], breakdown.total[0])
         grad_v, grad_t = losses.loss_gradients(grid, breakdown)
@@ -123,11 +134,11 @@ def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
             loop.append({"adapter.weight": grad_w, "adapter.bias": grad_b})
     expected = {name: functools.reduce(np.add, (g[name] for g in loop)) / b for name in loop[0]}
     if number == 1:
-        expected["bank.tokens"] = _pull_token_gradient(model, expected["bank.tokens"])
+        expected["bank.tokens"] = _pulled(model, expected["bank.tokens"])
 
     batch_counts, batch_sums = start.copy(), np.zeros(3)
     stage = _Stage(model, units, number)
-    grads = _counted_gradients(stage, np.arange(b), batch_counts, batch_sums)
+    grads = _step(stage, np.arange(b), batch_counts, batch_sums)
     assert np.array_equal(batch_counts, counts)
     assert np.array_equal(batch_sums, sums)
     assert grads.keys() == expected.keys()
@@ -429,7 +440,7 @@ def test_the_stage_path_gives_the_mask_formulas_bits(seed, b, n, k, encoder_kind
     gv, gt = _ref_cosine_gradients(v, stack, values)
     if number == 1:
         grad_t = coeff[..., None] * gt
-        expected = {"bank.tokens": _pull_token_gradient(model, grad_t.sum(axis=0) / b)}
+        expected = {"bank.tokens": _pulled(model, grad_t.sum(axis=0) / b)}
     else:
         grad_v = np.cumsum((coeff[..., None] * gv).reshape(b, n * k, -1), axis=1)[:, -1]
         grad_w, grad_b = adapter_gradients(model.adapter, pooled, grad_v)
@@ -438,8 +449,10 @@ def test_the_stage_path_gives_the_mask_formulas_bits(seed, b, n, k, encoder_kind
 
     stage = _Stage(model, units, number)
     counts, sums = start.copy(), np.zeros(3)
-    grads = _counted_gradients(stage, np.arange(b), counts, sums)
-    breakdown, again = stage.gradients(np.arange(b), lambda grid, targets: running[rows, t])
+    grads = _step(stage, rows, counts, sums)
+    grid = stage.grid(rows, stage.embed(rows))
+    breakdown = losses.total_loss(grid, t, running[rows, t])
+    again = stage.gradients(rows, grid, breakdown)
     assert np.array_equal(counts, running[-1])
     parts = np.stack((fields["fg"], fields["margin"], fields["total"]), axis=1)
     assert np.array_equal(sums, np.cumsum(np.vstack((np.zeros(3), parts)), axis=0)[-1])

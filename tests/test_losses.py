@@ -1,6 +1,7 @@
 """Similarity-grid losses, the count-based modulating factor, and gradients."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -46,6 +47,20 @@ def test_similarity_grid_validation():
         losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=-1.0)
 
 
+@pytest.mark.parametrize("tau", [1e-320, 5e-309])
+def test_a_temperature_whose_reciprocal_overflows_is_rejected(tau):
+    # Positive and finite, but values / tau would overflow to inf: the error
+    # names the temperature, and no overflow warning is raised first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="1/temperature overflows"):
+            losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=tau)
+        with pytest.raises(ContractViolation, match="1/temperature overflows"):
+            losses.clip_ce_loss([0.5, 0.1], 0, tau)
+    # The smallest normal float still has a finite reciprocal.
+    losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=2.2250738585072014e-308)
+
+
 def test_stacks_of_descriptor_stacks_take_one_embedding():
     rng = np.random.default_rng(4)
     stacks = rng.normal(size=(2, 3, 2, 4))
@@ -64,12 +79,13 @@ def test_selection_breaks_ties_toward_lowest_index():
     grid = losses.SimilarityGrid(
         values=np.array([[[0.3, 0.7, 0.7], [0.2, 0.2, 0.2]]]), temperature=0.1
     )
-    assert losses.select_closest(grid, np.array([0])).tolist() == [1]
-    assert _one_loss(grid, 0, np.ones(3, dtype=np.int64)).farthest_subclass.tolist() == [0]
-    assert losses.select_closest(grid, np.array([1])).tolist() == [0]
-    assert _one_loss(grid, 1, np.ones(3, dtype=np.int64)).farthest_subclass.tolist() == [0]
-    with pytest.raises(ContractViolation):
-        losses.select_closest(grid, np.array([2]))
+    counts = np.ones(3, dtype=np.int64)
+    assert _one_loss(grid, 0, counts).closest_subclass.tolist() == [1]
+    assert _one_loss(grid, 0, counts).farthest_subclass.tolist() == [0]
+    assert _one_loss(grid, 1, counts).closest_subclass.tolist() == [0]
+    assert _one_loss(grid, 1, counts).farthest_subclass.tolist() == [0]
+    with pytest.raises(ContractViolation, match="out of range"):
+        _one_loss(grid, 2, counts)
 
 
 def test_single_subclass_reduces_to_plain_cross_entropy():
@@ -202,7 +218,7 @@ def test_total_is_sum_of_parts():
         k = grid.n_subclasses
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=k)
-        closest = int(losses.select_closest(grid, np.array([target]))[0])
+        closest = int(grid.best_subclasses[0, target])
         counts[closest] = int(rng.integers(1, 9))
         breakdown = _one_loss(grid, target, counts)
         assert breakdown.total[0] == breakdown.fg[0] + breakdown.margin[0]
@@ -257,7 +273,7 @@ def test_losses_match_extended_precision_oracle():
         k = grid.n_subclasses
         target = int(rng.integers(grid.n_classes))
         counts = rng.integers(0, 9, size=k)
-        closest = int(losses.select_closest(grid, np.array([target]))[0])
+        closest = int(grid.best_subclasses[0, target])
         counts[closest] = int(rng.integers(1, 9))
         breakdown = _one_loss(grid, target, counts)
         alpha = _mp_alpha(counts, closest)

@@ -197,6 +197,25 @@ def test_model_validation():
     adapter = build_adapter(5, 5)
     with pytest.raises(ContractViolation):
         Model(bank=bank, encoder=encoder, adapter=adapter, temperature=0.1, seed=0)
+    # Positive and finite, but its reciprocal, which scales every logit, is not.
+    model = _randomized_model(3)
+    with pytest.raises(ContractViolation, match="temperature 1e-320 is too small"):
+        Model(bank=model.bank, encoder=model.encoder, adapter=model.adapter,
+              temperature=1e-320, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**40)])
+def test_the_builders_refuse_a_negative_seed(seed):
+    # default_rng takes no negative entry: the builders name the seed instead.
+    message = f"seed must be a nonnegative integer, got {seed}"
+    with pytest.raises(ContractViolation, match=message):
+        build_bank(2, 1, 1, 4, 1, seed=seed)
+    for kind in (IDENTITY_MEAN, PROJECTED_MEAN):
+        with pytest.raises(ContractViolation, match=message):
+            build_text_encoder(kind, 4, 4, seed=seed)
+    with pytest.raises(ContractViolation, match=message):
+        build_model(2, 1, 1, 4, 4, 4, 1, seed=seed)
+    assert build_bank(2, 1, 1, 4, 1, seed=0).tokens.shape == (2, 1, 1, 4)
 
 
 def test_bank_embeddings_matches_per_descriptor_encoding():
@@ -430,13 +449,14 @@ def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
         (IDENTITY_MEAN, True, "temperature", "-1", "temperature must be > 0"),
         (IDENTITY_MEAN, True, "temperature", "nan", "temperature must be > 0"),
         (IDENTITY_MEAN, True, "temperature", "inf", "temperature must be > 0"),
+        (IDENTITY_MEAN, True, "temperature", "1e-320", "1/temperature overflows"),
         (IDENTITY_MEAN, False, "residual", "true",
          "residual adapter requires feature_dim == embed_dim"),
         (PROJECTED_MEAN, False, "encoder", IDENTITY_MEAN,
          "identity-mean requires token_dim == embed_dim"),
     ],
-    ids=["temperature-negative", "temperature-nan", "temperature-inf", "residual-dims",
-         "identity-mean-dims"],
+    ids=["temperature-negative", "temperature-nan", "temperature-inf", "temperature-tiny",
+         "residual-dims", "identity-mean-dims"],
 )
 def test_checkpoint_header_rejects_what_build_model_refuses(
     tmp_path, encoder_kind, residual, field, value, message

@@ -11,6 +11,7 @@ from metd.data import EmbeddingDataset, SynthConfig, Unit, apply_linear_map, gen
 from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
 from metd.inference import evaluate, temporal_mean_pool
+from metd.losses import total_loss
 from metd.model import STREAM_SHUFFLE, build_model
 from metd.training import (
     ADAM_BETA1,
@@ -278,14 +279,14 @@ def test_central_difference_leaves_the_array_alone_when_embed_or_score_raises():
 
 
 def _one_sample_central_difference(path, array, counts, h):
-    """The reference: two one-sample ``_Stage.score`` calls per entry."""
+    """The reference: two one-sample grids and ``total_loss`` calls per entry."""
     batch = np.array([0])
     flat = array.reshape(-1)
     grad = np.empty(flat.size)
 
     def loss():
-        scored = path.score(batch, path.embed(batch), path.labels[batch], lambda *_: counts)
-        return scored[-1].total[0]
+        grid = path.grid(batch, path.embed(batch))
+        return total_loss(grid, path.labels[batch], counts).total[0]
 
     for idx in range(flat.size):
         original = flat[idx]
@@ -500,17 +501,17 @@ def _count_calls(monkeypatch, module, names):
 
 
 def test_stage1_selects_each_samples_subclass_once(monkeypatch):
-    # Each sample is counted on its closest subclass; total_loss then takes
-    # k+ and k- from the grid itself.  The batch is one call each of
-    # select_closest, total_loss and loss_gradients; the first two check
-    # the batch's targets, and loss_gradients takes them from the breakdown.
+    # Each sample is counted on its closest subclass, read from the grid
+    # total_loss then takes k+ and k- from.  The batch is one call each of
+    # total_loss and loss_gradients; only total_loss checks the batch's
+    # targets, and loss_gradients takes them from the breakdown.
     import metd.losses
 
     model, train = _sixteen_units()
-    calls = _count_calls(monkeypatch, metd.losses, ("select_closest", "_check_target"))
+    calls = _count_calls(monkeypatch, metd.losses, ("total_loss", "_check_target"))
     run_stage1(model, train, run_config(stage1_epochs=1, stage1_batch_size=5, seed=3))
     n_batches = math.ceil(len(train.units()) / 5)
-    assert calls == {"select_closest": n_batches, "_check_target": 2 * n_batches}
+    assert calls == {"total_loss": n_batches, "_check_target": n_batches}
 
 
 def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch):
@@ -521,9 +522,9 @@ def test_fd_check_and_both_stages_share_one_stage_gradient_function(monkeypatch)
     calls = []
     original = metd.training._Stage.gradients
 
-    def counted(self, batch, target_counts):
-        calls.append((self.number, len(batch)))
-        return original(self, batch, target_counts)
+    def counted(self, rows, grid, breakdown):
+        calls.append((self.number, len(rows)))
+        return original(self, rows, grid, breakdown)
 
     monkeypatch.setattr(metd.training._Stage, "gradients", counted)
     for stage in (1, 2):
@@ -544,13 +545,13 @@ def test_each_stage_shuffles_with_its_own_stream(monkeypatch):
     import metd.training
 
     batches = []
-    original = metd.training._counted_gradients
+    original = metd.training._step
 
     def recorded(stage, batch, counts, sums):
         batches.append((stage.number, batch.tolist()))
         return original(stage, batch, counts, sums)
 
-    monkeypatch.setattr(metd.training, "_counted_gradients", recorded)
+    monkeypatch.setattr(metd.training, "_step", recorded)
     model, train = _sixteen_units()
     seed, size, n_units = 3, 5, len(train.units())
     config = run_config(stage1_epochs=2, stage2_epochs=2, stage1_batch_size=size,
