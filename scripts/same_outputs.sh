@@ -24,13 +24,14 @@
 # mixes subcluster ids, one that is not contiguous, a negative subcluster
 # id), so seven dataset error messages are compared too.  A
 # "bad-files" case evals a copy of the seed-7 checkpoint whose header
-# says temperature=-1, evals the seed-7 checkpoint on a copy of its test
-# split whose third line holds the byte 0xff, which is not UTF-8, and decodes the seed-7 checkpoint against a copy
-# of configs/vocab.tsv whose fourth line repeats the word of its second,
-# and against a vocabulary
-# whose header says dim=0, and runs fdcheck with a config whose second
-# line holds the byte 0xe9, so a checkpoint header error, two vocabulary
-# errors and a config error are compared as well.  A "bad-configs" case
+# says temperature=-1 and one whose header says seed=-1, evals the seed-7
+# checkpoint on a copy of its test split whose third line holds the byte
+# 0xff, which is not UTF-8, and decodes the seed-7 checkpoint against a
+# copy of configs/vocab.tsv whose fourth line repeats the word of its
+# second, and against a vocabulary whose header says dim=0, and runs
+# fdcheck with a config whose second line holds the byte 0xe9, so two
+# checkpoint header errors, two vocabulary errors and a config error are
+# compared as well.  A "bad-configs" case
 # runs fdcheck with one config per config error class (unknown key,
 # duplicate key, missing "=", empty value, bad integer, non-finite float,
 # bad bool, n_tokens = 0, a negative seed, unknown encoder_kind, unknown
@@ -180,6 +181,8 @@ rm -rf "$bad"
 mkdir -p "$bad"
 sed '1s/temperature=[^ ]*/temperature=-1/' "$out/seed7/model.ckpt" >"$bad/model.ckpt"
 run "$bad" eval eval "$bad/model.ckpt" "$out/seed7/data/test.tsv"
+sed '1s/seed=[^ ]*$/seed=-1/' "$out/seed7/model.ckpt" >"$bad/negative-seed.ckpt"
+run "$bad" eval-negative-seed eval "$bad/negative-seed.ckpt" "$out/seed7/data/test.tsv"
 awk 'NR == 3 { sub(/\t/, "\t\377") } { print }' "$out/seed7/data/test.tsv" >"$bad/not-utf8.tsv"
 run "$bad" eval-not-utf8 eval "$out/seed7/model.ckpt" "$bad/not-utf8.tsv"
 awk -F'\t' -v OFS='\t' 'NR == 2 { word = $1 } NR == 4 { $1 = word } { print }' \

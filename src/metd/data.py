@@ -406,6 +406,7 @@ def oversample_balance(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset
     fresh sequence ids so they stay distinct units.  Deterministic in
     ``seed``; a class with zero units is an error.
     """
+    _require_seed(seed)
     counts = dataset.unit_class_counts()
     if np.any(counts == 0):
         missing = int(np.argmin(counts))

@@ -39,6 +39,7 @@ from .inference import evaluate, report_from_labels
 from .model import (
     STREAM_HARNESS,
     Model,
+    _require_seed,
     adapter_gradients,
     adapter_map,
     build_adapter,
@@ -110,6 +111,7 @@ def default_benchmark(seed: int = 7) -> tuple[EmbeddingDataset, EmbeddingDataset
     loss weighting is what keeps the minority direction trained despite
     seeing a quarter of the samples.
     """
+    _require_seed(seed)
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_BENCH, seed])
     frame, _ = np.linalg.qr(rng.normal(size=(16, 5)))
     e1, e2 = frame.T[0], frame.T[1]
@@ -153,6 +155,7 @@ def distortion_matrix(
         raise ContractViolation(f"dim must be >= 1, got {dim}")
     if not (0 < min_scale <= max_scale):
         raise ContractViolation("need 0 < min_scale <= max_scale")
+    _require_seed(seed)
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_DISTORT, seed])
     q1, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     q2, _ = np.linalg.qr(rng.normal(size=(dim, dim)))

@@ -258,20 +258,18 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
 
 
 def similarity_grid(embeddings, text_embeddings, temperature: float) -> SimilarityGrid:
-    """Cosine similarity of embeddings against descriptor stacks.
+    """Cosine similarity of a batch of embeddings (B, D) against one (N, K, D) descriptor stack.
 
-    A batch of embeddings (B, D) against one (N, K, D) descriptor stack
-    gives a (B, N, K) grid.  One embedding (D,) against S stacks
-    (S, N, K, D) gives an (S, N, K) grid, row s against stack s.  The
-    embeddings, the stacks' entries and their dimensions are checked by
-    ``cosine_similarity``; only the ranks are checked here.
+    Gives a (B, N, K) grid.  The embeddings, the stack's entries and
+    their dimensions are checked by ``cosine_similarity``; only the ranks
+    are checked here.
     """
     v = np.asarray(embeddings, dtype=np.float64)
     stack = np.asarray(text_embeddings, dtype=np.float64)
-    if (v.ndim, stack.ndim) not in ((2, 3), (1, 4)):
+    if (v.ndim, stack.ndim) != (2, 3):
         raise ContractViolation(
-            f"embeddings {v.shape} do not fit descriptor stacks {stack.shape}: one 3-D stack "
-            f"(N, K, D) takes a (B, D) batch, S stacks (S, N, K, D) take one (D,) embedding"
+            f"embeddings {v.shape} do not fit descriptor stack {stack.shape}: "
+            f"a (B, D) batch takes one 3-D stack (N, K, D)"
         )
     values, v_norms, t_norms = numerics.cosine_similarity(v, stack, with_norms=True)
     return SimilarityGrid(values, temperature, v, stack, v_norms, t_norms)

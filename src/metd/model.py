@@ -349,6 +349,7 @@ class Model:
 
     def __post_init__(self):
         check_temperature(self.temperature)
+        _require_seed(self.seed)
         if self.bank.token_dim != self.encoder.token_dim:
             raise ContractViolation(
                 f"bank token dim {self.bank.token_dim} != "
@@ -572,7 +573,7 @@ def load_checkpoint(path: str) -> Model:
     """Read a checkpoint whose lines follow ``_checkpoint_layout`` in order.
 
     A header that ``build_model`` would refuse (a zero dimension, a bad
-    temperature, dims the encoder or adapter cannot take) is a ParseError
+    temperature, a negative seed, dims the encoder or adapter cannot take) is a ParseError
     at line 1, and the first line that is out of place, missing or extra
     is one at its line number.
     """
@@ -625,5 +626,5 @@ def load_checkpoint(path: str) -> Model:
         )
     except ContractViolation as exc:
         # The rows were read to the header's shapes, so any breach left is
-        # the header's: its temperature, or dims the encoder or adapter refuse.
+        # the header's: its temperature or seed, or dims the encoder or adapter refuse.
         raise ParseError(str(exc), line=1) from exc

@@ -30,9 +30,11 @@ in stage 2), which is the one side the loss is differentiated for, its
 grid, and how that side's per-sample gradients become batch-mean
 parameter gradients.  ``fd_check`` is its one-sample batch with given
 counts, so it checks the gradients ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
-probes are copies of a trained array, never the array itself: the
-probes of one row of the array go through the real encoder in one
-``_Stage.embed`` call, and all of the array's probes are scored in one batch.
+probes are copies, never the array itself, of only the part of a trained
+array that the moved entry can change: one descriptor's (M, d) tokens in
+stage 1, the whole weight or bias in stage 2.  All of an array's probes go
+through the real encoder in one ``_Stage.embed`` call and are scored in
+one ``total_loss`` call.
 
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
+from . import losses, numerics
 from .data import EmbeddingDataset, Unit
 from .errors import ContractViolation
 # ``evaluate`` is unused here, but perfbench's binding test reads it from this module.
@@ -58,6 +60,7 @@ from .model import (
     STREAM_FDCHECK,
     STREAM_SHUFFLE,
     Model,
+    _require_seed,
     adapter_gradients,
     adapter_map,
     bank_embeddings,
@@ -263,10 +266,10 @@ class _Stage:
         Stage 1 gives the descriptor stack (N, K, D).  Stage 2 gives the
         embeddings of units ``rows``: (D,) for one index, (B, D) for an
         index array or a slice.  ``moved`` maps one of ``params``' names to
-        an (S, *shape) stack of values, embedded in that array's place in
-        one encoder call: the result gains a leading S axis, row s with the
-        bits of the call with the array set to value s.  The arrays
-        themselves are only read.
+        a stack of values embedded in one encoder call, row for row the
+        bits of the call with that value in place: in stage 1, (..., M, d)
+        token sequences of one descriptor each, to (..., D); in stage 2,
+        (..., *shape) values of that array.  The arrays themselves are only read.
         """
         if self.number == 1:
             if moved is None:
@@ -380,32 +383,29 @@ def run_stage2(model: Model, dataset: EmbeddingDataset, config) -> list[EpochSta
 def central_difference(embed, score, array: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences of a batched loss w.r.t. one array.
 
-    Each entry has two probes: copies of ``array`` with that entry moved
-    by +h and by -h.  ``array`` itself is only read, so it keeps its bits
-    whatever ``embed`` or ``score`` raise.  The probes of one row of
-    ``array`` (its last axis) form a (2 * width, *array.shape) block, +h
-    and -h alternating, which ``embed`` maps to what each probe embeds
-    to, in one call.  ``score`` maps the (2 * entries, ...) stack of all
-    those embeddings to the loss of each, in one call.
+    ``array`` is a stack of matrices, its last two axes (a vector is one
+    matrix).  Each entry has two probes: copies of the one matrix that
+    holds it, with the entry moved by +h and by -h.  ``array`` itself is
+    only read, so it keeps its bits whatever ``embed`` or ``score``
+    raise.  All probes form one (matrices, 2 * matrix size, *matrix
+    shape) block, +h and -h alternating, which ``embed`` maps to what
+    each probe embeds to, in one call.  ``score`` maps the (2 * entries,
+    ...) stack of those embeddings, probe 2e + side moving entry e of the
+    flat array, to the loss of each, in one call.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ContractViolation(f"h must be > 0, got {h}")
-    width = array.shape[-1]
-    rows = array.reshape(-1, width)
+    matrices = array.reshape(-1, math.prod(array.shape[-2:]))
+    n, width = matrices.shape
+    probes = np.repeat(matrices[:, None], 2 * width, axis=1)
+    # probes[i, 2j + side] is matrix i with its entry j moved by +h (side 0) or -h.
+    moved = probes.reshape(n, width, 2, width)
     entries = np.arange(width)
-    probes = None
-    for index, row in enumerate(rows):
-        block = np.repeat(array[None], 2 * width, axis=0)
-        # block[2j + side] is entry j of this row moved by +h (side 0) or -h.
-        moved = block.reshape(width, 2, len(rows), width)
-        moved[entries, 0, index, entries] = row + h
-        moved[entries, 1, index, entries] = row - h
-        embedded = embed(block)
-        if probes is None:
-            probes = np.empty((len(rows), 2 * width, *np.shape(embedded)[1:]))
-        probes[index] = embedded
+    moved[:, entries, 0, entries] = matrices + h
+    moved[:, entries, 1, entries] = matrices - h
+    embedded = embed(probes.reshape(n, 2 * width, *array.shape[-2:]))
     n_probes = 2 * array.size
-    values = np.asarray(score(probes.reshape(n_probes, *probes.shape[2:])))
+    values = np.asarray(score(np.reshape(embedded, (n_probes, *np.shape(embedded)[2:]))))
     if values.shape != (n_probes,):
         raise ContractViolation(f"score gave shape {values.shape} for {n_probes} probes")
     plus, minus = values.reshape(array.size, 2).T
@@ -436,10 +436,13 @@ def fd_check(
 
     ``sample`` is a one-sample batch of the stage's training path, with
     ``target_counts`` as its counts.  ``central_difference`` moves each
-    entry the stage trains by +/-h in a copy of its array, embeds each
-    row's copies in one ``_Stage.embed`` call and scores each array's
-    probes in one batched call, row for row the bits of the one-sample
-    loss with the entry moved in place.  Returns, per trained
+    entry the stage trains by +/-h in a copy of the matrix that holds it
+    (one descriptor's tokens, or the whole weight or bias), embeds all of
+    an array's probes in one ``_Stage.embed`` call and scores them in one
+    ``total_loss`` call, row for row the bits of the one-sample loss with
+    the entry moved in place.  In stage 1 a probe moves one descriptor,
+    so its one cosine is written into a copy of the sample's grid, whose
+    other entries keep their bits.  Returns, per trained
     array name, its entry count and the largest relative error between
     the analytic and the numeric gradient.  ``corrupt`` deliberately
     breaks the first analytic entry (negative control: its error must
@@ -448,14 +451,21 @@ def fd_check(
     counts = np.asarray(target_counts)[None]
     path = _Stage(model, [sample], stage)
     batch = np.array([0])
+    grid = path.grid(batch, path.embed(batch))
 
     def score(probes):
         # Each probe scored as sample 0 alone, with its counts.
         n = len(probes)
         targets, repeated = np.repeat(path.labels, n), np.repeat(counts, n, axis=0)
-        return losses.total_loss(path.grid(0, probes), targets, repeated).total
+        if stage == 2:
+            return losses.total_loss(path.grid(0, probes), targets, repeated).total
+        # Probe p moved descriptor p // (2 M d) alone: its cosine replaces that grid entry.
+        i, k = np.divmod(np.arange(n) // (2 * model.bank.tokens[0, 0].size), model.n_subclasses)
+        values = np.repeat(grid.values, n, axis=0)
+        values[np.arange(n), i, k] = numerics.cosine_similarity(path.frozen[0], probes)
+        probe_grid = losses.SimilarityGrid(values, grid.temperature)
+        return losses.total_loss(probe_grid, targets, repeated).total
 
-    grid = path.grid(batch, path.embed(batch))
     analytic = path.gradients(batch, grid, losses.total_loss(grid, path.labels, counts))
     if corrupt:
         first = sorted(analytic)[0]
@@ -505,6 +515,7 @@ def random_fd_instance(seed: int, stage: int):
     sweep is fast; parameters are O(1) scale and the temperature is drawn
     from [0.05, 1] to keep the loss surface away from float-noise flats.
     """
+    _require_seed(seed)
     rng = np.random.default_rng([STREAM_FDCHECK, seed, stage])
     n_classes = int(rng.integers(2, 6))
     n_subclasses = int(rng.integers(1, 4))

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metd import losses
+from metd import losses, numerics
 from metd.data import Unit
 from metd.inference import temporal_mean_pool, unit_embedding
 from metd.model import (
@@ -79,16 +79,18 @@ def test_each_batch_row_equals_the_one_sample_call(instance):
 @kernel_settings
 @given(instances)
 def test_each_stack_row_equals_the_one_stack_call(instance):
-    # One embedding against S descriptor stacks, as fd_check scores its probes.
+    # One embedding's cosines with a flat stack of descriptor embeddings,
+    # as fd_check scores its stage-1 probes, are the bits of the grid
+    # entries of that embedding against each (N, K, D) stack they form.
     seed, s, n, k, d, tau = instance
     rng = np.random.default_rng(seed)
     v = rng.normal(size=d)
     stacks = rng.normal(size=(s, n, k, d))
-    grid = losses.similarity_grid(v, stacks, tau)
-    assert grid.values.shape == (s, n, k)
+    cosines = numerics.cosine_similarity(v, stacks.reshape(-1, d))
+    assert cosines.shape == (s * n * k,)
     for row in range(s):
         one = losses.similarity_grid(v[None], stacks[row], tau)
-        assert np.array_equal(grid.values[row], one.values[0])
+        assert np.array_equal(cosines.reshape(s, n, k)[row], one.values[0])
 
 
 def _pulled(model, grad_t):
@@ -214,19 +216,21 @@ def test_each_stacked_adapter_row_equals_the_one_adapter_call(seed, s, b, f, e, 
 )
 def test_each_stacked_probe_equals_embedding_that_value_in_place(seed, s, n, k, encoder_kind,
                                                                 residual, number):
-    # fd_check's probes: S values of one trained array embedded in one
-    # encoder call, row for row the bits of writing each value into the
-    # array and embedding unit 0 the way training does.
+    # fd_check's probes: S values embedded in one encoder call, row for
+    # row the bits of writing each value into the array and embedding
+    # unit 0 the way training does.  A stage-1 value is one descriptor's
+    # (M, d) tokens, and its row is that descriptor's entry of the stack.
     rng, model = _random_stage_model(seed, n, k, encoder_kind, residual)
     frames = rng.normal(size=(int(rng.integers(1, 4)), model.adapter.feature_dim))
     stage = _Stage(model, [Unit(frames=frames, label=int(rng.integers(n)))], number)
     for name, array in stage.params.items():
-        values = rng.normal(size=(s, *array.shape))
+        where = (int(rng.integers(n)), int(rng.integers(k))) if number == 1 else ()
+        values = rng.normal(size=(s, *array[where].shape))
         probed = stage.embed(0, {name: values})
         kept = array.copy()
         for row in range(s):
-            array[...] = values[row]
-            assert np.array_equal(probed[row], stage.embed(0)), (name, row)
+            array[where] = values[row]
+            assert np.array_equal(probed[row], stage.embed(0)[where]), (name, row)
         array[...] = kept
 
 

@@ -61,18 +61,15 @@ def test_a_temperature_whose_reciprocal_overflows_is_rejected(tau):
     losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=2.2250738585072014e-308)
 
 
-def test_stacks_of_descriptor_stacks_take_one_embedding():
+def test_a_grid_is_a_batch_against_one_descriptor_stack():
     rng = np.random.default_rng(4)
-    stacks = rng.normal(size=(2, 3, 2, 4))
-    assert losses.similarity_grid(rng.normal(size=4), stacks, 0.5).values.shape == (2, 3, 2)
-    for v in (rng.normal(size=(1, 4)), rng.normal(size=(2, 4)), 1.0):
-        with pytest.raises(ContractViolation, match="take one"):
+    stack = rng.normal(size=(3, 2, 4))
+    assert losses.similarity_grid(rng.normal(size=(2, 4)), stack, 0.5).values.shape == (2, 3, 2)
+    # A single embedding goes in as a batch of one, and stacks of stacks are not taken.
+    for v, stacks in ((rng.normal(size=4), stack), (rng.normal(size=4), stack[None]),
+                      (rng.normal(size=(2, 4)), stack[None]), (1.0, stack)):
+        with pytest.raises(ContractViolation, match=r"a \(B, D\) batch takes one 3-D stack"):
             losses.similarity_grid(v, stacks, 0.5)
-    with pytest.raises(ContractViolation, match="3-D"):
-        losses.similarity_grid(rng.normal(size=4), stacks[None], 0.5)
-    # One stack takes a (B, D) batch; a single embedding goes in as a batch of one.
-    with pytest.raises(ContractViolation, match=r"takes a \(B, D\) batch"):
-        losses.similarity_grid(rng.normal(size=4), stacks[0], 0.5)
 
 
 def test_selection_breaks_ties_toward_lowest_index():
@@ -379,8 +376,7 @@ def test_loss_gradients_reject_a_grid_of_another_shape():
     breakdown = _one_loss(grid, 1, [1, 1])
     assert losses.loss_gradients(grid, breakdown)[1].shape == (1, 3, 2, 4)
     bare = losses.SimilarityGrid(grid.values, grid.temperature)
-    stacks = losses.similarity_grid(v, stack[None], 0.5)
-    assert np.array_equal(stacks.values, grid.values)
+    stacks = losses.SimilarityGrid(grid.values, grid.temperature, grid.embeddings, stack[None])
     for other in (bare, stacks):
         with pytest.raises(ContractViolation, match=r"one \(N, K, D\) descriptor stack"):
             losses.loss_gradients(other, breakdown)

@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from metd.data import EmbeddingDataset, Sample, oversample_balance
 from metd.errors import ContractViolation, ParseError
+from metd.harness import default_benchmark, distortion_matrix
 from metd.model import (
     IDENTITY_MEAN,
     PROJECTED_MEAN,
@@ -23,6 +25,7 @@ from metd.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from metd.training import random_fd_instance
 
 
 def _randomized_model(seed, encoder_kind=IDENTITY_MEAN, residual=True):
@@ -206,7 +209,8 @@ def test_model_validation():
 
 @pytest.mark.parametrize("seed", [-1, -(2**40)])
 def test_the_builders_refuse_a_negative_seed(seed):
-    # default_rng takes no negative entry: the builders name the seed instead.
+    # default_rng takes no negative entry: the builders, and every other
+    # function that takes a seed, name the seed instead.
     message = f"seed must be a nonnegative integer, got {seed}"
     with pytest.raises(ContractViolation, match=message):
         build_bank(2, 1, 1, 4, 1, seed=seed)
@@ -216,6 +220,18 @@ def test_the_builders_refuse_a_negative_seed(seed):
     with pytest.raises(ContractViolation, match=message):
         build_model(2, 1, 1, 4, 4, 4, 1, seed=seed)
     assert build_bank(2, 1, 1, 4, 1, seed=0).tokens.shape == (2, 1, 1, 4)
+    model = build_model(2, 1, 1, 4, 4, 4, 1, seed=0)
+    rows = [Sample(np.ones(2), label) for label in (0, 0, 1)]
+    seeded = (
+        lambda: Model(model.bank, model.encoder, model.adapter, model.temperature, seed),
+        lambda: random_fd_instance(seed=seed, stage=1),
+        lambda: default_benchmark(seed),
+        lambda: distortion_matrix(4, seed=seed),
+        lambda: oversample_balance(EmbeddingDataset(rows, feature_dim=2, n_classes=2), seed),
+    )
+    for call in seeded:
+        with pytest.raises(ContractViolation, match=message):
+            call()
 
 
 def test_bank_embeddings_matches_per_descriptor_encoding():
@@ -450,13 +466,14 @@ def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
         (IDENTITY_MEAN, True, "temperature", "nan", "temperature must be > 0"),
         (IDENTITY_MEAN, True, "temperature", "inf", "temperature must be > 0"),
         (IDENTITY_MEAN, True, "temperature", "1e-320", "1/temperature overflows"),
+        (IDENTITY_MEAN, True, "seed", "-1", "seed must be a nonnegative integer, got -1"),
         (IDENTITY_MEAN, False, "residual", "true",
          "residual adapter requires feature_dim == embed_dim"),
         (PROJECTED_MEAN, False, "encoder", IDENTITY_MEAN,
          "identity-mean requires token_dim == embed_dim"),
     ],
     ids=["temperature-negative", "temperature-nan", "temperature-inf", "temperature-tiny",
-         "residual-dims", "identity-mean-dims"],
+         "seed-negative", "residual-dims", "identity-mean-dims"],
 )
 def test_checkpoint_header_rejects_what_build_model_refuses(
     tmp_path, encoder_kind, residual, field, value, message

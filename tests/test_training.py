@@ -228,13 +228,15 @@ def _as_is(block):
 
 
 def test_central_difference_exact_on_quadratic():
-    # (x+h)^2 - (x-h)^2 = 4xh, so the quotient is 2x with no truncation term.
+    # (x+h)^2 - (x-h)^2 = 4xh, so the quotient is 2x with no truncation term,
+    # also when each probe carries only the matrix that holds its entry.
     rng = np.random.default_rng(32)
-    x = rng.normal(size=(2, 3))
-    original = x.copy()
-    grad = central_difference(_as_is, _squares, x, h=1e-4)
-    np.testing.assert_allclose(grad, 2 * original, rtol=1e-9, atol=1e-12)
-    assert np.array_equal(x, original)  # the probes are copies
+    for shape in ((2, 3), (3, 2, 3)):
+        x = rng.normal(size=shape)
+        original = x.copy()
+        grad = central_difference(_as_is, _squares, x, h=1e-4)
+        np.testing.assert_allclose(grad, 2 * original, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(x, original)  # the probes are copies
     with pytest.raises(ContractViolation):
         central_difference(_as_is, _squares, x, h=0.0)
 
@@ -249,30 +251,30 @@ def test_central_difference_needs_one_score_per_probe():
 
 
 def test_central_difference_leaves_the_array_alone_when_embed_or_score_raises():
-    # Probes are copies: a failure part way leaves no entry moved by h.
-    x = np.random.default_rng(5).normal(size=(3, 4))
-    x[1, 2] = -0.0
+    # Probes are copies: a failure leaves no entry moved by h.
+    x = np.random.default_rng(5).normal(size=(2, 3, 4))
+    x[1, 1, 2] = -0.0
     bits = x.tobytes()
     blocks = []
 
-    def embed_fails_on_row_two(block):
+    def embed_fails(block):
         blocks.append(block.copy())
-        if len(blocks) == 2:
-            raise ZeroNormError("probe")
-        return block
+        raise ZeroNormError("probe")
 
     def score_fails(probes):
         raise ContractViolation("score")
 
     with pytest.raises(ZeroNormError):
-        central_difference(embed_fails_on_row_two, _squares, x, h=1e-3)
+        central_difference(embed_fails, _squares, x, h=1e-3)
     assert x.tobytes() == bits
-    assert [block.shape for block in blocks] == [(8, 3, 4)] * 2
-    # Row one's block: probe 2j moves entry (0, j) by +h, probe 2j + 1 by -h.
-    moved = blocks[0] - x
-    for j in range(4):
-        assert np.count_nonzero(moved[2 * j]) == np.count_nonzero(moved[2 * j + 1]) == 1
-        assert moved[2 * j, 0, j] > 0 > moved[2 * j + 1, 0, j]
+    # One block of all probes: probe 2j of matrix i moves its entry j by +h,
+    # probe 2j + 1 by -h, and each probe carries matrix i alone.
+    assert [block.shape for block in blocks] == [(2, 24, 3, 4)]
+    moved = (blocks[0] - x[:, None]).reshape(2, 24, 12)
+    for i in range(2):
+        for j in range(12):
+            assert np.count_nonzero(moved[i, 2 * j]) == np.count_nonzero(moved[i, 2 * j + 1]) == 1
+            assert moved[i, 2 * j, j] > 0 > moved[i, 2 * j + 1, j]
     with pytest.raises(ContractViolation, match="score"):
         central_difference(_as_is, score_fails, x, h=1e-3)
     assert x.tobytes() == bits
@@ -323,6 +325,37 @@ def test_fd_check_numeric_gradient_equals_the_one_sample_loop(monkeypatch):
             for got, name in zip(numeric, names):
                 want = _one_sample_central_difference(path, path.params[name], counts[None], h)
                 assert np.array_equal(got, want), f"stage {stage} seed {seed}: {name}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fd_check_embeds_each_arrays_probes_in_one_encoder_call(monkeypatch, seed):
+    # Stage 1's probes are single (M, d) descriptors, two per token entry,
+    # all in one encode_text call.  Stage 2's bias probes and its weight
+    # probes each go through adapter_map once, after the sample's own embedding.
+    import metd.training
+
+    calls = []
+    for name in ("encode_text", "adapter_map"):
+        def recorded(*args, _name=name, _original=getattr(metd.training, name)):
+            calls.append((_name, [np.shape(arg) for arg in args]))
+            return _original(*args)
+
+        monkeypatch.setattr(metd.training, name, recorded)
+    model, sample, counts = random_fd_instance(seed=seed, stage=1)
+    fd_check(model, sample, target_counts=counts, stage=1)
+    tokens = model.bank.tokens
+    [(name, shapes)] = calls
+    assert name == "encode_text" and shapes[2][-2:] == tokens.shape[-2:]
+    assert math.prod(shapes[2][:-2]) == 2 * tokens.size
+    calls.clear()
+    model, sample, counts = random_fd_instance(seed=seed, stage=2)
+    fd_check(model, sample, target_counts=counts, stage=2)
+    weight, bias = model.adapter.weight.shape, model.adapter.bias.shape
+    assert [(name, shapes[:2]) for name, shapes in calls] == [
+        ("adapter_map", [weight, bias]),
+        ("adapter_map", [weight, (1, 2 * bias[0], *bias)]),
+        ("adapter_map", [(1, 2 * math.prod(weight), *weight), bias]),
+    ]
 
 
 def test_stage_keys_defaults_and_validation():
