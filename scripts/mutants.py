@@ -67,8 +67,8 @@ MUTANTS = (
         "training.py",
         "        if weight_decay != 0.0:\n"
         "            param -= (learning_rate * weight_decay) * param\n"
-        "        param -= update[start : start + param.size].reshape(shape)\n",
-        "        param -= update[start : start + param.size].reshape(shape)\n"
+        "        param -= update[span].reshape(shape)\n",
+        "        param -= update[span].reshape(shape)\n"
         "        if weight_decay != 0.0:\n"
         "            param -= (learning_rate * weight_decay) * param\n",
     ),
@@ -113,6 +113,12 @@ MUTANTS = (
         "data.py",
         "rng = np.random.default_rng([STREAM_OVERSAMPLE, seed])",
         "rng = np.random.default_rng([STREAM_OVERSAMPLE, seed + 1])",
+    ),
+    (
+        "context-norms-of-the-first-rows",
+        "harness.py",
+        "v, v_norms = pooled[batch], pooled_norms[batch]",
+        "v, v_norms = pooled[batch], pooled_norms[: len(batch)]",
     ),
     (
         "stage2-before-stage1",

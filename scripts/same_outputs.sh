@@ -51,7 +51,10 @@
 # strategies = linear-probe, metd on a copy of the seed-7 data whose
 # train.tsv holds only its header, and on one whose test.tsv does, and
 # runs train with oversample = true on the copy with the empty train.tsv,
-# so the empty-split errors are compared too.  It keeps the datasets,
+# so the empty-split errors are compared too.  A "zero-unit" case runs
+# train and compare on a copy of the seed-7 data whose train unit 217
+# (line 219) has all-zero features, which neither stage 1 nor the
+# learnable-context baseline can score.  It keeps the datasets,
 # checkpoints, metrics logs, eval reports and every command's stdout,
 # stderr and exit status.  Wall times and the directory part of printed
 # paths vary from run to run and are dropped.  Example:
@@ -269,3 +272,12 @@ done
 override "$empty/run.cfg" "oversample = true" >"$empty/oversample.cfg"
 run "$empty" train-empty-oversample train --config "$empty/oversample.cfg" "$empty/train" \
     "$empty/train/model.ckpt"
+
+zero="$out/zero-unit"
+rm -rf "$zero"
+mkdir -p "$zero/data"
+cp "$out/seed7/data/test.tsv" "$zero/data/"
+awk -F'\t' -v OFS='\t' 'NR == 219 { gsub(/[^,]+/, "0", $4) } { print }' \
+    "$out/seed7/data/train.tsv" >"$zero/data/train.tsv"
+run "$zero" train train --config "$out/seed7/run.cfg" "$zero/data" "$zero/model.ckpt"
+run "$zero" compare compare --config "$out/seed7/run.cfg" "$zero/data"

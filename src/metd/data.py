@@ -242,9 +242,23 @@ class EmbeddingDataset:
 
     @cached_property
     def pooled(self) -> np.ndarray:
-        """Each unit's ``temporal_mean_pool`` of its frames, (U, F), built on first use."""
-        pooled = np.array([temporal_mean_pool(unit.frames) for unit in self.units()])
-        return _read_only(pooled.reshape(-1, self.feature_dim))
+        """Each unit's ``temporal_mean_pool`` of its frames, (U, F), built on first use.
+
+        One ``mean`` per unit length L, over the (units, L, F) block of those
+        units' frames: each row has the bits of its unit's own mean, whose
+        sum starts at 0.0 and adds the frames in order (pairwise when F is 1).
+        The rows are checked for non-finite entries once, as the pool checks them.
+        """
+        features = self._features
+        if not np.isfinite(features).all():
+            raise ContractViolation("frames contain non-finite entries")
+        starts = self._starts
+        lengths = np.diff(starts, append=len(self))
+        pooled = np.empty((starts.size, self.feature_dim))
+        for length in np.unique(lengths).tolist():
+            which = lengths == length
+            pooled[which] = features[starts[which][:, None] + np.arange(length)].mean(axis=1)
+        return _read_only(pooled)
 
     def unit_class_counts(self) -> np.ndarray:
         return np.bincount(self.unit_labels, minlength=self.n_classes)

@@ -173,8 +173,16 @@ def distorted_benchmark(
 
 
 def _train_head(train, config, train_adapter: bool):
-    """Linear softmax-cross-entropy head, optionally with a joint adapter."""
+    """Linear softmax-cross-entropy head, optionally with a joint adapter.
+
+    The split's pooled rows and one-hot targets are fixed, so they are
+    gathered once; a batch takes its rows of them, and ``stable_softmax``
+    checks the logits of the head it trains.  Each batch overwrites the
+    one gradient dict, each entry summed over the batch with
+    ``sum(axis=0)``, which adds row after row, then divided by its size.
+    """
     pooled, labels = train.pooled, train.unit_labels
+    targets = np.eye(train.n_classes)[labels]
     adapter = build_adapter(train.feature_dim, train.feature_dim, residual=True)
     head_weight = np.zeros((train.n_classes, train.feature_dim))
     head_bias = np.zeros(train.n_classes)
@@ -182,18 +190,22 @@ def _train_head(train, config, train_adapter: bool):
     if train_adapter:
         params["adapter.weight"] = adapter.weight
         params["adapter.bias"] = adapter.bias
+    grads = {}
 
     def batch_gradients(batch):
+        n = len(batch)
         x = pooled[batch]
         v = adapter_map(adapter.weight, adapter.bias, x, adapter.residual) if train_adapter else x
         dz = numerics.stable_softmax(adapter_map(head_weight, head_bias, v, False))
-        dz[np.arange(len(batch)), labels[batch]] -= 1.0
-        # Summed over the batch with np.sum(axis=0), which adds row after row.
-        grads = {"head.weight": dz[:, :, None] * v[:, None, :], "head.bias": dz}
+        dz -= targets[batch]
+        grads["head.weight"] = (dz[:, :, None] * v[:, None, :]).sum(axis=0) / n
+        grads["head.bias"] = dz.sum(axis=0) / n
         if train_adapter:
             dv = np.matmul(head_weight.T, dz[..., None])[..., 0]
-            grads["adapter.weight"], grads["adapter.bias"] = adapter_gradients(adapter, x, dv)
-        return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
+            grad_w, grad_b = adapter_gradients(adapter, x, dv)
+            grads["adapter.weight"] = grad_w.sum(axis=0) / n
+            grads["adapter.bias"] = grad_b.sum(axis=0) / n
+        return grads
 
     # Its own fixed optimizer and schedule, at stage 1's batch size; the
     # seed only enters through the stream.
@@ -229,6 +241,13 @@ def _train_learnable_context(train, config):
     This is the metd kernel with one subclass per class and the plain
     cross-entropy: the cosine, the softmax and the token pullback are
     the same functions.
+
+    The pooled rows never change, so their width, their norms (a zero
+    row is a ``ZeroNormError`` naming its unit, before the first step)
+    and their one-hot targets are checked or taken once, here.  A batch gathers its rows of
+    them and checks only what it trains: the class embeddings, finite
+    with nonzero norms, and their logits, through ``stable_softmax``.
+    Each cosine has ``cosine_similarity``'s bits.
     """
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, config.seed])
     context = rng.normal(0.0, 0.02, size=(config.n_tokens, config.token_dim))
@@ -238,16 +257,22 @@ def _train_learnable_context(train, config):
     )
     length = config.n_tokens + 1
     pooled, labels = train.pooled, train.unit_labels
+    if encoder.embed_dim != train.feature_dim:
+        raise ContractViolation(f"dimension mismatch: {train.feature_dim} vs {encoder.embed_dim}")
+    pooled_norms = numerics._row_norms(pooled, "pooled units")
+    targets = np.eye(train.n_classes)[labels]
     tau = config.temperature
 
     def batch_gradients(batch):
         embeddings = encode_text(encoder, context, names[:, None, :])
-        v = pooled[batch]
-        sims, *norms = numerics.cosine_similarity(v, embeddings, with_norms=True)
+        t_norms = numerics.vector_norm(embeddings, "class embeddings")
+        v, v_norms = pooled[batch], pooled_norms[batch]
+        cosines = np.vecdot(v[:, None, :], embeddings) / (v_norms[:, None] * t_norms)
+        sims = np.minimum(np.maximum(cosines, -1.0), 1.0)
         coeff = numerics.stable_softmax(sims / tau)
-        coeff[np.arange(len(batch)), labels[batch]] -= 1.0
+        coeff -= targets[batch]
         coeff /= tau
-        grad_t = losses._cosine_gradient(v, embeddings, sims, *norms, losses.TEXT)
+        grad_t = losses._cosine_gradient(v, embeddings, sims, v_norms, t_norms, losses.TEXT)
         # Pulled back as (1, E) rows, so each is the pullback of that row
         # alone: a stacked matrix product may round differently.
         terms = coeff[..., None, None] * grad_t[..., None, :]

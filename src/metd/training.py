@@ -83,16 +83,19 @@ COUNT_SCOPES = ("epoch", "batch")
 
 @dataclass
 class OptimizerState:
-    """Flat float64 accumulators over a fit's arrays, end to end in ``shapes``' sorted order.
+    """Flat float64 accumulators over a fit's arrays, laid end to end in sorted-name order.
 
-    ``first`` is moments or velocity, ``second`` second moments (empty for SGD).
+    ``spans`` holds each array's (name, shape, slice of the flat vectors) in
+    that order.  ``first`` is moments or velocity, ``second`` second moments
+    (empty for SGD), and ``grad`` is the buffer a step lays the grads out in.
     """
 
     kind: str
     step: int
-    shapes: dict[str, tuple[int, ...]]
+    spans: tuple[tuple[str, tuple[int, ...], slice], ...]
     first: np.ndarray
     second: np.ndarray
+    grad: np.ndarray
 
 
 def init_optimizer_state(params: dict[str, np.ndarray], kind: str) -> OptimizerState:
@@ -100,10 +103,27 @@ def init_optimizer_state(params: dict[str, np.ndarray], kind: str) -> OptimizerS
         raise ContractViolation(f"unknown optimizer {kind!r}")
     if not params:
         raise ContractViolation("an optimizer needs at least one parameter array")
-    shapes = {name: params[name].shape for name in sorted(params)}
-    size = sum(math.prod(shape) for shape in shapes.values())
+    spans, size = [], 0
+    for name in sorted(params):
+        shape = params[name].shape
+        spans.append((name, shape, slice(size, size + math.prod(shape))))
+        size += math.prod(shape)
     second = np.zeros(size if kind == ADAPTIVE else 0)
-    return OptimizerState(kind=kind, step=0, shapes=shapes, first=np.zeros(size), second=second)
+    return OptimizerState(
+        kind=kind, step=0, spans=tuple(spans), first=np.zeros(size), second=second,
+        grad=np.empty(size),
+    )
+
+
+def _fits(arrays: dict[str, np.ndarray], spans) -> bool:
+    """Whether ``arrays`` holds exactly the names in ``spans``, each array of its shape."""
+    if len(arrays) != len(spans):
+        return False
+    for name, shape, _ in spans:
+        array = arrays.get(name)
+        if array is None or array.shape != shape:
+            return False
+    return True
 
 
 def optimizer_step(
@@ -119,19 +139,22 @@ def optimizer_step(
     gradient step; with a zero gradient only the decay acts, and with
     zero decay only the gradient step does.  The gradient step is one
     elementwise pass over the flat accumulators and the grads laid end to
-    end in the same order; nothing changes unless all fit ``state.shapes``.
+    end in ``state.grad``; nothing changes unless all fit ``state.spans``.
     """
     for role, arrays in (("params", params), ("grads", grads)):
-        shapes = {name: array.shape for name, array in arrays.items()}
-        if shapes != state.shapes:
-            raise ContractViolation(f"{role} {shapes} do not fit the optimizer's {state.shapes}")
+        if not _fits(arrays, state.spans):
+            shapes = {name: array.shape for name, array in arrays.items()}
+            layout = {name: shape for name, shape, _ in state.spans}
+            raise ContractViolation(f"{role} {shapes} do not fit the optimizer's {layout}")
     if not (learning_rate >= 0 and math.isfinite(learning_rate)):
         raise ContractViolation(f"bad learning_rate {learning_rate}")
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ContractViolation(f"bad weight_decay {weight_decay}")
     state.step += 1
     t = state.step
-    grad = np.concatenate([grads[name].ravel() for name in state.shapes])
+    grad = state.grad
+    for name, _, span in state.spans:
+        grad[span] = grads[name].reshape(-1)
     if state.kind == ADAPTIVE:
         m, v = state.first, state.second
         m *= ADAM_BETA1
@@ -146,13 +169,11 @@ def optimizer_step(
         velocity *= SGD_MOMENTUM
         velocity += grad
         update = learning_rate * velocity
-    start = 0
-    for name, shape in state.shapes.items():
+    for name, shape, span in state.spans:
         param = params[name]
         if weight_decay != 0.0:
             param -= (learning_rate * weight_decay) * param
-        param -= update[start : start + param.size].reshape(shape)
-        start += param.size
+        param -= update[span].reshape(shape)
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -232,7 +253,8 @@ class _Stage:
 
     ``trains`` names the side they embed into (``losses.TEXT`` or
     ``losses.IMAGE``), the only side the loss is differentiated for.  The
-    side those arrays cannot change, ``frozen``, is embedded once, here.
+    side those arrays cannot change, ``frozen``, is embedded once, here;
+    in stage 1 a unit that embeds to zero is a ``ZeroNormError`` naming it.
     """
 
     def __init__(self, model: Model, units: list[Unit], number: int):
@@ -242,6 +264,7 @@ class _Stage:
         if number == 1:
             # The adapter is frozen in this stage, so the unit embeddings are too.
             self.frozen = np.stack([unit_embedding(model, unit) for unit in units])
+            numerics._row_norms(self.frozen, "unit embeddings")
             self.params = {"bank.tokens": model.bank.tokens}
             self.trains = losses.TEXT
         elif number == 2:

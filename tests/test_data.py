@@ -22,6 +22,7 @@ from metd.data import (
     oversample_balance,
     save_dataset,
     save_vocabulary,
+    temporal_mean_pool,
 )
 from metd.errors import ContractViolation, ParseError
 from metd.model import STREAM_OVERSAMPLE, format_floats, parse_float_rows
@@ -420,6 +421,39 @@ def test_an_empty_dataset_has_empty_read_only_unit_arrays(tmp_path):
         assert dataset.pooled.shape == (0, 4) and dataset.pooled.dtype == np.float64
         assert dataset.unit_labels.shape == (0,)
         assert not dataset.pooled.flags.writeable and not dataset.unit_labels.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 3, 16])
+def test_pooled_has_the_bits_of_each_units_own_pool(dim):
+    # Units of 1, 2, 3 and 8 frames interleaved, with -0.0 and scales far
+    # apart, so a sum that starts at the first frame, or adds the frames of
+    # a one-dimensional unit in another order, would show.
+    rng = np.random.default_rng(41)
+    lengths = [1, 2, 3, 8, 2, 1, 8, 3, 3, 1, 8, 2] * 3
+    rows = []
+    for seq, length in enumerate(lengths):
+        frames = rng.normal(size=(length, dim)) * 10.0 ** rng.uniform(-6, 6, size=(length, 1))
+        frames[rng.random(size=frames.shape) < 0.1] = -0.0
+        rows += [Sample(f, seq % 2, seq if length > 1 else None) for f in frames]
+    dataset = EmbeddingDataset(rows, dim, 2)
+    assert [len(unit.frames) for unit in dataset.units()] == lengths
+    assert _bits(dataset.pooled) == _bits(
+        [temporal_mean_pool(unit.frames) for unit in dataset.units()]
+    )
+
+
+def test_pooled_refuses_frames_a_linear_map_overflowed():
+    # apply_linear_map checks the matrix, not its products, so the pooled
+    # rows are checked as each unit's temporal_mean_pool checks its frames.
+    rows = [Sample(np.array([1e300, 1.0]), 0, 5), Sample(np.array([1.0, 1.0]), 0, 5),
+            Sample(np.array([2.0, 1.0]), 1)]
+    with np.errstate(over="ignore"):
+        mapped = apply_linear_map(EmbeddingDataset(rows, 2, 2), [[1e10, 0.0], [0.0, 1.0]])
+    assert not np.isfinite(mapped.units()[0].frames).all()
+    with pytest.raises(ContractViolation, match="^frames contain non-finite entries$"):
+        temporal_mean_pool(mapped.units()[0].frames)
+    with pytest.raises(ContractViolation, match="^frames contain non-finite entries$"):
+        mapped.pooled
 
 
 def _bits(values):

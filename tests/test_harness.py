@@ -1,14 +1,17 @@
 """Benchmark construction and the five-strategy comparison harness."""
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from metd.data import EmbeddingDataset, Sample, SynthConfig, generate_synthetic
-from metd.errors import ConfigError, ContractViolation
+from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import (
     STRATEGY_KINDS,
+    STREAM_HARNESS,
+    _train_head,
     _train_learnable_context,
     Strategy,
     build_strategy_model,
@@ -20,6 +23,17 @@ from metd.harness import (
     run_strategy,
 )
 from metd.inference import evaluate, temporal_mean_pool
+from metd.losses import TEXT, _cosine_gradient
+from metd.model import (
+    adapter_gradients,
+    adapter_map,
+    build_adapter,
+    build_text_encoder,
+    encode_text,
+    encode_text_token_gradient,
+)
+from metd.numerics import cosine_similarity, stable_softmax
+from metd.training import ADAPTIVE, fit
 
 from conftest import SYNTHETIC
 
@@ -209,6 +223,9 @@ def test_learnable_context_rejects_an_embed_dim_other_than_the_feature_dim(small
         ContractViolation, match="embed_dim == feature_dim, got embed_dim 12 and feature_dim 16"
     ):
         run_strategy(Strategy(kind="learnable-context"), small_splits, config)
+    # Called directly, the trainer refuses the widths itself.
+    with pytest.raises(ContractViolation, match="^dimension mismatch: 16 vs 12"):
+        _train_learnable_context(small_splits[0], config)
 
 
 def test_compare_checks_every_strategy_before_training_any(tmp_path, monkeypatch, capsys):
@@ -298,21 +315,122 @@ def test_two_descriptors_beat_one_on_the_default_benchmark(benchmark_runs):
 
 def test_one_comparison_pools_each_split_once(monkeypatch):
     # The baselines read each split's pooled array, which the dataset builds
-    # on first use: one temporal_mean_pool call per unit of each split, where
-    # pooling per baseline made three per unit.  Fresh splits, so no earlier
-    # test has pooled them.
-    import metd.data
-
+    # on first use: once per split in one comparison, where pooling per
+    # baseline built it three times.  Fresh splits, so no earlier test has
+    # pooled them; the array has each unit's own temporal_mean_pool bits.
     train, test = generate_synthetic(SMALL)
-    calls = []
+    built = []
+    build = EmbeddingDataset.pooled.func
 
-    def counted(frames):
-        calls.append(1)
-        return temporal_mean_pool(frames)
+    def counted(dataset):
+        built.append(dataset)
+        return build(dataset)
 
-    monkeypatch.setattr(metd.data, "temporal_mean_pool", counted)
+    pooled = cached_property(counted)
+    pooled.__set_name__(EmbeddingDataset, "pooled")
+    monkeypatch.setattr(EmbeddingDataset, "pooled", pooled)
     baselines = tuple(kind for kind in STRATEGY_KINDS if kind != "metd")
     rows = compare_all((train, test), replace(COMPACT, seed=4, strategies=baselines))
     assert [row.kind for row in rows] == list(baselines)
-    assert len(calls) == len(train.units()) + len(test.units())
+    assert sorted(map(id, built)) == sorted([id(train), id(test)])
     assert train.pooled is train.pooled and test.pooled is test.pooled
+    for split in (train, test):
+        each = np.stack([temporal_mean_pool(unit.frames) for unit in split.units()])
+        assert np.array_equal(split.pooled.view(np.uint64), each.view(np.uint64))
+
+
+# The baseline trainers as one batch at a time rebuilt their fixed inputs:
+# cosine_similarity on each batch's rows, a target index per batch, a
+# gradient dict per batch.  Kept here as the reference the trainers keep
+# the bits of.
+def _reference_head(train, config, train_adapter):
+    pooled, labels = train.pooled, train.unit_labels
+    adapter = build_adapter(train.feature_dim, train.feature_dim, residual=True)
+    head_weight = np.zeros((train.n_classes, train.feature_dim))
+    head_bias = np.zeros(train.n_classes)
+    params = {"head.weight": head_weight, "head.bias": head_bias}
+    if train_adapter:
+        params["adapter.weight"] = adapter.weight
+        params["adapter.bias"] = adapter.bias
+
+    def batch_gradients(batch):
+        x = pooled[batch]
+        v = adapter_map(adapter.weight, adapter.bias, x, adapter.residual) if train_adapter else x
+        dz = stable_softmax(adapter_map(head_weight, head_bias, v, False))
+        dz[np.arange(len(batch)), labels[batch]] -= 1.0
+        grads = {"head.weight": dz[:, :, None] * v[:, None, :], "head.bias": dz}
+        if train_adapter:
+            dv = np.matmul(head_weight.T, dz[..., None])[..., 0]
+            grads["adapter.weight"], grads["adapter.bias"] = adapter_gradients(adapter, x, dv)
+        return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
+
+    probe = replace(
+        config, stage1_epochs=config.probe_epochs, stage1_lr=config.probe_lr,
+        stage1_weight_decay=0.0, stage1_optimizer=ADAPTIVE, stage1_schedule="constant",
+    )
+    for _ in fit(params, batch_gradients, len(labels), probe, 1, (STREAM_HARNESS, 1, config.seed)):
+        pass
+    return adapter, head_weight, head_bias
+
+
+def _reference_context(train, config):
+    rng = np.random.default_rng([STREAM_HARNESS, 2, config.seed])
+    context = rng.normal(0.0, 0.02, size=(config.n_tokens, config.token_dim))
+    names = rng.normal(0.0, 0.02, size=(train.n_classes, config.token_dim))
+    encoder = build_text_encoder(
+        config.encoder_kind, config.token_dim, config.embed_dim, config.seed
+    )
+    pooled, labels, tau = train.pooled, train.unit_labels, config.temperature
+
+    def batch_gradients(batch):
+        embeddings = encode_text(encoder, context, names[:, None, :])
+        v = pooled[batch]
+        sims, *norms = cosine_similarity(v, embeddings, with_norms=True)
+        coeff = stable_softmax(sims / tau)
+        coeff[np.arange(len(batch)), labels[batch]] -= 1.0
+        coeff /= tau
+        grad_t = _cosine_gradient(v, embeddings, sims, *norms, TEXT)
+        terms = coeff[..., None, None] * grad_t[..., None, :]
+        pulled = encode_text_token_gradient(encoder, terms, config.n_tokens + 1)
+        total = np.cumsum(pulled.reshape(-1, context.shape[1]), axis=0)[-1]
+        return {"context": np.broadcast_to(total, context.shape) / len(batch)}
+
+    params = {"context": context}
+    for _ in fit(params, batch_gradients, len(labels), config, 1, (STREAM_HARNESS, 2, config.seed)):
+        pass
+    return context
+
+
+@pytest.mark.parametrize("encoder", ["identity-mean", "projected-mean"])
+def test_each_baseline_trainer_has_the_bits_of_its_per_batch_reference(small_splits, encoder):
+    # 120 units in batches of 7 end each epoch on a batch of one.
+    train, _ = small_splits
+    assert len(train.units()) % 7 == 1
+    config = replace(COMPACT, seed=9, stage1_batch_size=7, probe_epochs=3, stage1_epochs=3,
+                     stage1_lr=0.05, encoder_kind=encoder,
+                     token_dim=12 if encoder == "projected-mean" else 16)
+    for train_adapter in (False, True):
+        adapter, weight, bias = _train_head(train, config, train_adapter)
+        ref_adapter, ref_weight, ref_bias = _reference_head(train, config, train_adapter)
+        for got, want in ((weight, ref_weight), (bias, ref_bias),
+                          (adapter.weight, ref_adapter.weight), (adapter.bias, ref_adapter.bias)):
+            assert np.array_equal(got, want)
+        assert np.any(adapter.weight != 0.0) == train_adapter
+    _, context, _ = _train_learnable_context(train, config)
+    assert np.array_equal(context, _reference_context(train, config))
+
+
+def test_a_zero_unit_stops_learnable_context_before_its_first_step(clean_benchmark, monkeypatch):
+    # Unit 217's pooled row is zero: its norm is taken once, at set-up, so the
+    # error names the unit, not its place in whichever batch holds it.
+    import metd.harness
+
+    train, test = clean_benchmark
+    features = train._features.copy()
+    features[217] = 0.0
+    zeroed = EmbeddingDataset._from_columns(features, train._columns, train.n_classes)
+    steps = []
+    monkeypatch.setattr(metd.harness, "fit", lambda *args: steps.append(args) or iter(()))
+    with pytest.raises(ZeroNormError, match=r"^pooled units row 217 has zero norm$"):
+        run_strategy(Strategy(kind="learnable-context"), (zeroed, test), SYNTHETIC)
+    assert steps == []

@@ -656,6 +656,23 @@ def test_a_zero_descriptor_mid_training_names_its_row_epoch_and_step():
         run_stage1(model, train, config)
 
 
+def test_a_zero_unit_stops_training_before_the_first_step(clean_benchmark, monkeypatch):
+    # Unit 217 embeds to zero.  Stage 1 embeds every unit once, at set-up,
+    # and refuses it there by its unit, not by its place in a later batch.
+    import metd.training
+    from metd.harness import train_metd
+
+    train, _ = clean_benchmark
+    features = train._features.copy()
+    features[217] = 0.0
+    zeroed = EmbeddingDataset._from_columns(features, train._columns, train.n_classes)
+    steps = []
+    monkeypatch.setattr(metd.training, "optimizer_step", lambda *args: steps.append(args))
+    with pytest.raises(ZeroNormError, match=r"^unit embeddings row 217 has zero norm$"):
+        train_metd(zeroed, SYNTHETIC)
+    assert steps == []
+
+
 @pytest.mark.parametrize("run_stage", [run_stage1, run_stage2])
 def test_a_non_finite_trained_side_mid_training_names_its_epoch_and_step(
     monkeypatch, run_stage
