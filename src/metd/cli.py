@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, parse_config, parse_config_text
+from . import config, harness, training
 from .data import (
     generate_synthetic,
     load_dataset,
@@ -24,21 +24,19 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, ContractViolation, ParseError
-from .harness import compare_all, format_comparison, train_metd
 from .inference import evaluate, format_eval_report, subclass_report
 from .model import load_checkpoint, save_checkpoint, write_lines
-from .training import fd_sweep, format_metrics_log
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> "config.RunConfig":
     if getattr(args, "config", None):
-        return parse_config(args.config)
-    return parse_config_text("")
+        return config.parse_config(args.config)
+    return config.parse_config_text("")
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
-    train, test = generate_synthetic(config.synth_config())
+    cfg = _load_config(args)
+    train, test = generate_synthetic(cfg.synth_config())
     os.makedirs(args.out_dir, exist_ok=True)
     for name, dataset in (("train.tsv", train), ("test.tsv", test)):
         path = os.path.join(args.out_dir, name)
@@ -50,32 +48,32 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_split(config: RunConfig, data_dir: str, name: str):
+def _load_split(cfg: "config.RunConfig", data_dir: str, name: str):
     """Load ``data_dir/name``, which must have the config's feature_dim and class count.
 
     The harness sizes every model to the data, so data the config does
     not describe stops here.
     """
     dataset = load_dataset(os.path.join(data_dir, name))
-    if (dataset.feature_dim, dataset.n_classes) != (config.feature_dim, config.n_classes):
+    if (dataset.feature_dim, dataset.n_classes) != (cfg.feature_dim, cfg.n_classes):
         raise ContractViolation(
             f"dataset feature_dim {dataset.feature_dim}, classes {dataset.n_classes} != "
-            f"config feature_dim {config.feature_dim}, n_classes {config.n_classes}"
+            f"config feature_dim {cfg.feature_dim}, n_classes {cfg.n_classes}"
         )
     return dataset
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
-    train = _load_split(config, args.data_dir, "train.tsv")
-    model, trace1, trace2 = train_metd(train, config)
+    cfg = _load_config(args)
+    train = _load_split(cfg, args.data_dir, "train.tsv")
+    model, trace1, trace2 = harness.train_metd(train, cfg)
     save_checkpoint(model, args.out_checkpoint)
     offset = len(trace1)
     combined = list(trace1) + [
         replace(stats, epoch=stats.epoch + offset) for stats in trace2
     ]
     log_path = args.out_checkpoint + ".log"
-    write_lines(log_path, format_metrics_log(combined).splitlines())
+    write_lines(log_path, training.format_metrics_log(combined).splitlines())
     for stage, trace in ((1, trace1), (2, trace2)):
         if trace:
             last = trace[-1]
@@ -101,7 +99,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    config = _load_config(args)
+    cfg = _load_config(args)
     model = load_checkpoint(args.checkpoint)
     vocab = load_vocabulary(args.vocab)
     if vocab.dim != model.bank.token_dim:
@@ -113,28 +111,28 @@ def cmd_decode(args) -> int:
     for i in range(bank.n_classes):
         for k in range(bank.n_subclasses):
             for m in range(bank.n_tokens):
-                ranked = nearest_words(vocab, bank.tokens[i, k, m], config.decode_top_n)
+                ranked = nearest_words(vocab, bank.tokens[i, k, m], cfg.decode_top_n)
                 words = "\t".join(f"{word}:{dist:.6f}" for word, dist in ranked)
                 print(f"{i}\t({k + 1},{m + 1})\t{words}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args)
-    splits = tuple(_load_split(config, args.data_dir, name) for name in ("train.tsv", "test.tsv"))
-    print(format_comparison(compare_all(splits, config)))
+    cfg = _load_config(args)
+    splits = tuple(_load_split(cfg, args.data_dir, name) for name in ("train.tsv", "test.tsv"))
+    print(harness.format_comparison(harness.compare_all(splits, cfg)))
     return 0
 
 
 def cmd_fdcheck(args) -> int:
-    config = _load_config(args)
-    tolerance = config.fdcheck_tolerance
-    rows = fd_sweep(
-        config.seed, config.fdcheck_instances, config.fdcheck_step, config.fdcheck_corrupt
+    cfg = _load_config(args)
+    tolerance = cfg.fdcheck_tolerance
+    rows = training.fd_sweep(
+        cfg.seed, cfg.fdcheck_instances, cfg.fdcheck_step, cfg.fdcheck_corrupt
     )
     for stage, name, entries, worst in rows:
         print(
-            f"stage {stage}\t{name}\tinstances={config.fdcheck_instances}"
+            f"stage {stage}\t{name}\tinstances={cfg.fdcheck_instances}"
             f"\tentries={entries}\tmax_rel_err={worst:.3e}"
         )
     # The first worst row; argmax ranks a NaN error above every number.

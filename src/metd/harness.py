@@ -243,10 +243,11 @@ def _train_learnable_context(train, config):
     the same functions.
 
     The pooled rows never change, so their width, their norms (a zero
-    row is a ``ZeroNormError`` naming its unit, before the first step)
-    and their one-hot targets are checked or taken once, here.  A batch gathers its rows of
-    them and checks only what it trains: the class embeddings, finite
-    with nonzero norms, and their logits, through ``stable_softmax``.
+    row is a ``ZeroNormError`` naming its unit, which ``_check_strategy``
+    raises first) and their one-hot targets are checked or taken once,
+    here.  A batch gathers its rows of them and checks only what it
+    trains: the class embeddings, finite with nonzero norms, and their
+    logits, through ``stable_softmax``.
     Each cosine has ``cosine_similarity``'s bits.
     """
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, config.seed])
@@ -338,6 +339,8 @@ def _check_strategy(strategy: Strategy, splits, config):
             f"got embed_dim {config.embed_dim} and feature_dim {train.feature_dim}; "
             f"drop learnable-context from strategies to compare the others"
         )
+    if strategy.kind == LEARNABLE_CONTEXT:  # it divides by each unit's norm
+        numerics._row_norms(train.pooled, "pooled units")
 
 
 def run_strategy(

@@ -422,7 +422,9 @@ def test_each_baseline_trainer_has_the_bits_of_its_per_batch_reference(small_spl
 
 def test_a_zero_unit_stops_learnable_context_before_its_first_step(clean_benchmark, monkeypatch):
     # Unit 217's pooled row is zero: its norm is taken once, at set-up, so the
-    # error names the unit, not its place in whichever batch holds it.
+    # error names the unit, not its place in whichever batch holds it.  A
+    # comparison that lists learnable-context refuses the split before it
+    # fits any strategy, the ones listed ahead of it included.
     import metd.harness
 
     train, test = clean_benchmark
@@ -433,4 +435,8 @@ def test_a_zero_unit_stops_learnable_context_before_its_first_step(clean_benchma
     monkeypatch.setattr(metd.harness, "fit", lambda *args: steps.append(args) or iter(()))
     with pytest.raises(ZeroNormError, match=r"^pooled units row 217 has zero norm$"):
         run_strategy(Strategy(kind="learnable-context"), (zeroed, test), SYNTHETIC)
+    config = replace(SYNTHETIC, strategies=STRATEGY_KINDS)
+    assert config.strategies.index("learnable-context") > config.strategies.index("linear-probe")
+    with pytest.raises(ZeroNormError, match=r"^pooled units row 217 has zero norm$"):
+        compare_all((zeroed, test), config)
     assert steps == []
