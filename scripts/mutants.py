@@ -38,8 +38,14 @@ MUTANTS = (
     (
         "margin-takes-k-plus",
         "losses.py",
-        "farthest = grid.values.reshape(-1, k)[own].argmin(axis=-1)",
+        "farthest = grid.values[rows, t].argmin(axis=-1)",
         "farthest = closest",
+    ),
+    (
+        "fine-list-keeps-target-siblings",
+        "losses.py",
+        "fine[rows, t] = np.arange(k) == breakdown.closest_subclass[:, None]",
+        "fine[rows, t] = np.arange(k) >= breakdown.closest_subclass[:, None]",
     ),
     (
         "counts-without-running-sum",

@@ -10,9 +10,11 @@
 # one-array fit with decay, in stage 1 and in the learnable-context
 # baseline, and a two-array momentum fit without it), for a variant
 # with 3 descriptors per class on 2 subclusters (so purity matches
-# 3 x 2 tables), for the slot-indexing edge shapes (a "one-descriptor"
-# variant with 1 descriptor per class and a "two-classes" variant with
-# 2 classes), and for a "clips" variant whose units are sequences of up
+# 3 x 2 tables), for the term-list edge shapes (a "one-descriptor"
+# variant with 1 descriptor per class, a "two-classes" variant with
+# 2 classes, and a "wide-grid" variant with 5 classes of 3 descriptors,
+# whose term lists of 13 and 12 entries pass NumPy's 8-wide pairwise
+# sums), and for a "clips" variant whose units are sequences of up
 # to 4 frames, this runs synth, train, eval, decode (against
 # configs/vocab.tsv, so a token_dim
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
@@ -149,6 +151,7 @@ case_dir decay "seed = 7" "stage1_weight_decay = 0.05" \
 case_dir three-descriptors "seed = 7" "n_subclasses = 3"
 case_dir one-descriptor "seed = 7" "n_subclasses = 1"
 case_dir two-classes "seed = 7" "n_classes = 2"
+case_dir wide-grid "seed = 7" "n_classes = 5" "n_subclasses = 3"
 synth_case clips "seed = 7" "oversample = true" "stage1_epochs = 4" "stage2_epochs = 4"
 regroup "$out/clips/data/train.tsv" drop
 regroup "$out/clips/data/test.tsv" keep

@@ -3,7 +3,10 @@
 One ``key = value`` pair per line; ``#`` starts a comment (whole line or
 trailing); blank lines are ignored.  Every key has a default, so an empty
 file is a valid config.  Each key is declared once, as a ``RunConfig``
-field that carries its type, its default and its check.  A ``RunConfig``
+field that carries its type, its default and its check.  The allowed
+values of the kind keys (optimizers, schedules, count scopes and
+strategies) are declared here too, and ``training`` and ``harness``
+import them, so reading a config executes neither.  A ``RunConfig``
 checks each value's type and range, and the conflicts between keys,
 whenever it is built, from a file or by ``dataclasses.replace``: a
 ``ConfigError`` names the key, and the file parser adds that key's line.
@@ -14,9 +17,14 @@ from dataclasses import dataclass, field, fields
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .harness import STRATEGY_KINDS
 from .model import ENCODER_KINDS, IDENTITY_MEAN
-from .training import ADAPTIVE, COUNT_SCOPES, OPTIMIZER_KINDS, SCHEDULE_KINDS
+
+ADAPTIVE = "adaptive-moments-decoupled-decay"
+SGD = "sgd-momentum"
+OPTIMIZER_KINDS = (SGD, ADAPTIVE)
+SCHEDULE_KINDS = ("constant", "cosine")
+COUNT_SCOPES = ("epoch", "batch")
+STRATEGY_KINDS = ("zero-shot-fixed", "linear-probe", "full-finetune", "learnable-context", "metd")
 
 
 def _parse_int(text: str):

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import losses, numerics
+from .config import ADAPTIVE, STRATEGY_KINDS
 from .data import (
     EmbeddingDataset,
     apply_linear_map,
@@ -49,14 +50,9 @@ from .model import (
     encode_text,
     encode_text_token_gradient,
 )
-from .training import ADAPTIVE, EpochStats, fit, run_stage1, run_stage2
+from .training import EpochStats, fit, run_stage1, run_stage2
 
-ZERO_SHOT = "zero-shot-fixed"
-LINEAR_PROBE = "linear-probe"
-FULL_FINETUNE = "full-finetune"
-LEARNABLE_CONTEXT = "learnable-context"
-METD = "metd"
-STRATEGY_KINDS = (ZERO_SHOT, LINEAR_PROBE, FULL_FINETUNE, LEARNABLE_CONTEXT, METD)
+ZERO_SHOT, LINEAR_PROBE, FULL_FINETUNE, LEARNABLE_CONTEXT, METD = STRATEGY_KINDS
 
 # Sub-stream tags under STREAM_HARNESS.
 _SUB_PROBE = 1

@@ -2,7 +2,11 @@
 
 A sample is scored against each class by the mean cosine similarity over
 that class's subclass descriptors; the predicted label is the argmax
-(lowest index on ties).  A unit's embedding is the adapter output for the
+(lowest index on ties).  That is one linear prototype per class, for any
+K: logit i = x^ . p_i, where x^ is the unit-normalised embedding and p_i
+the mean of class i's unit-normalised descriptors (equal to within a few
+ulps), so a class whose descriptors spread has its logits shrunk by
+|p_i|.  A unit's embedding is the adapter output for the
 temporal mean of its frames (``unit_embedding``).  Stage 2 encodes a training
 batch, or for its per-epoch report its whole pooled array, in one call.
 

@@ -51,10 +51,11 @@ loss_gradients takes that grid and that LossBreakdown, reads the
 embeddings, stack and targets from them, selects nothing again, and
 builds only the sides it is asked for.  Each loss adds
 weight * (softmax(terms) - onehot(pos)) / tau to the grid entries its
-terms read (its slots): every (i, k) with i != t plus (t, k+) for the
-fine-grained list, weight alpha; (t, k-) plus each rival's argmax for
-the margin list, weight 1.  Each row has (N-1)K+1 and N slots, found
-by integer index.
+terms read: every (i, k) with i != t plus (t, k+) for the fine-grained
+list, weight alpha; (t, k-) plus each rival's argmax for the margin
+list, weight 1.  A (B, N, K) mask picks the fine-grained terms and a
+(row, class, pick) index the margin terms, both in (class, subclass)
+order, (N-1)K+1 and N to a row.
 """
 
 import functools
@@ -142,11 +143,6 @@ def _check_target(grid: SimilarityGrid, targets) -> np.ndarray:
     return t
 
 
-def _target_rows(grid: SimilarityGrid, t: np.ndarray) -> np.ndarray:
-    """Each row's checked target as an index into the grid's (B * N, K) class rows."""
-    return np.arange(0, t.size * grid.n_classes, grid.n_classes) + t
-
-
 def modulating_factor(counts, closest):
     """Count-based weight for the fine-grained loss, per row.
 
@@ -190,24 +186,6 @@ def _softplus(gaps: np.ndarray) -> np.ndarray:
     return np.maximum(gaps, 0.0) + np.fromiter(tail, np.float64, gaps.size)
 
 
-@functools.lru_cache(maxsize=None)
-def _term_slots(n_classes: int, n_subclasses: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the term lists sit in a flat (class, subclass) grid row, by target; once per shape.
-
-    ``rivals[t]`` (N, (N-1)K) lists every entry of the classes but t, in
-    order.  ``fine[t * K + k]`` (NK, (N-1)K+1) is ``rivals[t]`` with (t, k)
-    at position t * K: the fine-grained list of a target t with k+ = k.
-    """
-    flat = np.arange(n_classes * n_subclasses).reshape(n_classes, n_subclasses)
-    rivals = np.stack([np.delete(flat, t, axis=0).reshape(-1) for t in range(n_classes)])
-    fine = np.stack([
-        np.insert(rivals[t], t * n_subclasses, flat[t, k])
-        for t in range(n_classes)
-        for k in range(n_subclasses)
-    ])
-    return rivals, fine
-
-
 def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     """Fine-grained + margin loss for each sample of the grid.
 
@@ -221,18 +199,16 @@ def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
     expected = grid.values.shape[:-2] + (k,)
     if counts.shape != expected:
         raise ContractViolation(f"target_counts shape {counts.shape} != {expected}")
-    own = _target_rows(grid, t)
-    closest = grid.best_subclasses.reshape(-1)[own]
-    farthest = grid.values.reshape(-1, k)[own].argmin(axis=-1)
+    rows = np.arange(t.size)
+    closest = grid.best_subclasses[rows, t]
+    farthest = grid.values[rows, t].argmin(axis=-1)
     alpha = modulating_factor(counts, closest)
     if n > 1:
-        z = grid.logits.reshape(-1)
-        starts = np.arange(0, z.size, n * k)[:, None]
-        rivals = z[starts + _term_slots(n, k)[0][t]]
-        best_rivals = rivals.reshape(t.size, n - 1, k).max(axis=-1)
+        z = grid.logits
+        rivals = z[np.arange(n) != t[:, None]].reshape(t.size, n - 1, k)
         gaps = np.concatenate((
-            numerics.log_sum_exp(rivals) - z[own * k + closest],
-            numerics.log_sum_exp(best_rivals) - z[own * k + farthest],
+            numerics.log_sum_exp(rivals.reshape(t.size, -1)) - z[rows, t, closest],
+            numerics.log_sum_exp(rivals.max(axis=-1)) - z[rows, t, farthest],
         ))
         fg, mg = _softplus(gaps).reshape(2, t.size)
     else:  # no rival class: each list is its target term alone, and the loss is 0
@@ -253,8 +229,7 @@ def clip_ce_loss(similarities, target: int, temperature: float) -> float:
         return 0.0
     # the fine-grained loss of one sample with one subclass per class
     z = sims / temperature
-    rivals = z[_term_slots(sims.size, 1)[0][target]]
-    return float(_softplus(numerics.log_sum_exp(rivals[None]) - z[target])[0])
+    return float(_softplus(numerics.log_sum_exp(np.delete(z, target)[None]) - z[target])[0])
 
 
 def similarity_grid(embeddings, text_embeddings, temperature: float) -> SimilarityGrid:
@@ -297,28 +272,33 @@ def _cosine_gradient(v, t, similarity, v_norms, t_norms, wrt: str):
 
 
 def _gradient_coefficients(grid: SimilarityGrid, breakdown: LossBreakdown):
-    """dL/ds from the breakdown's targets, k+, k- and alpha, (B, N, K); 0 off every slot.
+    """dL/ds from the breakdown's targets, k+, k- and alpha, (B, N, K); 0 off both term lists.
 
-    The fine-grained slots are written first, then the margin slots added.
+    ``fine`` masks the fine-grained list: every entry but the target
+    class's, of which only k+.  ``margin`` indexes the margin list by
+    (row, class, pick): each class's argmax, k- for the target.  Both read
+    their terms in (class, subclass) order, as ``total_loss`` does, so
+    (t, k+) is entry t * K of the one and (t, k-) entry t of the other.
+    The fine-grained coefficients are written first, then the margin ones added.
     """
-    n, k = grid.n_classes, grid.n_subclasses
+    b, n, k = grid.values.shape
     t = breakdown.target_class
-    rows = np.arange(t.size)
-    z = grid.logits.reshape(-1)
-    starts = np.arange(0, z.size, n * k)[:, None]
-    fg_slots = starts + _term_slots(n, k)[1][t * k + breakdown.closest_subclass]
-    picks = grid.best_subclasses.reshape(-1).copy()  # each rival's argmax
-    picks[_target_rows(grid, t)] = breakdown.farthest_subclass
-    mg_slots = starts + np.arange(0, n * k, k) + picks.reshape(-1, n)
-    coeff = np.zeros(z.size)
-    delta = numerics.stable_softmax(z[fg_slots])
+    rows = np.arange(b)
+    z = grid.logits
+    fine = np.ones(z.shape, dtype=bool)
+    fine[rows, t] = np.arange(k) == breakdown.closest_subclass[:, None]
+    picks = grid.best_subclasses.copy()
+    picks[rows, t] = breakdown.farthest_subclass
+    margin = (rows[:, None], np.arange(n), picks)
+    coeff = np.zeros(z.shape)
+    delta = numerics.stable_softmax(z[fine].reshape(b, -1))
     delta[rows, t * k] -= 1.0
     # Written, not added: no entry is -0.0, so this is 0.0 + the entry's bits.
-    coeff[fg_slots] = breakdown.alpha[:, None] * delta / grid.temperature
-    delta = numerics.stable_softmax(z[mg_slots])
+    coeff[fine] = (breakdown.alpha[:, None] * delta / grid.temperature).reshape(-1)
+    delta = numerics.stable_softmax(z[margin])
     delta[rows, t] -= 1.0
-    coeff[mg_slots] += delta / grid.temperature
-    return coeff.reshape(grid.values.shape)
+    coeff[margin] += delta / grid.temperature
+    return coeff
 
 
 def loss_gradients(grid: SimilarityGrid, breakdown: LossBreakdown, wrt=(IMAGE, TEXT)):

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, numerics
+from .config import ADAPTIVE, OPTIMIZER_KINDS
 from .data import EmbeddingDataset, Unit
 from .errors import ContractViolation
 # ``evaluate`` is unused here, but perfbench's binding test reads it from this module.
@@ -73,12 +74,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 SGD_MOMENTUM = 0.9
-
-ADAPTIVE = "adaptive-moments-decoupled-decay"
-SGD = "sgd-momentum"
-OPTIMIZER_KINDS = (SGD, ADAPTIVE)
-SCHEDULE_KINDS = ("constant", "cosine")
-COUNT_SCOPES = ("epoch", "batch")
 
 
 @dataclass

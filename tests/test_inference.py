@@ -63,6 +63,46 @@ def test_predict_logits_are_mean_cosines():
         np.testing.assert_array_equal(pred.subclass_argmax, np.argmax(sims, axis=1))
 
 
+def _assert_one_prototype_per_class(embeddings, stack):
+    """predict's logits are x^ . p_i, p_i the mean of class i's unit descriptors.
+
+    Every logit lies in [-1, 1], so a few ulps of 1 bound the rounding.
+    Labels must agree wherever predict's top two logits are more than
+    1e-12 apart.
+    """
+    prediction = predict(embeddings, stack)
+    unit = embeddings / np.linalg.norm(embeddings, axis=-1, keepdims=True)
+    prototypes = (stack / np.linalg.norm(stack, axis=-1, keepdims=True)).mean(axis=1)
+    logits = unit @ prototypes.T
+    np.testing.assert_allclose(prediction.logits, logits, rtol=0, atol=4 * np.finfo(float).eps)
+    top_two = np.sort(prediction.logits, axis=-1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 1e-12
+    assert np.array_equal(logits.argmax(axis=-1)[clear], prediction.label[clear])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),  # seed
+    st.integers(1, 9),  # B
+    st.integers(2, 6),  # N
+    st.integers(1, 5),  # K
+    st.integers(2, 17),  # D
+)
+def test_mean_cosine_scoring_is_one_prototype_per_class(seed, b, n, k, dim):
+    rng = np.random.default_rng(seed)
+    embeddings = rng.normal(size=(b, dim)) * 10.0 ** rng.uniform(-3, 3)
+    stack = _random_stack(rng, n, k, dim) * 10.0 ** rng.uniform(-3, 3, size=(n, k, 1))
+    _assert_one_prototype_per_class(embeddings, stack)
+
+
+def test_a_trained_bank_scores_as_one_prototype_per_class(clean_benchmark, benchmark_runs):
+    _, test = clean_benchmark
+    pooled = np.stack([temporal_mean_pool(unit.frames) for unit in test.units()])
+    for model in (benchmark_runs.model_k2, benchmark_runs.model_k1):
+        stack = bank_embeddings(model.bank, model.encoder)
+        _assert_one_prototype_per_class(encode_image(model.adapter, pooled), stack)
+
+
 def test_predict_tie_breaks_to_lowest_index():
     v = np.array([1.0, 0.0])
     stack = np.array([[[2.0, 0.0]], [[3.0, 0.0]], [[0.5, 0.0]]])

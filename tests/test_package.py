@@ -11,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import metd
-from metd.data import generate_synthetic, save_dataset
+from metd.data import Vocabulary, generate_synthetic, save_dataset, save_vocabulary
+from metd.model import build_model, save_checkpoint
 
 from test_cli import COMPACT_CONFIG
 from test_trace_targets import _load_tracing
@@ -82,6 +84,24 @@ def test_eval_executes_only_the_modules_it_runs_and_train_executes_the_rest(tmp_
     assert evaluated == {
         "__init__", "__main__", "cli", "errors", "numerics", "model", "data", "inference"
     }
+
+
+def test_synth_decode_and_fdcheck_execute_no_trainer_they_do_not_call(tmp_path):
+    # config declares every key's allowed values itself, so reading a
+    # config executes neither training nor harness.
+    config = tmp_path / "run.cfg"
+    config.write_text(COMPACT_CONFIG + "fdcheck_instances = 1\n")
+    checkpoint = str(tmp_path / "model.ckpt")
+    save_checkpoint(build_model(3, 2, 2, 8, 8, 8, 2, seed=5), checkpoint)
+    vocab = str(tmp_path / "vocab.tsv")
+    save_vocabulary(Vocabulary(words=["a", "b"], vectors=np.eye(2, 8)), vocab)
+    reading = {
+        "__init__", "__main__", "cli", "errors", "numerics", "model", "data", "inference", "config"
+    }
+    assert _executed_modules("synth", "--config", str(config), str(tmp_path / "data")) == reading
+    assert _executed_modules("decode", "--config", str(config), checkpoint, vocab) == reading
+    checked = _executed_modules("fdcheck", "--config", str(config))
+    assert checked == reading | {"training", "losses"}
 
 
 def test_importing_the_cli_registers_every_module_the_benchmark_traces():

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from metd.config import SGD
 from metd.data import EmbeddingDataset, SynthConfig, Unit, apply_linear_map, generate_synthetic
 from metd.errors import ConfigError, ContractViolation, ZeroNormError
 from metd.harness import Strategy, distortion_matrix, run_strategy
@@ -18,7 +19,6 @@ from metd.training import (
     ADAM_BETA2,
     ADAM_EPS,
     ADAPTIVE,
-    SGD,
     SGD_MOMENTUM,
     central_difference,
     cosine_lr,
