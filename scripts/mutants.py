@@ -127,6 +127,18 @@ MUTANTS = (
         "v, v_norms = pooled[batch], pooled_norms[: len(batch)]",
     ),
     (
+        "purity-counts-units-without-id",
+        "inference.py",
+        "known = ids >= 0",
+        "known = np.ones(ids.shape, dtype=bool)",
+    ),
+    (
+        "purity-over-every-unit",
+        "inference.py",
+        "subclass_purity=matched / np.count_nonzero(known)",
+        "subclass_purity=matched / labels.size",
+    ),
+    (
         "stage2-before-stage1",
         "harness.py",
         "    trace1 = run_stage1(model, fitted, config)\n"

@@ -33,7 +33,10 @@
 # second, and against a vocabulary whose header says dim=0, and runs
 # fdcheck with a config whose second line holds the byte 0xe9, so two
 # checkpoint header errors, two vocabulary errors and a config error are
-# compared as well.  A "bad-configs" case
+# compared as well.  A "partial-ids" case evals the seed-7 checkpoint on a
+# copy of its test split with every third subcluster id set to "-", and on
+# one with all of them set to "-", so purity over a split that mixes known
+# and unknown ids, and its absence, are compared.  A "bad-configs" case
 # runs fdcheck with one config per config error class (unknown key,
 # duplicate key, missing "=", empty value, bad integer, non-finite float,
 # bad bool, n_tokens = 0, a negative seed, unknown encoder_kind, unknown
@@ -199,6 +202,17 @@ run "$bad" decode-dim0 decode --config "$out/seed7/run.cfg" "$out/seed7/model.ck
     "$bad/vocab-dim0.tsv"
 printf 'seed = 7\n# caf\351\n' >"$bad/not-utf8.cfg"
 run "$bad" fdcheck-not-utf8 fdcheck --config "$bad/not-utf8.cfg"
+
+ids="$out/partial-ids"
+rm -rf "$ids"
+mkdir -p "$ids"
+awk -F'\t' -v OFS='\t' 'NR > 1 && (NR - 1) % 3 == 0 { $3 = "-" } { print }' \
+    "$out/seed7/data/test.tsv" >"$ids/every-third.tsv"
+awk -F'\t' -v OFS='\t' 'NR > 1 { $3 = "-" } { print }' "$out/seed7/data/test.tsv" >"$ids/none.tsv"
+for split in every-third none; do
+    run "$ids" "eval-$split" eval --out "$ids/eval-$split.txt" "$out/seed7/model.ckpt" \
+        "$ids/$split.tsv"
+done
 
 cfgs="$out/bad-configs"
 rm -rf "$cfgs"

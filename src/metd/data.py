@@ -181,6 +181,7 @@ class EmbeddingDataset:
     are checked in NumPy (labels in range, subcluster ids non-negative,
     the sequence rules), naming the first faulty row.
     ``temporal_mean_pool`` and ``encode_image`` keep their own checks.
+    Training, purity and the baselines read the per-unit columns, not ``units()``.
     Unit frames and ``samples``' features are views into the array.
     Treat instances as immutable.
     """
@@ -237,12 +238,17 @@ class EmbeddingDataset:
 
     @cached_property
     def unit_labels(self) -> np.ndarray:
-        """Each unit's class, (U,), in ``units()`` order, built on first use."""
+        """Each unit's class, (U,) read-only, in ``units()`` order, built on first use."""
         return _read_only(self._columns[0][self._starts])
 
     @cached_property
+    def unit_subclusters(self) -> np.ndarray:
+        """Each unit's subcluster id, negative for ``-``, (U,) read-only, in ``units()`` order."""
+        return _read_only(self._columns[2][self._starts])
+
+    @cached_property
     def pooled(self) -> np.ndarray:
-        """Each unit's ``temporal_mean_pool`` of its frames, (U, F), built on first use.
+        """Each unit's ``temporal_mean_pool`` of its frames, (U, F) read-only, built on first use.
 
         One ``mean`` per unit length L, over the (units, L, F) block of those
         units' frames: each row has the bits of its unit's own mean, whose

@@ -6,9 +6,10 @@ that class's subclass descriptors; the predicted label is the argmax
 K: logit i = x^ . p_i, where x^ is the unit-normalised embedding and p_i
 the mean of class i's unit-normalised descriptors (equal to within a few
 ulps), so a class whose descriptors spread has its logits shrunk by
-|p_i|.  A unit's embedding is the adapter output for the
-temporal mean of its frames (``unit_embedding``).  Stage 2 encodes a training
-batch, or for its per-epoch report its whole pooled array, in one call.
+|p_i|.  A unit's embedding is the adapter output for the temporal mean
+of its frames (``unit_embedding``).  ``evaluate`` embeds unit by unit;
+training encodes the dataset's pooled array, and purity reads its label
+and subcluster columns, each with no per-unit call.
 
 Accuracy is reported two ways: WAR (weighted average recall) is the
 fraction of units predicted correctly, UAR (unweighted average recall)
@@ -67,8 +68,8 @@ def predict(image_embedding, text_embeddings) -> Prediction:
 def unit_embedding(model: Model, unit: Unit) -> np.ndarray:
     """Adapter output for the temporal mean of the unit's frames.
 
-    Stage 2 encodes pooled units in one call, a batch per step and all of
-    them for each epoch's report; each row has this call's bits on it.
+    Training encodes pooled units in one call (all of them in stage 1, a
+    batch or all of them in stage 2); each row has this call's bits on it.
     """
     return encode_image(model.adapter, temporal_mean_pool(unit.frames))
 
@@ -79,8 +80,8 @@ class EvalReport:
 
     ``per_class_recall`` holds NaN for classes absent from the data;
     those classes are excluded from the UAR mean.  ``assignments[u]`` is
-    the subclass of unit u's true class that scored highest, in
-    ``dataset.units()`` order, and ``subclass_histogram[i, k]`` counts
+    the subclass of unit u's true class that scored highest, in the order
+    of the dataset's unit columns, and ``subclass_histogram[i, k]`` counts
     the units of true class i assigned to subclass k.  Both are None
     when the report was built from bare label pairs.
     ``subclass_purity`` is filled in by ``subclass_report``.
@@ -171,35 +172,28 @@ def subclass_report(dataset: EmbeddingDataset, report: EvalReport) -> EvalReport
     without them.  Per class, the assignment-vs-truth overlap table is
     matched one-to-one (maximum overlap), and purity is the matched
     fraction over all id-carrying units.  With a single subclass per
-    class, purity is 1.0 by convention.  Reads the report's per-unit
-    assignments; nothing is scored again.
+    class, purity is 1.0 by convention.  Reads the report's assignments
+    and the dataset's unit columns; nothing is scored again.
     """
     if report.assignments is None:
         raise ContractViolation("subclass_report needs a report from evaluate")
-    units = dataset.units()
-    if len(units) != report.assignments.size:
-        raise ContractViolation(
-            f"report covers {report.assignments.size} units, dataset has {len(units)}"
-        )
+    labels, ids, assigned = dataset.unit_labels, dataset.unit_subclusters, report.assignments
+    if labels.size != assigned.size:
+        raise ContractViolation(f"report covers {assigned.size} units, dataset has {labels.size}")
     n_classes, k = report.subclass_histogram.shape
-    triples = [
-        (unit.label, int(assigned), unit.subcluster_id)
-        for unit, assigned in zip(units, report.assignments)
-        if unit.subcluster_id is not None
-    ]
-    if not triples:
+    known = ids >= 0
+    if not known.any():
         return report
     if k == 1:
         return replace(report, subclass_purity=1.0)
     # Per class, the (assigned subclass, true subcluster) overlap table,
     # one column per distinct id.  A class's table gets zero columns for
     # the other classes' ids, which no maximum matching needs.
-    truth, assigned, ids = np.array(triples).T
-    distinct, columns = np.unique(ids, return_inverse=True)
+    distinct, columns = np.unique(ids[known], return_inverse=True)
     overlap = np.zeros((n_classes, k, distinct.size), dtype=np.int64)
-    np.add.at(overlap, (truth, assigned, columns), 1)
+    np.add.at(overlap, (labels[known], assigned[known], columns), 1)
     matched = sum(_max_matching(o) for o in overlap)
-    return replace(report, subclass_purity=matched / len(triples))
+    return replace(report, subclass_purity=matched / np.count_nonzero(known))
 
 
 def _max_matching(table: np.ndarray) -> int:

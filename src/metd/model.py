@@ -524,20 +524,20 @@ def _parse_value(text: str, shape: tuple, line_no: int) -> np.ndarray:
     return parse_float_rows(((line_no, part) for part in parts), shape[1])
 
 
-def _checkpoint_layout(header: re.Match) -> list[tuple[str, tuple]]:
-    """The (key, shape) of every line after a checkpoint header, in file order."""
+def _checkpoint_layout(header: re.Match):
+    """Yield the (key, shape) of every line after a checkpoint header, in file order.
+
+    The header's dimensions are the file's claim, so no key is made before its line is read.
+    """
     n, k, m, token_dim, embed_dim, feature_dim, context_length = map(int, header.groups()[1:8])
-    layout = [
-        (f"bank.tokens[{i}][{kk}][{mm}]", (token_dim,))
-        for i in range(n)
-        for kk in range(k)
-        for mm in range(m)
-    ]
-    layout += [(f"bank.context[{c}]", (token_dim,)) for c in range(context_length)]
-    layout += [("adapter.weight", (embed_dim, feature_dim)), ("adapter.bias", (embed_dim,))]
+    for i in range(n):  # not itertools.product, which would hold each range as a tuple
+        for kk in range(k):
+            for mm in range(m):
+                yield f"bank.tokens[{i}][{kk}][{mm}]", (token_dim,)
+    yield from ((f"bank.context[{c}]", (token_dim,)) for c in range(context_length))
+    yield from (("adapter.weight", (embed_dim, feature_dim)), ("adapter.bias", (embed_dim,)))
     if header.group(9) == PROJECTED_MEAN:
-        layout.append(("encoder.projection", (embed_dim, token_dim)))
-    return layout
+        yield "encoder.projection", (embed_dim, token_dim)
 
 
 def save_checkpoint(model: Model, path: str):
@@ -594,14 +594,15 @@ def load_checkpoint(path: str) -> Model:
         temperature = float(header.group(11))
     except ValueError:
         raise ParseError("bad temperature", line=1) from None
-    layout = _checkpoint_layout(header)
     values = []
-    for (key, shape), (line_no, (found, text)) in zip(layout, records):
+    for (key, shape), (line_no, (found, text)) in zip(_checkpoint_layout(header), records):
         if found != key:
             raise ParseError(f"expected key {key!r}, got {found!r}", line=line_no)
         values.append(_parse_value(text, shape, line_no))
-    if len(values) < len(layout):
-        raise ParseError(f"missing key {layout[len(values)][0]!r}", line=len(values) + 2)
+    # zip drops the key it drew when the lines ran out, so walk the layout again to name it.
+    missing = next(itertools.islice(_checkpoint_layout(header), len(values), None), None)
+    if missing is not None:
+        raise ParseError(f"missing key {missing[0]!r}", line=len(values) + 2)
     for line_no, (found, _) in records:
         raise ParseError(f"unexpected key {found!r}", line=line_no)
     projection = values.pop() if kind == PROJECTED_MEAN else None

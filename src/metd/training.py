@@ -66,6 +66,7 @@ from .model import (
     adapter_map,
     bank_embeddings,
     build_model,
+    encode_image,
     encode_text,
     encode_text_token_gradient,
 )
@@ -244,32 +245,29 @@ def fit(params, batch_gradients, n_items: int, config, stage: int, stream):
 
 
 class _Stage:
-    """Stage 1 or 2 of ``model`` over ``units``: ``params`` are the arrays it trains.
+    """Stage 1 or 2 of ``model`` over units' (U,) ``labels`` and (U, F) ``pooled`` features.
 
-    ``trains`` names the side they embed into (``losses.TEXT`` or
-    ``losses.IMAGE``), the only side the loss is differentiated for.  The
-    side those arrays cannot change, ``frozen``, is embedded once, here;
-    in stage 1 a unit that embeds to zero is a ``ZeroNormError`` naming it.
+    ``params`` are the arrays it trains, ``trains`` the side they embed into
+    (``losses.TEXT`` or ``losses.IMAGE``), the only side the loss is
+    differentiated for.  The side they cannot change, ``frozen``, is embedded
+    once, here: in stage 1 all of ``pooled`` in one call, where a unit that
+    embeds to zero is a ``ZeroNormError`` naming it.  The caller checks F.
     """
 
-    def __init__(self, model: Model, units: list[Unit], number: int):
+    def __init__(self, model: Model, labels: np.ndarray, pooled: np.ndarray, number: int):
         self.model = model
         self.number = number
-        self.labels = np.array([unit.label for unit in units])
+        self.labels = labels
+        self.pooled = pooled
         if number == 1:
             # The adapter is frozen in this stage, so the unit embeddings are too.
-            self.frozen = np.stack([unit_embedding(model, unit) for unit in units])
+            self.frozen = encode_image(model.adapter, pooled)
             numerics._row_norms(self.frozen, "unit embeddings")
             self.params = {"bank.tokens": model.bank.tokens}
             self.trains = losses.TEXT
         elif number == 2:
-            # Descriptors are frozen in this stage, so their embeddings are too;
-            # the frames never change, so each unit is pooled and checked once.
+            # Descriptors are frozen in this stage, so their embeddings are too.
             self.frozen = bank_embeddings(model.bank, model.encoder)
-            self.pooled = np.stack([temporal_mean_pool(unit.frames) for unit in units])
-            width = model.adapter.feature_dim
-            if self.pooled.shape[1] != width:
-                raise ContractViolation(f"features shape {self.pooled.shape} != (U, {width})")
             self.params = {
                 "adapter.weight": model.adapter.weight,
                 "adapter.bias": model.adapter.bias,
@@ -366,7 +364,7 @@ def _run_stage(model, dataset, config, number):
     if len(dataset) == 0:
         raise ContractViolation("cannot train on an empty dataset")
     check_compatible(dataset, model)
-    stage = _Stage(model, dataset.units(), number)
+    stage = _Stage(model, dataset.unit_labels, dataset.pooled, number)
     n_units = len(stage.labels)
     counts = np.zeros((model.n_classes, model.n_subclasses), dtype=np.int64)
     sums = np.zeros(3)
@@ -467,7 +465,8 @@ def fd_check(
     be large).
     """
     counts = np.asarray(target_counts)[None]
-    path = _Stage(model, [sample], stage)
+    unit_embedding(model, sample)  # checks the sample's frames against the adapter
+    path = _Stage(model, np.array([sample.label]), temporal_mean_pool(sample.frames)[None], stage)
     batch = np.array([0])
     grid = path.grid(batch, path.embed(batch))
 

@@ -419,8 +419,9 @@ def test_an_empty_dataset_has_empty_read_only_unit_arrays(tmp_path):
     for dataset in (EmbeddingDataset([], 4, 2), load_dataset(str(path))):
         assert dataset.units() == []
         assert dataset.pooled.shape == (0, 4) and dataset.pooled.dtype == np.float64
-        assert dataset.unit_labels.shape == (0,)
-        assert not dataset.pooled.flags.writeable and not dataset.unit_labels.flags.writeable
+        assert dataset.unit_labels.shape == dataset.unit_subclusters.shape == (0,)
+        for column in (dataset.pooled, dataset.unit_labels, dataset.unit_subclusters):
+            assert not column.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [1, 3, 16])
@@ -887,6 +888,10 @@ def test_the_column_checks_match_the_row_by_row_check(tmp_path_factory, case):
         ]
         assert units == _reference_units(rows)
         assert dataset.unit_labels.tolist() == [u[1] for u in units]
+        # A unit with no subcluster id reads negative; every id is non-negative.
+        assert [None if sub < 0 else sub for sub in dataset.unit_subclusters.tolist()] == [
+            u[3] for u in units
+        ]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -935,7 +940,7 @@ def test_loaded_units_are_read_only_views_of_the_parsed_array(tmp_path):
         with pytest.raises(ValueError):
             unit.frames[0, 0] = 1.0
     assert len(loaded.units()) == 6
-    for cached in (loaded.pooled, loaded.unit_labels):
+    for cached in (loaded.pooled, loaded.unit_labels, loaded.unit_subclusters):
         assert not cached.flags.writeable
     assert _bits(loaded.pooled) == _bits(
         [np.mean(np.asarray(u.frames), axis=0) for u in EmbeddingDataset(rows, 4, 2).units()]

@@ -462,6 +462,40 @@ def test_purity_with_any_number_of_subclusters_equals_the_brute_force(
     assert purity == _brute_force_purity(triples, n_classes, k)
 
 
+@matching_settings
+@given(
+    st.integers(1, 3),  # classes
+    st.integers(1, 4),  # K
+    st.sampled_from(("all", "some", "none")),  # which units carry a subcluster id
+    st.data(),
+)
+def test_purity_over_the_unit_columns_equals_the_per_unit_loop(n_classes, k, ids, data):
+    # Units of 1-3 rows, each with an id, some with "-" or none with one:
+    # purity from the dataset's columns is that of a loop over units().
+    unit = st.tuples(st.integers(0, n_classes - 1), st.integers(0, 3), st.integers(1, 3),
+                     st.booleans())
+    specs = data.draw(st.lists(unit, min_size=1, max_size=20))
+    rows = []
+    for seq, (label, sub, length, known) in enumerate(specs):
+        sub = sub if ids == "all" or (ids == "some" and known) else None
+        rows += [Sample(np.ones(2), label, seq if length > 1 else None, sub)] * length
+    dataset = EmbeddingDataset(rows, feature_dim=2, n_classes=n_classes)
+    units = dataset.units()
+    assigned = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=len(units),
+                                           max_size=len(units))), dtype=np.int64)
+    labels = [u.label for u in units]
+    report = replace(
+        report_from_labels(labels, labels, n_classes),
+        subclass_histogram=np.zeros((n_classes, k), dtype=np.int64),
+        assignments=assigned,
+    )
+    triples = [(u.label, int(a), u.subcluster_id)
+               for u, a in zip(units, assigned) if u.subcluster_id is not None]
+    expected = _brute_force_purity(triples, n_classes, k) if triples and k > 1 else None
+    expected = 1.0 if triples and k == 1 else expected
+    assert subclass_report(dataset, report).subclass_purity == expected
+
+
 def test_purity_matches_one_column_per_distinct_subcluster_id(monkeypatch):
     import metd.inference
 

@@ -139,7 +139,8 @@ def test_batch_counts_equal_counting_one_sample_at_a_time(seed, b, number):
         expected["bank.tokens"] = _pulled(model, expected["bank.tokens"])
 
     batch_counts, batch_sums = start.copy(), np.zeros(3)
-    stage = _Stage(model, units, number)
+    labels = np.array([unit.label for unit in units])
+    stage = _Stage(model, labels, np.stack([temporal_mean_pool(u.frames) for u in units]), number)
     grads = _step(stage, np.arange(b), batch_counts, batch_sums)
     assert np.array_equal(batch_counts, counts)
     assert np.array_equal(batch_sums, sums)
@@ -222,7 +223,8 @@ def test_each_stacked_probe_equals_embedding_that_value_in_place(seed, s, n, k, 
     # (M, d) tokens, and its row is that descriptor's entry of the stack.
     rng, model = _random_stage_model(seed, n, k, encoder_kind, residual)
     frames = rng.normal(size=(int(rng.integers(1, 4)), model.adapter.feature_dim))
-    stage = _Stage(model, [Unit(frames=frames, label=int(rng.integers(n)))], number)
+    label = np.array([rng.integers(n)])
+    stage = _Stage(model, label, temporal_mean_pool(frames)[None], number)
     for name, array in stage.params.items():
         where = (int(rng.integers(n)), int(rng.integers(k))) if number == 1 else ()
         values = rng.normal(size=(s, *array[where].shape))
@@ -451,7 +453,7 @@ def test_the_stage_path_gives_the_mask_formulas_bits(seed, b, n, k, encoder_kind
         expected = {"adapter.weight": grad_w.sum(axis=0) / b,
                     "adapter.bias": grad_b.sum(axis=0) / b}
 
-    stage = _Stage(model, units, number)
+    stage = _Stage(model, t, pooled, number)
     counts, sums = start.copy(), np.zeros(3)
     grads = _step(stage, rows, counts, sums)
     grid = stage.grid(rows, stage.embed(rows))

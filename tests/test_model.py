@@ -1,6 +1,7 @@
 """Descriptor bank, text encoder, image adapter, and checkpoint round trips."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,6 +458,28 @@ def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
     with pytest.raises(ParseError, match=f"{dimension} must be a positive integer") as info:
         load_checkpoint(str(path))
     assert info.value.line == 1
+
+
+def test_a_header_that_claims_a_million_token_vectors_costs_no_list_of_them(tmp_path):
+    # A header's dimensions are the file's claim: a header-only file that
+    # claims 1,000,000 token vectors is refused at line 2, and loading it
+    # builds no key list of that size.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_randomized_model(8), str(path))
+    header, count = re.subn(r"n_classes=\d+ n_subclasses=\d+ n_tokens=\d+",
+                            "n_classes=1000000 n_subclasses=1 n_tokens=1",
+                            path.read_text().splitlines()[0])
+    assert count == 1
+    path.write_text(header + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 2: missing key 'bank.tokens[0][0][0]'"
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Optimizer steps, schedules, the two training stages, and gradient checks."""
 
 import copy
+import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,7 @@ from metd.training import (
     run_stage2,
 )
 
-from conftest import SYNTHETIC, run_config
+from conftest import SYNTHETIC, SYNTHETIC_CFG, run_config
 
 SEPARABLE = SynthConfig(
     n_classes=3,
@@ -319,7 +321,8 @@ def test_fd_check_numeric_gradient_equals_the_one_sample_loop(monkeypatch):
             model, sample, counts = random_fd_instance(seed=seed, stage=stage)
             numeric.clear()
             fd_check(model, sample, h, target_counts=counts, stage=stage)
-            path = metd.training._Stage(model, [sample], stage)
+            pooled = temporal_mean_pool(sample.frames)[None]
+            path = metd.training._Stage(model, np.array([sample.label]), pooled, stage)
             names = sorted(path.params)
             assert len(numeric) == len(names)
             for got, name in zip(numeric, names):
@@ -480,8 +483,8 @@ def test_fresh_non_residual_model_trains():
 
 
 def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
-    # The adapter is frozen in stage 1: each unit is embedded once up
-    # front, and the per-epoch training-set report scores those embeddings.
+    # The adapter is frozen in stage 1: set-up encodes the dataset's pooled
+    # array in one call, and the per-epoch report scores those embeddings.
     import metd.inference
     import metd.training
 
@@ -489,22 +492,23 @@ def test_stage1_embeds_each_unit_once_before_fitting(monkeypatch):
         SynthConfig(n_classes=2, subclusters_per_class=1, samples_per_subcluster=10,
                     feature_dim=8, sigma=0.1, seed=5)
     )
-    calls = []
-    original = metd.inference.unit_embedding
+    encoded = []
+    original = metd.training.encode_image
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recorded(adapter, features):
+        encoded.append(features)
+        return original(adapter, features)
 
-    monkeypatch.setattr(metd.training, "unit_embedding", counted)
-    monkeypatch.setattr(metd.inference, "unit_embedding", counted)
+    monkeypatch.setattr(metd.training, "encode_image", recorded)
+    names = ("temporal_mean_pool", "unit_embedding", "encode_image")
+    inner = _count_calls(monkeypatch, metd.inference, names)
     model = build_model(
         n_classes=2, n_subclasses=2, n_tokens=2, token_dim=8, embed_dim=8,
         feature_dim=8, context_length=2, temperature=0.055, seed=5,
     )
-    epochs = 3
-    run_stage1(model, train, run_config(stage1_epochs=epochs, stage1_batch_size=8, seed=5))
-    assert len(calls) == len(train.units())
+    run_stage1(model, train, run_config(stage1_epochs=3, stage1_batch_size=8, seed=5))
+    assert len(encoded) == 1 and encoded[0] is train.pooled
+    assert inner == dict.fromkeys(names, 0)
 
 
 def _sixteen_units():
@@ -602,19 +606,53 @@ def test_each_stage_shuffles_with_its_own_stream(monkeypatch):
 
 
 def test_stage2_pools_each_unit_once_before_fitting(monkeypatch):
-    # The raw frames never change, so they are pooled once, not every epoch,
-    # and the per-epoch report encodes that pooled array instead of pooling
-    # and embedding each unit again through the inference module.
+    # The raw frames never change, so each dataset pools them once, into its
+    # ``pooled`` column, which both stages read; stage 2 pools and embeds no
+    # unit of its own, in training or in its per-epoch report.
+    import metd.data
     import metd.inference
     import metd.training
 
+    pools = []
+    column = metd.data.EmbeddingDataset.pooled
+
+    def pooled(dataset):
+        pools.append(dataset)
+        return column.func(dataset)
+
+    counted = functools.cached_property(pooled)
+    counted.__set_name__(metd.data.EmbeddingDataset, "pooled")
+    monkeypatch.setattr(metd.data.EmbeddingDataset, "pooled", counted)
     model, train = _sixteen_units()
     names = ("temporal_mean_pool", "unit_embedding")
     calls = _count_calls(monkeypatch, metd.training, names)
     inner = _count_calls(monkeypatch, metd.inference, names)
+    run_stage1(model, train, run_config(stage1_epochs=2, stage1_batch_size=5, seed=3))
     run_stage2(model, train, run_config(stage2_epochs=2, stage2_batch_size=5, seed=3))
-    assert calls == {"temporal_mean_pool": len(train.units()), "unit_embedding": 0}
-    assert inner == {"temporal_mean_pool": 0, "unit_embedding": 0}
+    assert pools == [train]
+    assert calls == inner == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("oversample", [False, True])
+def test_metd_train_builds_no_unit(monkeypatch, tmp_path, oversample):
+    # Training reads the dataset's unit columns, so the train command builds
+    # neither the unit list nor any Unit, with or without oversampling.
+    from metd.cli import main
+    from metd.data import save_dataset
+    from metd.harness import default_benchmark
+
+    def refused(*args, **kwargs):
+        raise AssertionError("training built a Unit")
+
+    train, _ = default_benchmark(seed=7)
+    save_dataset(train, str(tmp_path / "train.tsv"))
+    config = tmp_path / "run.cfg"
+    config.write_text(re.sub(
+        r"(?m)^(stage[12]_epochs) = .*$", r"\1 = 1", SYNTHETIC_CFG.read_text()
+    ) + f"oversample = {str(oversample).lower()}\n")
+    monkeypatch.setattr(EmbeddingDataset, "units", refused)
+    monkeypatch.setattr(Unit, "__init__", refused)
+    assert main(["train", "--config", str(config), str(tmp_path), str(tmp_path / "m.ckpt")]) == 0
 
 
 def test_stage2_embeds_its_frozen_descriptors_once(monkeypatch):
