@@ -139,6 +139,18 @@ MUTANTS = (
         "subclass_purity=matched / labels.size",
     ),
     (
+        "header-line-not-checked-for-utf8",
+        "model.py",
+        "if reason := _utf8_fault(first):",
+        "if reason := None:",
+    ),
+    (
+        "config-not-checked-for-utf8",
+        "config.py",
+        "if reason := _utf8_fault(line):",
+        "if reason := None:",
+    ),
+    (
         "stage2-before-stage1",
         "harness.py",
         "    trace1 = run_stage1(model, fitted, config)\n"

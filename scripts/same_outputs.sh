@@ -33,7 +33,13 @@
 # second, and against a vocabulary whose header says dim=0, and runs
 # fdcheck with a config whose second line holds the byte 0xe9, so two
 # checkpoint header errors, two vocabulary errors and a config error are
-# compared as well.  A "partial-ids" case evals the seed-7 checkpoint on a
+# compared as well.  A "bad-bytes" case puts two faults in one file, a
+# fault on one line and the byte 0xff on the next, so the order in which
+# a reader meets them is compared: it evals the seed-7 checkpoint on a copy
+# of its test split whose line 3 holds a malformed float and whose line 4
+# holds 0xff, decodes against a copy of configs/vocab.tsv with the same two
+# faults, and runs fdcheck with a config whose line 1 has no "=" and whose
+# line 3 holds 0xff.  A "partial-ids" case evals the seed-7 checkpoint on a
 # copy of its test split with every third subcluster id set to "-", and on
 # one with all of them set to "-", so purity over a split that mixes known
 # and unknown ids, and its absence, are compared.  A "bad-configs" case
@@ -202,6 +208,18 @@ run "$bad" decode-dim0 decode --config "$out/seed7/run.cfg" "$out/seed7/model.ck
     "$bad/vocab-dim0.tsv"
 printf 'seed = 7\n# caf\351\n' >"$bad/not-utf8.cfg"
 run "$bad" fdcheck-not-utf8 fdcheck --config "$bad/not-utf8.cfg"
+
+bytes="$out/bad-bytes"
+rm -rf "$bytes"
+mkdir -p "$bytes"
+awk -F'\t' -v OFS='\t' 'NR == 3 { sub(/,/, "x,", $4) } NR == 4 { sub(/\t/, "\t\377") } { print }' \
+    "$out/seed7/data/test.tsv" >"$bytes/test.tsv"
+run "$bytes" eval eval "$out/seed7/model.ckpt" "$bytes/test.tsv"
+awk -F'\t' -v OFS='\t' 'NR == 3 { sub(/,/, "x,", $2) } NR == 4 { sub(/\t/, "\t\377") } { print }' \
+    "$checkout/configs/vocab.tsv" >"$bytes/vocab.tsv"
+run "$bytes" decode decode --config "$out/seed7/run.cfg" "$out/seed7/model.ckpt" "$bytes/vocab.tsv"
+printf 'seed 7\nfdcheck_instances = 2\n# caf\377\n' >"$bytes/run.cfg"
+run "$bytes" fdcheck fdcheck --config "$bytes/run.cfg"
 
 ids="$out/partial-ids"
 rm -rf "$ids"

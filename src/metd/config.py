@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 from .data import SynthConfig
 from .errors import ConfigError
-from .model import ENCODER_KINDS, IDENTITY_MEAN
+from .model import ENCODER_KINDS, IDENTITY_MEAN, _utf8_fault
 
 ADAPTIVE = "adaptive-moments-decoupled-decay"
 SGD = "sgd-momentum"
@@ -255,14 +255,12 @@ def parse_config_text(text: str) -> RunConfig:
 def parse_config(path: str) -> RunConfig:
     """The config in file ``path``; a file that is not UTF-8 is a ConfigError at its line."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The line parse_config_text would give the first bad byte.
-        line = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise ConfigError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    # Every line, split as parse_config_text splits them, before any is parsed.
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        if reason := _utf8_fault(line):
+            raise ConfigError(f"not UTF-8 text: {reason}", line=line_no)
     return parse_config_text(text)

@@ -473,12 +473,17 @@ def _parse_int(text: str, what: str, line_no: int) -> int:
         raise ParseError(f"bad {what} {text!r}", line=line_no) from None
 
 
+def _check_dim(dim: int, name: str):
+    widest = np.iinfo(np.intp).max // 8  # the widest float64 row np.empty((0, dim)) makes
+    if not 1 <= dim <= widest:
+        bound = ">= 1" if dim < 1 else f"<= {widest}"
+        raise ParseError(f"{name} must be {bound}, got {dim}", line=1)
+
+
 def load_dataset(path: str) -> EmbeddingDataset:
     records = read_records(path, _DATASET_HEADER, "dataset", 4)
     dim, n_classes = map(int, next(records).groups()[1:])
-    if dim < 1:
-        # Checked before the rows, which would be blamed for the header's dim.
-        raise ParseError(f"feature_dim must be >= 1, got {dim}", line=1)
+    _check_dim(dim, "feature_dim")
     labels, sequence_ids, subcluster_ids = [], [], []  # parsed as the rows stream
 
     def feature_rows():
@@ -545,8 +550,7 @@ def save_vocabulary(vocab: Vocabulary, path: str):
 def load_vocabulary(path: str) -> Vocabulary:
     records = read_records(path, _VOCAB_HEADER, "vocabulary", 2)
     dim = int(next(records).group(2))
-    if dim < 1:
-        raise ParseError(f"dim must be >= 1, got {dim}", line=1)
+    _check_dim(dim, "dim")
     words = []
 
     def vector_rows():

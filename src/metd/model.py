@@ -412,45 +412,42 @@ def read_records(path: str, header: re.Pattern, what: str, n_fields: int):
     ``n_fields`` tab-separated fields.  Lines are read and yielded one at
     a time, so no file is ever held in memory whole; the loaders pass the
     float fields on, still one row at a time, to ``parse_float_rows``.
-    A file that is not UTF-8 is a ParseError at its first undecodable line.
+    Each line, the header too, is checked for UTF-8 first, as it is read.
     """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        first = fh.readline()
+        if not first:
+            raise ParseError("empty file, missing header", line=1)
+        if reason := _utf8_fault(first):
+            raise ParseError(f"not UTF-8 text: {reason}", line=1)
+        match = header.match(first.rstrip("\n"))
+        if not match:
+            raise ParseError(f"bad {what} header", line=1)
+        if int(match.group(1)) != FORMAT_VERSION:
+            raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
+        yield match
+        for line_no, line in enumerate(fh, start=2):
+            if reason := _utf8_fault(line):
+                raise ParseError(f"not UTF-8 text: {reason}", line=line_no)
+            fields = line.rstrip("\n").split("\t")
+            if fields == [""]:
+                raise ParseError("blank line", line=line_no)
+            if len(fields) != n_fields:
+                raise ParseError(
+                    f"expected {n_fields} tab-separated fields, got {len(fields)}",
+                    line=line_no,
+                )
+            yield line_no, fields
+
+
+def _utf8_fault(line: str) -> str | None:
+    """Why ``line``, read with surrogateescape and with its line break, is not UTF-8, or None."""
+    if line.isascii():
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if not first:
-                raise ParseError("empty file, missing header", line=1)
-            match = header.match(first.rstrip("\n"))
-            if not match:
-                raise ParseError(f"bad {what} header", line=1)
-            if int(match.group(1)) != FORMAT_VERSION:
-                raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
-            yield match
-            for line_no, line in enumerate(fh, start=2):
-                fields = line.rstrip("\n").split("\t")
-                if fields == [""]:
-                    raise ParseError("blank line", line=line_no)
-                if len(fields) != n_fields:
-                    raise ParseError(
-                        f"expected {n_fields} tab-separated fields, got {len(fields)}",
-                        line=line_no,
-                    )
-                yield line_no, fields
+        line.encode("utf-8", "surrogateescape").decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The decoder reads ahead in blocks, so the line is found again.
-        raise ParseError(
-            f"not UTF-8 text: {exc.reason}", line=_first_undecodable_line(path)
-        ) from None
-
-
-def _first_undecodable_line(path: str) -> int | None:
-    """The 1-based line of ``path`` holding its first byte sequence that is not UTF-8."""
-    # Latin-1 decodes every byte, and splits lines where UTF-8 text mode does.
-    with open(path, "r", encoding="latin-1") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("latin-1").decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
+        return exc.reason
     return None
 
 
@@ -504,7 +501,7 @@ def parse_float_rows(rows, dim: int) -> np.ndarray:
             delimiter=",", comments=None, dtype=np.float64, ndmin=2,
         )
     except ValueError as exc:
-        if type(exc) is not ValueError:  # a ParseError or decode error from ``rows``
+        if type(exc) is not ValueError:  # a ParseError from ``rows``
             raise
         # loadtxt converts each row as it pulls it, so the last row pulled is at fault.
         raise ParseError("bad float value", line=lines[-1]) from None
@@ -595,14 +592,14 @@ def load_checkpoint(path: str) -> Model:
     except ValueError:
         raise ParseError("bad temperature", line=1) from None
     values = []
-    for (key, shape), (line_no, (found, text)) in zip(_checkpoint_layout(header), records):
+    for line_no, (key, shape) in enumerate(_checkpoint_layout(header), start=2):
+        record = next(records, None)
+        if record is None:
+            raise ParseError(f"missing key {key!r}", line=line_no)
+        found, text = record[1]
         if found != key:
             raise ParseError(f"expected key {key!r}, got {found!r}", line=line_no)
         values.append(_parse_value(text, shape, line_no))
-    # zip drops the key it drew when the lines ran out, so walk the layout again to name it.
-    missing = next(itertools.islice(_checkpoint_layout(header), len(values), None), None)
-    if missing is not None:
-        raise ParseError(f"missing key {missing[0]!r}", line=len(values) + 2)
     for line_no, (found, _) in records:
         raise ParseError(f"unexpected key {found!r}", line=line_no)
     projection = values.pop() if kind == PROJECTED_MEAN else None

@@ -295,7 +295,7 @@ def test_data_errors_exit_2(workspace, tmp_path):
 
 
 def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(workspace, tmp_path):
-    # The reader decodes ahead in blocks; the error still names the line.
+    # The reader checks each line for UTF-8 as it reads it, and names the line.
     _, _, data, checkpoint = workspace
     lines = (data / "test.tsv").read_bytes().split(b"\n")
     lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
@@ -310,6 +310,25 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_line(workspace, tmp_pat
     result = run_cli("fdcheck", "--config", str(config))
     assert result.returncode == 2
     assert result.stderr == "config error: not UTF-8 text: invalid continuation byte (line 2)\n"
+
+
+def test_a_header_dim_no_array_can_hold_exits_2_without_a_traceback(workspace, tmp_path):
+    # A header-only file with dim 2**60 would be an empty (0, 2**60) float64
+    # array, one NumPy cannot make.
+    _, config, _, checkpoint = workspace
+    huge = tmp_path / "huge.tsv"
+    huge.write_text(f"metd-embed v1 dim={2**60} classes=3\n")
+    result = run_cli("eval", str(checkpoint), str(huge))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr == (
+        f"parse error: line 1: feature_dim must be <= {2**60 - 1}, got {2**60}\n"
+    )
+    vocab = tmp_path / "huge_vocab.tsv"
+    vocab.write_text("metd-vocab v1 dim=99999999999999999999\n")
+    result = run_cli("decode", "--config", str(config), str(checkpoint), str(vocab))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
 
 
 def test_train_rejects_data_of_another_dimension_without_a_residual_adapter(

@@ -247,6 +247,16 @@ def test_a_config_that_is_not_utf8_is_an_error_at_the_line_the_parser_counts(tmp
     path.write_bytes(b"seed = 21\r\n# \xc3\xa9t\xc3\xa9\rstage1_epochs = 3\n")
     config = parse_config(str(path))
     assert (config.seed, config.stage1_epochs) == (21, 3)
+    # A sequence the file ends in the middle of; and every line is checked
+    # before any is parsed, so line 3's byte comes before line 1's missing "=".
+    for data, message in [
+        (b"seed = 21\n# caf\xc3", "not UTF-8 text: unexpected end of data (line 2)"),
+        (b"seed 21\nseed = 3\n# caf\xff\n", "not UTF-8 text: invalid start byte (line 3)"),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(ConfigError) as caught:
+            parse_config(str(path))
+        assert str(caught.value) == message
 
 
 def test_readme_configuration_table_matches_the_config_keys():

@@ -547,14 +547,54 @@ def test_a_faulty_row_of_a_large_vocabulary_names_its_line(tmp_path, fault):
 
 def test_a_decode_error_is_not_blamed_on_a_float(tmp_path):
     # The parser maps only loadtxt's own errors to "bad float value".  The
-    # bad byte sits past the reader's first decoded block, so it is met
-    # while the rows stream, and the reader names its line.
+    # reader checks each line for UTF-8 as the rows stream, so the bad byte
+    # on the last of 5,001 rows is a ParseError at its own line.
     path = tmp_path / "latin1.tsv"
     path.write_bytes(b"metd-embed v1 dim=2 classes=2\n" + b"0\t-\t-\t1,2\n" * 5000
                      + b"0\t-\t-\t1,\xff2\n")
     with pytest.raises(ParseError) as info:
         load_dataset(str(path))
     assert str(info.value) == "line 5002: not UTF-8 text: invalid start byte"
+
+
+_ROW_BYTES = b"0\t-\t-\t1,2\n"
+
+
+@pytest.mark.parametrize(
+    "load, data, message",
+    [
+        (load_dataset, b"metd-embed v9 dim=2 classes=2\n" + _ROW_BYTES + b"0\t-\t-\t\xff\n",
+         "line 1: unsupported format version v9"),
+        (load_dataset, b"metd-embed v1 dim=2 classes=2\n" + _ROW_BYTES + b"0\t-\t-\t1,q\n"
+         + b"0\t-\t-\t1,\xff2\n", "line 3: bad float value"),
+        (load_vocabulary, b"metd-vocab v1 dim=2\na\t1,2\nb\t1,q\nc\t1,\xff2\n",
+         "line 3: bad float value"),
+        (load_dataset, b"metd-embed v1 dim=2 classes=2\xff\n" + _ROW_BYTES,
+         "line 1: not UTF-8 text: invalid start byte"),
+        (load_dataset, b"metd-embed v1 dim=2 classes=2\n" + _ROW_BYTES + b"0\t-\t-\t1,2\xc3",
+         "line 3: not UTF-8 text: unexpected end of data"),
+    ],
+    ids=["version-then-byte", "float-then-byte", "vocabulary-float-then-byte",
+         "byte-in-header", "lead-byte-at-the-end"],
+)
+def test_the_first_faulty_line_is_reported_wherever_a_bad_byte_sits(
+    tmp_path, load, data, message
+):
+    # Each line is checked for UTF-8 as it is read, so a bad byte a line
+    # after another fault does not hide it, even inside the decoder's
+    # first 8 KB block.
+    path = tmp_path / "two_faults.tsv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        load(str(path))
+    assert str(info.value) == message
+
+
+def test_the_widest_header_dim_still_loads_as_an_empty_dataset(tmp_path):
+    path = tmp_path / "widest.tsv"
+    path.write_text(f"metd-embed v1 dim={2**60 - 1} classes=3\n")
+    dataset = load_dataset(str(path))
+    assert (len(dataset), dataset.feature_dim) == (0, 2**60 - 1)
 
 
 @pytest.mark.parametrize(
@@ -714,10 +754,21 @@ def test_vocabulary_row_errors_name_their_line(tmp_path):
         (load_vocabulary, "metd-vocab v1 dim=0\n", "dim must be >= 1, got 0"),
         (load_dataset, "metd-embed v1 dim=0 classes=2\n0\t-\t-\t1\n",
          "feature_dim must be >= 1, got 0"),
+        (load_dataset, f"metd-embed v1 dim={2**60} classes=3\n",
+         f"feature_dim must be <= {2**60 - 1}, got {2**60}"),
+        (load_dataset, f"metd-embed v1 dim={10**20} classes=3\n",
+         f"feature_dim must be <= {2**60 - 1}, got {10**20}"),
+        (load_vocabulary, f"metd-vocab v1 dim={2**60}\n",
+         f"dim must be <= {2**60 - 1}, got {2**60}"),
+        (load_vocabulary, f"metd-vocab v1 dim={10**20}\n",
+         f"dim must be <= {2**60 - 1}, got {10**20}"),
     ],
 )
 def test_a_zero_dim_header_is_line_1(tmp_path, load, text, problem):
     # The header's dim is wrong, not the first row that cannot match it.
+    # So is a dim past 2**60 - 1: a header-only file would be an empty
+    # (0, dim) float64 array, which NumPy cannot make once dim * 8 bytes
+    # overflows a signed 64-bit size.
     path = tmp_path / "zero_dim.tsv"
     path.write_text(text)
     with pytest.raises(ParseError) as info:

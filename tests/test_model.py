@@ -460,6 +460,22 @@ def test_checkpoint_header_rejects_a_zero_dimension(tmp_path, dimension):
     assert info.value.line == 1
 
 
+def test_a_wrong_key_is_reported_before_a_bad_byte_on_the_next_line(tmp_path):
+    # Each line is checked for UTF-8 as it is read, so the bad byte on
+    # line 3, inside the decoder's first 8 KB block, does not hide line 2.
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(_randomized_model(8), str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"x" + lines[1]
+    lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError) as info:
+        load_checkpoint(str(path))
+    assert str(info.value) == (
+        "line 2: expected key 'bank.tokens[0][0][0]', got 'xbank.tokens[0][0][0]'"
+    )
+
+
 def test_a_header_that_claims_a_million_token_vectors_costs_no_list_of_them(tmp_path):
     # A header's dimensions are the file's claim: a header-only file that
     # claims 1,000,000 token vectors is refused at line 2, and loading it

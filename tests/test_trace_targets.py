@@ -100,8 +100,8 @@ def test_training_and_fd_check_call_every_expected_kernel():
 
 
 def test_fd_sweep_calls_every_expected_library_function():
-    # `metd fdcheck` is fd_sweep plus printing.  fd_check's stage-1
-    # instances are the workload's only unit_embedding calls.
+    # `metd fdcheck` is fd_sweep plus printing.  fd_check checks each
+    # instance's sample through one unit_embedding call, in both stages.
     expected = _expected_kernels(
         ("FdCheck",), ("training.", "model.", "inference.", "losses.", "numerics.")
     )
