@@ -158,6 +158,26 @@ MUTANTS = (
         "    trace2 = run_stage2(model, fitted, config)\n"
         "    trace1 = run_stage1(model, fitted, config)\n",
     ),
+    (
+        "compare-skips-metd-zero-unit-check",
+        "harness.py",
+        "    if strategy.kind == METD:  # stage 1 scores each unit through the untrained adapter\n",
+        "    if False:\n",
+    ),
+    (
+        "probe-fits-at-stage1-lr",
+        "harness.py",
+        "batch_size=config.stage1_batch_size, lr=config.probe_lr, weight_decay=0.0,",
+        "batch_size=config.stage1_batch_size, lr=config.stage1_lr, weight_decay=0.0,",
+    ),
+    (
+        "fd-instance-draws-context-first",
+        "training.py",
+        "    tokens = rng.normal(size=(n_classes, n_subclasses, n_tokens, token_dim))\n"
+        "    context = rng.normal(size=(context_length, token_dim))\n",
+        "    context = rng.normal(size=(context_length, token_dim))\n"
+        "    tokens = rng.normal(size=(n_classes, n_subclasses, n_tokens, token_dim))\n",
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(

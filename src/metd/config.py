@@ -212,6 +212,11 @@ class RunConfig:
                 key="residual_adapter",
             )
 
+    def stage_settings(self, number: int) -> dict:
+        """Stage ``number``'s six ``training.fit`` settings: its ``stage<number>_*`` keys."""
+        names = ("epochs", "batch_size", "lr", "weight_decay", "optimizer", "schedule")
+        return {name: getattr(self, f"stage{number}_{name}") for name in names}
+
     def synth_config(self) -> SynthConfig:
         return SynthConfig(
             **{key.name: getattr(self, key.name) for key in fields(SynthConfig)}

@@ -8,9 +8,9 @@ reduce batches by arithmetic mean.
 One loop, ``fit``, runs both stages and the comparison baselines: it
 owns the seeded per-epoch shuffle, the batches, the learning-rate
 schedule, the optimizer state and the global step, and calls
-``optimizer_step`` once per batch.  Each caller passes only its
-parameter arrays, a batch-gradient function and its random-stream
-prefix, so a fixed seed and config reproduce training bit for bit.
+``optimizer_step`` once per batch.  Each caller passes its parameter
+arrays, a batch-gradient function, its random-stream prefix and its six
+settings, so a fixed seed and config reproduce training bit for bit.
 
 The subclass counts are one (n_classes, n_subclasses) int64 array per
 stage: entry [i, k] is how many samples of class i landed on subclass k.
@@ -60,12 +60,14 @@ from .model import (
     PROJECTED_MEAN,
     STREAM_FDCHECK,
     STREAM_SHUFFLE,
+    DescriptorBank,
+    ImageAdapter,
     Model,
     _require_seed,
     adapter_gradients,
     adapter_map,
     bank_embeddings,
-    build_model,
+    build_text_encoder,
     encode_image,
     encode_text,
     encode_text_token_gradient,
@@ -203,32 +205,26 @@ def format_metrics_log(trace: list[EpochStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fit(params, batch_gradients, n_items: int, config, stage: int, stream):
+def fit(params, batch_gradients, n_items: int, stream, *, epochs, batch_size, lr,
+        weight_decay, optimizer, schedule):
     """The one optimisation loop, shared by both stages and the baselines.
 
-    ``config`` is a ``RunConfig``, read for its ``stage<stage>_*`` keys.
     Each epoch draws a permutation of ``range(n_items)`` from
-    ``default_rng([*stream, epoch])`` and cuts it into batches of the
-    stage's batch size.  Every batch is one ``optimizer_step`` on
-    ``params`` (updated in place) with the gradient dict returned by
-    ``batch_gradients(batch)``, at the scheduled learning rate of the
-    global step.  Yields ``(epoch, lr)`` after each epoch, ``lr`` being
+    ``default_rng([*stream, epoch])`` and cuts it into batches of
+    ``batch_size``.  Every batch is one ``optimizer_step`` of kind
+    ``optimizer`` on ``params`` (updated in place) with the gradient dict
+    returned by ``batch_gradients(batch)``, at the global step's rate:
+    ``lr``, or its cosine decay over all steps if ``schedule`` is
+    ``"cosine"``.  Yields ``(epoch, lr)`` after each epoch, ``lr`` being
     the rate of the epoch's first step, so the caller can evaluate and log
     between epochs.  A ContractViolation from ``batch_gradients`` is
     raised again with the epoch and step (from 1) added to its message.
     """
-
-    def setting(name):
-        return getattr(config, f"stage{stage}_{name}")
-
-    epochs, batch_size = setting("epochs"), setting("batch_size")
-    base_lr, weight_decay = setting("lr"), setting("weight_decay")
-    cosine = setting("schedule") == "cosine"
-    state = init_optimizer_state(params, setting("optimizer"))
+    state = init_optimizer_state(params, optimizer)
     total_steps = max(1, epochs * math.ceil(n_items / batch_size))
 
     def scheduled_lr(step):
-        return cosine_lr(base_lr, step, total_steps) if cosine else base_lr
+        return cosine_lr(lr, step, total_steps) if schedule == "cosine" else lr
 
     step = 0
     for epoch in range(1, epochs + 1):
@@ -376,7 +372,8 @@ def _run_stage(model, dataset, config, number):
 
     trace: list[EpochStats] = []
     stream = (STREAM_SHUFFLE, config.seed, number)
-    for epoch, lr in fit(stage.params, gradients, n_units, config, number, stream):
+    settings = config.stage_settings(number)
+    for epoch, lr in fit(stage.params, gradients, n_units, stream, **settings):
         fg, margin, total = sums / n_units
         every = slice(None)
         report = _score(stage.labels, *stage.sides(every, stage.embed(every)))
@@ -548,23 +545,12 @@ def random_fd_instance(seed: int, stage: int):
     feature_dim = embed_dim if residual else int(rng.integers(2, 17))
     context_length = int(rng.integers(1, 5))
     temperature = float(10.0 ** rng.uniform(math.log10(0.05), 0.0))
-    model = build_model(
-        n_classes=n_classes,
-        n_subclasses=n_subclasses,
-        n_tokens=n_tokens,
-        token_dim=token_dim,
-        embed_dim=embed_dim,
-        feature_dim=feature_dim,
-        context_length=context_length,
-        encoder_kind=kind,
-        residual=residual,
-        temperature=temperature,
-        seed=seed,
-    )
-    model.bank.tokens[:] = rng.normal(size=model.bank.tokens.shape)
-    model.bank.context[:] = rng.normal(size=model.bank.context.shape)
-    model.adapter.weight[:] = rng.normal(0.0, 0.3, size=model.adapter.weight.shape)
-    model.adapter.bias[:] = rng.normal(0.0, 0.1, size=model.adapter.bias.shape)
+    tokens = rng.normal(size=(n_classes, n_subclasses, n_tokens, token_dim))
+    context = rng.normal(size=(context_length, token_dim))
+    weight = rng.normal(0.0, 0.3, size=(embed_dim, feature_dim))
+    adapter = ImageAdapter(weight, rng.normal(0.0, 0.1, size=embed_dim), residual)
+    encoder = build_text_encoder(kind, token_dim, embed_dim, seed)
+    model = Model(DescriptorBank(tokens, context), encoder, adapter, temperature, seed)
     n_frames = int(rng.integers(1, 4))
     frames = rng.normal(size=(n_frames, feature_dim))
     target = int(rng.integers(0, n_classes))

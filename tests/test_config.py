@@ -199,7 +199,7 @@ def test_synth_config_mapping():
 
 
 def test_fit_reads_the_keys_of_its_stage():
-    # fit takes the whole RunConfig and reads only the stage<stage>_* keys:
+    # fit takes the stage<stage>_* keys through RunConfig.stage_settings:
     # epochs, batch size, lr and schedule, weight decay.  A zero gradient
     # leaves only the decay to move the parameter.
     config = parse_config_text(
@@ -214,7 +214,7 @@ def test_fit_reads_the_keys_of_its_stage():
             seen.append(len(batch))
             return {"w": np.zeros(1)}
 
-        rates = [lr for _, lr in fit(params, zero, 20, config, stage, (0,))]
+        rates = [lr for _, lr in fit(params, zero, 20, (0,), **config.stage_settings(stage))]
         assert seen == sizes * epochs
         expected = 1.0
         for step in range(len(seen)):

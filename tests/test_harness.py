@@ -364,11 +364,11 @@ def _reference_head(train, config, train_adapter):
             grads["adapter.weight"], grads["adapter.bias"] = adapter_gradients(adapter, x, dv)
         return {name: g.sum(axis=0) / len(batch) for name, g in grads.items()}
 
-    probe = replace(
-        config, stage1_epochs=config.probe_epochs, stage1_lr=config.probe_lr,
-        stage1_weight_decay=0.0, stage1_optimizer=ADAPTIVE, stage1_schedule="constant",
-    )
-    for _ in fit(params, batch_gradients, len(labels), probe, 1, (STREAM_HARNESS, 1, config.seed)):
+    for _ in fit(
+        params, batch_gradients, len(labels), (STREAM_HARNESS, 1, config.seed),
+        epochs=config.probe_epochs, batch_size=config.stage1_batch_size, lr=config.probe_lr,
+        weight_decay=0.0, optimizer=ADAPTIVE, schedule="constant",
+    ):
         pass
     return adapter, head_weight, head_bias
 
@@ -396,7 +396,8 @@ def _reference_context(train, config):
         return {"context": np.broadcast_to(total, context.shape) / len(batch)}
 
     params = {"context": context}
-    for _ in fit(params, batch_gradients, len(labels), config, 1, (STREAM_HARNESS, 2, config.seed)):
+    stream = (STREAM_HARNESS, 2, config.seed)
+    for _ in fit(params, batch_gradients, len(labels), stream, **config.stage_settings(1)):
         pass
     return context
 
@@ -406,8 +407,10 @@ def test_each_baseline_trainer_has_the_bits_of_its_per_batch_reference(small_spl
     # 120 units in batches of 7 end each epoch on a batch of one.
     train, _ = small_splits
     assert len(train.units()) % 7 == 1
-    config = replace(COMPACT, seed=9, stage1_batch_size=7, probe_epochs=3, stage1_epochs=3,
-                     stage1_lr=0.05, encoder_kind=encoder,
+    # The probe's epochs and rate differ from stage 1's, so a trainer that
+    # read the wrong pair would not match its reference.
+    config = replace(COMPACT, seed=9, stage1_batch_size=7, probe_epochs=3, stage1_epochs=2,
+                     probe_lr=0.05, stage1_lr=0.03, encoder_kind=encoder,
                      token_dim=12 if encoder == "projected-mean" else 16)
     for train_adapter in (False, True):
         adapter, weight, bias = _train_head(train, config, train_adapter)
@@ -432,11 +435,16 @@ def test_a_zero_unit_stops_learnable_context_before_its_first_step(clean_benchma
     features[217] = 0.0
     zeroed = EmbeddingDataset._from_columns(features, train._columns, train.n_classes)
     steps = []
-    monkeypatch.setattr(metd.harness, "fit", lambda *args: steps.append(args) or iter(()))
+    monkeypatch.setattr(metd.harness, "fit", lambda *args, **kw: steps.append(args) or iter(()))
     with pytest.raises(ZeroNormError, match=r"^pooled units row 217 has zero norm$"):
         run_strategy(Strategy(kind="learnable-context"), (zeroed, test), SYNTHETIC)
     config = replace(SYNTHETIC, strategies=STRATEGY_KINDS)
     assert config.strategies.index("learnable-context") > config.strategies.index("linear-probe")
     with pytest.raises(ZeroNormError, match=r"^pooled units row 217 has zero norm$"):
         compare_all((zeroed, test), config)
+    # metd's stage 1 scores each unit through the untrained adapter, and
+    # the comparison checks that before the heads listed ahead of it fit.
+    heads_then_metd = replace(SYNTHETIC, strategies=("linear-probe", "full-finetune", "metd"))
+    with pytest.raises(ZeroNormError, match=r"^unit embeddings row 217 has zero norm$"):
+        compare_all((zeroed, test), heads_then_metd)
     assert steps == []
