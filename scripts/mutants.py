@@ -178,6 +178,25 @@ MUTANTS = (
         "    context = rng.normal(size=(context_length, token_dim))\n"
         "    tokens = rng.normal(size=(n_classes, n_subclasses, n_tokens, token_dim))\n",
     ),
+    (
+        "compare-skips-oversample-check",
+        "harness.py",
+        "    if strategy.kind == METD and config.oversample:"
+        "  # refused as train_metd would, before any fit\n",
+        "    if False:\n",
+    ),
+    (
+        "learnable-context-bank-without-context",
+        "harness.py",
+        "bank = DescriptorBank(names[:, None, None, :], context)",
+        "bank = DescriptorBank(names[:, None, None, :], np.zeros_like(context))",
+    ),
+    (
+        "fd-minus-probe-moved-by-plus-h",
+        "training.py",
+        "moved[:, entries, 1, entries] = matrices - h",
+        "moved[:, entries, 1, entries] = matrices + h",
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(

@@ -39,6 +39,7 @@ from .errors import ContractViolation
 from .inference import evaluate, report_from_labels
 from .model import (
     STREAM_HARNESS,
+    DescriptorBank,
     Model,
     _require_seed,
     adapter_gradients,
@@ -243,6 +244,8 @@ def _train_learnable_context(train, config):
     trains: the class embeddings, finite with nonzero norms, and their
     logits, through ``stable_softmax``.
     Each cosine has ``cosine_similarity``'s bits.
+    Returns a ``Model`` for ``evaluate``: one name token per class after
+    the trained context, and the identity residual adapter.
     """
     rng = np.random.default_rng([STREAM_HARNESS, _SUB_CONTEXT, config.seed])
     context = rng.normal(0.0, 0.02, size=(config.n_tokens, config.token_dim))
@@ -280,13 +283,9 @@ def _train_learnable_context(train, config):
     stream = (STREAM_HARNESS, _SUB_CONTEXT, config.seed)
     for _ in fit(params, batch_gradients, len(labels), stream, **config.stage_settings(1)):
         pass
-    return encoder, context, names
-
-
-def _context_report(test, encoder, context, names):
-    embeddings = encode_text(encoder, context, names[:, None, :])
-    sims = numerics.cosine_similarity(test.pooled, embeddings)
-    return report_from_labels(test.unit_labels, sims.argmax(axis=-1), test.n_classes)
+    bank = DescriptorBank(names[:, None, None, :], context)
+    adapter = build_adapter(train.feature_dim, encoder.embed_dim)
+    return Model(bank, encoder, adapter, config.temperature, config.seed)
 
 
 def build_strategy_model(train: EmbeddingDataset, config) -> Model:
@@ -335,6 +334,8 @@ def _check_strategy(strategy: Strategy, splits, config):
         )
     if strategy.kind == LEARNABLE_CONTEXT:  # it divides by each unit's norm
         numerics._row_norms(train.pooled, "pooled units")
+    if strategy.kind == METD and config.oversample:  # refused as train_metd would, before any fit
+        oversample_balance(train, config.seed)
     if strategy.kind == METD:  # stage 1 scores each unit through the untrained adapter
         adapter = build_adapter(train.feature_dim, config.embed_dim, config.residual_adapter)
         numerics._row_norms(encode_image(adapter, train.pooled), "unit embeddings")
@@ -362,8 +363,7 @@ def run_strategy(
         echo["epochs"] = str(config.probe_epochs)
         echo["lr"] = format(config.probe_lr, "g")
     elif strategy.kind == LEARNABLE_CONTEXT:
-        encoder, context, names = _train_learnable_context(train, config)
-        report = _context_report(test, encoder, context, names)
+        report = evaluate(test, _train_learnable_context(train, config))
         echo["M"] = str(config.n_tokens)
         echo["epochs"] = str(config.stage1_epochs)
     else:

@@ -194,26 +194,23 @@ def encode_text(encoder: TextEncoder, context: np.ndarray, tokens: np.ndarray) -
 
     ``tokens`` is one (M, d) sequence or a stack (..., M, d) of them; each
     row of the result is bit for bit the embedding of its sequence alone.
-    ``context`` may be empty (shape (0, d)); the combined sequence must
-    not be.  Linear in every token, which is what makes the exact
-    gradient in :func:`encode_text_token_gradient` a constant map.
+    Both are d = ``encoder.token_dim`` wide.  ``context`` may be empty
+    (shape (0, d)); the combined sequence must not be.  Linear in every
+    token, which is what makes the exact gradient in
+    :func:`encode_text_token_gradient` a constant map.
     """
     context = np.asarray(context, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.float64)
     if context.ndim != 2 or tokens.ndim < 2:
         raise ContractViolation("context must be (length, dim), tokens (..., length, dim)")
+    if (context.shape[1], tokens.shape[-1]) != (encoder.token_dim,) * 2:
+        raise ContractViolation(
+            f"context dim {context.shape[1]} and token dim {tokens.shape[-1]} "
+            f"!= encoder token_dim {encoder.token_dim}"
+        )
     length = context.shape[0] + tokens.shape[-2]
     if length == 0:
         raise ContractViolation("token sequence is empty")
-    width = tokens.shape[-1] if tokens.shape[-2] else context.shape[1]
-    if (context.shape[0] and context.shape[1] != width) or (
-        tokens.shape[-2] and tokens.shape[-1] != width
-    ):
-        raise ContractViolation("context and tokens disagree on dim")
-    if width != encoder.token_dim:
-        raise ContractViolation(
-            f"token dim {width} != encoder token_dim {encoder.token_dim}"
-        )
     mean = (context.sum(axis=0) + tokens.sum(axis=-2)) / length
     if encoder.kind == PROJECTED_MEAN:
         # P times each mean as a column: the bits of P @ mean, unlike mean @ P.T

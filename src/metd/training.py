@@ -32,9 +32,10 @@ parameter gradients.  ``fd_check`` is its one-sample batch with given
 counts, so it checks the gradients ``run_stage1`` and ``run_stage2`` apply.  Its +/-h
 probes are copies, never the array itself, of only the part of a trained
 array that the moved entry can change: one descriptor's (M, d) tokens in
-stage 1, the whole weight or bias in stage 2.  All of an array's probes go
-through the real encoder in one ``_Stage.embed`` call and are scored in
-one ``total_loss`` call.
+stage 1, the whole weight or bias in stage 2.  ``central_difference``
+passes all of an array's probes, as one stack, to one loss, which embeds
+them through the real encoder in one ``_Stage.embed`` call and scores
+them in one ``total_loss`` call.
 
 Optimizers are implemented here directly: an adaptive-moments variant
 with decoupled weight decay (moments 0.9/0.999, eps 1e-8, bias
@@ -393,34 +394,30 @@ def run_stage2(model: Model, dataset: EmbeddingDataset, config) -> list[EpochSta
     return _run_stage(model, dataset, config, 2)
 
 
-def central_difference(embed, score, array: np.ndarray, h: float) -> np.ndarray:
+def central_difference(loss, array: np.ndarray, h: float) -> np.ndarray:
     """Central finite differences of a batched loss w.r.t. one array.
 
     ``array`` is a stack of matrices, its last two axes (a vector is one
     matrix).  Each entry has two probes: copies of the one matrix that
     holds it, with the entry moved by +h and by -h.  ``array`` itself is
-    only read, so it keeps its bits whatever ``embed`` or ``score``
-    raise.  All probes form one (matrices, 2 * matrix size, *matrix
-    shape) block, +h and -h alternating, which ``embed`` maps to what
-    each probe embeds to, in one call.  ``score`` maps the (2 * entries,
-    ...) stack of those embeddings, probe 2e + side moving entry e of the
-    flat array, to the loss of each, in one call.
+    only read, so it keeps its bits whatever ``loss`` raises.  ``loss``
+    maps the (2 * entries, *matrix shape) stack of all probes, probe
+    2e + side moving entry e of the flat array by +h (side 0) or -h
+    (side 1), to the loss of each, in one call.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ContractViolation(f"h must be > 0, got {h}")
     matrices = array.reshape(-1, math.prod(array.shape[-2:]))
     n, width = matrices.shape
-    probes = np.repeat(matrices[:, None], 2 * width, axis=1)
-    # probes[i, 2j + side] is matrix i with its entry j moved by +h (side 0) or -h.
-    moved = probes.reshape(n, width, 2, width)
+    probes = np.repeat(matrices, 2 * width, axis=0)
+    moved = probes.reshape(n, width, 2, width)  # [i, j, side]: probe 2 * (i * width + j) + side
     entries = np.arange(width)
     moved[:, entries, 0, entries] = matrices + h
     moved[:, entries, 1, entries] = matrices - h
-    embedded = embed(probes.reshape(n, 2 * width, *array.shape[-2:]))
     n_probes = 2 * array.size
-    values = np.asarray(score(np.reshape(embedded, (n_probes, *np.shape(embedded)[2:]))))
+    values = np.asarray(loss(probes.reshape(n_probes, *array.shape[-2:])))
     if values.shape != (n_probes,):
-        raise ContractViolation(f"score gave shape {values.shape} for {n_probes} probes")
+        raise ContractViolation(f"loss gave shape {values.shape} for {n_probes} probes")
     plus, minus = values.reshape(array.size, 2).T
     return ((plus - minus) / (2.0 * h)).reshape(array.shape)
 
@@ -450,12 +447,12 @@ def fd_check(
     ``sample`` is a one-sample batch of the stage's training path, with
     ``target_counts`` as its counts.  ``central_difference`` moves each
     entry the stage trains by +/-h in a copy of the matrix that holds it
-    (one descriptor's tokens, or the whole weight or bias), embeds all of
-    an array's probes in one ``_Stage.embed`` call and scores them in one
-    ``total_loss`` call, row for row the bits of the one-sample loss with
-    the entry moved in place.  In stage 1 a probe moves one descriptor,
-    so its one cosine is written into a copy of the sample's grid, whose
-    other entries keep their bits.  Returns, per trained
+    (one descriptor's tokens, or the whole weight or bias), and its loss
+    embeds all of an array's probes in one ``_Stage.embed`` call and
+    scores them in one ``total_loss`` call, row for row the bits of the
+    one-sample loss with the entry moved in place.  In stage 1 a probe
+    moves one descriptor, so its one cosine is written into a copy of the
+    sample's grid, whose other entries keep their bits.  Returns, per trained
     array name, its entry count and the largest relative error between
     the analytic and the numeric gradient.  ``corrupt`` deliberately
     breaks the first analytic entry (negative control: its error must
@@ -488,10 +485,9 @@ def fd_check(
 
     errors = {}
     for name in sorted(path.params):
-        def embed(block):
-            return path.embed(0, {name: block})
-
-        numeric = central_difference(embed, score, path.params[name], h)
+        numeric = central_difference(
+            lambda probes: score(path.embed(0, {name: probes})), path.params[name], h
+        )
         relative = _relative_errors(analytic[name], numeric)
         errors[name] = (int(relative.size), float(np.max(relative)))
     return errors

@@ -208,8 +208,7 @@ def test_learnable_context_follows_the_stage1_schedule(small_splits):
     contexts = []
     for schedule in ("constant", "cosine"):
         config = replace(COMPACT, seed=5, stage1_schedule=schedule)
-        _, context, _ = _train_learnable_context(train, config)
-        contexts.append(context)
+        contexts.append(_train_learnable_context(train, config).bank.context)
     assert not np.array_equal(contexts[0], contexts[1])
 
 
@@ -419,7 +418,7 @@ def test_each_baseline_trainer_has_the_bits_of_its_per_batch_reference(small_spl
                           (adapter.weight, ref_adapter.weight), (adapter.bias, ref_adapter.bias)):
             assert np.array_equal(got, want)
         assert np.any(adapter.weight != 0.0) == train_adapter
-    _, context, _ = _train_learnable_context(train, config)
+    context = _train_learnable_context(train, config).bank.context
     assert np.array_equal(context, _reference_context(train, config))
 
 
@@ -447,4 +446,12 @@ def test_a_zero_unit_stops_learnable_context_before_its_first_step(clean_benchma
     heads_then_metd = replace(SYNTHETIC, strategies=("linear-probe", "full-finetune", "metd"))
     with pytest.raises(ZeroNormError, match=r"^unit embeddings row 217 has zero norm$"):
         compare_all((zeroed, test), heads_then_metd)
+    # Under oversample = true, metd oversamples first, so a class with no
+    # train units is refused before any fit, and before a zero unit.
+    kept = train._columns[0] != 2
+    columns = tuple(column[kept] for column in train._columns)
+    for rows in (train._features, features):  # unit 217 is in class 1
+        no_class_2 = EmbeddingDataset._from_columns(rows[kept], columns, train.n_classes)
+        with pytest.raises(ContractViolation, match=r"^class 2 has no units to oversample$"):
+            compare_all((no_class_2, test), replace(heads_then_metd, oversample=True))
     assert steps == []

@@ -225,10 +225,6 @@ def _squares(probes):
     return np.sum(probes * probes, axis=tuple(range(1, probes.ndim)))
 
 
-def _as_is(block):
-    return block
-
-
 def test_central_difference_exact_on_quadratic():
     # (x+h)^2 - (x-h)^2 = 4xh, so the quotient is 2x with no truncation term,
     # also when each probe carries only the matrix that holds its entry.
@@ -236,49 +232,49 @@ def test_central_difference_exact_on_quadratic():
     for shape in ((2, 3), (3, 2, 3)):
         x = rng.normal(size=shape)
         original = x.copy()
-        grad = central_difference(_as_is, _squares, x, h=1e-4)
+        grad = central_difference(_squares, x, h=1e-4)
         np.testing.assert_allclose(grad, 2 * original, rtol=1e-9, atol=1e-12)
         assert np.array_equal(x, original)  # the probes are copies
     with pytest.raises(ContractViolation):
-        central_difference(_as_is, _squares, x, h=0.0)
+        central_difference(_squares, x, h=0.0)
 
 
 def test_central_difference_needs_one_score_per_probe():
     x = np.arange(3.0)
     wrong = (lambda probes: _squares(probes)[:-1], lambda probes: probes, lambda probes: 0.0)
-    for score in wrong:
+    for loss in wrong:
         with pytest.raises(ContractViolation, match="for 6 probes"):
-            central_difference(_as_is, score, x, h=1e-3)
+            central_difference(loss, x, h=1e-3)
     assert np.array_equal(x, np.arange(3.0))
 
 
-def test_central_difference_leaves_the_array_alone_when_embed_or_score_raises():
+def test_central_difference_leaves_the_array_alone_when_the_loss_raises():
     # Probes are copies: a failure leaves no entry moved by h.
     x = np.random.default_rng(5).normal(size=(2, 3, 4))
     x[1, 1, 2] = -0.0
     bits = x.tobytes()
     blocks = []
 
-    def embed_fails(block):
+    def zero_norm(block):
         blocks.append(block.copy())
         raise ZeroNormError("probe")
 
-    def score_fails(probes):
-        raise ContractViolation("score")
+    def violation(block):
+        raise ContractViolation("loss")
 
     with pytest.raises(ZeroNormError):
-        central_difference(embed_fails, _squares, x, h=1e-3)
+        central_difference(zero_norm, x, h=1e-3)
     assert x.tobytes() == bits
-    # One block of all probes: probe 2j of matrix i moves its entry j by +h,
-    # probe 2j + 1 by -h, and each probe carries matrix i alone.
-    assert [block.shape for block in blocks] == [(2, 24, 3, 4)]
-    moved = (blocks[0] - x[:, None]).reshape(2, 24, 12)
+    # One block of all probes: probe 2e moves entry e of the flat array by
+    # +h, probe 2e + 1 by -h, and each probe carries the matrix holding e alone.
+    assert [block.shape for block in blocks] == [(48, 3, 4)]
+    moved = (blocks[0] - np.repeat(x, 24, axis=0)).reshape(2, 24, 12)
     for i in range(2):
         for j in range(12):
             assert np.count_nonzero(moved[i, 2 * j]) == np.count_nonzero(moved[i, 2 * j + 1]) == 1
             assert moved[i, 2 * j, j] > 0 > moved[i, 2 * j + 1, j]
-    with pytest.raises(ContractViolation, match="score"):
-        central_difference(_as_is, score_fails, x, h=1e-3)
+    with pytest.raises(ContractViolation, match="^loss$"):
+        central_difference(violation, x, h=1e-3)
     assert x.tobytes() == bits
 
 
@@ -356,8 +352,8 @@ def test_fd_check_embeds_each_arrays_probes_in_one_encoder_call(monkeypatch, see
     weight, bias = model.adapter.weight.shape, model.adapter.bias.shape
     assert [(name, shapes[:2]) for name, shapes in calls] == [
         ("adapter_map", [weight, bias]),
-        ("adapter_map", [weight, (1, 2 * bias[0], *bias)]),
-        ("adapter_map", [(1, 2 * math.prod(weight), *weight), bias]),
+        ("adapter_map", [weight, (2 * bias[0], *bias)]),
+        ("adapter_map", [(2 * math.prod(weight), *weight), bias]),
     ]
 
 
