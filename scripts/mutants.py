@@ -197,6 +197,18 @@ MUTANTS = (
         "moved[:, entries, 1, entries] = matrices - h",
         "moved[:, entries, 1, entries] = matrices + h",
     ),
+    (
+        "first-row-width-not-checked",
+        "model.py",
+        "    if first.count(\",\") + 1 != dim:\n        raise fault(first)\n",
+        "",
+    ),
+    (
+        "every-loadtxt-failure-a-bad-value",
+        "model.py",
+        "raise fault(last) from None",
+        "raise ParseError(\"bad float value\", line=lines[-1]) from None",
+    ),
 )
 
 IGNORED = shutil.ignore_patterns(

@@ -20,11 +20,12 @@
 # other than 16 records the dimension-mismatch exit), compare and fdcheck
 # with <checkout>/src on PYTHONPATH.  A "bad-rows" case evals the seed-7
 # checkpoint on a copy of its test split whose third line has label 99,
-# and on two more copies whose line 40 holds a malformed float or one
-# value too few, and evals the clips checkpoint on four copies of its test
-# split that each break one rule (a sequence that mixes labels, one that
-# mixes subcluster ids, one that is not contiguous, a negative subcluster
-# id), so seven dataset error messages are compared too.  A
+# on two more copies whose line 40 holds a malformed float or one value
+# too few, and on two whose line 2 or line 40 holds one value too many,
+# and evals the clips checkpoint on four copies of its test split that
+# each break one rule (a sequence that mixes labels, one that mixes
+# subcluster ids, one that is not contiguous, a negative subcluster id),
+# so nine dataset error messages are compared too.  A
 # "bad-files" case evals a copy of the seed-7 checkpoint whose header
 # says temperature=-1 and one whose header says seed=-1, evals the seed-7
 # checkpoint on a copy of its test split whose third line holds the byte
@@ -177,6 +178,13 @@ run "$bad" eval-bad-float eval "$out/seed7/model.ckpt" "$bad/test-bad-float.tsv"
 awk -F'\t' -v OFS='\t' 'NR == 40 { sub(/,[^,]*$/, "", $4) } { print }' \
     "$out/seed7/data/test.tsv" >"$bad/test-short-row.tsv"
 run "$bad" eval-short-row eval "$out/seed7/model.ckpt" "$bad/test-short-row.tsv"
+# One value too many on the first data row, whose width the parser checks
+# itself, and on line 40, whose width loadtxt checks against the first row's.
+for line in 2 40; do
+    awk -F'\t' -v OFS='\t' -v n="$line" 'NR == n { $4 = $4 ",0.5" } { print }' \
+        "$out/seed7/data/test.tsv" >"$bad/test-long-row-$line.tsv"
+    run "$bad" "eval-long-row-$line" eval "$out/seed7/model.ckpt" "$bad/test-long-row-$line.tsv"
+done
 # Four copies of the clips test split, each breaking one sequence or id rule
 # past line 20: the first row that continues a sequence gets another label,
 # or another subcluster id; the first row that starts a sequence takes the

@@ -86,9 +86,9 @@ def temporal_mean_pool(frames) -> np.ndarray:
         raise ContractViolation(
             f"frames must be a nonempty 2-D stack, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractViolation("frames contain non-finite entries")
-    return arr.mean(axis=0)
+    return np.add.reduce(arr, axis=0) / len(arr)  # arr.mean(axis=0)'s bits, without its wrapper
 
 
 class _RowError(ContractViolation):
@@ -261,7 +261,7 @@ class EmbeddingDataset:
         starts = self._starts
         lengths = np.diff(starts, append=len(self))
         pooled = np.empty((starts.size, self.feature_dim))
-        for length in np.unique(lengths).tolist():
+        for length in set(lengths.tolist()):  # np.unique would import numpy.ma
             which = lengths == length
             pooled[which] = features[starts[which][:, None] + np.arange(length)].mean(axis=1)
         return _read_only(pooled)
@@ -488,9 +488,15 @@ def load_dataset(path: str) -> EmbeddingDataset:
 
     def feature_rows():
         for line_no, (label, seq, sub, features) in records:
-            labels.append(_parse_int(label, "class label", line_no))
-            sequence_ids.append(None if seq == "-" else _parse_int(seq, "sequence id", line_no))
-            subcluster_ids.append(None if sub == "-" else _parse_int(sub, "subcluster id", line_no))
+            try:
+                labels.append(int(label))
+                sequence_ids.append(None if seq == "-" else int(seq))
+                subcluster_ids.append(None if sub == "-" else int(sub))
+            except ValueError:  # name the first bad field
+                _parse_int(label, "class label", line_no)
+                if seq != "-":
+                    _parse_int(seq, "sequence id", line_no)
+                _parse_int(sub, "subcluster id", line_no)
             yield line_no, features
 
     features = parse_float_rows(feature_rows(), dim)

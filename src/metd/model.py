@@ -424,7 +424,7 @@ def read_records(path: str, header: re.Pattern, what: str, n_fields: int):
             raise ParseError(f"unsupported format version v{match.group(1)}", line=1)
         yield match
         for line_no, line in enumerate(fh, start=2):
-            if reason := _utf8_fault(line):
+            if not line.isascii() and (reason := _utf8_fault(line)):
                 raise ParseError(f"not UTF-8 text: {reason}", line=line_no)
             fields = line.rstrip("\n").split("\t")
             if fields == [""]:
@@ -473,25 +473,35 @@ def parse_float_rows(rows, dim: int) -> np.ndarray:
     Spellings only ``float()`` takes (``1_000``, non-ASCII digits) are bad
     values.  A wrong value count or a bad value is a ParseError at its
     row's line as the rows stream; a non-finite value is one at its row's
-    line once all rows are read.  An exception raised by ``rows`` itself
-    passes through unchanged.
+    line once all rows are read.  Only the first row's values are counted
+    here; loadtxt holds every later row to the first row's width, and when
+    it fails on a row, that row's one count tells a wrong width from a bad
+    value.  An exception raised by ``rows`` itself passes through unchanged.
     """
     lines = []  # the line of each row pulled so far
+    last = ""  # the text of the last row pulled
+
+    def fault(text: str) -> ParseError:
+        """The error of the last row pulled, ``text``: a wrong value count, else a bad value."""
+        count = text.count(",") + 1
+        problem = "bad float value" if count == dim else f"expected {dim} values, got {count}"
+        return ParseError(problem, line=lines[-1])
 
     def texts():
+        nonlocal last
         for line_no, text in rows:
             lines.append(line_no)
-            count = text.count(",") + 1
-            if count != dim:
-                raise ParseError(f"expected {dim} values, got {count}", line=line_no)
             if not text:  # loadtxt would skip an empty line, not reject it
-                raise ParseError("bad float value", line=line_no)
+                raise fault(text)
+            last = text
             yield text
 
     stream = texts()
     first = next(stream, None)
     if first is None:  # loadtxt warns on empty input
         return np.empty((0, dim))
+    if first.count(",") + 1 != dim:
+        raise fault(first)
     try:
         values = np.loadtxt(
             itertools.chain((first,), stream),
@@ -501,7 +511,7 @@ def parse_float_rows(rows, dim: int) -> np.ndarray:
         if type(exc) is not ValueError:  # a ParseError from ``rows``
             raise
         # loadtxt converts each row as it pulls it, so the last row pulled is at fault.
-        raise ParseError("bad float value", line=lines[-1]) from None
+        raise fault(last) from None
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite value", line=lines[int(np.argmin(finite))])

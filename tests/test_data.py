@@ -518,6 +518,7 @@ _ROW = ",".join(["0.5"] * 8)
 _FAULTS = {
     "malformed": ("0.5,0.5,0.5,0.5x,0.5,0.5,0.5,0.5", "bad float value"),
     "too-few": (",".join(["0.5"] * 7), "expected 8 values, got 7"),
+    "too-many": (",".join(["0.5"] * 9), "expected 8 values, got 9"),
     "inf": ("0.5,0.5,0.5,0.5,0.5,0.5,inf,0.5", "non-finite value"),
 }
 
@@ -588,6 +589,27 @@ def test_the_first_faulty_line_is_reported_wherever_a_bad_byte_sits(
     with pytest.raises(ParseError) as info:
         load(str(path))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("x\t-\t-\t1,2", "bad class label 'x'"),
+        ("-\t-\t-\t1,2", "bad class label '-'"),
+        ("0\t1.5\t-\t1,2", "bad sequence id '1.5'"),
+        ("0\t-\tq\t1,2", "bad subcluster id 'q'"),
+        ("0\ty\tz\t1,2", "bad sequence id 'y'"),
+        ("x\t-\t-\t1,q", "bad class label 'x'"),
+    ],
+    ids=["label", "label-dash", "sequence", "subcluster", "sequence-then-subcluster",
+         "label-then-float"],
+)
+def test_a_bad_id_field_is_named_in_field_order_before_the_floats(tmp_path, row, problem):
+    path = tmp_path / "bad_ids.tsv"
+    path.write_text("metd-embed v1 dim=2 classes=2\n0\t-\t-\t1,2\n" + row + "\n")
+    with pytest.raises(ParseError) as info:
+        load_dataset(str(path))
+    assert str(info.value) == f"line 3: {problem}"
 
 
 def test_the_widest_header_dim_still_loads_as_an_empty_dataset(tmp_path):

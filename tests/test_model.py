@@ -370,7 +370,7 @@ def test_checkpoint_parse_error_carries_line_number(tmp_path):
     assert excinfo.value.line == 3
 
 
-@pytest.mark.parametrize("fault", ["malformed", "too-few", "inf"])
+@pytest.mark.parametrize("fault", ["malformed", "too-few", "too-many", "inf"])
 @pytest.mark.parametrize("key", ["adapter.weight", "bank.tokens[1][0][1]"])
 def test_a_faulty_value_names_its_checkpoint_line(tmp_path, key, fault):
     # A matrix's rows share its line: a fault in the middle row of
@@ -389,6 +389,9 @@ def test_a_faulty_value_names_its_checkpoint_line(tmp_path, key, fault):
     elif fault == "too-few":
         row.pop()
         problem = f"expected {width} values, got {width - 1}"
+    elif fault == "too-many":
+        row.append("0.5")
+        problem = f"expected {width} values, got {width + 1}"
     else:
         row[1], problem = "-inf", "non-finite value"
     lines[j] = name + "\t" + ";".join(",".join(r) for r in rows)

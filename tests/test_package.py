@@ -22,6 +22,7 @@ from test_cli import COMPACT_CONFIG
 from test_trace_targets import _load_tracing
 
 METD_DIR = Path(metd.__file__).resolve().parent
+NUMPY_MA_DIR = Path(np.ma.__file__).resolve().parent
 
 # ``python -m metd ARGS``, printing to stderr, one a line, the file of
 # every code object the interpreter executes with exec(): each module body.
@@ -62,13 +63,16 @@ PUBLIC = {
 }
 
 
-def _executed_modules(*argv) -> set:
+def _executed_files(*argv) -> set:
     result = subprocess.run(
         [sys.executable, "-c", RUN_RECORDING_EXECS, *argv], capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    files = (Path(line).resolve() for line in result.stderr.splitlines())
-    return {path.stem for path in files if path.parent == METD_DIR}
+    return {Path(line).resolve() for line in result.stderr.splitlines()}
+
+
+def _executed_modules(*argv) -> set:
+    return {path.stem for path in _executed_files(*argv) if path.parent == METD_DIR}
 
 
 def test_eval_executes_only_the_modules_it_runs_and_train_executes_the_rest(tmp_path):
@@ -102,6 +106,25 @@ def test_synth_decode_and_fdcheck_execute_no_trainer_they_do_not_call(tmp_path):
     assert _executed_modules("decode", "--config", str(config), checkpoint, vocab) == reading
     checked = _executed_modules("fdcheck", "--config", str(config))
     assert checked == reading | {"training", "losses"}
+
+
+def test_train_eval_compare_and_fdcheck_execute_nothing_of_numpy_ma(tmp_path):
+    # np.unique without a return_* flag calls np.ma.is_masked, which imports
+    # numpy.ma, a package no metd command needs.
+    config = tmp_path / "run.cfg"
+    config.write_text(COMPACT_CONFIG + "fdcheck_instances = 1\n")
+    train, test = generate_synthetic(metd.parse_config(str(config)).synth_config())
+    save_dataset(train, str(tmp_path / "train.tsv"))
+    save_dataset(test, str(tmp_path / "test.tsv"))
+    checkpoint = str(tmp_path / "model.ckpt")
+    for argv in (
+        ("train", "--config", str(config), str(tmp_path), checkpoint),
+        ("eval", checkpoint, str(tmp_path / "test.tsv")),
+        ("compare", "--config", str(config), str(tmp_path)),
+        ("fdcheck", "--config", str(config)),
+    ):
+        masked = [path for path in _executed_files(*argv) if NUMPY_MA_DIR in path.parents]
+        assert masked == [], argv[0]
 
 
 def test_importing_the_cli_registers_every_module_the_benchmark_traces():
