@@ -103,6 +103,12 @@ MUTANTS = (
         "        n = 1\n",
     ),
     (
+        "softplus-of-the-absolute-gap",
+        "losses.py",
+        "return np.maximum(gaps, 0.0) + np.fromiter(",
+        "return np.abs(gaps) + np.fromiter(",
+    ),
+    (
         "logits-without-temperature",
         "losses.py",
         "return self.values / self.temperature",

@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "errors": ("ConfigError", "ContractViolation", "ParseError", "ZeroNormError"),
     "losses": (
-        "LossBreakdown", "SimilarityGrid", "clip_ce_loss", "loss_gradients",
-        "modulating_factor", "similarity_grid", "total_loss",
+        "LossBreakdown", "SimilarityGrid", "loss_gradients", "modulating_factor",
+        "similarity_grid", "total_loss",
     ),
     "model": (
         "DescriptorBank", "ImageAdapter", "Model", "TextEncoder", "bank_embeddings",

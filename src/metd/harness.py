@@ -218,8 +218,8 @@ def _train_head(train, config, train_adapter: bool):
     return adapter, head_weight, head_bias
 
 
-def _head_report(test, adapter, head_weight, head_bias, use_adapter):
-    v = encode_image(adapter, test.pooled) if use_adapter else test.pooled
+def _head_report(test, adapter, head_weight, head_bias):
+    v = encode_image(adapter, test.pooled)
     predicted = adapter_map(head_weight, head_bias, v, False).argmax(axis=-1)
     return report_from_labels(test.unit_labels, predicted, test.n_classes)
 
@@ -357,9 +357,8 @@ def run_strategy(
         echo["K"] = "1"
         echo["M"] = str(config.n_tokens)
     elif strategy.kind in (LINEAR_PROBE, FULL_FINETUNE):
-        joint = strategy.kind == FULL_FINETUNE
-        adapter, w, b = _train_head(train, config, train_adapter=joint)
-        report = _head_report(test, adapter, w, b, use_adapter=joint)
+        adapter, w, b = _train_head(train, config, train_adapter=strategy.kind == FULL_FINETUNE)
+        report = _head_report(test, adapter, w, b)
         echo["epochs"] = str(config.probe_epochs)
         echo["lr"] = format(config.probe_lr, "g")
     elif strategy.kind == LEARNABLE_CONTEXT:

@@ -33,9 +33,10 @@ Every loss is a softmax cross-entropy computed as -log softmax(terms)[pos]
 log1p(e^{-|g|}) and the rivals being every term but the target's.
 Unlike lse(all terms) - terms[pos], this does not round to exactly 0
 when the target leads by tens of nats; with no rivals (one class) it is
-exactly 0.  The rivals keep class order, so with one subclass per class
-the fine-grained loss at alpha = 1 is bit for bit the plain contrastive
-cross-entropy, clip_ce_loss.
+exactly 0.  With one subclass per class alpha is 1 and the fine-grained
+loss is CLIP's plain contrastive cross-entropy, which
+test_single_descriptor_reduces_to_plain_contrastive_loss checks against
+a 50-digit reference.
 
 Everything works on a batch: a grid is (B, N, K), every result has one
 row per sample, and row b is bit for bit the batch-of-one call on row
@@ -215,21 +216,6 @@ def total_loss(grid: SimilarityGrid, targets, target_counts) -> LossBreakdown:
         fg = mg = np.zeros(t.size)
     fg = alpha * fg
     return LossBreakdown(fg, mg, fg + mg, alpha, closest, farthest, t)
-
-
-def clip_ce_loss(similarities, target: int, temperature: float) -> float:
-    """Plain contrastive cross-entropy over one similarity per class."""
-    sims = numerics.as_vector(similarities, "similarities")
-    if np.any(sims < -1.0) or np.any(sims > 1.0):
-        raise ContractViolation("similarities must lie in [-1, 1]")
-    if not 0 <= target < sims.size:
-        raise ContractViolation(f"target {target} out of range for {sims.size} classes")
-    numerics.check_temperature(temperature)
-    if sims.size == 1:
-        return 0.0
-    # the fine-grained loss of one sample with one subclass per class
-    z = sims / temperature
-    return float(_softplus(numerics.log_sum_exp(np.delete(z, target)[None]) - z[target])[0])
 
 
 def similarity_grid(embeddings, text_embeddings, temperature: float) -> SimilarityGrid:

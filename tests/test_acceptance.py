@@ -14,6 +14,7 @@ import numpy as np
 from test_data import _random_dataset_with_sequences
 from test_losses import (
     _alpha,
+    _clip_ce,
     _mp_alpha,
     _mp_clip,
     _mp_fine_grained,
@@ -23,7 +24,6 @@ from test_losses import (
 )
 from test_model import _randomized_model
 
-from metd import losses
 from metd.data import Unit, load_dataset, save_dataset
 from metd.inference import predict, report_from_labels, temporal_mean_pool, unit_embedding
 from metd.model import (
@@ -76,7 +76,7 @@ def test_single_descriptor_reduces_to_plain_contrastive_loss(capsys):
         breakdown = _one_loss(grid, target, counts)
         alpha_exact = alpha_exact and breakdown.alpha[0] == 1.0
         fine = breakdown.fg[0]
-        plain = losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature)
+        plain = float(_mp_clip(grid.values[0, :, 0], grid.temperature, target))
         worst = max(worst, abs(fine - plain))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and alpha_exact and elapsed < 5.0
@@ -84,7 +84,7 @@ def test_single_descriptor_reduces_to_plain_contrastive_loss(capsys):
         capsys,
         "single-descriptor reduction to plain contrastive loss",
         ok,
-        f"1000 instances, max_diff={worst:.1e} <= 1e-12, alpha==1 exact, "
+        f"1000 instances, max_err vs 50-digit reference={worst:.1e} <= 1e-12, alpha==1 exact, "
         f"{elapsed:.1f}s < 5s",
     )
 
@@ -138,7 +138,7 @@ def test_losses_match_extended_precision_reference(capsys):
         t2 = int(rng.integers(4))
         worst = max(
             worst,
-            abs(losses.clip_ce_loss(sims, t2, tau) - float(_mp_clip(sims, tau, t2))),
+            abs(_clip_ce(sims, t2, tau) - float(_mp_clip(sims, tau, t2))),
         )
     ok = worst <= 1e-8
     _verdict(

@@ -32,6 +32,12 @@ def _alpha(counts, closest):
     return losses.modulating_factor(np.array([counts]), np.array([closest]))[0]
 
 
+def _clip_ce(sims, target, tau):
+    """CLIP's contrastive cross-entropy over one similarity per class: total_loss at K = 1."""
+    grid = losses.SimilarityGrid(values=np.reshape(sims, (1, -1, 1)), temperature=tau)
+    return _one_loss(grid, target, [1]).fg[0]
+
+
 def test_similarity_grid_validation():
     with pytest.raises(ContractViolation):
         losses.SimilarityGrid(values=np.array([0.1, 0.2]), temperature=0.1)
@@ -55,8 +61,6 @@ def test_a_temperature_whose_reciprocal_overflows_is_rejected(tau):
         warnings.simplefilter("error")
         with pytest.raises(ContractViolation, match="1/temperature overflows"):
             losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=tau)
-        with pytest.raises(ContractViolation, match="1/temperature overflows"):
-            losses.clip_ce_loss([0.5, 0.1], 0, tau)
     # The smallest normal float still has a finite reciprocal.
     losses.SimilarityGrid(values=np.array([[[0.5]]]), temperature=2.2250738585072014e-308)
 
@@ -86,18 +90,18 @@ def test_selection_breaks_ties_toward_lowest_index():
 
 
 def test_single_subclass_reduces_to_plain_cross_entropy():
-    # With one subclass per class the canonical term list is exactly the
-    # class score vector and alpha is exactly 1, so the reduction is
-    # bit-for-bit.
+    # With one subclass per class the fine-grained term list is exactly the
+    # class score vector and alpha is exactly 1, so the fine-grained loss is
+    # CLIP's contrastive cross-entropy, held to the 50-digit reference.
     rng = np.random.default_rng(10)
     for _ in range(1000):
         grid = _random_grid(rng, k=1)
         target = int(rng.integers(grid.n_classes))
-        plain = losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature)
+        plain = float(_mp_clip(grid.values[0, :, 0], grid.temperature, target))
         counts = np.array([int(rng.integers(1, 50))])
         breakdown = _one_loss(grid, target, counts)
         assert breakdown.alpha[0] == 1.0
-        assert breakdown.fg[0] == plain
+        np.testing.assert_allclose(breakdown.fg[0], plain, rtol=1e-12, atol=0)
 
 
 def test_modulating_factor_equal_counts_is_one():
@@ -198,12 +202,12 @@ def test_losses_strictly_positive():
         breakdown = _one_loss(grid, target, np.ones(grid.n_subclasses, dtype=np.int64))
         assert breakdown.fg[0] > 0.0
         assert breakdown.margin[0] > 0.0
-        assert losses.clip_ce_loss(grid.values[0, :, 0], target, grid.temperature) > 0.0
+        assert _clip_ce(grid.values[0, :, 0], target, grid.temperature) > 0.0
 
 
 def test_single_class_losses_are_zero():
     # With no rival class every softmax puts all its mass on the target.
-    assert losses.clip_ce_loss([0.5], 0, 0.1) == 0.0
+    assert _clip_ce([0.5], 0, 0.1) == 0.0
     grid = losses.SimilarityGrid(values=np.array([[[0.7, -0.2]]]), temperature=0.05)
     assert _one_loss(grid, 0, [2, 1]).total[0] == 0.0
 
@@ -288,7 +292,7 @@ def test_losses_match_extended_precision_oracle():
             np.testing.assert_allclose(value, float(reference), rtol=1e-12, atol=0)
         sims = rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 7)))
         t2 = int(rng.integers(sims.size))
-        clip = losses.clip_ce_loss(sims, t2, tau)
+        clip = _clip_ce(sims, t2, tau)
         reference = float(_mp_clip(sims, tau, t2))
         np.testing.assert_allclose(clip, reference, rtol=0, atol=1e-8)
         np.testing.assert_allclose(clip, reference, rtol=1e-12, atol=0)
@@ -300,7 +304,7 @@ def test_losses_finite_at_extreme_temperature_and_similarity():
     for target in range(3):
         breakdown = _one_loss(grid, target, [1, 1])
         assert math.isfinite(breakdown.total[0])
-    assert math.isfinite(losses.clip_ce_loss([1.0, -1.0], 0, 1e-4))
+    assert math.isfinite(_clip_ce([1.0, -1.0], 0, 1e-4))
 
 
 def _per_pair_pullback(v, stack, target, counts, tau):
@@ -395,12 +399,3 @@ def test_loss_gradients_reject_a_breakdown_of_another_batch():
         losses.loss_gradients(pair, breakdown)
     with pytest.raises(ContractViolation, match="breakdown has 2 rows, the grid 1"):
         losses.loss_gradients(one, losses.total_loss(pair, [0, 1], [[1, 1], [1, 1]]))
-
-
-def test_clip_ce_validation():
-    with pytest.raises(ContractViolation):
-        losses.clip_ce_loss([0.5, 1.2], 0, 0.1)
-    with pytest.raises(ContractViolation):
-        losses.clip_ce_loss([0.5, 0.2], 2, 0.1)
-    with pytest.raises(ContractViolation):
-        losses.clip_ce_loss([0.5, 0.2], 0, 0.0)

@@ -44,8 +44,8 @@ finally:
 # under the module that defines it.
 PUBLIC = {
     "errors": ["ConfigError", "ContractViolation", "ParseError", "ZeroNormError"],
-    "losses": ["LossBreakdown", "SimilarityGrid", "clip_ce_loss", "loss_gradients",
-               "modulating_factor", "similarity_grid", "total_loss"],
+    "losses": ["LossBreakdown", "SimilarityGrid", "loss_gradients", "modulating_factor",
+               "similarity_grid", "total_loss"],
     "model": ["DescriptorBank", "ImageAdapter", "Model", "TextEncoder", "bank_embeddings",
               "build_adapter", "build_bank", "build_model", "build_text_encoder",
               "encode_image", "encode_text", "load_checkpoint", "save_checkpoint"],
