@@ -158,11 +158,18 @@ MUTANTS = (
     ),
     (
         "stage2-before-stage1",
-        "harness.py",
+        "training.py",
         "    trace1 = run_stage1(model, fitted, config)\n"
         "    trace2 = run_stage2(model, fitted, config)\n",
         "    trace2 = run_stage2(model, fitted, config)\n"
         "    trace1 = run_stage1(model, fitted, config)\n",
+    ),
+    (
+        "train-metd-ignores-oversample",
+        "training.py",
+        "fitted = oversample_balance(train, config.seed)"
+        " if config.oversample and len(train) else train",
+        "fitted = train",
     ),
     (
         "compare-skips-metd-zero-unit-check",

@@ -39,10 +39,11 @@ _PUBLIC = {
     ),
     "training": (
         "cosine_lr", "fd_check", "fd_sweep", "optimizer_step", "run_stage1", "run_stage2",
+        "train_metd",
     ),
     "harness": (
         "Strategy", "StrategyResult", "compare_all", "default_benchmark",
-        "distorted_benchmark", "format_comparison", "run_strategy", "train_metd",
+        "distorted_benchmark", "format_comparison", "run_strategy",
     ),
     "config": ("RunConfig", "parse_config", "parse_config_text"),
 }

@@ -66,7 +66,7 @@ def _load_split(cfg: "config.RunConfig", data_dir: str, name: str):
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     train = _load_split(cfg, args.data_dir, "train.tsv")
-    model, trace1, trace2 = harness.train_metd(train, cfg)
+    model, trace1, trace2 = training.train_metd(train, cfg)
     save_checkpoint(model, args.out_checkpoint)
     offset = len(trace1)
     combined = list(trace1) + [

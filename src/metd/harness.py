@@ -9,7 +9,7 @@ stage settings, the probe settings and the strategy list:
   full-finetune      adapter and head trained jointly, no text branch
   learnable-context  shared trainable context tokens, frozen per-class
                      name token, contrastive cross-entropy
-  metd               the full two-stage descriptor method
+  metd               the two-stage method, ``training.train_metd``
 
 The benchmark builders live here too: the default benchmark places two
 anti-correlated subcluster means (>= 120 degrees apart) per class, which
@@ -45,13 +45,12 @@ from .model import (
     adapter_gradients,
     adapter_map,
     build_adapter,
-    build_model,
     build_text_encoder,
     encode_image,
     encode_text,
     encode_text_token_gradient,
 )
-from .training import EpochStats, fit, run_stage1, run_stage2
+from .training import build_strategy_model, fit, train_metd
 
 ZERO_SHOT, LINEAR_PROBE, FULL_FINETUNE, LEARNABLE_CONTEXT, METD = STRATEGY_KINDS
 
@@ -286,35 +285,6 @@ def _train_learnable_context(train, config):
     bank = DescriptorBank(names[:, None, None, :], context)
     adapter = build_adapter(train.feature_dim, encoder.embed_dim)
     return Model(bank, encoder, adapter, config.temperature, config.seed)
-
-
-def build_strategy_model(train: EmbeddingDataset, config) -> Model:
-    """A fresh model for ``config``, sized to ``train``'s classes and feature dim."""
-    return build_model(
-        n_classes=train.n_classes,
-        n_subclasses=config.n_subclasses,
-        n_tokens=config.n_tokens,
-        token_dim=config.token_dim,
-        embed_dim=config.embed_dim,
-        feature_dim=train.feature_dim,
-        context_length=config.context_length,
-        encoder_kind=config.encoder_kind,
-        residual=config.residual_adapter,
-        temperature=config.temperature,
-        seed=config.seed,
-    )
-
-
-def train_metd(
-    train: EmbeddingDataset, config
-) -> tuple[Model, list[EpochStats], list[EpochStats]]:
-    """Run the full two-stage pipeline; returns the trained model and traces."""
-    # An empty split is not oversampled: the stages reject it.
-    fitted = oversample_balance(train, config.seed) if config.oversample and len(train) else train
-    model = build_strategy_model(train, config)
-    trace1 = run_stage1(model, fitted, config)
-    trace2 = run_stage2(model, fitted, config)
-    return model, trace1, trace2
 
 
 def _check_strategy(strategy: Strategy, splits, config):

@@ -1,9 +1,10 @@
 """Two-stage training with per-subclass sample counting.
 
-Stage 1 optimizes the descriptor tokens with everything else frozen;
-stage 2 optimizes the image adapter with the descriptors frozen.  Both
-stages minimize the same per-sample loss (fine-grained + margin) and
-reduce batches by arithmetic mean.
+``train_metd`` runs the method: it oversamples the split if asked, builds
+the model, then runs stage 1, which optimizes the descriptor tokens with
+everything else frozen, and stage 2, which optimizes the image adapter
+with the descriptors frozen.  Both stages minimize the same per-sample
+loss (fine-grained + margin) and reduce batches by arithmetic mean.
 
 One loop, ``fit``, runs both stages and the comparison baselines: it
 owns the seeded per-epoch shuffle, the batches, the learning-rate
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import losses, numerics
 from .config import ADAPTIVE, OPTIMIZER_KINDS
-from .data import EmbeddingDataset, Unit
+from .data import EmbeddingDataset, Unit, oversample_balance
 from .errors import ContractViolation
 # ``evaluate`` is unused here, but perfbench's binding test reads it from this module.
 from .inference import _score, check_compatible, evaluate, temporal_mean_pool, unit_embedding
@@ -68,6 +69,7 @@ from .model import (
     adapter_gradients,
     adapter_map,
     bank_embeddings,
+    build_model,
     build_text_encoder,
     encode_image,
     encode_text,
@@ -392,6 +394,35 @@ def run_stage1(model: Model, dataset: EmbeddingDataset, config) -> list[EpochSta
 def run_stage2(model: Model, dataset: EmbeddingDataset, config) -> list[EpochStats]:
     """Train the adapter by the stage-2 keys, against the frozen descriptors."""
     return _run_stage(model, dataset, config, 2)
+
+
+def build_strategy_model(train: EmbeddingDataset, config) -> Model:
+    """A fresh model for ``config``, sized to ``train``'s classes and feature dim."""
+    return build_model(
+        n_classes=train.n_classes,
+        n_subclasses=config.n_subclasses,
+        n_tokens=config.n_tokens,
+        token_dim=config.token_dim,
+        embed_dim=config.embed_dim,
+        feature_dim=train.feature_dim,
+        context_length=config.context_length,
+        encoder_kind=config.encoder_kind,
+        residual=config.residual_adapter,
+        temperature=config.temperature,
+        seed=config.seed,
+    )
+
+
+def train_metd(
+    train: EmbeddingDataset, config
+) -> tuple[Model, list[EpochStats], list[EpochStats]]:
+    """Run the full two-stage pipeline; returns the trained model and traces."""
+    # An empty split is not oversampled: the stages reject it.
+    fitted = oversample_balance(train, config.seed) if config.oversample and len(train) else train
+    model = build_strategy_model(train, config)
+    trace1 = run_stage1(model, fitted, config)
+    trace2 = run_stage2(model, fitted, config)
+    return model, trace1, trace2
 
 
 def central_difference(loss, array: np.ndarray, h: float) -> np.ndarray:
